@@ -43,9 +43,6 @@ pub enum ConfigError {
         /// Total VCs the spec provides.
         total: u8,
     },
-    /// `SimConfig.shards` is zero; the engine needs at least one shard
-    /// (1 = the sequential path).
-    ZeroShards,
 }
 
 impl fmt::Display for ConfigError {
@@ -74,9 +71,6 @@ impl fmt::Display for ConfigError {
                 "{algorithm} needs at least {required} virtual channels on this \
                  mesh but the spec provides {total}"
             ),
-            ConfigError::ZeroShards => {
-                write!(f, "SimConfig.shards must be >= 1 (1 = sequential path)")
-            }
         }
     }
 }
@@ -96,7 +90,7 @@ pub enum Arbitration {
 }
 
 /// Engine parameters. [`SimConfig::paper`] reproduces the paper's §5 setup.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct SimConfig {
     /// Per-VC input buffer depth in flits.
     pub buffer_depth: u8,
@@ -129,41 +123,6 @@ pub struct SimConfig {
     /// disables telemetry entirely (the report's `telemetry` field stays
     /// `None` and off the wire, preserving report byte-identity).
     pub telemetry_window: u64,
-    /// Number of spatial shards the flit-movement phase is split across
-    /// (column bands of the mesh, stepped on the persistent worker pool
-    /// with a deterministic merge at each cycle boundary). `1` (the
-    /// default) is the sequential oracle path; any value produces
-    /// byte-identical reports. Only worth raising on large meshes — see
-    /// EXPERIMENTS.md "Sharded engine".
-    pub shards: u16,
-}
-
-// Manual impl rather than a derive so that configs serialized before the
-// `shards` knob existed keep deserializing (the field defaults to 1, the
-// sequential path).
-impl Deserialize for SimConfig {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let has_shards = matches!(v, serde::Value::Object(pairs)
-            if pairs.iter().any(|(k, _)| k == "shards"));
-        Ok(SimConfig {
-            buffer_depth: serde::__field(v, "buffer_depth")?,
-            warmup_cycles: serde::__field(v, "warmup_cycles")?,
-            measure_cycles: serde::__field(v, "measure_cycles")?,
-            deadlock_timeout: serde::__field(v, "deadlock_timeout")?,
-            seed: serde::__field(v, "seed")?,
-            arbitration: serde::__field(v, "arbitration")?,
-            debug_watchdog: serde::__field(v, "debug_watchdog")?,
-            recovery_backoff_base: serde::__field(v, "recovery_backoff_base")?,
-            recovery_backoff_cap: serde::__field(v, "recovery_backoff_cap")?,
-            settle_window: serde::__field(v, "settle_window")?,
-            telemetry_window: serde::__field(v, "telemetry_window")?,
-            shards: if has_shards {
-                serde::__field(v, "shards")?
-            } else {
-                1
-            },
-        })
-    }
 }
 
 impl SimConfig {
@@ -182,7 +141,6 @@ impl SimConfig {
             recovery_backoff_cap: 6,
             settle_window: 500,
             telemetry_window: 0,
-            shards: 1,
         }
     }
 
@@ -223,12 +181,6 @@ impl SimConfig {
         self.telemetry_window = window;
         self
     }
-
-    /// Builder-style shard-count override (`1` = sequential path).
-    pub fn with_shards(mut self, shards: u16) -> Self {
-        self.shards = shards;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -255,21 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_default_to_sequential_and_deserialize_when_absent() {
-        assert_eq!(SimConfig::paper().shards, 1);
-        assert_eq!(SimConfig::paper().with_shards(8).shards, 8);
-        // Configs serialized before the knob existed must keep loading.
-        let json = serde_json::to_string(&SimConfig::paper().with_shards(4)).unwrap();
-        assert!(json.contains("\"shards\":4"), "{json}");
-        let roundtrip: SimConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(roundtrip.shards, 4);
-        let legacy = json.replace(",\"shards\":4", "");
-        assert!(!legacy.contains("shards"));
-        let back: SimConfig = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(back.shards, 1);
-    }
-
-    #[test]
     fn config_error_messages_name_the_limit() {
         let e = ConfigError::TooManyVcs {
             requested: 40,
@@ -277,7 +214,6 @@ mod tests {
         };
         assert!(e.to_string().contains("40"));
         assert!(e.to_string().contains("32"));
-        assert!(ConfigError::ZeroShards.to_string().contains("shards"));
         let e = ConfigError::InsufficientVcs {
             algorithm: "Duato's routing",
             required: 7,

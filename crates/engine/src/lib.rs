@@ -41,19 +41,18 @@
 //! assert_eq!(report.recoveries, 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod config;
 mod fault_hook;
 mod message;
-pub mod pool;
 mod profile;
-mod shard;
 mod simulator;
 mod waiters;
 
 pub use config::{Arbitration, ConfigError, SimConfig};
 pub use fault_hook::{FaultActivation, FaultDriver};
 pub use message::MsgId;
-pub use pool::WorkerPool;
 pub use profile::{Phase, PhaseTimes, NUM_PHASES};
 pub use simulator::Simulator;
 // Observability layer, re-exported so engine users can attach sinks and

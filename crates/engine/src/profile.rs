@@ -18,14 +18,13 @@
 //! | `inject`   | 0–2: fault poll, traffic generation, backoff requeue, injection-port promotion |
 //! | `route`    | 3: service-order construction (shuffle / ordered mirror) |
 //! | `allocate` | 4: routing decisions + VC allocation for headers       |
-//! | `move`     | 5: flit movement (sequential loop, or partition + parallel shard run) |
-//! | `merge`    | 5 (sharded only): rank-ordered replay of deferred shard effects |
+//! | `move`     | 5: flit movement                                       |
 //! | `recover`  | 6–9: watchdog scan, recoveries, stats/cleanup, delivery window, telemetry fold |
 
 use std::time::Duration;
 
 /// Number of profiled phases per cycle.
-pub const NUM_PHASES: usize = 6;
+pub const NUM_PHASES: usize = 5;
 
 /// One profiled section of the step loop. See the module docs for the
 /// mapping onto `Simulator::step`'s numbered sections.
@@ -37,12 +36,10 @@ pub enum Phase {
     Route = 1,
     /// Routing decisions + VC allocation for headers.
     Allocate = 2,
-    /// Flit movement (sequential or parallel shard run).
+    /// Flit movement.
     Move = 3,
-    /// Deferred shard-effect replay (sharded movement only).
-    Merge = 4,
     /// Watchdog, recoveries, and the stats/cleanup/telemetry tail.
-    Recover = 5,
+    Recover = 4,
 }
 
 impl Phase {
@@ -52,7 +49,6 @@ impl Phase {
         Phase::Route,
         Phase::Allocate,
         Phase::Move,
-        Phase::Merge,
         Phase::Recover,
     ];
 
@@ -63,7 +59,6 @@ impl Phase {
             Phase::Route => "route",
             Phase::Allocate => "allocate",
             Phase::Move => "move",
-            Phase::Merge => "merge",
             Phase::Recover => "recover",
         }
     }
@@ -154,7 +149,7 @@ mod tests {
         assert_eq!(t.total_nanos(), 1000);
         assert_eq!(t.cycles(), 2);
         assert_eq!(t.mean_ns_per_cycle(Phase::Inject), 250.0);
-        assert_eq!(t.share(Phase::Merge), 0.0);
+        assert_eq!(t.share(Phase::Recover), 0.0);
         assert!((t.share(Phase::Move) - 0.5).abs() < 1e-12);
         t.clear();
         assert_eq!(t.total_nanos(), 0);
@@ -166,6 +161,6 @@ mod tests {
         let names: std::collections::BTreeSet<_> = Phase::ALL.iter().map(|p| p.name()).collect();
         assert_eq!(names.len(), NUM_PHASES);
         assert_eq!(Phase::ALL[0].name(), "inject");
-        assert_eq!(Phase::ALL[5].name(), "recover");
+        assert_eq!(Phase::ALL[4].name(), "recover");
     }
 }

@@ -4,9 +4,7 @@
 use crate::config::{ConfigError, SimConfig};
 use crate::fault_hook::{FaultActivation, FaultDriver};
 use crate::message::{AllocPhase, Msg, MsgId, PathEntry};
-use crate::pool::{SyncPtr, WorkerPool};
 use crate::profile::{Phase, PhaseTimes};
-use crate::shard::{move_one, MoveArena, ShardRuntime};
 use crate::waiters::WaiterTable;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -166,15 +164,6 @@ pub struct Simulator<S: Sink = NullSink, const PROFILE: bool = false> {
     blocked_this_cycle: u64,
     /// Messages fully delivered this cycle.
     completed_this_cycle: u64,
-    /// Sharded-movement state (footprint union-find, per-shard work lists
-    /// and deferred-effect scratches); `Some` iff `cfg.shards > 1`. `None`
-    /// keeps the sequential phase-5 loop — and its zero-allocation steady
-    /// state — exactly as before.
-    shard_rt: Option<Box<ShardRuntime>>,
-    /// Test/bench hook: run the pooled movement path even on a
-    /// single-core host, where `shards > 1` otherwise takes the inline
-    /// sequential fast path (see [`Simulator::move_flits_sharded`]).
-    force_parallel: bool,
     /// Per-phase wall-clock accumulator; only written when `PROFILE`
     /// (every stamp site is `if PROFILE`-guarded and compiles away in
     /// the default instantiation).
@@ -226,8 +215,8 @@ impl<S: Sink> Simulator<S> {
     }
 
     /// Like [`Simulator::with_sink`], but reports an unhonorable
-    /// configuration (too many VCs for the occupancy bitmasks, a zero
-    /// shard count) as a [`ConfigError`] instead of panicking.
+    /// configuration (too many VCs for the occupancy bitmasks) as a
+    /// [`ConfigError`] instead of panicking.
     pub fn try_with_sink(
         algo: impl Into<Arc<dyn RoutingAlgorithm>>,
         ctx: Arc<RoutingContext>,
@@ -263,9 +252,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
                 limit: 32,
             });
         }
-        if cfg.shards == 0 {
-            return Err(ConfigError::ZeroShards);
-        }
         let pattern = ctx.pattern();
         let healthy: Vec<NodeId> = pattern.healthy_nodes(mesh).collect();
         let num_healthy = healthy.len();
@@ -283,7 +269,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         let channels = mesh.channels().count();
         let recheck_wait = algo.recheck_wait();
         let num_slots = mesh.num_channel_slots() * num_vcs as usize;
-        let shard_rt = (cfg.shards > 1).then(|| ShardRuntime::new(mesh, cfg.shards, num_vcs));
         Ok(Simulator {
             algo,
             workload,
@@ -343,8 +328,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             injected_this_cycle: 0,
             blocked_this_cycle: 0,
             completed_this_cycle: 0,
-            shard_rt,
-            force_parallel: false,
             phase_times: PhaseTimes::new(),
             cfg,
             ctx,
@@ -393,9 +376,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
                 requested: num_vcs,
                 limit: 32,
             });
-        }
-        if cfg.shards == 0 {
-            return Err(ConfigError::ZeroShards);
         }
         self.algo = algo;
         self.ctx = ctx;
@@ -491,14 +471,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         self.blocked_this_cycle = 0;
         self.completed_this_cycle = 0;
         self.phase_times.clear();
-        if self.cfg.shards > 1 {
-            match self.shard_rt.as_deref_mut() {
-                Some(rt) => rt.reconfigure(&mesh, self.cfg.shards, num_vcs),
-                None => self.shard_rt = Some(ShardRuntime::new(&mesh, self.cfg.shards, num_vcs)),
-            }
-        } else {
-            self.shard_rt = None;
-        }
         Ok(())
     }
 
@@ -633,8 +605,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     /// to `messages` messages performs no heap allocation afterwards. The
     /// slab is filled with dead, capacity-reserved messages parked on the
     /// free list (creation then always recycles), and source queues,
-    /// scratch buffers, wake lists, and the shard runtime reserve for the
-    /// same population.
+    /// scratch buffers, and wake lists reserve for the same population.
     ///
     /// Per-message path capacity is derived from the *actual* mesh shape:
     /// a traversal pushes one entry per hop and the grow-only buffer
@@ -690,9 +661,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         self.eligible_scratch.reserve(per_route);
         self.busy_scratch.reserve(per_route);
         self.freed_scratch.reserve(max_path);
-        if let Some(rt) = self.shard_rt.as_deref_mut() {
-            rt.prewarm(max_active);
-        }
     }
 
     fn alloc_msg(&mut self, src: NodeId, dest: NodeId) -> MsgId {
@@ -1064,20 +1032,10 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         // 5. Flit movement (ejection, pipeline shifts, source injection).
         // `link_used`/`eject_used` need no clearing: they are epoch-stamped
         // with `cycle + 1`, so last cycle's marks simply stop matching.
-        // With `cfg.shards > 1` the pass is partitioned into
-        // footprint-disjoint shards on the worker pool with a deterministic
-        // rank-ordered merge — byte-identical to the sequential loop (see
-        // `crate::shard`). Traced runs stay sequential: sinks observe the
-        // exact interleaving, and `Sink::ENABLED` is a compile-time
-        // constant, so the untraced instantiation carries no branch here.
-        if self.shard_rt.is_some() && !S::ENABLED {
-            self.move_flits_sharded(&order, measuring, &mut mark);
-        } else {
-            for &id in &order {
-                self.move_flits(id, measuring);
-            }
-            self.phase_lap(&mut mark, Phase::Move);
+        for &id in &order {
+            self.move_flits(id, measuring);
         }
+        self.phase_lap(&mut mark, Phase::Move);
         self.order = order;
 
         // 6. Watchdog — a linear scan over the dense last-progress array.
@@ -1343,12 +1301,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
                     .on(ch.0, vc),
             );
         }
-        if let Some(rt) = self.shard_rt.as_deref_mut() {
-            // Footprint growth: fold the new channel, its downstream node,
-            // and the previous head channel into one movement cluster.
-            let prev_ch = self.msgs[i].path.back().map(|e| e.ch);
-            rt.note_allocation(ch.0, next.index(), prev_ch);
-        }
         self.alloc[i] = AllocPhase::Moving;
         // The path grew: the header can advance into the fresh (empty) VC
         // buffer, so any movement stall is over.
@@ -1604,12 +1556,9 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         self.freed_scratch = freed;
     }
 
-    /// The statistics/bookkeeping tail of a message completion, shared by
-    /// the sequential movement pass and the sharded merge (which replays
-    /// completions in service-rank order, reproducing the sequential
-    /// sequence of these calls exactly — the latency records are
-    /// order-sensitive f64 sums, and the free-list push order decides
-    /// future message-id assignment).
+    /// The statistics/bookkeeping tail of a message completion. Call
+    /// order matters: the latency records are order-sensitive f64 sums,
+    /// and the free-list push order decides future message-id assignment.
     fn finish_completion(&mut self, id: u32, measuring: bool) {
         let m = &mut self.msgs[id as usize];
         let misroutes = m.state.misroutes as u64;
@@ -1631,139 +1580,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             self.throughput.record_delivery(length);
             self.latency.record(latency);
             self.network_latency.record(network_latency);
-        }
-    }
-
-    /// Phase 5 on the worker pool: partition the service order into
-    /// footprint-disjoint shards (contiguous union-find index ranges),
-    /// move each shard's messages in rank order concurrently, then replay
-    /// the deferred global effects in rank order. Produces byte-identical
-    /// state to the sequential loop — see `crate::shard` for the full
-    /// argument.
-    ///
-    /// Two sequential fast paths keep `shards > 1` from ever costing more
-    /// than `shards = 1`:
-    /// - On a single-core host (unless [`Simulator::force_parallel_movement`]
-    ///   is set) the pool cannot help, so the plain sequential loop runs —
-    ///   which *is* the oracle, so equivalence is definitional.
-    /// - When the partition lands every movable message in one cluster,
-    ///   that shard's rank-sorted list is exactly the movable subsequence
-    ///   of the service order; running it inline skips the pool handshake
-    ///   and the deferred-effect replay entirely.
-    fn move_flits_sharded(
-        &mut self,
-        order: &[u32],
-        measuring: bool,
-        mark: &mut Option<std::time::Instant>,
-    ) {
-        let mut rt = self
-            .shard_rt
-            .take()
-            .expect("sharded movement requires a shard runtime");
-        if !self.force_parallel && !rt.multicore() {
-            for &id in order {
-                self.move_flits(id, measuring);
-            }
-            self.shard_rt = Some(rt);
-            self.phase_lap(mark, Phase::Move);
-            return;
-        }
-        if rt.should_rebuild() {
-            // Shed stale cluster merges (releases never split clusters
-            // incrementally); pure performance state, never observable —
-            // triggered by the release volume since the last rebuild
-            // instead of a fixed cycle period.
-            rt.rebuild(&self.active, &self.msgs, &self.alive);
-        }
-        rt.partition(order, &self.msgs, &self.alive);
-        let busy = rt.lists.iter().filter(|l| !l.is_empty()).count();
-        if busy == 1 {
-            let li = rt
-                .lists
-                .iter()
-                .position(|l| !l.is_empty())
-                .expect("one non-empty list");
-            let list = std::mem::take(&mut rt.lists[li]);
-            for &(_, id) in &list {
-                self.move_flits(id, measuring);
-            }
-            rt.lists[li] = list;
-        } else if busy > 1 {
-            let shards = rt.lists.len();
-            let arena = MoveArena {
-                msgs: SyncPtr(self.msgs.as_mut_ptr()),
-                alive: SyncPtr(self.alive.as_mut_ptr()),
-                alloc: SyncPtr(self.alloc.as_mut_ptr()),
-                stalled: SyncPtr(self.stalled.as_mut_ptr()),
-                last_progress: SyncPtr(self.last_progress.as_mut_ptr()),
-                slots: SyncPtr(self.slots.as_mut_ptr()),
-                occ_mask: SyncPtr(self.occ_mask.as_mut_ptr()),
-                link_used: SyncPtr(self.link_used.as_mut_ptr()),
-                eject_used: SyncPtr(self.eject_used.as_mut_ptr()),
-                arrivals: SyncPtr(self.node_load.arrivals_mut().as_mut_ptr()),
-                injecting: SyncPtr(self.injecting.as_mut_ptr()),
-                depth: self.cfg.buffer_depth,
-                stamp: self.cycle + 1,
-                cycle: self.cycle,
-                measuring,
-            };
-            let lists = &rt.lists;
-            let scratch = SyncPtr(rt.scratch.as_mut_ptr());
-            let task = move |i: usize| {
-                // Worker `i` owns shard `i`'s scratch and every channel,
-                // node, and message reachable from shard `i`'s footprints —
-                // disjoint across workers by the union-find partition.
-                let scratch = unsafe { &mut *scratch.at(i) };
-                for &(rank, id) in &lists[i] {
-                    unsafe { move_one(&arena, rank, id, scratch) };
-                }
-            };
-            if let Err((_, payload)) = WorkerPool::global().run(shards, shards, &task) {
-                // Surface worker panics exactly like the sequential loop
-                // would (the pool has already drained and unenrolled).
-                std::panic::resume_unwind(payload);
-            }
-            // The parallel shard run is `move`; the deterministic
-            // rank-ordered effect replay that follows is `merge`.
-            self.phase_lap(mark, Phase::Move);
-            self.apply_shard_effects(&mut rt, measuring);
-            self.phase_lap(mark, Phase::Merge);
-        }
-        if busy <= 1 {
-            self.phase_lap(mark, Phase::Move);
-        }
-        self.shard_rt = Some(rt);
-    }
-
-    /// Replay one sharded cycle's deferred global effects in the exact
-    /// order the sequential loop would have produced them. Each effect
-    /// kind is first merged (rank order, run-copying k-way merge) into the
-    /// runtime's preallocated batch buffer, then replayed with a plain
-    /// index walk — the merge is a memcpy-like pass, not a per-item scan
-    /// over every shard.
-    fn apply_shard_effects(&mut self, rt: &mut ShardRuntime, measuring: bool) {
-        let mut delivered = 0u32;
-        let mut released = 0u64;
-        for s in &rt.scratch {
-            delivered += s.delivered;
-            released += s.freed.len() as u64;
-            for (vc, &n) in s.vc_released.iter().enumerate() {
-                if n > 0 {
-                    self.vc_usage.release_n(vc as u8, n);
-                }
-            }
-        }
-        self.delivered_this_cycle += delivered;
-        rt.note_releases(released);
-        rt.merge_ranked(|s| &s.completions);
-        for k in 0..rt.merged.len() {
-            let id = rt.merged[k];
-            self.finish_completion(id, measuring);
-        }
-        rt.merge_ranked(|s| &s.freed);
-        for k in 0..rt.merged.len() {
-            let key = rt.merged[k];
-            self.wake_waiters(key);
         }
     }
 
@@ -1969,9 +1785,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             self.injecting[src.index()] = None;
         }
         self.free_list.push(id);
-        if let Some(rt) = self.shard_rt.as_deref_mut() {
-            rt.note_releases(freed.len() as u64);
-        }
         for &key in &freed {
             self.wake_waiters(key);
         }
@@ -2004,9 +1817,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             self.stalled[id as usize] = false;
             (m.src, m.dest)
         };
-        if let Some(rt) = self.shard_rt.as_deref_mut() {
-            rt.note_releases(freed.len() as u64);
-        }
         for &key in &freed {
             self.wake_waiters(key);
         }
@@ -2084,9 +1894,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             self.alloc[id as usize] = AllocPhase::Contend;
             self.stalled[id as usize] = false;
             src = m.src;
-        }
-        if let Some(rt) = self.shard_rt.as_deref_mut() {
-            rt.note_releases(freed.len() as u64);
         }
         for &key in &freed {
             self.wake_waiters(key);
@@ -2192,15 +1999,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             recoveries: m.recoveries,
             holds: m.path.iter().map(|e| (e.ch, e.vc)).collect(),
         }
-    }
-
-    /// Test/bench hook: run the pooled sharded-movement path even on a
-    /// single-core host, where `shards > 1` otherwise takes the inline
-    /// sequential fast path. Lets equivalence suites exercise the
-    /// worker-pool partition/merge machinery deterministically anywhere.
-    #[doc(hidden)]
-    pub fn force_parallel_movement(&mut self, on: bool) {
-        self.force_parallel = on;
     }
 
     /// Test support: audit the struct-of-arrays hot-flag buffers against

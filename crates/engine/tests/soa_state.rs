@@ -3,7 +3,7 @@
 //! from `Msg` fields into the simulator's flat id-indexed buffers, these
 //! tests pin (a) that the flat view stays consistent with the structures
 //! it was split from under arbitrary step sequences across the
-//! algo × fault × arbitration × shards matrix, and (b) that warm `reset`
+//! algo × fault × arbitration matrix, and (b) that warm `reset`
 //! reuse rewinds every flattened buffer completely — no stale occupancy
 //! bits, liveness flags, or wake-list nodes leak into the next run.
 
@@ -35,9 +35,6 @@ proptest! {
     /// view from the SoA arrays and assert agreement
     /// (`Simulator::check_soa_layout`), interleaved at random audit
     /// points so mid-flight states are covered, not just drained ones.
-    /// The sharded run (pooled path forced, so single-core hosts still
-    /// exercise the worker arena's SoA writes) must also keep producing
-    /// the sequential oracle's report byte for byte.
     #[test]
     fn soa_state_matches_legacy_layout(
         seed in any::<u64>(),
@@ -45,7 +42,6 @@ proptest! {
         faults in 0usize..=5,
         rate_millis in 1u32..=8,
         oldest_first in any::<bool>(),
-        shards in prop::sample::select(vec![1u16, 2, 4, 8]),
         audits in prop::collection::vec(1usize..120, 1..5),
     ) {
         let mesh = Mesh::square(10);
@@ -69,16 +65,14 @@ proptest! {
                 Arbitration::Random
             },
             ..SimConfig::paper()
-        }
-        .with_shards(shards);
+        };
         let kind = algorithms()[algo_idx];
         let wl = Workload::paper_uniform(rate_millis as f64 / 1000.0);
 
         let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
-        let mut sim = Simulator::new(algo, ctx.clone(), wl.clone(), cfg);
-        sim.force_parallel_movement(true);
-        // Step exactly the schedule (matching the oracle's `run`),
-        // auditing the flat buffers at the random interior points.
+        let mut sim = Simulator::new(algo, ctx, wl, cfg);
+        // Step the whole schedule, auditing the flat buffers at the
+        // random interior points.
         let mut stepped = 0u64;
         for &n in &audits {
             for _ in 0..(n as u64).min(cfg.total_cycles() - stepped) {
@@ -92,31 +86,24 @@ proptest! {
             sim.step();
         }
         sim.check_soa_layout();
-        let sharded = serde_json::to_string(&sim.report()).unwrap();
-
-        let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
-        let mut oracle = Simulator::new(algo, ctx, wl, cfg.with_shards(1));
-        let sequential = serde_json::to_string(&oracle.run()).unwrap();
-        oracle.check_soa_layout();
-        prop_assert_eq!(sequential, sharded, "shards={} diverged", shards);
     }
 }
 
-/// Warm `reset` chains across meshes, algorithms, and shard counts must
-/// rewind every flattened buffer to the fresh-simulator state — audited
-/// after each reset (`Simulator::assert_rewound`) and proven
-/// non-vacuously by re-running: the reused instance keeps matching a
-/// fresh oracle after the audit passes.
+/// Warm `reset` chains across meshes and algorithms must rewind every
+/// flattened buffer to the fresh-simulator state — audited after each
+/// reset (`Simulator::assert_rewound`) and proven non-vacuously by
+/// re-running: the reused instance keeps matching a fresh simulator
+/// after the audit passes.
 #[test]
 fn reset_chain_rewinds_flattened_buffers() {
-    let chain: [(usize, AlgorithmKind, u16, u64); 4] = [
-        (10, AlgorithmKind::Duato, 1, 7),
-        (6, AlgorithmKind::Nbc, 4, 21),
-        (10, AlgorithmKind::BouraFaultTolerant, 2, 35),
-        (8, AlgorithmKind::FullyAdaptive, 8, 49),
+    let chain: [(usize, AlgorithmKind, u64); 4] = [
+        (10, AlgorithmKind::Duato, 7),
+        (6, AlgorithmKind::Nbc, 21),
+        (10, AlgorithmKind::BouraFaultTolerant, 35),
+        (8, AlgorithmKind::FullyAdaptive, 49),
     ];
     let mut reused: Option<Simulator> = None;
-    for (side, kind, shards, seed) in chain {
+    for (side, kind, seed) in chain {
         let mesh = Mesh::square(side as u16);
         let mut rng = SmallRng::seed_from_u64(seed);
         let pattern = wormsim_fault::random_pattern(&mesh, 2, &mut rng)
@@ -127,14 +114,12 @@ fn reset_chain_rewinds_flattened_buffers() {
             measure_cycles: 250,
             ..SimConfig::paper()
         }
-        .with_seed(seed)
-        .with_shards(shards);
+        .with_seed(seed);
         let wl = Workload::paper_uniform(0.006);
         let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
         let warm = match reused.as_mut() {
             None => {
                 let mut sim = Simulator::new(algo, ctx.clone(), wl.clone(), cfg);
-                sim.force_parallel_movement(true);
                 let report = sim.run();
                 reused = Some(sim);
                 report
@@ -150,11 +135,11 @@ fn reset_chain_rewinds_flattened_buffers() {
             }
         };
         let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
-        let fresh = Simulator::new(algo, ctx, wl, cfg.with_shards(1)).run();
+        let fresh = Simulator::new(algo, ctx, wl, cfg).run();
         assert_eq!(
             serde_json::to_string(&warm).unwrap(),
             serde_json::to_string(&fresh).unwrap(),
-            "{kind:?} at {side}x{side}/shards={shards} diverged after warm reset"
+            "{kind:?} at {side}x{side} diverged after warm reset"
         );
     }
     // Final rewind: the last run's population must also park cleanly.

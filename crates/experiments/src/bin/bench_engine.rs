@@ -26,17 +26,11 @@
 //! exactly (simulation results are deterministic and machine-
 //! independent), and cycles/sec — plus the sweep's runs/sec — must stay
 //! above 85 % of the baseline.
-//! A **sharded-engine** section times one 64×64 run split across the
-//! worker pool (`SimConfig.shards`) against the sequential path,
-//! asserting byte-identical reports before recording anything; the
-//! record carries the machine's visible core count so the speedup is
-//! interpretable (on one core the sharded pass is expected to trail).
 //!
 //! Set `WORMSIM_SKIP_PERF_GATE=1` to skip the throughput thresholds —
 //! e.g. on throttled or heavily shared CI machines — while keeping the
 //! fingerprint checks. `--sweep-only` runs (and gates) just the sweep
-//! section, `--shard-only` just the sharded-engine section: the cheap
-//! CI smoke modes.
+//! section: the cheap CI smoke mode.
 //!
 //! ```text
 //! cargo run --release -p wormsim-experiments --bin bench_engine
@@ -64,14 +58,6 @@ use wormsim_traffic::Workload;
 const MESH_SIZE: u16 = 10;
 const RATE: f64 = 0.01;
 const SEED: u64 = 0xB41C;
-
-/// Sharded-engine section: mesh radix where intra-run sharding is meant
-/// to pay (the paper-scale 10×10 is far too small), the shard count
-/// benchmarked against the sequential oracle, and a rate that keeps the
-/// big mesh busy without saturating the schedule.
-const SHARD_MESH: u16 = 64;
-const SHARD_COUNT: u16 = 8;
-const SHARD_RATE: f64 = 0.002;
 
 /// Fraction of the baseline's cycles/sec below which `--check` fails.
 const GATE_FLOOR: f64 = 0.85;
@@ -125,9 +111,10 @@ struct BenchRecord {
     /// Heap allocations performed inside the measurement window (must be
     /// zero: the engine's steady state is allocation-free).
     measure_allocations: u64,
-    /// Routing-decision microbenchmark: mean ns per `route()` call with
-    /// the geometry table against the direct (table-less) computation,
-    /// on a representative faulty pattern.
+    /// Routing-decision microbenchmark: ns per `route()` call (fastest
+    /// of [`ROUTE_BATCHES`] batches) with the geometry table against the
+    /// direct (table-less) computation, on a representative faulty
+    /// pattern.
     routing_decision_ns: Vec<RoutingDecisionRecord>,
     /// FNV-1a over the run's serialized `SimReport`: the simulation-result
     /// identity for this seed. Perf work must not change it.
@@ -135,13 +122,6 @@ struct BenchRecord {
     /// Sweep-throughput section: the fig-4-shaped batch through the
     /// harness reuse machinery vs per-run rebuild.
     sweep: SweepRecord,
-    /// Sharded-engine section: one big-mesh simulation split across the
-    /// worker pool vs the sequential path.
-    shard: ShardRecord,
-    /// Shard-count scaling section: the full shard sweep
-    /// ({1, 2, 4, 8} × {10×10, 64×64}), every point fingerprint-checked
-    /// against its mesh's sequential oracle.
-    scaling: ScalingRecord,
     /// Per-phase cycle-time breakdown of the paper-scale run through a
     /// `PROFILE = true` simulator, fingerprint-asserted against the
     /// default build. Timings are informational (no `--check` floor —
@@ -175,66 +155,6 @@ struct PhaseRecord {
     mean_ns_per_cycle: f64,
     /// This phase's fraction of the total profiled time.
     share: f64,
-}
-
-#[derive(Serialize)]
-struct ShardRecord {
-    /// Mesh radix of the sharded benchmark (64: big enough that one run
-    /// dominates wall-clock and column bands carry real work).
-    mesh_size: u16,
-    /// Shard count of the sharded pass (the sequential pass is shards=1).
-    shards: u16,
-    /// Physical cores visible to this process when the record was made.
-    /// Sharding cannot beat the sequential path on fewer cores than
-    /// shards; the recorded speedup is only meaningful alongside this.
-    cores: usize,
-    rate: f64,
-    warmup_cycles: u64,
-    measure_cycles: u64,
-    repeats: u32,
-    /// Best-of-repeats wall-clock of the sequential (shards=1) run.
-    sequential_secs: f64,
-    sequential_cycles_per_sec: f64,
-    /// Best-of-repeats wall-clock of the sharded run.
-    sharded_secs: f64,
-    sharded_cycles_per_sec: f64,
-    /// `sharded_cycles_per_sec / sequential_cycles_per_sec`.
-    speedup: f64,
-    /// FNV-1a over the run's serialized `SimReport` — asserted identical
-    /// between the sequential and sharded passes before any timing is
-    /// recorded, so the record never exists for a divergent engine.
-    shard_fingerprint: String,
-}
-
-#[derive(Serialize)]
-struct ScalingRecord {
-    /// Physical cores visible when the record was made; speedups are only
-    /// meaningful alongside this.
-    cores: usize,
-    repeats: u32,
-    /// One point per (mesh, shard count) in sweep order. Every point's
-    /// fingerprint is asserted equal to its mesh's shards=1 point before
-    /// the record exists — through the *pooled* movement path (forced on
-    /// single-core hosts), so the equality is never vacuous.
-    points: Vec<ScalingPoint>,
-}
-
-#[derive(Serialize)]
-struct ScalingPoint {
-    mesh_size: u16,
-    shards: u16,
-    rate: f64,
-    warmup_cycles: u64,
-    measure_cycles: u64,
-    /// Best-of-repeats wall-clock for the schedule, natural movement path
-    /// (single-core hosts take the inline sequential fast path — that is
-    /// the shipping behavior being measured).
-    secs: f64,
-    cycles_per_sec: f64,
-    /// `cycles_per_sec` relative to this mesh's shards=1 point.
-    speedup: f64,
-    /// FNV-1a over the serialized `SimReport` of this point's run.
-    fingerprint: String,
 }
 
 #[derive(Serialize)]
@@ -273,7 +193,7 @@ struct RoutingDecisionRecord {
 fn usage() -> ! {
     eprintln!(
         "usage: bench_engine [--out PATH] [--dump-report PATH] [--repeats N] [--check BASELINE] \
-         [--sweep-only] [--shard-only] [--scaling-only] [--phases]"
+         [--sweep-only] [--phases]"
     );
     std::process::exit(2);
 }
@@ -442,204 +362,6 @@ fn sweep_throughput(repeats: u32) -> SweepRecord {
     }
 }
 
-/// One timed 64×64 run at the given shard count on a reused simulator.
-/// Returns wall-clock seconds for the whole schedule and the report
-/// fingerprint.
-fn shard_pass(
-    sim: &mut Simulator,
-    algo: &Arc<dyn wormsim_routing::RoutingAlgorithm>,
-    ctx: &Arc<RoutingContext>,
-    wl: &Workload,
-    cfg: SimConfig,
-    shards: u16,
-) -> (f64, String) {
-    sim.reset(
-        algo.clone(),
-        ctx.clone(),
-        wl.clone(),
-        cfg.with_shards(shards),
-    );
-    let start = Instant::now();
-    for _ in 0..cfg.total_cycles() {
-        sim.step();
-    }
-    let secs = start.elapsed().as_secs_f64();
-    let json = serde_json::to_string(&sim.report()).expect("report serializes");
-    (secs, format!("{:016x}", fnv1a(json.as_bytes())))
-}
-
-/// The sharded-engine benchmark: a 64×64 Duato run, sequential vs
-/// [`SHARD_COUNT`] shards, byte-identity asserted, then best-of-`repeats`
-/// timings for both. Numbers are honest for the machine at hand — the
-/// record carries the visible core count, and on a single core the
-/// sharded pass is expected to trail the sequential one (merge overhead
-/// with no parallelism to pay for it).
-fn shard_bench(repeats: u32) -> ShardRecord {
-    let mesh = Mesh::square(SHARD_MESH);
-    let ctx = Arc::new(RoutingContext::new(
-        mesh.clone(),
-        FaultPattern::fault_free(&mesh),
-    ));
-    let algo: Arc<dyn wormsim_routing::RoutingAlgorithm> =
-        build_algorithm(AlgorithmKind::Duato, ctx.clone(), VcConfig::paper()).into();
-    let cfg = SimConfig {
-        warmup_cycles: 200,
-        measure_cycles: 600,
-        ..SimConfig::paper()
-    }
-    .with_seed(SEED);
-    let wl = Workload::paper_uniform(SHARD_RATE);
-    let mut sim = Simulator::new(algo.clone(), ctx.clone(), wl.clone(), cfg);
-
-    // Equivalence first: no timing record exists for a divergent engine.
-    let (mut sequential_secs, seq_fp) = shard_pass(&mut sim, &algo, &ctx, &wl, cfg, 1);
-    let (mut sharded_secs, sh_fp) = shard_pass(&mut sim, &algo, &ctx, &wl, cfg, SHARD_COUNT);
-    assert_eq!(
-        seq_fp, sh_fp,
-        "sharded {SHARD_MESH}×{SHARD_MESH} run diverged from the sequential oracle"
-    );
-    for i in 1..repeats {
-        let (secs, _) = shard_pass(&mut sim, &algo, &ctx, &wl, cfg, 1);
-        sequential_secs = sequential_secs.min(secs);
-        let (secs, _) = shard_pass(&mut sim, &algo, &ctx, &wl, cfg, SHARD_COUNT);
-        sharded_secs = sharded_secs.min(secs);
-        eprintln!(
-            "shard {}/{repeats}: sequential {sequential_secs:.3}s, \
-             {SHARD_COUNT}-shard {sharded_secs:.3}s",
-            i + 1,
-        );
-    }
-    let cycles = cfg.total_cycles() as f64;
-    let sequential_cycles_per_sec = cycles / sequential_secs;
-    let sharded_cycles_per_sec = cycles / sharded_secs;
-    ShardRecord {
-        mesh_size: SHARD_MESH,
-        shards: SHARD_COUNT,
-        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        rate: SHARD_RATE,
-        warmup_cycles: cfg.warmup_cycles,
-        measure_cycles: cfg.measure_cycles,
-        repeats,
-        sequential_secs,
-        sequential_cycles_per_sec,
-        sharded_secs,
-        sharded_cycles_per_sec,
-        speedup: sharded_cycles_per_sec / sequential_cycles_per_sec,
-        shard_fingerprint: seq_fp,
-    }
-}
-
-/// Meshes swept by the scaling section, with a per-mesh injection rate
-/// that keeps each busy without saturating the schedule.
-const SCALING_MESHES: [(u16, f64); 2] = [(10, 0.01), (64, 0.002)];
-/// Shard counts swept per mesh (1 is the sequential oracle).
-const SCALING_SHARDS: [u16; 4] = [1, 2, 4, 8];
-
-/// One scaling-section run at the given shard count on a reused
-/// simulator. `forced` runs the pooled movement path even on a
-/// single-core host (the untimed equivalence pass); timed passes leave
-/// it off and measure the shipping behavior.
-fn scaling_pass(
-    sim: &mut Simulator,
-    algo: &Arc<dyn wormsim_routing::RoutingAlgorithm>,
-    ctx: &Arc<RoutingContext>,
-    wl: &Workload,
-    cfg: SimConfig,
-    shards: u16,
-    forced: bool,
-) -> (f64, String) {
-    sim.reset(
-        algo.clone(),
-        ctx.clone(),
-        wl.clone(),
-        cfg.with_shards(shards),
-    );
-    sim.force_parallel_movement(forced);
-    let start = Instant::now();
-    for _ in 0..cfg.total_cycles() {
-        sim.step();
-    }
-    let secs = start.elapsed().as_secs_f64();
-    let json = serde_json::to_string(&sim.report()).expect("report serializes");
-    (secs, format!("{:016x}", fnv1a(json.as_bytes())))
-}
-
-/// The shard-count scaling sweep: for each mesh, a sequential oracle run
-/// (shards=1), then every swept shard count — first an untimed pass
-/// through the *forced* pooled path whose fingerprint must equal the
-/// oracle's (so the equivalence assertion exercises the partition/merge
-/// machinery even on one core), then best-of-`repeats` timed passes on
-/// the natural path.
-fn scaling_bench(repeats: u32) -> ScalingRecord {
-    let mut points = Vec::new();
-    for (mesh_size, rate) in SCALING_MESHES {
-        let mesh = Mesh::square(mesh_size);
-        let ctx = Arc::new(RoutingContext::new(
-            mesh.clone(),
-            FaultPattern::fault_free(&mesh),
-        ));
-        let algo: Arc<dyn wormsim_routing::RoutingAlgorithm> =
-            build_algorithm(AlgorithmKind::Duato, ctx.clone(), VcConfig::paper()).into();
-        let cfg = SimConfig {
-            warmup_cycles: 200,
-            measure_cycles: 600,
-            ..SimConfig::paper()
-        }
-        .with_seed(SEED);
-        let wl = Workload::paper_uniform(rate);
-        let mut sim = Simulator::new(algo.clone(), ctx.clone(), wl.clone(), cfg);
-        let mut oracle_fp: Option<String> = None;
-        let mut oracle_cps = 0.0f64;
-        for shards in SCALING_SHARDS {
-            // Equivalence before timing: no point exists for a divergent
-            // shard count. (At shards=1 this pass *defines* the oracle.)
-            let (_, fp) = scaling_pass(&mut sim, &algo, &ctx, &wl, cfg, shards, true);
-            match &oracle_fp {
-                None => oracle_fp = Some(fp.clone()),
-                Some(seq) => assert_eq!(
-                    &fp, seq,
-                    "{mesh_size}x{mesh_size} at shards={shards} diverged from the sequential oracle"
-                ),
-            }
-            let mut best = f64::INFINITY;
-            for _ in 0..repeats {
-                let (secs, timed_fp) = scaling_pass(&mut sim, &algo, &ctx, &wl, cfg, shards, false);
-                assert_eq!(
-                    &timed_fp,
-                    oracle_fp.as_ref().unwrap(),
-                    "timed pass diverged"
-                );
-                best = best.min(secs);
-            }
-            let cps = cfg.total_cycles() as f64 / best;
-            if shards == 1 {
-                oracle_cps = cps;
-            }
-            eprintln!(
-                "scaling {mesh_size}x{mesh_size} shards={shards}: {best:.3}s \
-                 ({cps:.0} cycles/sec, {:.2}x sequential)",
-                cps / oracle_cps
-            );
-            points.push(ScalingPoint {
-                mesh_size,
-                shards,
-                rate,
-                warmup_cycles: cfg.warmup_cycles,
-                measure_cycles: cfg.measure_cycles,
-                secs: best,
-                cycles_per_sec: cps,
-                speedup: cps / oracle_cps,
-                fingerprint: fp,
-            });
-        }
-    }
-    ScalingRecord {
-        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        repeats,
-        points,
-    }
-}
-
 /// One full paper-scale run, stepped in two phases so the allocation
 /// counter can bracket the measurement window. Returns the report, the
 /// wall-clock seconds for the whole schedule (warm-up included, matching
@@ -750,10 +472,14 @@ fn phase_bench(expected_fp: Option<&str>) -> PhasesRecord {
     }
 }
 
-/// Mean ns per `route()` call for every roster algorithm, with the
-/// context's geometry table and with the direct computation. Uses a
-/// faulty pattern so ring geometry (where the table earns its keep) is
-/// actually on the decision path.
+/// Timed batches per routing micro-timing; the fastest is recorded, so
+/// one descheduled batch cannot enter a committed baseline.
+const ROUTE_BATCHES: usize = 5;
+
+/// Ns per `route()` call for every roster algorithm, with the context's
+/// geometry table and with the direct computation. Uses a faulty pattern
+/// so ring geometry (where the table earns its keep) is actually on the
+/// decision path.
 fn routing_decision_bench() -> Vec<RoutingDecisionRecord> {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
@@ -767,24 +493,25 @@ fn routing_decision_bench() -> Vec<RoutingDecisionRecord> {
 
     let time_route = |ctx: &Arc<RoutingContext>, kind: AlgorithmKind| -> f64 {
         let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
-        // Route between every healthy pair once to warm caches, then time.
+        // One batch routes between every healthy pair; the first warms
+        // caches and is discarded.
         let pairs: Vec<_> = healthy
             .iter()
             .flat_map(|&s| healthy.iter().map(move |&d| (s, d)))
             .filter(|(s, d)| s != d)
             .collect();
-        let mut calls = 0u64;
-        for &(src, dest) in &pairs {
-            let mut st = algo.init_message(src, dest);
-            std::hint::black_box(algo.route(src, &mut st));
-            calls += 1;
-        }
-        let start = Instant::now();
-        for &(src, dest) in &pairs {
-            let mut st = algo.init_message(src, dest);
-            std::hint::black_box(algo.route(src, &mut st));
-        }
-        start.elapsed().as_nanos() as f64 / calls as f64
+        let batch = || {
+            let start = Instant::now();
+            for &(src, dest) in &pairs {
+                let mut st = algo.init_message(src, dest);
+                std::hint::black_box(algo.route(src, &mut st));
+            }
+            start.elapsed().as_nanos() as f64 / pairs.len() as f64
+        };
+        batch();
+        (0..ROUTE_BATCHES)
+            .map(|_| batch())
+            .fold(f64::INFINITY, f64::min)
     };
 
     AlgorithmKind::ALL
@@ -858,191 +585,6 @@ fn check_sweep_against_baseline(sweep: &SweepRecord, base: &serde_json::Value) {
     );
 }
 
-/// Gate the shard section against the baseline's: exact fingerprint
-/// match (the sharded engine must keep producing oracle-identical
-/// results), sharded cycles/sec at [`GATE_FLOOR`] of the baseline unless
-/// `WORMSIM_SKIP_PERF_GATE` is set. A baseline without the section is a
-/// hard failure, same policy as the sweep gate.
-fn check_shard_against_baseline(shard: &ShardRecord, base: &serde_json::Value) {
-    let Some(base_shard) = base.get("shard") else {
-        eprintln!(
-            "PERF GATE FAILED: baseline has no shard section, so the shard gate cannot run — \
-             regenerate the baseline (cargo run --release -p wormsim-experiments --bin \
-             bench_engine) and commit the new BENCH_engine.json"
-        );
-        std::process::exit(1);
-    };
-    let base_fp = base_shard
-        .get("shard_fingerprint")
-        .and_then(|v| v.as_str())
-        .expect("baseline shard has shard_fingerprint");
-    let base_cps = base_shard
-        .get("sharded_cycles_per_sec")
-        .and_then(|v| v.as_f64())
-        .expect("baseline shard has sharded_cycles_per_sec");
-    if shard.shard_fingerprint != base_fp {
-        eprintln!(
-            "PERF GATE FAILED: shard fingerprint {} != baseline {base_fp} — \
-             the change altered big-mesh results, not just speed",
-            shard.shard_fingerprint
-        );
-        std::process::exit(1);
-    }
-    // Shard throughput scales with physical parallelism, so the floor
-    // only means something on a machine shaped like the one that
-    // recorded the baseline. On a core-count mismatch the fingerprint
-    // (already checked above) is the whole gate.
-    let base_cores = base_shard.get("cores").and_then(|v| v.as_u64());
-    let cur_cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
-    match base_cores {
-        Some(bc) if bc != cur_cores => {
-            eprintln!(
-                "perf gate: shard fingerprint OK; throughput floor skipped — baseline was \
-                 recorded on {bc} cores but this machine shows {cur_cores}, so sharded \
-                 cycles/sec are not comparable ({:.0} here vs baseline {base_cps:.0})",
-                shard.sharded_cycles_per_sec
-            );
-            return;
-        }
-        None => {
-            eprintln!(
-                "perf gate: shard fingerprint OK; throughput floor skipped — baseline \
-                 predates the cores field, so there is no comparable machine shape on \
-                 record ({:.0} here vs baseline {base_cps:.0})",
-                shard.sharded_cycles_per_sec
-            );
-            return;
-        }
-        Some(_) => {}
-    }
-    let floor = base_cps * GATE_FLOOR;
-    if std::env::var_os("WORMSIM_SKIP_PERF_GATE").is_some() {
-        eprintln!(
-            "perf gate: shard fingerprint OK; throughput check skipped \
-             (WORMSIM_SKIP_PERF_GATE): {:.0} sharded cycles/sec vs baseline {base_cps:.0}",
-            shard.sharded_cycles_per_sec
-        );
-        return;
-    }
-    if shard.sharded_cycles_per_sec < floor {
-        eprintln!(
-            "PERF GATE FAILED: shard {:.0} cycles/sec < {floor:.0} \
-             ({:.0}% of baseline {base_cps:.0})",
-            shard.sharded_cycles_per_sec,
-            GATE_FLOOR * 100.0
-        );
-        std::process::exit(1);
-    }
-    eprintln!(
-        "perf gate: shard OK — {:.0} sharded cycles/sec vs baseline {base_cps:.0} \
-         (floor {floor:.0}), fingerprint {}",
-        shard.sharded_cycles_per_sec, shard.shard_fingerprint
-    );
-}
-
-/// Gate the scaling section. Two layers:
-///
-/// - **Fingerprints** (always on): every swept shard count of a mesh must
-///   reproduce that mesh's shards=1 fingerprint, and each mesh's oracle
-///   fingerprint must match the baseline's — a baseline predating the
-///   section is a hard failure, same policy as the sweep gate.
-/// - **Speedup floors** (skipped under `WORMSIM_SKIP_PERF_GATE`):
-///   `shards > 1` must never fall below 0.95× its mesh's sequential
-///   throughput, and when the machine has ≥ 4 cores the 64×64 sweep must
-///   reach 1.5× at some shard count ≥ 4.
-fn check_scaling_against_baseline(scaling: &ScalingRecord, base: &serde_json::Value) {
-    let Some(base_scaling) = base.get("scaling") else {
-        eprintln!(
-            "PERF GATE FAILED: baseline has no scaling section, so the shard-sweep gate cannot \
-             run — regenerate the baseline (cargo run --release -p wormsim-experiments --bin \
-             bench_engine) and commit the new BENCH_engine.json"
-        );
-        std::process::exit(1);
-    };
-    // Per-mesh oracle fingerprints, then every-point equality.
-    let mut oracles: Vec<(u16, &str)> = Vec::new();
-    for p in &scaling.points {
-        if p.shards == 1 {
-            oracles.push((p.mesh_size, &p.fingerprint));
-        }
-    }
-    for p in &scaling.points {
-        let oracle = oracles
-            .iter()
-            .find(|(m, _)| *m == p.mesh_size)
-            .map(|(_, fp)| *fp)
-            .expect("every swept mesh has a shards=1 point");
-        if p.fingerprint != oracle {
-            eprintln!(
-                "PERF GATE FAILED: scaling {0}x{0} shards={1} fingerprint {2} != sequential \
-                 oracle {oracle}",
-                p.mesh_size, p.shards, p.fingerprint
-            );
-            std::process::exit(1);
-        }
-    }
-    // Baseline stability: the oracle results themselves must not drift.
-    if let Some(base_points) = base_scaling.get("points").and_then(|v| v.as_array()) {
-        for (mesh, fp) in &oracles {
-            let base_fp = base_points.iter().find_map(|bp| {
-                (bp.get("mesh_size").and_then(|v| v.as_u64()) == Some(*mesh as u64)
-                    && bp.get("shards").and_then(|v| v.as_u64()) == Some(1))
-                .then(|| bp.get("fingerprint").and_then(|v| v.as_str()))
-                .flatten()
-            });
-            if let Some(base_fp) = base_fp {
-                if base_fp != *fp {
-                    eprintln!(
-                        "PERF GATE FAILED: scaling {mesh}x{mesh} oracle fingerprint {fp} != \
-                         baseline {base_fp} — the change altered simulation results"
-                    );
-                    std::process::exit(1);
-                }
-            }
-        }
-    }
-    if std::env::var_os("WORMSIM_SKIP_PERF_GATE").is_some() {
-        eprintln!(
-            "perf gate: scaling fingerprints OK ({} points); speedup floors skipped \
-             (WORMSIM_SKIP_PERF_GATE)",
-            scaling.points.len()
-        );
-        return;
-    }
-    for p in &scaling.points {
-        if p.shards > 1 && p.speedup < 0.95 {
-            eprintln!(
-                "PERF GATE FAILED: scaling {0}x{0} shards={1} runs at {2:.2}x sequential — \
-                 sharding must never cost more than 5% of the sequential path",
-                p.mesh_size, p.shards, p.speedup
-            );
-            std::process::exit(1);
-        }
-    }
-    if scaling.cores >= 4 {
-        let best_big = scaling
-            .points
-            .iter()
-            .filter(|p| p.mesh_size == 64 && p.shards >= 4)
-            .map(|p| p.speedup)
-            .fold(0.0f64, f64::max);
-        if best_big < 1.5 {
-            eprintln!(
-                "PERF GATE FAILED: 64x64 sharded peak speedup {best_big:.2}x < 1.5x on a \
-                 {}-core machine",
-                scaling.cores
-            );
-            std::process::exit(1);
-        }
-    }
-    eprintln!(
-        "perf gate: scaling OK — {} points, fingerprints equal per mesh, speedup floors hold \
-         on {} cores",
-        scaling.points.len(),
-        scaling.cores
-    );
-}
-
 /// Gate the fresh record against a committed baseline. The fingerprint
 /// must match exactly; cycles/sec must reach [`GATE_FLOOR`] of the
 /// baseline unless `WORMSIM_SKIP_PERF_GATE` is set.
@@ -1073,8 +615,6 @@ fn check_against_baseline(record: &BenchRecord, path: &str) {
             record.cycles_per_sec
         );
         check_sweep_against_baseline(&record.sweep, &base);
-        check_shard_against_baseline(&record.shard, &base);
-        check_scaling_against_baseline(&record.scaling, &base);
         return;
     }
     if record.cycles_per_sec < floor {
@@ -1092,8 +632,6 @@ fn check_against_baseline(record: &BenchRecord, path: &str) {
         record.cycles_per_sec, record.report_fingerprint
     );
     check_sweep_against_baseline(&record.sweep, &base);
-    check_shard_against_baseline(&record.shard, &base);
-    check_scaling_against_baseline(&record.scaling, &base);
 }
 
 fn main() {
@@ -1102,8 +640,6 @@ fn main() {
     let mut check = None;
     let mut repeats = 3u32;
     let mut sweep_only = false;
-    let mut shard_only = false;
-    let mut scaling_only = false;
     let mut phases_only = false;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
@@ -1113,8 +649,6 @@ fn main() {
             "--dump-report" => dump_report = Some(it.next().unwrap_or_else(|| usage()).clone()),
             "--check" => check = Some(it.next().unwrap_or_else(|| usage()).clone()),
             "--sweep-only" => sweep_only = true,
-            "--shard-only" => shard_only = true,
-            "--scaling-only" => scaling_only = true,
             "--phases" => phases_only = true,
             "--repeats" => {
                 repeats = it
@@ -1141,37 +675,6 @@ fn main() {
         return;
     }
 
-    if scaling_only {
-        // CI smoke mode for the shard sweep: every swept shard count must
-        // reproduce its mesh's sequential oracle (through the forced
-        // pooled path), with the speedup floors skippable via
-        // WORMSIM_SKIP_PERF_GATE on single-core runners.
-        let scaling = scaling_bench(repeats);
-        if let Some(path) = &check {
-            check_scaling_against_baseline(&scaling, &load_baseline(path));
-        }
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&scaling).expect("scaling serializes")
-        );
-        return;
-    }
-
-    if shard_only {
-        // CI smoke mode for the sharded engine: byte-identity on the big
-        // mesh plus (unless skipped) the throughput floor, without the
-        // paper-scale run or the sweep batch.
-        let shard = shard_bench(repeats);
-        if let Some(path) = &check {
-            check_shard_against_baseline(&shard, &load_baseline(path));
-        }
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&shard).expect("shard serializes")
-        );
-        return;
-    }
-
     let sweep = sweep_throughput(repeats);
     if sweep_only {
         if let Some(path) = &check {
@@ -1183,8 +686,6 @@ fn main() {
         );
         return;
     }
-    let shard = shard_bench(repeats);
-    let scaling = scaling_bench(repeats);
 
     let cfg = SimConfig::paper();
     let mut best_secs = f64::INFINITY;
@@ -1238,8 +739,6 @@ fn main() {
         routing_decision_ns: routing_decision_bench(),
         report_fingerprint,
         sweep,
-        shard,
-        scaling,
         phases,
     };
     if let Some(path) = &check {

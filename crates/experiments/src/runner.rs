@@ -317,7 +317,8 @@ pub fn derive_seed(base: u64, a: u64, b: u64, c: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::config::Scale;
-    use wormsim_topology::Mesh;
+    use wormsim_routing::{Candidates, MessageState};
+    use wormsim_topology::{Direction, Mesh, NodeId};
 
     #[test]
     fn parallel_map_preserves_order() {
@@ -429,9 +430,38 @@ mod tests {
         assert_eq!(report.algorithm, "Duato's routing");
     }
 
+    /// An algorithm the engine must refuse: it claims more VCs than the
+    /// occupancy bitmasks hold. `try_reset` rejects it on `num_vcs()`
+    /// alone, so nothing else is ever called.
+    struct TooWide(Arc<RoutingContext>);
+
+    impl RoutingAlgorithm for TooWide {
+        fn name(&self) -> &'static str {
+            "too-wide"
+        }
+        fn num_vcs(&self) -> u8 {
+            40
+        }
+        fn init_message(&self, _: NodeId, _: NodeId) -> MessageState {
+            unreachable!("rejected before any message exists")
+        }
+        fn route(&self, _: NodeId, _: &mut MessageState) -> Candidates {
+            unreachable!("rejected before any routing decision")
+        }
+        fn on_hop(&self, _: NodeId, _: NodeId, _: Direction, _: u8, _: &mut MessageState) {
+            unreachable!("rejected before any hop")
+        }
+        fn is_deadlock_free(&self) -> bool {
+            true
+        }
+        fn context(&self) -> &RoutingContext {
+            &self.0
+        }
+    }
+
     #[test]
     fn bad_config_is_an_error_and_spares_the_parked_simulator() {
-        // A spec the engine cannot honor must surface as a typed error —
+        // A run the engine cannot honor must surface as a typed error —
         // not a panic that poisons the worker — and the thread's parked
         // simulator must stay reusable for the next good spec.
         let mut cfg = ExperimentConfig::new(Scale::Quick);
@@ -445,10 +475,21 @@ mod tests {
             seed: 3,
         };
         let good = serde_json::to_string(&run_single(&cfg, &spec).unwrap()).unwrap();
-        let mut bad_cfg = cfg;
-        bad_cfg.sim.shards = 0;
-        let err = run_single(&bad_cfg, &spec).unwrap_err();
-        assert_eq!(err, wormsim_engine::ConfigError::ZeroShards);
+        let ctx = Arc::new(RoutingContext::new(mesh, (*spec.pattern).clone()));
+        let err = run_reusing_sim(
+            Arc::new(TooWide(ctx.clone())),
+            ctx,
+            Workload::paper_uniform(spec.rate),
+            cfg.sim,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::TooManyVcs {
+                requested: 40,
+                limit: 32
+            }
+        );
         let again = serde_json::to_string(&run_single(&cfg, &spec).unwrap()).unwrap();
         assert_eq!(good, again, "rejected reset corrupted the parked simulator");
     }

@@ -55,14 +55,6 @@ impl NodeLoadStats {
         &self.arrivals
     }
 
-    /// Mutable view of the raw arrival counters. Used by the engine's
-    /// sharded movement phase, where each shard adds to a disjoint set of
-    /// node indices directly instead of routing every flit arrival
-    /// through [`NodeLoadStats::record_arrivals`].
-    pub fn arrivals_mut(&mut self) -> &mut [u64] {
-        &mut self.arrivals
-    }
-
     /// Per-node load in flits per cycle.
     pub fn load_per_cycle(&self) -> Vec<f64> {
         self.arrivals

@@ -67,16 +67,6 @@ impl VcUsageStats {
         *h -= 1;
     }
 
-    /// A message freed `n` slots on VC `vc` in one update — the sharded
-    /// engine defers per-shard release counts to the cycle boundary and
-    /// applies them in bulk.
-    #[inline]
-    pub fn release_n(&mut self, vc: u8, n: u64) {
-        let h = &mut self.held[vc as usize];
-        debug_assert!(*h >= n, "release of {n} slots on VC {vc} with {h} held");
-        *h -= n;
-    }
-
     /// Slots currently held per VC index (live state; see `acquire`).
     pub fn held_counts(&self) -> &[u64] {
         &self.held

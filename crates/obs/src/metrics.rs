@@ -56,13 +56,6 @@ impl Counter {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Raise the counter to at least `v` (monotone, so still a valid
-    /// counter — used for high-water marks like the widest sharded job).
-    #[inline]
-    pub fn record_max(&self, v: u64) {
-        self.value.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {

@@ -113,13 +113,6 @@ fn spec_pool(seed: u64) -> Vec<WireSpec> {
             if i % 2 == 1 {
                 spec.faults = vec![Coord { x: 2, y: 3 }];
             }
-            // Half the pool runs sharded so the storm drives the
-            // engine's sharded movement path end to end. Reports are
-            // shard-count invariant, so `--verify`'s byte-comparison
-            // against direct runs is unaffected.
-            if j % 2 == 1 {
-                spec.shards = 4;
-            }
             pool.push(spec);
         }
     }
@@ -143,8 +136,6 @@ fn invalid_specs(seed: u64) -> Vec<(WireSpec, &'static str)> {
         spec.measure_cycles = 400;
         spec
     };
-    let mut zero_shards = base(seed + 1);
-    zero_shards.shards = 0;
     let mut too_many_vcs = base(seed + 2);
     too_many_vcs.vc_total = 40;
     // Passes the wire parse check (>= 6) but is below Duato's
@@ -156,7 +147,6 @@ fn invalid_specs(seed: u64) -> Vec<(WireSpec, &'static str)> {
     let mut bad_coord = base(seed + 4);
     bad_coord.faults = vec![Coord { x: 99, y: 99 }];
     vec![
-        (zero_shards, "config"),
         (too_many_vcs, "config"),
         (under_min_vcs, "config"),
         (unknown_algo, "bad_spec"),
@@ -442,11 +432,9 @@ fn main() -> ExitCode {
         verified,
     ));
     progress.out(format_args!(
-        "server: jobs_run={} (sharded={} max_shards={}) cache_hits={} dedup_joins={} \
+        "server: jobs_run={} cache_hits={} dedup_joins={} \
          config_rejects={} bad_spec_rejects={} integrity_drops={}",
         stats.jobs_run,
-        stats.sharded_jobs_run,
-        stats.max_job_shards,
         stats.cache_hits,
         stats.dedup_joins,
         stats.config_rejects,
@@ -490,17 +478,6 @@ fn main() -> ExitCode {
         check(
             t.errors.get("bad_spec").copied().unwrap_or(0) > 0,
             "malformed specs rejected as typed errors",
-        );
-        // The pool alternates shards 1/4, so a storm that cycles it must
-        // have executed sharded jobs — proof the service exercises the
-        // engine's sharded path, not just the sequential one.
-        check(
-            stats.sharded_jobs_run > 0,
-            "server executed jobs via the sharded engine path",
-        );
-        check(
-            stats.max_job_shards >= 4,
-            "sharded specs kept their requested shard count",
         );
     }
     if let Some((snap, prometheus)) = &scraped {
@@ -559,12 +536,10 @@ fn main() -> ExitCode {
         }
         // The snapshot and ServerStats are derived from the same
         // registry; every counter twin must agree.
-        let twins: [(&str, u64); 13] = [
+        let twins: [(&str, u64); 11] = [
             ("wormsim_requests_total", stats.requests),
             ("wormsim_requests_completed_total", stats.completed),
             ("wormsim_jobs_run_total", stats.jobs_run),
-            ("wormsim_sharded_jobs_run_total", stats.sharded_jobs_run),
-            ("wormsim_max_job_shards", stats.max_job_shards),
             ("wormsim_cache_hits_total", stats.cache_hits),
             ("wormsim_dedup_joins_total", stats.dedup_joins),
             ("wormsim_rejects_quota_total", stats.quota_rejects),

@@ -43,10 +43,6 @@ pub struct ServeMetrics {
     pub completed: Arc<Counter>,
     /// Simulations actually executed.
     pub jobs_run: Arc<Counter>,
-    /// Executed simulations that took the sharded movement path.
-    pub sharded_jobs_run: Arc<Counter>,
-    /// High-water mark of effective shard counts (monotone).
-    pub max_job_shards: Arc<Counter>,
     /// Request items served from the result cache.
     pub cache_hits: Arc<Counter>,
     /// Request items attached to an identical in-flight job.
@@ -89,8 +85,6 @@ impl ServeMetrics {
             requests: registry.counter("wormsim_requests_total"),
             completed: registry.counter("wormsim_requests_completed_total"),
             jobs_run: registry.counter("wormsim_jobs_run_total"),
-            sharded_jobs_run: registry.counter("wormsim_sharded_jobs_run_total"),
-            max_job_shards: registry.counter("wormsim_max_job_shards"),
             cache_hits: registry.counter("wormsim_cache_hits_total"),
             dedup_joins: registry.counter("wormsim_dedup_joins_total"),
             quota_rejects: registry.counter("wormsim_rejects_quota_total"),
@@ -126,8 +120,6 @@ impl ServeMetrics {
             requests: self.requests.get(),
             completed: self.completed.get(),
             jobs_run: self.jobs_run.get(),
-            sharded_jobs_run: self.sharded_jobs_run.get(),
-            max_job_shards: self.max_job_shards.get(),
             cache_hits: self.cache_hits.get(),
             dedup_joins: self.dedup_joins.get(),
             quota_rejects: self.quota_rejects.get(),
@@ -282,14 +274,11 @@ mod tests {
         let m = ServeMetrics::new();
         m.requests.add(3);
         m.completed.add(2);
-        m.max_job_shards.record_max(4);
-        m.max_job_shards.record_max(2);
         m.jobs_in_flight.inc();
         m.cached_results.set(7);
         let stats = m.server_stats();
         assert_eq!(stats.requests, 3);
         assert_eq!(stats.completed, 2);
-        assert_eq!(stats.max_job_shards, 4);
         assert_eq!(stats.in_flight, 1);
         assert_eq!(stats.cached_results, 7);
     }

@@ -150,9 +150,6 @@ pub struct WireSpec {
     /// Total virtual channels per physical channel (BC overlay share and
     /// misroute cap stay at the paper's 4/10).
     pub vc_total: u8,
-    /// Engine shard count (`1` = sequential path; `0` is rejected by the
-    /// engine as [`wormsim_engine::ConfigError::ZeroShards`]).
-    pub shards: u16,
 }
 
 impl WireSpec {
@@ -170,7 +167,6 @@ impl WireSpec {
             measure_cycles: sim.measure_cycles,
             seed,
             vc_total: VcConfig::paper().total,
-            shards: 1,
         }
     }
 }
@@ -238,8 +234,8 @@ impl WireSpec {
     /// context cache keys on `Arc` identity).
     ///
     /// Only *malformed* specs are rejected here. A well-formed spec the
-    /// engine cannot honor (`shards: 0`, `vc_total` past the bitmask
-    /// ceiling or below the algorithm's mesh-dependent minimum) passes
+    /// engine cannot honor (`vc_total` past the bitmask ceiling or below
+    /// the algorithm's mesh-dependent minimum) passes
     /// through and comes back from the runner as a typed
     /// [`wormsim_engine::ConfigError`] — by design, so the scheduler's
     /// error path exercises the same machinery as any other run.
@@ -264,14 +260,6 @@ impl WireSpec {
         let mut sim = SimConfig::paper().with_seed(self.seed);
         sim.warmup_cycles = self.warmup_cycles;
         sim.measure_cycles = self.measure_cycles;
-        // More shard bands than mesh columns would leave some bands empty;
-        // clamp (results are shard-count invariant). Zero passes through
-        // so the engine's typed rejection stays reachable from the wire.
-        sim.shards = if self.shards > self.mesh_size {
-            self.mesh_size
-        } else {
-            self.shards
-        };
         Ok(CustomSpec {
             mesh_size: self.mesh_size,
             vc: VcConfig {
@@ -392,13 +380,6 @@ pub struct ServerStats {
     pub completed: u64,
     /// Simulations actually executed (dedup/cache avoid the rest).
     pub jobs_run: u64,
-    /// Executed simulations whose effective shard count (after the
-    /// mesh-width clamp) was above 1 — i.e. runs that took the engine's
-    /// sharded movement path rather than the sequential one.
-    pub sharded_jobs_run: u64,
-    /// Largest effective shard count any executed simulation ran with
-    /// (0 until a job executes; 1 while only sequential jobs have run).
-    pub max_job_shards: u64,
     /// Request items served straight from the result cache.
     pub cache_hits: u64,
     /// Request items attached to an identical in-flight job.
@@ -546,12 +527,42 @@ mod tests {
         ));
 
         // Engine-level rejections pass through expansion untouched.
-        let mut engine_bad = good.clone();
-        engine_bad.shards = 0;
-        assert_eq!(engine_bad.to_custom(&interner).unwrap().sim.shards, 0);
         let mut engine_bad = good;
         engine_bad.vc_total = 40;
         assert_eq!(engine_bad.to_custom(&interner).unwrap().vc.total, 40);
+    }
+
+    /// `Request::Run { id: 7, spec: WireSpec::basic(8, "Duato", 0.004, 42) }`
+    /// byte for byte as a client built at commit 7679c7a sent it: the spec
+    /// still carries that build's per-run engine thread count, a key no
+    /// field reads any more.
+    const LEGACY_RUN_FRAME: &str = include_str!("../tests/data/legacy_run_frame.json");
+
+    #[test]
+    fn legacy_frame_with_a_stray_key_parses_and_shares_the_cache_entry() {
+        // Old clients must keep working, and specs that used to differ
+        // only by the removed key must land on one dedup/cache entry.
+        let Request::Run { id, spec: legacy } = serde_json::from_str(LEGACY_RUN_FRAME).unwrap()
+        else {
+            panic!("legacy frame changed the variant");
+        };
+        assert_eq!(id, 7);
+        let current = WireSpec::basic(8, "Duato", 0.004, 42);
+        let current_frame = serde_json::to_string(&Request::Run {
+            id: 7,
+            spec: current.clone(),
+        })
+        .unwrap();
+        assert_ne!(
+            LEGACY_RUN_FRAME.trim_end(),
+            current_frame,
+            "the fixture carries a key this build no longer sends"
+        );
+        let interner = PatternInterner::default();
+        assert_eq!(
+            legacy.to_custom(&interner).unwrap().canonical(),
+            current.to_custom(&interner).unwrap().canonical()
+        );
     }
 
     #[test]

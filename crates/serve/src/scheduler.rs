@@ -601,14 +601,6 @@ impl Inner {
                 self.metrics.execution.record_duration(exec_start.elapsed());
                 let outcome = match run {
                     Ok(report) => {
-                        // Only completed simulations count toward the
-                        // shard-path counters: a `ConfigError` (e.g.
-                        // `shards: 0`) never ran anything.
-                        let shards = u64::from(job.spec.sim.shards);
-                        if shards > 1 {
-                            self.metrics.sharded_jobs_run.inc();
-                        }
-                        self.metrics.max_job_shards.record_max(shards);
                         let json = serde_json::to_string(&report).expect("report serializes");
                         let fp = report_json_fingerprint(&json);
                         Ok((Arc::new(json), fp))
@@ -762,7 +754,7 @@ mod tests {
         }
         // An engine-rejected spec comes back as a typed config error.
         let mut bad = tiny_spec(2);
-        bad.sim.shards = 0;
+        bad.vc.total = 40;
         sched.submit(1, 12, vec![bad], false, emit).unwrap();
         wait_for(|| !lock(&sink).is_empty(), "config error");
         match lock(&sink).remove(0) {
@@ -821,47 +813,6 @@ mod tests {
         let stats = sched.stats();
         assert!(stats.dedup_joins >= 1, "intra-sweep duplicate joins");
         assert_eq!(stats.jobs_run, 2, "two unique specs, two executions");
-        sched.shutdown();
-    }
-
-    #[test]
-    fn stats_surface_the_sharded_execution_path() {
-        let sched = Scheduler::new(SchedulerConfig::default());
-        let (emit, sink) = collect_emit();
-        // A sequential job establishes the baseline: executed, but not
-        // via the sharded path.
-        sched
-            .submit(1, 1, vec![tiny_spec(40)], false, emit.clone())
-            .unwrap();
-        wait_for(|| !lock(&sink).is_empty(), "sequential result");
-        let stats = sched.stats();
-        assert_eq!(stats.sharded_jobs_run, 0);
-        assert_eq!(stats.max_job_shards, 1, "sequential runs report shards=1");
-        lock(&sink).clear();
-        // A sharded job must show up in both counters.
-        let mut sharded = tiny_spec(41);
-        sharded.sim.shards = 3;
-        sched.submit(1, 2, vec![sharded], false, emit).unwrap();
-        wait_for(|| !lock(&sink).is_empty(), "sharded result");
-        match lock(&sink).remove(0) {
-            Response::Result { id, .. } => assert_eq!(id, 2),
-            other => panic!("expected Result, got {other:?}"),
-        }
-        let stats = sched.stats();
-        assert_eq!(stats.jobs_run, 2);
-        assert_eq!(stats.sharded_jobs_run, 1);
-        assert_eq!(stats.max_job_shards, 3);
-        // A rejected shard config never executes, so it must not move
-        // either counter.
-        let (emit, sink) = collect_emit();
-        let mut bad = tiny_spec(42);
-        bad.sim.shards = 0;
-        sched.submit(1, 3, vec![bad], false, emit).unwrap();
-        wait_for(|| !lock(&sink).is_empty(), "config error");
-        let stats = sched.stats();
-        assert_eq!(stats.config_rejects, 1);
-        assert_eq!(stats.sharded_jobs_run, 1);
-        assert_eq!(stats.max_job_shards, 3);
         sched.shutdown();
     }
 

@@ -229,38 +229,6 @@ impl Mesh {
             .filter(move |&c| self.channel_exists(c))
     }
 
-    /// Column (x coordinate) of the node a channel slot hangs off. The
-    /// sharded engine partitions simulator state into vertical column
-    /// bands, so a channel belongs to the band of its source node.
-    #[inline]
-    pub fn channel_column(&self, c: ChannelId) -> u16 {
-        self.channel_src(c).0 % self.width
-    }
-
-    /// The column band (shard index in `0..bands`) a column falls into
-    /// when the mesh's `width` columns are split into `bands` nearly-equal
-    /// contiguous vertical strips. With `bands > width` the surplus bands
-    /// are simply empty; `bands` must be >= 1.
-    #[inline]
-    pub fn column_band(&self, col: u16, bands: u16) -> u16 {
-        debug_assert!(bands >= 1, "at least one band");
-        debug_assert!(col < self.width, "column in range");
-        ((col as u32 * bands as u32) / self.width as u32) as u16
-    }
-
-    /// The half-open column range `[start, end)` covered by `band` under
-    /// [`Mesh::column_band`]'s partition — the inverse mapping, used to
-    /// enumerate a shard's own columns and its boundary columns.
-    pub fn band_columns(&self, band: u16, bands: u16) -> core::ops::Range<u16> {
-        debug_assert!(bands >= 1 && band < bands, "band in range");
-        let w = self.width as u32;
-        let b = bands as u32;
-        // Smallest col with col*b/w == band is ceil(band*w / b).
-        let start = ((band as u32 * w).div_ceil(b)).min(w) as u16;
-        let end = (((band as u32 + 1) * w).div_ceil(b)).min(w) as u16;
-        start..end
-    }
-
     /// The node-coloring used by negative-hop routing: a standard
     /// checkerboard 2-coloring; a hop is *negative* when it moves from a
     /// higher-labeled node to a lower-labeled one (paper §3). With two
@@ -383,34 +351,6 @@ mod tests {
         assert_eq!(m.max_negative_hops(a, b), 9);
         let c = m.node(1, 0); // color 1
         assert_eq!(m.max_negative_hops(c, b), (17u32).div_ceil(2));
-    }
-
-    #[test]
-    fn column_bands_partition_the_width() {
-        for (w, h) in [(10u16, 10u16), (7, 5), (64, 64), (3, 9), (1, 4)] {
-            let m = Mesh::new(w, h);
-            for bands in 1..=9u16 {
-                // Every column lands in exactly the band whose range
-                // contains it, and the ranges tile [0, width).
-                let mut next = 0u16;
-                for band in 0..bands {
-                    let r = m.band_columns(band, bands);
-                    assert_eq!(r.start, next, "bands tile contiguously");
-                    next = r.end;
-                    for col in r {
-                        assert_eq!(m.column_band(col, bands), band);
-                    }
-                }
-                assert_eq!(next, w, "bands cover every column");
-                // Channels inherit their source node's column.
-                for n in m.nodes() {
-                    for d in ALL_DIRECTIONS {
-                        let c = m.channel(n, d);
-                        assert_eq!(m.channel_column(c), m.coord(n).x);
-                    }
-                }
-            }
-        }
     }
 
     #[test]
