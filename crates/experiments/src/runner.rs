@@ -12,6 +12,7 @@ use crate::cache::{shared_cache, ContextCache};
 use crate::config::ExperimentConfig;
 use crate::pool::{SyncPtr, WorkerPool};
 use std::cell::RefCell;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, MutexGuard};
 use wormsim_engine::{ConfigError, SimConfig, Simulator};
@@ -19,6 +20,7 @@ use wormsim_fault::FaultPattern;
 use wormsim_metrics::SimReport;
 use wormsim_obs::Progress;
 use wormsim_routing::{min_total_vcs, AlgorithmKind, RoutingAlgorithm, RoutingContext, VcConfig};
+use wormsim_topology::Mesh;
 use wormsim_traffic::Workload;
 
 /// One simulation work item.
@@ -180,14 +182,26 @@ pub struct CustomSpec {
 impl CustomSpec {
     /// The canonical serialized form of this spec: every input
     /// [`run_custom`] consumes, rendered as tagged fields (separated so
-    /// adjacent fields cannot alias) with the fault pattern serialized
-    /// *by value*, not by `Arc` pointer. Two specs describe the same
-    /// simulation — and produce byte-identical reports, the engine being
-    /// deterministic in its inputs — iff their canonical forms are
-    /// equal. The serving layer keys its dedup and result-cache maps on
-    /// this string, so key equality *is* spec equality and no hash
-    /// collision (accidental or crafted) can alias two different
-    /// simulations.
+    /// adjacent fields cannot alias). The scalar parts go through their
+    /// `Serialize` derives, so a field added to one of them joins the key
+    /// without an edit here. The fault pattern is written *by value*, not
+    /// by `Arc` pointer, as `width`x`height` followed by the ascending
+    /// indices of its seed-faulty nodes. That is the pattern's whole
+    /// content: every constructor — [`FaultPattern::fault_free`],
+    /// [`FaultPattern::from_faulty_coords`], [`FaultPattern::from_rects`],
+    /// [`FaultPattern::extend`] and `FaultPatternBuilder::generate` —
+    /// derives the disabled nodes, the block regions and the per-node
+    /// region index deterministically from the mesh size and the seed
+    /// set (block coalescing is confluent, so an `extend` chain and a
+    /// from-scratch build over the same seeds agree), and none of them
+    /// stores anything else.
+    ///
+    /// Two specs describe the same simulation — and produce
+    /// byte-identical reports, the engine being deterministic in its
+    /// inputs — iff their canonical forms are equal. The serving layer
+    /// keys its dedup and result-cache maps on this string, so key
+    /// equality *is* spec equality and no hash collision (accidental or
+    /// crafted) can alias two different simulations.
     pub fn canonical(&self) -> String {
         fn field(out: &mut String, tag: &str, value: &str) {
             out.push_str(tag);
@@ -196,13 +210,20 @@ impl CustomSpec {
             out.push('\u{1e}'); // record separator: field boundary
         }
         let ser = |v: &dyn erased_ser::ErasedSerialize| v.to_json();
-        let mut out = String::new();
+        let mut out = String::with_capacity(512);
         field(&mut out, "mesh_size", &self.mesh_size.to_string());
         field(&mut out, "vc", &ser(&self.vc));
         field(&mut out, "sim", &ser(&self.sim));
         field(&mut out, "kind", &ser(&self.kind));
         field(&mut out, "workload", &ser(&self.workload));
-        field(&mut out, "pattern", &ser(&*self.pattern));
+        let (width, height) = self.pattern.dims();
+        let mut pattern = format!("{width}x{height}");
+        for n in Mesh::new(width, height).nodes() {
+            if self.pattern.is_seed_faulty(n) {
+                write!(pattern, ",{}", n.index()).expect("writing to a String cannot fail");
+            }
+        }
+        field(&mut out, "pattern", &pattern);
         out
     }
 
@@ -317,8 +338,9 @@ pub fn derive_seed(base: u64, a: u64, b: u64, c: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::config::Scale;
+    use std::collections::BTreeSet;
     use wormsim_routing::{Candidates, MessageState};
-    use wormsim_topology::{Direction, Mesh, NodeId};
+    use wormsim_topology::{Coord, Direction, NodeId};
 
     #[test]
     fn parallel_map_preserves_order() {
@@ -613,6 +635,149 @@ mod tests {
             spec(1).identity(),
             crate::fingerprint::fnv1a(spec(1).canonical().as_bytes())
         );
+    }
+
+    fn keyed_spec(mesh_size: u16, pattern: FaultPattern) -> CustomSpec {
+        CustomSpec {
+            mesh_size,
+            vc: VcConfig::paper(),
+            sim: wormsim_engine::SimConfig::quick(),
+            kind: AlgorithmKind::Duato,
+            pattern: Arc::new(pattern),
+            workload: Workload::paper_uniform(0.002),
+        }
+    }
+
+    /// One edit per scalar field of a spec, each away from
+    /// `keyed_spec`'s value.
+    const SCALAR_EDITS: [fn(&mut CustomSpec); 18] = [
+        |s| s.vc.total += 1,
+        |s| s.vc.bc_vcs += 1,
+        |s| s.vc.misroute_limit += 1,
+        |s| s.sim.buffer_depth += 1,
+        |s| s.sim.warmup_cycles += 1,
+        |s| s.sim.measure_cycles += 1,
+        |s| s.sim.deadlock_timeout += 1,
+        |s| s.sim.seed += 1,
+        |s| s.sim.arbitration = wormsim_engine::Arbitration::OldestFirst,
+        |s| s.sim.debug_watchdog = true,
+        |s| s.sim.recovery_backoff_base += 1,
+        |s| s.sim.recovery_backoff_cap += 1,
+        |s| s.sim.settle_window += 1,
+        |s| s.sim.telemetry_window += 1,
+        |s| s.kind = AlgorithmKind::DuatoNbc,
+        |s| s.workload.pattern = wormsim_traffic::TrafficPattern::Transpose,
+        |s| s.workload.rate = f64::from_bits(s.workload.rate.to_bits() + 1),
+        |s| s.workload.message_length += 1,
+    ];
+
+    proptest::proptest! {
+        #[test]
+        fn canonical_keys_are_equal_iff_specs_are(
+            size_a in 6u16..=16,
+            other_size in 6u16..=16,
+            picks in proptest::collection::vec((0u16..16, 0u16..16), 0..7),
+            extra in (0u16..16, 0u16..16),
+            // 0: the same set reordered with a duplicate; 1: one seed
+            // more; 2: one seed fewer.
+            seed_edit in 0u8..3,
+            // The upper half of the range edits nothing.
+            scalar_edit in 0usize..2 * SCALAR_EDITS.len(),
+            same_size in proptest::prelude::any::<bool>(),
+        ) {
+            let size_b = if same_size { size_a } else { other_size };
+            let fit = size_a.min(size_b);
+            let coord = |(x, y): (u16, u16)| Coord { x: x % fit, y: y % fit };
+            let seeds_a: BTreeSet<Coord> = picks.iter().copied().map(coord).collect();
+            let mut list_b: Vec<Coord> = seeds_a.iter().rev().copied().collect();
+            match seed_edit {
+                0 => list_b.extend(seeds_a.iter().next().copied()),
+                1 => list_b.push(coord(extra)),
+                _ => {
+                    list_b.pop();
+                }
+            }
+            let seeds_b: BTreeSet<Coord> = list_b.iter().copied().collect();
+            // A draw that disconnects the mesh is no pattern; accepted.
+            let build = |size, seeds: &[Coord]| {
+                FaultPattern::from_faulty_coords(&Mesh::square(size), seeds.iter().copied())
+            };
+            let list_a: Vec<Coord> = seeds_a.iter().copied().collect();
+            let (Ok(pattern_a), Ok(pattern_b)) = (build(size_a, &list_a), build(size_b, &list_b))
+            else {
+                return Ok(());
+            };
+            let a = keyed_spec(size_a, pattern_a);
+            let mut b = keyed_spec(size_b, pattern_b);
+            if let Some(edit) = SCALAR_EDITS.get(scalar_edit) {
+                edit(&mut b);
+            }
+            let same_spec =
+                size_a == size_b && seeds_a == seeds_b && scalar_edit >= SCALAR_EDITS.len();
+            proptest::prop_assert_eq!(a.canonical() == b.canonical(), same_spec);
+            proptest::prop_assert_eq!(a.identity() == b.identity(), same_spec);
+        }
+
+        #[test]
+        fn extend_chain_and_from_scratch_pattern_share_a_key(
+            size in 6u16..=16,
+            picks in proptest::collection::vec((0u16..16, 0u16..16), 1..8),
+            split in 0usize..8,
+        ) {
+            let mesh = Mesh::square(size);
+            let coords: Vec<Coord> = picks
+                .iter()
+                .map(|&(x, y)| Coord { x: x % size, y: y % size })
+                .collect();
+            let Ok(scratch) = FaultPattern::from_faulty_coords(&mesh, coords.iter().copied())
+            else {
+                return Ok(());
+            };
+            // The same seeds arriving in two waves on a fault-free mesh. A
+            // prefix that disconnects the mesh is rejected by `extend`
+            // even when the whole set is acceptable; accepted.
+            let (first, second) = coords.split_at(split.min(coords.len()));
+            let Ok(chained) = FaultPattern::fault_free(&mesh)
+                .extend(&mesh, first.iter().copied())
+                .and_then(|p| p.extend(&mesh, second.iter().copied()))
+            else {
+                return Ok(());
+            };
+            proptest::prop_assert_eq!(
+                keyed_spec(size, chained).canonical(),
+                keyed_spec(size, scratch).canonical()
+            );
+        }
+    }
+
+    #[test]
+    fn key_tells_seed_faults_from_disabled_nodes_and_stays_small() {
+        // Same unusable nodes (the 2x2 block), different seed sets: the
+        // reports differ (the seed-fault count is in them), so the keys must.
+        let mesh = Mesh::square(10);
+        let c = |x, y| Coord { x, y };
+        let diagonal = FaultPattern::from_faulty_coords(&mesh, [c(4, 4), c(5, 5)]).unwrap();
+        let block = FaultPattern::from_rects(
+            &mesh,
+            &[wormsim_topology::Rect {
+                min: c(4, 4),
+                max: c(5, 5),
+            }],
+        )
+        .unwrap();
+        assert_eq!(diagonal.regions(), block.regions());
+        assert_ne!(
+            keyed_spec(10, diagonal).canonical(),
+            keyed_spec(10, block).canonical()
+        );
+
+        // The key grows with the seed count, not with the mesh.
+        let mesh = Mesh::square(64);
+        let spread = (0..20).map(|i| c(3 * i + 1, 61 - 3 * i));
+        let big = keyed_spec(64, FaultPattern::from_faulty_coords(&mesh, spread).unwrap());
+        assert_eq!(big.pattern.num_seed_faulty(), 20);
+        let key = big.canonical();
+        assert!(key.len() < 1024, "{} bytes: {key}", key.len());
     }
 
     #[test]

@@ -133,6 +133,12 @@ impl FaultPattern {
         Ok(pattern)
     }
 
+    /// The `(width, height)` of the mesh this pattern was built for.
+    #[inline]
+    pub fn dims(&self) -> (u16, u16) {
+        (self.width, self.height)
+    }
+
     /// Whether node `n` is unusable (faulty or disabled).
     #[inline]
     pub fn is_faulty(&self, n: NodeId) -> bool {

@@ -59,6 +59,8 @@ pub struct ServeMetrics {
     pub internal_errors: Arc<Counter>,
     /// Cache inserts refused by fingerprint verification.
     pub integrity_drops: Arc<Counter>,
+    /// Result-cache entries evicted to admit a newer result.
+    pub cache_evictions: Arc<Counter>,
     /// Jobs queued or running right now.
     pub jobs_in_flight: Arc<Gauge>,
     /// Current result-cache population.
@@ -93,6 +95,7 @@ impl ServeMetrics {
             config_rejects: registry.counter("wormsim_rejects_config_total"),
             internal_errors: registry.counter("wormsim_internal_errors_total"),
             integrity_drops: registry.counter("wormsim_integrity_drops_total"),
+            cache_evictions: registry.counter("wormsim_cache_evictions_total"),
             jobs_in_flight: registry.gauge("wormsim_jobs_in_flight"),
             cached_results: registry.gauge("wormsim_cached_results"),
             request_latency: registry.histogram("wormsim_request_latency_seconds"),

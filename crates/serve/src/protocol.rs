@@ -16,7 +16,7 @@
 //! could not be parsed far enough to recover an id.
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 use wormsim_engine::SimConfig;
@@ -403,16 +403,101 @@ pub struct ServerStats {
     pub in_flight: u64,
 }
 
+fn message_json<T: Serialize>(msg: &T) -> io::Result<String> {
+    serde_json::to_string(msg)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+}
+
 /// Serialize a request/response and frame it onto `w`.
 pub fn send_message<W: Write, T: Serialize>(w: &mut W, msg: &T) -> io::Result<()> {
-    let json = serde_json::to_string(msg)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    write_frame(w, json.as_bytes())
+    write_frame(w, message_json(msg)?.as_bytes())
+}
+
+/// One finished simulation, immutable behind the `Arc` the result cache
+/// and every waiter share. Beside the report and its fingerprint it
+/// holds the part of a [`Response::Result`] frame that is the same for
+/// every request the result answers, escaped once when the job resolved
+/// rather than once per frame.
+#[derive(Debug)]
+pub struct RunResult {
+    /// `SimReport` as compact JSON.
+    pub report_json: String,
+    /// FNV-1a fingerprint of `report_json`.
+    pub fingerprint: String,
+    /// `"report_json":"…","fingerprint":"…"`, as the derive writes them.
+    frame_middle: String,
+}
+
+impl RunResult {
+    /// Pair a report with its fingerprint and pre-render their frame
+    /// fields. Both values go through `serde_json`'s own string writer,
+    /// so their escaping cannot differ from the `Response` derive's.
+    pub fn new(report_json: String, fingerprint: String) -> Self {
+        let quoted = |v: &str| serde_json::to_string(v).expect("a string serializes");
+        let frame_middle = format!(
+            "\"report_json\":{},\"fingerprint\":{}",
+            quoted(&report_json),
+            quoted(&fingerprint)
+        );
+        RunResult {
+            report_json,
+            fingerprint,
+            frame_middle,
+        }
+    }
+
+    /// The frame payload that answers request `id` with this result:
+    /// byte for byte `serde_json::to_string` of the [`Response::Result`]
+    /// with these fields.
+    pub fn frame(&self, id: u64, cached: bool, deduped: bool) -> String {
+        let mut out = String::with_capacity(self.frame_middle.len() + 80);
+        write!(
+            out,
+            "{{\"Result\":{{\"id\":{id},{},\"cached\":{cached},\"deduped\":{deduped}}}}}",
+            self.frame_middle
+        )
+        .expect("writing to a String cannot fail");
+        out
+    }
+}
+
+/// What the scheduler hands a connection's writer.
+#[derive(Debug)]
+pub enum Outgoing {
+    /// Any response, serialized by its derive when written.
+    Message(Response),
+    /// A [`Response::Result`], assembled around the pre-escaped fields
+    /// of its shared [`RunResult`].
+    Result {
+        /// Echo of the request id.
+        id: u64,
+        /// The finished simulation.
+        result: Arc<RunResult>,
+        /// Served from the result cache (no simulation ran).
+        cached: bool,
+        /// Joined an identical in-flight job (no extra simulation ran).
+        deduped: bool,
+    },
+}
+
+impl Outgoing {
+    /// The frame payload (compact JSON of the response).
+    pub fn payload(&self) -> io::Result<String> {
+        match self {
+            Outgoing::Message(response) => message_json(response),
+            Outgoing::Result {
+                id,
+                result,
+                cached,
+                deduped,
+            } => Ok(result.frame(*id, *cached, *deduped)),
+        }
+    }
 }
 
 /// Shared-ownership emit hook the scheduler uses to deliver responses —
 /// on the server it wraps the connection's writer queue.
-pub type Emit = Arc<dyn Fn(Response) + Send + Sync>;
+pub type Emit = Arc<dyn Fn(Outgoing) + Send + Sync>;
 
 #[cfg(test)]
 mod tests {
@@ -530,6 +615,56 @@ mod tests {
         let mut engine_bad = good;
         engine_bad.vc_total = 40;
         assert_eq!(engine_bad.to_custom(&interner).unwrap().vc.total, 40);
+    }
+
+    #[test]
+    fn assembled_result_frame_equals_the_derive_byte_for_byte() {
+        // The pre-escaped frame must be what the derive would have
+        // written, for every kind of character the escaper treats
+        // specially, and must parse back to the same fields.
+        let reports = [
+            r#"{"algorithm":"Duato's routing","n":1}"#,
+            "back\\slash \\\" and a\nnewline\r\ttab",
+            "control \u{1} \u{1f} \u{7f} bytes",
+            "non-ASCII: λ → 網 🕸 \u{2028}",
+            "",
+        ];
+        for report in reports {
+            let fingerprint = format!("{:016x}", report.len());
+            let result = Arc::new(RunResult::new(report.to_string(), fingerprint.clone()));
+            for (cached, deduped) in [(false, false), (false, true), (true, false), (true, true)] {
+                let id = u64::MAX - report.len() as u64;
+                let derived = serde_json::to_string(&Response::Result {
+                    id,
+                    report_json: report.to_string(),
+                    fingerprint: fingerprint.clone(),
+                    cached,
+                    deduped,
+                })
+                .unwrap();
+                let out = Outgoing::Result {
+                    id,
+                    result: result.clone(),
+                    cached,
+                    deduped,
+                };
+                assert_eq!(out.payload().unwrap(), derived);
+                match serde_json::from_str(&derived).unwrap() {
+                    Response::Result {
+                        id: got,
+                        report_json,
+                        fingerprint: fp,
+                        cached: c,
+                        deduped: d,
+                    } => {
+                        assert_eq!((got, c, d), (id, cached, deduped));
+                        assert_eq!(report_json, report);
+                        assert_eq!(fp, fingerprint);
+                    }
+                    other => panic!("round-trip changed the variant: {other:?}"),
+                }
+            }
+        }
     }
 
     /// `Request::Run { id: 7, spec: WireSpec::basic(8, "Duato", 0.004, 42) }`

@@ -9,7 +9,10 @@
 //!
 //! - **cache hit** — a completed result for this exact spec is in the
 //!   bounded LRU (fingerprint-verified when it was inserted) and is
-//!   delivered without simulating.
+//!   delivered without simulating. A hit costs the cache one stamp
+//!   bump and allocates nothing the cache keeps: recency lives in the
+//!   entries, and the one insert that finds the cache full scans them
+//!   for the oldest.
 //! - **dedup join** — an identical job is already queued or running;
 //!   the request attaches as a waiter and shares the one execution.
 //! - **new** — the job enters the queue for the dispatcher.
@@ -35,7 +38,7 @@ use wormsim_experiments::{report_json_fingerprint, run_custom, CustomSpec, Worke
 use wormsim_obs::ProgressFrame;
 
 use crate::metrics::ServeMetrics;
-use crate::protocol::{Emit, Response, ServerStats};
+use crate::protocol::{Emit, Outgoing, Response, RunResult, ServerStats};
 
 /// Scheduler knobs; [`SchedulerConfig::default`] suits tests and small
 /// deployments.
@@ -77,8 +80,7 @@ impl SchedulerConfig {
 #[derive(Clone)]
 enum SlotResult {
     Ok {
-        report_json: Arc<String>,
-        fingerprint: String,
+        result: Arc<RunResult>,
         cached: bool,
         deduped: bool,
     },
@@ -112,8 +114,8 @@ struct JobEntry {
 }
 
 /// Dedup/cache key: the spec's full canonical form (see the module
-/// docs — the shared `Arc` keeps the dedup map, queue, and LRU order
-/// from cloning the string).
+/// docs — the shared `Arc` keeps the dedup map, queue, and cache from
+/// cloning the string).
 type SpecKey = Arc<String>;
 
 struct QueuedJob {
@@ -125,8 +127,9 @@ struct QueuedJob {
 }
 
 struct CacheEntry {
-    report_json: Arc<String>,
-    fingerprint: String,
+    result: Arc<RunResult>,
+    /// `cache_stamp` at the last insert or hit; the minimum is the LRU
+    /// entry.
     stamp: u64,
 }
 
@@ -139,8 +142,6 @@ struct SchedState {
     /// Jobs admitted but not yet resolved (queue + running batch).
     pending_jobs: usize,
     cache: HashMap<SpecKey, CacheEntry>,
-    /// Lazy-LRU order: `(key, stamp)`; stale stamps are skipped.
-    cache_order: VecDeque<(SpecKey, u64)>,
     cache_stamp: u64,
     client_load: HashMap<u64, usize>,
     stop: bool,
@@ -250,7 +251,7 @@ impl Scheduler {
             // rejection leaves no trace. Duplicates *within* the request
             // join the slot that will create the job. A hit's entry was
             // fingerprint-verified at insert and is immutable behind its
-            // `Arc`, so delivery is pointer clones — no O(report) work
+            // `Arc`, so delivery is a pointer clone — no O(report) work
             // under this lock.
             let mut plans: Vec<Plan> = Vec::with_capacity(specs.len());
             let mut claimed: std::collections::HashSet<SpecKey> = std::collections::HashSet::new();
@@ -258,8 +259,7 @@ impl Scheduler {
             for key in &keys {
                 let plan = match s.cache.get(key) {
                     Some(entry) => Plan::CacheHit(SlotResult::Ok {
-                        report_json: entry.report_json.clone(),
-                        fingerprint: entry.fingerprint.clone(),
+                        result: entry.result.clone(),
                         cached: true,
                         deduped: false,
                     }),
@@ -288,12 +288,11 @@ impl Scheduler {
             // the enumeration index *is* the request slot.
             inner.metrics.requests.inc();
             *s.client_load.entry(client).or_insert(0) += 1;
-            let mut touched: Vec<SpecKey> = Vec::new();
             for (slot, ((plan, key), spec)) in plans.into_iter().zip(&keys).zip(specs).enumerate() {
                 match plan {
                     Plan::CacheHit(result) => {
                         inner.metrics.cache_hits.inc();
-                        touched.push(key.clone());
+                        touch_cache(&mut s, key);
                         immediate.push((slot, result));
                     }
                     Plan::Join => {
@@ -320,9 +319,6 @@ impl Scheduler {
                         inner.metrics.jobs_in_flight.inc();
                     }
                 }
-            }
-            for key in touched {
-                touch_cache(&mut s, &key);
             }
             inner.work_ready.notify_one();
         }
@@ -367,6 +363,15 @@ impl Scheduler {
     pub fn pool_thread_prefix(&self) -> String {
         self.inner.pool.thread_name_prefix().to_string()
     }
+
+    /// How many records the scheduler state holds in all: cached results,
+    /// queued and running jobs, and per-client load entries. Idle, that is
+    /// the cache population — whatever the number of hits served.
+    #[cfg(test)]
+    fn bookkeeping_records(&self) -> usize {
+        let s = lock(&self.inner.state);
+        s.cache.len() + s.jobs.len() + s.queue.len() + s.client_load.len()
+    }
 }
 
 impl Drop for Scheduler {
@@ -375,14 +380,11 @@ impl Drop for Scheduler {
     }
 }
 
-/// Mark `key` most-recently-used (lazy LRU: push a fresh stamp, stale
-/// queue entries are skipped at eviction time).
+/// Mark `key` most-recently-used.
 fn touch_cache(s: &mut SchedState, key: &SpecKey) {
     s.cache_stamp += 1;
-    let stamp = s.cache_stamp;
     if let Some(e) = s.cache.get_mut(key) {
-        e.stamp = stamp;
-        s.cache_order.push_back((key.clone(), stamp));
+        e.stamp = s.cache_stamp;
     }
 }
 
@@ -410,10 +412,10 @@ impl Inner {
             if req.is_sweep {
                 let total = p.slots.len() as u64;
                 let done = total - p.remaining as u64;
-                (req.emit)(Response::Progress {
+                (req.emit)(Outgoing::Message(Response::Progress {
                     id: req.id,
                     frame: ProgressFrame::new(format!("sweep-{}", req.id), done, total),
-                });
+                }));
             }
             p.remaining == 0
         };
@@ -426,43 +428,37 @@ impl Inner {
         let response = {
             let p = lock(&req.inner);
             if let Some((code, message)) = &p.failure {
-                Response::Error {
+                Outgoing::Message(Response::Error {
                     id: req.id,
                     code: code.clone(),
                     message: message.clone(),
-                }
+                })
             } else if req.is_sweep {
                 let mut report_jsons = Vec::with_capacity(p.slots.len());
                 let mut fingerprints = Vec::with_capacity(p.slots.len());
                 for slot in &p.slots {
                     match slot.as_ref().expect("finalized request has all slots") {
-                        SlotResult::Ok {
-                            report_json,
-                            fingerprint,
-                            ..
-                        } => {
-                            report_jsons.push((**report_json).clone());
-                            fingerprints.push(fingerprint.clone());
+                        SlotResult::Ok { result, .. } => {
+                            report_jsons.push(result.report_json.clone());
+                            fingerprints.push(result.fingerprint.clone());
                         }
                         SlotResult::Failed => unreachable!("failed slot without failure record"),
                     }
                 }
-                Response::SweepResult {
+                Outgoing::Message(Response::SweepResult {
                     id: req.id,
                     report_jsons,
                     fingerprints,
-                }
+                })
             } else {
                 match p.slots[0].as_ref().expect("finalized request has slot 0") {
                     SlotResult::Ok {
-                        report_json,
-                        fingerprint,
+                        result,
                         cached,
                         deduped,
-                    } => Response::Result {
+                    } => Outgoing::Result {
                         id: req.id,
-                        report_json: (**report_json).clone(),
-                        fingerprint: fingerprint.clone(),
+                        result: result.clone(),
                         cached: *cached,
                         deduped: *deduped,
                     },
@@ -491,19 +487,15 @@ impl Inner {
 
     /// Resolve one executed job: cache the result, detach the waiters,
     /// and fill their slots.
-    fn resolve_job(
-        self: &Arc<Self>,
-        key: &SpecKey,
-        outcome: Result<(Arc<String>, String), JobError>,
-    ) {
+    fn resolve_job(self: &Arc<Self>, key: &SpecKey, outcome: Result<Arc<RunResult>, JobError>) {
         self.metrics.jobs_run.inc();
         // Fingerprint integrity is verified once, here at insert time
         // and outside the state lock — the entry is immutable behind its
         // `Arc` afterwards, so cache hits never rehash the report while
         // holding the lock.
         let cacheable = match &outcome {
-            Ok((json, fp)) => {
-                let ok = *fp == report_json_fingerprint(json);
+            Ok(result) => {
+                let ok = result.fingerprint == report_json_fingerprint(&result.report_json);
                 if !ok {
                     self.metrics.integrity_drops.inc();
                 }
@@ -516,14 +508,10 @@ impl Inner {
             s.pending_jobs = s.pending_jobs.saturating_sub(1);
             self.metrics.jobs_in_flight.dec();
             if cacheable {
-                if let Ok((json, fp)) = &outcome {
-                    cache_insert(
-                        &mut s,
-                        self.cfg.cache_capacity,
-                        key,
-                        json.clone(),
-                        fp.clone(),
-                    );
+                if let Ok(result) = &outcome {
+                    let evicted =
+                        cache_insert(&mut s, self.cfg.cache_capacity, key, result.clone());
+                    self.metrics.cache_evictions.add(evicted);
                 }
             }
             // The gauge mirrors the cache population under the same
@@ -532,14 +520,13 @@ impl Inner {
             s.jobs.remove(key).map(|e| e.waiters).unwrap_or_default()
         };
         match outcome {
-            Ok((json, fp)) => {
+            Ok(result) => {
                 for (k, (req, slot)) in waiters.into_iter().enumerate() {
                     self.fill_slot(
                         &req,
                         slot,
                         SlotResult::Ok {
-                            report_json: json.clone(),
-                            fingerprint: fp.clone(),
+                            result: result.clone(),
                             cached: false,
                             // The first waiter is the submitter that
                             // created the job; the rest joined it.
@@ -603,7 +590,7 @@ impl Inner {
                     Ok(report) => {
                         let json = serde_json::to_string(&report).expect("report serializes");
                         let fp = report_json_fingerprint(&json);
-                        Ok((Arc::new(json), fp))
+                        Ok(Arc::new(RunResult::new(json, fp)))
                     }
                     Err(e) => Err(JobError::Config(e)),
                 };
@@ -640,40 +627,30 @@ impl JobError {
     }
 }
 
-/// Insert into the bounded LRU, evicting least-recently-used entries
-/// (skipping stale order records) until under capacity.
-fn cache_insert(
-    s: &mut SchedState,
-    cap: usize,
-    key: &SpecKey,
-    report_json: Arc<String>,
-    fingerprint: String,
-) {
+/// Insert into the bounded LRU and return how many entries that
+/// evicted. A full cache gives up its least-recently-used entry, found by
+/// one scan for the minimum stamp: this runs once per executed job,
+/// beside a simulation that cost milliseconds, so hits keep no order
+/// records for it.
+fn cache_insert(s: &mut SchedState, cap: usize, key: &SpecKey, result: Arc<RunResult>) -> u64 {
     if cap == 0 {
-        return;
+        return 0;
     }
+    let mut evicted = 0;
     while s.cache.len() >= cap {
-        match s.cache_order.pop_front() {
-            Some((k, stamp)) => {
-                let current = s.cache.get(&k).map(|e| e.stamp);
-                if current == Some(stamp) {
-                    s.cache.remove(&k);
-                }
-            }
-            None => break,
-        }
+        let oldest = s
+            .cache
+            .iter()
+            .min_by_key(|(_, e)| e.stamp)
+            .map(|(k, _)| k.clone())
+            .expect("a full cache has an entry");
+        s.cache.remove(&oldest);
+        evicted += 1;
     }
     s.cache_stamp += 1;
     let stamp = s.cache_stamp;
-    s.cache.insert(
-        key.clone(),
-        CacheEntry {
-            report_json,
-            fingerprint,
-            stamp,
-        },
-    );
-    s.cache_order.push_back((key.clone(), stamp));
+    s.cache.insert(key.clone(), CacheEntry { result, stamp });
+    evicted
 }
 
 #[cfg(test)]
@@ -700,10 +677,16 @@ mod tests {
         }
     }
 
+    /// Collects what a client would read: every emitted frame's payload,
+    /// parsed back through `Response`'s derive.
     fn collect_emit() -> (Emit, Arc<Mutex<Vec<Response>>>) {
         let sink: Arc<Mutex<Vec<Response>>> = Arc::new(Mutex::new(Vec::new()));
         let s = sink.clone();
-        (Arc::new(move |r| lock(&s).push(r)), sink)
+        let emit = move |out: Outgoing| {
+            let payload = out.payload().expect("frame serializes");
+            lock(&s).push(serde_json::from_str(&payload).expect("frame parses as a Response"));
+        };
+        (Arc::new(emit), sink)
     }
 
     fn wait_for<F: Fn() -> bool>(cond: F, what: &str) {
@@ -907,17 +890,82 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let key = |name: &str| -> SpecKey { Arc::new(name.to_string()) };
+        let result = |i: u32| Arc::new(RunResult::new(format!("r{i}"), format!("f{i}")));
         let mut s = SchedState::default();
         for i in 0..3 {
-            let k = key(&format!("k{i}"));
-            cache_insert(&mut s, 3, &k, Arc::new(format!("r{i}")), format!("f{i}"));
+            let evicted = cache_insert(&mut s, 3, &key(&format!("k{i}")), result(i));
+            assert_eq!(evicted, 0, "room left");
         }
         // Touch k0 so k1 becomes the LRU entry.
         touch_cache(&mut s, &key("k0"));
-        cache_insert(&mut s, 3, &key("k9"), Arc::new("r9".into()), "f9".into());
+        assert_eq!(cache_insert(&mut s, 3, &key("k9"), result(9)), 1);
         assert!(s.cache.contains_key(&key("k0")), "touched entry survives");
         assert!(!s.cache.contains_key(&key("k1")), "LRU entry evicted");
         assert!(s.cache.contains_key(&key("k2")));
         assert!(s.cache.contains_key(&key("k9")));
+        // Recency is by hit, not by insert: k2 is now the oldest insert,
+        // but a hit on it makes k0 (touched before that hit) the victim.
+        touch_cache(&mut s, &key("k2"));
+        assert_eq!(cache_insert(&mut s, 3, &key("k10"), result(10)), 1);
+        assert!(s.cache.contains_key(&key("k2")), "hit entry survives");
+        assert!(!s.cache.contains_key(&key("k0")), "second-oldest evicted");
+        assert!(s.cache.contains_key(&key("k9")));
+        assert!(s.cache.contains_key(&key("k10")));
+        assert_eq!(s.cache.len(), 3);
+    }
+
+    #[test]
+    fn hits_leave_nothing_behind_and_evictions_count_inserts_past_capacity() {
+        let sched = Scheduler::new(SchedulerConfig {
+            cache_capacity: 4,
+            ..SchedulerConfig::default()
+        });
+        let answered = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let emit: Emit = {
+            let answered = answered.clone();
+            Arc::new(move |out| {
+                assert!(
+                    matches!(out, Outgoing::Result { .. }),
+                    "every request here succeeds: {out:?}"
+                );
+                answered.fetch_add(1, Ordering::SeqCst);
+            })
+        };
+        let run = |id: u64, seed: u64| {
+            sched
+                .submit(1, id, vec![tiny_spec(seed)], false, emit.clone())
+                .unwrap();
+            wait_for(|| answered.load(Ordering::SeqCst) == id, "an answer");
+        };
+        let mut id = 0;
+        for seed in 0..4 {
+            id += 1;
+            run(id, 300 + seed);
+        }
+        let hits = 10_000;
+        for k in 0..hits {
+            id += 1;
+            run(id, 300 + k % 4);
+        }
+        let stats = sched.stats();
+        assert_eq!(stats.jobs_run, 4);
+        assert_eq!(stats.cache_hits, hits);
+        assert_eq!(stats.cached_results, 4);
+        // Everything the scheduler keeps between requests, after 10 000
+        // hits: the four cached keys and no record per hit.
+        assert_eq!(sched.bookkeeping_records(), 4);
+        let evictions = || sched.metrics().cache_evictions.get();
+        assert_eq!(evictions(), 0, "the cache only just filled");
+        // Three more inserts on the full cache: each evicts exactly one.
+        for seed in 4..7 {
+            id += 1;
+            run(id, 300 + seed);
+        }
+        let stats = sched.stats();
+        assert_eq!(stats.jobs_run, 7);
+        assert_eq!(evictions(), stats.jobs_run - 4, "inserts past capacity");
+        assert_eq!(stats.cached_results, 4);
+        assert_eq!(sched.bookkeeping_records(), 4);
+        sched.shutdown();
     }
 }

@@ -1,7 +1,8 @@
 //! The TCP server: accept loop, per-connection threads, graceful drain.
 //!
 //! Each connection gets a reader thread (this function) and a writer
-//! thread draining an unbounded channel of [`Response`]s. The scheduler
+//! thread draining an unbounded channel of [`Outgoing`] frames in FIFO
+//! order. The scheduler
 //! delivers results by sending into that channel from whatever pool
 //! thread finished the job, so one connection can have many requests in
 //! flight and responses interleave freely (matched by request id).
@@ -22,7 +23,7 @@ use std::time::Duration;
 
 use crate::intern::PatternInterner;
 use crate::protocol::{
-    read_frame_with, send_message, Emit, Request, Response, ServerStats, WireSpec,
+    read_frame_with, write_frame, Emit, Outgoing, Request, Response, ServerStats, WireSpec,
 };
 use crate::scheduler::{Scheduler, SchedulerConfig};
 
@@ -187,15 +188,18 @@ fn handle_conn(
         Ok(s) => s,
         Err(_) => return,
     };
-    let (tx, rx) = mpsc::channel::<Response>();
+    let (tx, rx) = mpsc::channel::<Outgoing>();
     let writer = thread::Builder::new()
         .name(format!("wsim-wr{client}"))
         .spawn(move || {
             let mut w = BufWriter::new(write_half);
             // Exits when every sender (reader + in-flight emits) is gone,
             // or on the first write error (client vanished).
-            while let Ok(resp) = rx.recv() {
-                if send_message(&mut w, &resp).is_err() {
+            while let Ok(out) = rx.recv() {
+                let sent = out
+                    .payload()
+                    .and_then(|json| write_frame(&mut w, json.as_bytes()));
+                if sent.is_err() {
                     break;
                 }
             }
@@ -223,38 +227,38 @@ fn handle_conn(
         let request = match request {
             Ok(r) => r,
             Err(message) => {
-                let _ = tx.send(Response::Error {
+                let _ = tx.send(Outgoing::Message(Response::Error {
                     id: 0,
                     code: "bad_request".into(),
                     message,
-                });
+                }));
                 continue;
             }
         };
         match request {
             Request::Ping => {
-                let _ = tx.send(Response::Pong);
+                let _ = tx.send(Outgoing::Message(Response::Pong));
             }
             Request::Stats => {
-                let _ = tx.send(Response::Stats {
+                let _ = tx.send(Outgoing::Message(Response::Stats {
                     stats: scheduler.stats(),
-                });
+                }));
             }
             Request::Metrics => {
                 let m = scheduler.metrics();
                 let snapshot = m.snapshot();
                 let prometheus = wormsim_obs::render_prometheus(&snapshot);
-                let _ = tx.send(Response::Metrics {
+                let _ = tx.send(Outgoing::Message(Response::Metrics {
                     snapshot,
                     prometheus,
-                });
+                }));
             }
             Request::Shutdown => {
                 // Raise the flag before acknowledging, so a client that
                 // has seen Goodbye can rely on the shutdown being
                 // underway.
                 stop.store(true, Ordering::Relaxed);
-                let _ = tx.send(Response::Goodbye);
+                let _ = tx.send(Outgoing::Message(Response::Goodbye));
                 break;
             }
             Request::Run { id, spec } => {
@@ -274,7 +278,7 @@ fn handle_conn(
 fn submit(
     scheduler: &Arc<Scheduler>,
     interner: &Arc<PatternInterner>,
-    tx: &mpsc::Sender<Response>,
+    tx: &mpsc::Sender<Outgoing>,
     client: u64,
     id: u64,
     specs: Vec<WireSpec>,
@@ -286,27 +290,27 @@ fn submit(
             Ok(c) => customs.push(c),
             Err(e) => {
                 scheduler.note_bad_spec();
-                let _ = tx.send(Response::Error {
+                let _ = tx.send(Outgoing::Message(Response::Error {
                     id,
                     code: "bad_spec".into(),
                     message: format!("spec {i}: {e}"),
-                });
+                }));
                 return;
             }
         }
     }
     let emit: Emit = {
         let tx = tx.clone();
-        Arc::new(move |resp| {
+        Arc::new(move |out| {
             // A disconnected client just discards its responses.
-            let _ = tx.send(resp);
+            let _ = tx.send(out);
         })
     };
     if let Err((code, message)) = scheduler.submit(client, id, customs, is_sweep, emit) {
-        let _ = tx.send(Response::Error {
+        let _ = tx.send(Outgoing::Message(Response::Error {
             id,
             code: code.into(),
             message,
-        });
+        }));
     }
 }
