@@ -64,13 +64,16 @@ impl Phase {
     }
 }
 
-/// Accumulated wall-clock nanoseconds per phase, plus the number of
-/// profiled cycles. Plain copyable data; `reset` clears it along with
-/// the rest of the simulator's run state.
+/// Accumulated wall-clock nanoseconds per phase, the number of profiled
+/// cycles, and how much the `move` phase walked: worms visited and the
+/// stages (held VCs) they held. Plain copyable data; `reset` clears it
+/// along with the rest of the simulator's run state.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     nanos: [u64; NUM_PHASES],
     cycles: u64,
+    worms: u64,
+    stage_visits: u64,
 }
 
 impl PhaseTimes {
@@ -90,6 +93,32 @@ impl PhaseTimes {
     #[inline]
     pub fn tick_cycle(&mut self) {
         self.cycles += 1;
+    }
+
+    /// Count one worm walked by the movement pass, holding `stages` VCs.
+    #[inline]
+    pub fn count_worm(&mut self, stages: usize) {
+        self.worms += 1;
+        self.stage_visits += stages as u64;
+    }
+
+    /// Worms the movement pass walked (stalled and queued ones excluded).
+    pub fn worms(&self) -> u64 {
+        self.worms
+    }
+
+    /// Held stages those worms walked.
+    pub fn stage_visits(&self) -> u64 {
+        self.stage_visits
+    }
+
+    /// `move`-phase nanoseconds per stage visit (0 before any visit).
+    pub fn ns_per_stage_visit(&self) -> f64 {
+        if self.stage_visits == 0 {
+            0.0
+        } else {
+            self.nanos(Phase::Move) as f64 / self.stage_visits as f64
+        }
     }
 
     /// Accumulated nanoseconds for a phase.
@@ -149,11 +178,16 @@ mod tests {
         assert_eq!(t.total_nanos(), 1000);
         assert_eq!(t.cycles(), 2);
         assert_eq!(t.mean_ns_per_cycle(Phase::Inject), 250.0);
+        t.count_worm(3);
+        t.count_worm(7);
+        assert_eq!((t.worms(), t.stage_visits()), (2, 10));
+        assert_eq!(t.ns_per_stage_visit(), 50.0);
         assert_eq!(t.share(Phase::Recover), 0.0);
         assert!((t.share(Phase::Move) - 0.5).abs() < 1e-12);
         t.clear();
         assert_eq!(t.total_nanos(), 0);
         assert_eq!(t.cycles(), 0);
+        assert_eq!(t.stage_visits(), 0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::config::{ConfigError, SimConfig};
 use crate::fault_hook::{FaultActivation, FaultDriver};
-use crate::message::{AllocPhase, Msg, MsgId, PathEntry};
+use crate::message::{AllocPhase, Msg, MsgId, PathEntry, Queued};
 use crate::profile::{Phase, PhaseTimes};
 use crate::waiters::WaiterTable;
 use rand::rngs::SmallRng;
@@ -77,8 +77,11 @@ pub struct Simulator<S: Sink = NullSink, const PROFILE: bool = false> {
     free_list: Vec<u32>,
     /// Messages currently in the network or injecting.
     active: Vec<u32>,
-    /// Per-node source queues of generated-but-not-started messages.
-    queues: Vec<VecDeque<u32>>,
+    /// Per-node source queues of generated-but-not-started messages. A
+    /// queued message owns a slab slot only if something gave it one
+    /// earlier ([`Queued::Parked`]); traffic generation queues 16-byte
+    /// [`Queued::Fresh`] entries and the slot is taken at promotion.
+    queues: Vec<VecDeque<Queued>>,
     /// Per-node message currently occupying the injection port.
     injecting: Vec<Option<u32>>,
     injectors: Vec<Injector>,
@@ -344,10 +347,11 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     ///
     /// Determinism: the run after a `reset` is byte-identical to one on a
     /// freshly constructed simulator with the same arguments. The one
-    /// subtle requirement is message-id order — ids are slab indices and
-    /// act as tie-breakers in oldest-first arbitration — so the free list
-    /// is rebuilt in descending order, making recycled ids pop in creation
-    /// order `0, 1, 2, …` exactly as a fresh slab would assign them.
+    /// subtle requirement is message-id order — ids are slab indices,
+    /// handed out when a message takes its injection port, and act as
+    /// tie-breakers in oldest-first arbitration — so the free list is
+    /// rebuilt in descending order, making recycled ids pop in the order
+    /// `0, 1, 2, …` a fresh slab would assign them.
     pub fn reset(
         &mut self,
         algo: impl Into<Arc<dyn RoutingAlgorithm>>,
@@ -591,8 +595,8 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         assert!(!self.ctx.pattern().is_faulty(src), "source is faulty");
         assert!(!self.ctx.pattern().is_faulty(dest), "destination is faulty");
         assert_ne!(src, dest, "source equals destination");
-        let id = self.alloc_msg(src, dest);
-        self.queues[src.index()].push_back(id.0);
+        let id = self.alloc_msg(src, dest, self.cycle);
+        self.queues[src.index()].push_back(Queued::Parked(id.0));
         id
     }
 
@@ -604,8 +608,15 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     /// Pre-size every population-dependent structure so a run creating up
     /// to `messages` messages performs no heap allocation afterwards. The
     /// slab is filled with dead, capacity-reserved messages parked on the
-    /// free list (creation then always recycles), and source queues,
+    /// free list (promotion then always recycles), and source queues,
     /// scratch buffers, and wake lists reserve for the same population.
+    ///
+    /// The slab holds only messages in flight, so it is bounded by the
+    /// network, not by the backlog: `min(messages, VC slots + nodes)`,
+    /// since a message takes its slot with its node's injection port and
+    /// from then on owns that port or a VC. (Messages parked in a queue or
+    /// waiting out a chaos backoff keep their slot without either; a run
+    /// with many of those can still grow the slab.)
     ///
     /// Per-message path capacity is derived from the *actual* mesh shape:
     /// a traversal pushes one entry per hop and the grow-only buffer
@@ -623,31 +634,35 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     pub fn prewarm(&mut self, messages: usize) {
         let mesh = self.ctx.mesh();
         let max_path = 2 * (mesh.width() as usize + mesh.height() as usize);
+        let num_nodes = self.queues.len();
+        // Every message that owns a slot also owns a VC slot or its
+        // node's injection port.
+        let max_active = self.slots.len() + num_nodes;
         let have = self.msgs.len();
-        if messages > have {
-            self.msgs.reserve(messages - have);
-            self.free_list.reserve(messages);
-            for idx in have..messages {
+        let slab = messages.min(max_active);
+        if slab > have {
+            self.msgs.reserve(slab - have);
+            self.free_list.reserve(slab);
+            for _ in have..slab {
                 let state = MessageState::new(NodeId(0), NodeId(0));
                 let mut m = Msg::new(NodeId(0), NodeId(0), 0, 0, state);
                 m.path.reserve(max_path);
                 self.msgs.push(m);
-                self.free_list.push(idx as u32);
             }
+            // Descending and under what is already free, so ids pop in
+            // the order a growing slab would have handed them out.
+            self.free_list
+                .splice(0..0, (have as u32..slab as u32).rev());
         }
         let n = self.msgs.len();
         self.alive.resize(n, false);
         self.alloc.resize(n, AllocPhase::Contend);
         self.stalled.resize(n, false);
         self.last_progress.resize(n, 0);
-        let num_nodes = self.queues.len();
         let per_node = 4 * messages / num_nodes.max(1) + 64;
         for q in &mut self.queues {
             q.reserve(per_node);
         }
-        // Concurrently active messages each hold a VC slot (plus one
-        // possible queue promotion per node per cycle).
-        let max_active = self.slots.len() + num_nodes;
         self.active.reserve(max_active);
         self.order.reserve(max_active);
         self.ordered.reserve(max_active);
@@ -663,17 +678,17 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         self.freed_scratch.reserve(max_path);
     }
 
-    fn alloc_msg(&mut self, src: NodeId, dest: NodeId) -> MsgId {
+    /// Take a slab slot for a message created at cycle `created`.
+    fn alloc_msg(&mut self, src: NodeId, dest: NodeId, created: u64) -> MsgId {
         let state = self.algo.init_message(src, dest);
         let length = self.workload.message_length;
         let idx = if let Some(idx) = self.free_list.pop() {
             // Reset in place: keeps the slot's path capacity, so slab
             // reuse allocates nothing.
-            self.msgs[idx as usize].reset(src, dest, length, self.cycle, state);
+            self.msgs[idx as usize].reset(src, dest, length, created, state);
             idx
         } else {
-            self.msgs
-                .push(Msg::new(src, dest, length, self.cycle, state));
+            self.msgs.push(Msg::new(src, dest, length, created, state));
             self.alive.push(false);
             self.alloc.push(AllocPhase::Contend);
             self.stalled.push(false);
@@ -684,7 +699,13 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         self.alive[i] = true;
         self.alloc[i] = AllocPhase::Contend;
         self.stalled[i] = false;
-        self.last_progress[i] = self.cycle;
+        // The watchdog clock starts at creation, not at promotion: a
+        // message that queued for longer than `deadlock_timeout` is
+        // "recovered" on the cycle it is promoted unless it moves a flit
+        // that same cycle. A known artefact (EXPERIMENTS.md, "Known
+        // modelling artefact"), kept because every recorded fingerprint
+        // with a recovery in it depends on it.
+        self.last_progress[i] = created;
         MsgId(idx)
     }
 
@@ -782,11 +803,12 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     ///
     /// Checked invariants:
     /// 1. VC-slot ownership and message path entries form a bijection.
-    /// 2. Per-entry flit accounting: `occ ≤ buffer depth`,
-    ///    `entered ≤ length`, and `entered[j] = occ[j] + entered[j+1]`
-    ///    (the head entry drains into `delivered`).
-    /// 3. Per-message conservation: source flits + buffered flits +
-    ///    delivered flits = message length.
+    /// 2. Per-entry flit accounting: the `entered` counters never increase
+    ///    from the source side to the head (the head entry drains into
+    ///    `delivered`), neighbours differ by at most the buffer depth, and
+    ///    none exceeds the message length.
+    /// 3. Per-message conservation: the flits that left the source are
+    ///    the ones that entered the first held stage.
     /// 4. Injection bookkeeping: a message with flits still at the source
     ///    and a non-empty path owns its node's injection port.
     /// 5. Chaos bookkeeping: a message waiting out a backoff holds no VC
@@ -826,29 +848,22 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
                 seen += 1;
             }
             // 2. Flit accounting along the path.
-            let mut downstream_entered = m.delivered;
+            let mut downstream = m.delivered;
             for e in m.path.iter().rev() {
-                assert!(e.occ as u32 <= depth, "buffer overflow");
-                assert!(e.entered <= m.length, "entered beyond length");
-                assert_eq!(
-                    e.entered,
-                    e.occ as u32 + downstream_entered,
-                    "flit accounting broken"
+                assert!(
+                    e.entered >= downstream,
+                    "a stage passed on more than entered it"
                 );
-                downstream_entered = e.entered;
+                assert!(e.entered - downstream <= depth, "buffer overflow");
+                assert!(e.entered <= m.length, "entered beyond length");
+                downstream = e.entered;
             }
-            // 3. Conservation.
-            let buffered: u32 = m.path.iter().map(|e| e.occ as u32).sum();
-            let at_head_of_chain = m.path.front().map(|e| e.entered).unwrap_or(m.delivered);
+            // 3. Conservation: what left the source is what entered the
+            // first held stage (or was delivered, once the path is gone).
             assert_eq!(
-                m.at_source + at_head_of_chain,
+                m.at_source + m.path.front().map_or(m.delivered, |e| e.entered),
                 m.length,
                 "flits lost between source and network"
-            );
-            assert_eq!(
-                m.at_source + buffered + m.delivered,
-                m.length,
-                "flit conservation violated"
             );
             // 4. Injection port bookkeeping.
             if m.at_source > 0 && !m.path.is_empty() {
@@ -964,7 +979,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             let msgs = &self.msgs;
             self.backoff.retain(|&(ready, id)| {
                 if ready <= cycle {
-                    queues[msgs[id as usize].src.index()].push_back(id);
+                    queues[msgs[id as usize].src.index()].push_back(Queued::Parked(id));
                     false
                 } else {
                     true
@@ -979,7 +994,17 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         );
         for node in 0..self.queues.len() {
             if self.injecting[node].is_none() {
-                if let Some(id) = self.queues[node].pop_front() {
+                if let Some(entry) = self.queues[node].pop_front() {
+                    let id = match entry {
+                        Queued::Parked(id) => id,
+                        // `init_message` is a pure function of the mesh
+                        // and the current pattern, so taking the slot now
+                        // is what creation-time state re-sampled at every
+                        // fault activation would have been.
+                        Queued::Fresh { dest, created } => {
+                            self.alloc_msg(NodeId(node as u16), dest, created).0
+                        }
+                    };
                     self.injecting[node] = Some(id);
                     self.active.push(id);
                     self.injected_this_cycle += 1;
@@ -1161,8 +1186,10 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
                 let Some(dest) = self.sampler.sample(node, &mut self.rng) else {
                     continue;
                 };
-                let id = self.alloc_msg(node, dest);
-                self.queues[idx].push_back(id.0);
+                self.queues[idx].push_back(Queued::Fresh {
+                    dest,
+                    created: self.cycle,
+                });
                 if measuring {
                     self.throughput.record_injection();
                 }
@@ -1313,7 +1340,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             vc,
             dest: next,
             entered: 0,
-            occ: 0,
         });
     }
 
@@ -1362,194 +1388,90 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         self.waiters.release(key);
     }
 
-    /// Advance the message's flit pipeline by up to one flit per held link.
+    /// Advance the message's flit pipeline by up to one flit per boundary
+    /// ([`Msg::advance`]), then handle what the pass made true.
     fn move_flits(&mut self, id: u32, measuring: bool) {
-        let depth = self.cfg.buffer_depth;
-        let stamp = self.cycle + 1;
         let i = id as usize;
-        // A stalled wormhole (checked below after each movement pass)
-        // cannot move any flit until its own state changes, and it
+        // A stalled wormhole cannot move any flit until its own state
+        // changes (path growth in `try_allocate`, or a reset), and it
         // would not have marked `link_used`/`eject_used` either, so
-        // skipping it is byte-identical to walking its path again. Both
-        // skip flags are dense-array loads; the `Msg` record is only
-        // touched once a message actually has movement work.
+        // skipping it is byte-identical to walking its path again.
         if !self.alive[i] || self.stalled[i] || self.msgs[i].path.is_empty() {
             return;
         }
-        // Slot keys freed below (tail drains, completion) collect into the
-        // reusable scratch so their wake lists can drain once the message
-        // borrow ends.
+        let m = &mut self.msgs[i];
+        if PROFILE {
+            self.phase_times.count_worm(m.path.len());
+        }
+        let pass = m.advance(
+            self.cfg.buffer_depth as u32,
+            self.cycle + 1,
+            &mut self.link_used,
+            &mut self.eject_used,
+            &mut self.node_load,
+            measuring,
+        );
+        self.delivered_this_cycle += pass.ejected as u32;
+        // Every movement predicate is the worm's own state (`ready`) and a
+        // per-cycle budget that can only deny. A worm that neither moved
+        // nor was ready stays that way until its own state changes.
+        self.stalled[i] = !(pass.moved | pass.ready);
+        self.last_progress[i] =
+            std::hint::select_unpredictable(pass.moved, self.cycle, self.last_progress[i]);
+
+        // Once-per-hop and once-per-message events, tested after the pass
+        // where they are rare and predict.
+        if pass.header_arrived {
+            // Routable from the next allocation pass on, unless it
+            // arrived home, where ejection takes over.
+            self.alloc[i] = if m.path.back().is_some_and(|e| e.dest == m.dest) {
+                AllocPhase::Moving
+            } else {
+                AllocPhase::Contend
+            };
+        }
+        if pass.first_flit {
+            m.first_injected = Some(self.cycle);
+        }
+        if pass.injected & (m.at_source == 0) {
+            // The tail left the source: free the injection port.
+            self.injecting[m.src.index()] = None;
+        }
+        let tail_drained = m.path.len() > 1 && m.path[1].entered == m.length;
+        if tail_drained | m.is_complete() {
+            self.retire_stages(id, measuring);
+        }
+    }
+
+    /// Release the stages the tail flit has left and, once the last flit
+    /// is consumed, the message itself. Call order matters: see
+    /// [`Simulator::finish_completion`].
+    #[inline(never)]
+    fn retire_stages(&mut self, id: u32, measuring: bool) {
         let mut freed = std::mem::take(&mut self.freed_scratch);
         freed.clear();
-        let m = &mut self.msgs[i];
-        let mut progressed = false;
-
-        // Work on a contiguous slice: the pipeline loop indexes entry
-        // pairs every cycle, and the path buffer stores them contiguously
-        // by construction (no ring-buffer arithmetic, no
-        // `make_contiguous`). Each entry carries its channel and
-        // downstream node, so no mesh queries (with their coordinate
-        // divisions) happen in here at all.
-        let path = m.path.as_mut_slice();
-
-        // Ejection at the destination (head entry only).
-        let head_idx = path.len() - 1;
-        let head_entry = path[head_idx];
-        let head_node = head_entry.dest;
-        if head_node == m.dest && head_entry.occ > 0 && self.eject_used[head_node.index()] != stamp
+        let m = &mut self.msgs[id as usize];
+        let complete = m.is_complete();
+        // Stage 0 is drained when everything has entered stage 1; a
+        // complete message gives back whatever it still holds.
+        while (complete && !m.path.is_empty())
+            || (m.path.len() > 1 && m.path[1].entered == m.length)
         {
-            self.eject_used[head_node.index()] = stamp;
-            path[head_idx].occ -= 1;
-            m.delivered += 1;
-            self.delivered_this_cycle += 1;
-            progressed = true;
-        }
-
-        // Pipeline shifts: into entry j from entry j-1, head side first so
-        // slots freed this cycle can be refilled (standard pipelining).
-        //
-        // The head stage is peeled off: it is the only one where a move
-        // can be a header arrival (flipping the allocation phase). The
-        // interior loop below is branchless — whether a stage moves is
-        // roughly a coin flip under link contention, so folding the move
-        // condition into arithmetic (conditional moves instead of a
-        // data-dependent branch) sidesteps the mispredict per stage.
-        if head_idx >= 1 {
-            let cur = path[head_idx];
-            let lu = &mut self.link_used[cur.ch as usize];
-            if path[head_idx - 1].occ > 0
-                && cur.occ < depth
-                && cur.entered < m.length
-                && *lu != stamp
-            {
-                *lu = stamp;
-                path[head_idx - 1].occ -= 1;
-                path[head_idx].occ += 1;
-                path[head_idx].entered += 1;
-                progressed = true;
-                if path[head_idx].entered == 1 {
-                    // The header flit just reached the head VC's buffer:
-                    // routable from the next allocation pass on (unless it
-                    // arrived home, where ejection takes over).
-                    self.alloc[i] = if cur.dest == m.dest {
-                        AllocPhase::Moving
-                    } else {
-                        AllocPhase::Contend
-                    };
-                }
-                if measuring {
-                    self.node_load.record_arrival(cur.dest);
-                }
-            }
-        }
-        let nl_mask = measuring as u64;
-        for j in (1..head_idx).rev() {
-            let cur = path[j];
-            let prev_occ = path[j - 1].occ;
-            let lu = &mut self.link_used[cur.ch as usize];
-            let can =
-                (prev_occ > 0) & (cur.occ < depth) & (cur.entered < m.length) & (*lu != stamp);
-            let d = can as u8;
-            *lu = if can { stamp } else { *lu };
-            path[j - 1].occ = prev_occ - d;
-            path[j].occ = cur.occ + d;
-            path[j].entered = cur.entered + d as u32;
-            progressed |= can;
-            self.node_load.record_arrivals(cur.dest, d as u64 & nl_mask);
-        }
-
-        // Source injection into the first held VC.
-        if m.at_source > 0 {
-            let first = path[0];
-            let ch = first.ch;
-            if first.occ < depth && first.entered < m.length && self.link_used[ch as usize] != stamp
-            {
-                self.link_used[ch as usize] = stamp;
-                path[0].occ += 1;
-                path[0].entered += 1;
-                m.at_source -= 1;
-                progressed = true;
-                if path.len() == 1 && path[0].entered == 1 {
-                    // Header injected straight into the head VC (single-hop
-                    // path so far): routable next pass unless already home.
-                    self.alloc[i] = if first.dest == m.dest {
-                        AllocPhase::Moving
-                    } else {
-                        AllocPhase::Contend
-                    };
-                }
-                if m.first_injected.is_none() {
-                    m.first_injected = Some(self.cycle);
-                }
-                if measuring {
-                    self.node_load.record_arrival(first.dest);
-                }
-                if m.at_source == 0 {
-                    // The tail left the source: free the injection port.
-                    self.injecting[m.src.index()] = None;
-                }
-            }
-        }
-
-        if progressed {
-            self.last_progress[i] = self.cycle;
-        } else {
-            // Stall detection (only worth deciding when nothing moved —
-            // a message that just moved re-scans next cycle anyway). Each
-            // movement predicate above reads only the message's own state
-            // (`occ`/`entered`/`at_source`) plus constants (`depth`,
-            // `length`) — the per-cycle link/ejection budgets are checked
-            // last and only ever *deny* a move. So if no predicate holds
-            // on the current state, none can hold on a later cycle either
-            // until this message's own state changes — which happens only
-            // in `try_allocate` (path growth) or a reset. Mark it stalled
-            // and skip its movement pass until then.
-            let head = path[head_idx];
-            let mut movable = head.dest == m.dest && head.occ > 0;
-            movable =
-                movable || (m.at_source > 0 && path[0].occ < depth && path[0].entered < m.length);
-            if !movable {
-                for j in 1..path.len() {
-                    if path[j - 1].occ > 0 && path[j].occ < depth && path[j].entered < m.length {
-                        movable = true;
-                        break;
-                    }
-                }
-            }
-            self.stalled[i] = !movable;
-        }
-
-        // Release drained tail VCs (the tail flit has passed through).
-        while m.path.len() > 1 {
             let front = m.path[0];
-            if front.entered == m.length && front.occ == 0 {
-                self.slots[front.key as usize] = None;
-                self.occ_mask[front.ch as usize] &= !(1 << front.vc);
-                self.vc_usage.release(front.vc);
-                freed.push(front.key);
-                m.path.pop_front();
-            } else {
-                break;
-            }
+            self.slots[front.key as usize] = None;
+            self.occ_mask[front.ch as usize] &= !(1 << front.vc);
+            self.vc_usage.release(front.vc);
+            freed.push(front.key);
+            m.path.pop_front();
         }
-
-        // Completion.
-        if m.is_complete() {
-            for e in &m.path {
-                self.slots[e.key as usize] = None;
-                self.occ_mask[e.ch as usize] &= !(1 << e.vc);
-                self.vc_usage.release(e.vc);
-                freed.push(e.key);
-            }
-            m.path.clear();
-            self.alive[i] = false;
+        if complete {
+            self.alive[id as usize] = false;
             if S::ENABLED {
                 self.sink
                     .record(TraceEvent::new(self.cycle, EventKind::Deliver, id).at(m.dest.0));
             }
             self.finish_completion(id, measuring);
         }
-
         for &key in &freed {
             self.wake_waiters(key);
         }
@@ -1677,43 +1599,35 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             }
         }
 
-        // Queued triage, node order then queue order (deterministic).
+        // Queued triage, node order then queue order (deterministic): a
+        // dead source loses its whole queue, a dead destination loses the
+        // entry, everything else counts as requeued (a parked message's
+        // route state is re-sampled; a fresh one has none yet).
         for node in 0..self.queues.len() {
-            if self.queues[node].is_empty() {
-                continue;
-            }
-            let q = std::mem::take(&mut self.queues[node]);
-            if newly[node] {
-                // The source died with its whole queue.
-                for id in q {
-                    self.alive[id as usize] = false;
-                    self.free_list.push(id);
-                    self.recovery.as_mut().expect("stats exist").record_lost(ev);
-                }
-                continue;
-            }
-            let mut kept = VecDeque::with_capacity(q.len());
-            for id in q {
-                let (src, dest) = {
-                    let m = &self.msgs[id as usize];
-                    (m.src, m.dest)
+            let mut q = std::mem::take(&mut self.queues[node]);
+            q.retain(|&entry| {
+                let (parked, dest) = match entry {
+                    Queued::Fresh { dest, .. } => (None, dest),
+                    Queued::Parked(id) => (Some(id as usize), self.msgs[id as usize].dest),
                 };
-                if newly[dest.index()] {
-                    self.alive[id as usize] = false;
-                    self.free_list.push(id);
-                    self.recovery.as_mut().expect("stats exist").record_lost(ev);
+                let rec = self.recovery.as_mut().expect("stats exist");
+                let keep = !newly[node] && !newly[dest.index()];
+                if keep {
+                    rec.record_requeued(ev);
                 } else {
-                    // Route re-sampled against the updated pattern.
-                    let state = self.algo.init_message(src, dest);
-                    self.msgs[id as usize].state = state;
-                    self.recovery
-                        .as_mut()
-                        .expect("stats exist")
-                        .record_requeued(ev);
-                    kept.push_back(id);
+                    rec.record_lost(ev);
                 }
-            }
-            self.queues[node] = kept;
+                if let Some(i) = parked {
+                    if keep {
+                        self.msgs[i].state = self.algo.init_message(NodeId(node as u16), dest);
+                    } else {
+                        self.alive[i] = false;
+                        self.free_list.push(i as u32);
+                    }
+                }
+                keep
+            });
+            self.queues[node] = q;
         }
 
         // Backoff triage: a waiting message whose endpoint died is lost.
@@ -1909,7 +1823,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             self.injecting[src.index()] = match self.injecting[src.index()] {
                 Some(other) if other != id => {
                     // Port busy with another message: requeue this one.
-                    self.queues[src.index()].push_front(id);
+                    self.queues[src.index()].push_front(Queued::Parked(id));
                     // Remove from active; re-promoted later.
                     self.alive[id as usize] = true;
                     self.active.retain(|&x| x != id);
@@ -2001,11 +1915,11 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         }
     }
 
-    /// Test support: audit the struct-of-arrays hot-flag buffers against
-    /// the structures they were split from. Reconstructs the legacy
-    /// per-message view — liveness from slab free-list membership, the
-    /// allocation phase from held VCs and wake-list registrations — and
-    /// asserts the flat arrays agree. Panics on any divergence.
+    /// Test support: audit the message slab and the flat per-message
+    /// arrays beside it. Every slot is either free (dead, holding nothing)
+    /// or owned by a message in flight — active, waiting out a backoff, or
+    /// parked in a source queue — and the flags of the active ones agree
+    /// with their `Msg`. Panics on any divergence.
     #[doc(hidden)]
     pub fn check_soa_layout(&self) {
         let n = self.msgs.len();
@@ -2017,8 +1931,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             n,
             "last_progress[] not slab-length"
         );
-        // Legacy `msg.alive = false` ⟺ the slot is recyclable: every
-        // free-list member must read dead and hold no VCs.
         for &id in &self.free_list {
             let i = id as usize;
             assert!(!self.alive[i], "free slab slot {id} marked alive");
@@ -2027,10 +1939,24 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
                 "free slab slot {id} still holds VCs"
             );
         }
-        // Legacy `msg.alloc == Moving` while the header sits routable at
-        // the head VC only happens for ejecting messages; conversely a
-        // Blocked header can never be flagged stalled-in-movement (the
-        // movement pass clears `stalled` when it parks the header).
+        let live = self.alive.iter().filter(|&&a| a).count();
+        assert_eq!(
+            live + self.free_list.len(),
+            n,
+            "slab slot neither free nor alive"
+        );
+        let parked = self
+            .queues
+            .iter()
+            .flatten()
+            .filter(|q| matches!(q, Queued::Parked(_)))
+            .count();
+        let active = self.active.iter().filter(|&&id| self.alive[id as usize]);
+        assert_eq!(
+            live,
+            active.count() + self.backoff.len() + parked,
+            "live slab slot owned by no message in flight"
+        );
         for &id in &self.active {
             let i = id as usize;
             if !self.alive[i] {
@@ -2061,14 +1987,15 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         }
     }
 
-    /// Test support: assert every flattened buffer is fully rewound — the
-    /// state a fresh simulator would have. Meant to be called right after
-    /// [`Simulator::reset`] on a warm (previously run) instance to prove
-    /// reuse leaks no stale occupancy bits, liveness flags, or wake-list
-    /// nodes into the next run.
+    /// Test support: assert the slab, the queues and every flat buffer are
+    /// fully rewound — the state a fresh simulator would have. Meant to be
+    /// called right after [`Simulator::reset`] on a warm (previously run)
+    /// instance to prove reuse leaks no stale occupancy bits, liveness
+    /// flags, queue entries, or wake-list nodes into the next run.
     #[doc(hidden)]
     pub fn assert_rewound(&self) {
         assert!(self.active.is_empty(), "active set survived reset");
+        assert_eq!(self.queued(), 0, "queued messages survived reset");
         assert_eq!(
             self.free_list.len(),
             self.msgs.len(),

@@ -77,12 +77,18 @@ fn profiled_run_accumulates_phase_times() {
     }
     let share_sum: f64 = Phase::ALL.iter().map(|&p| t.share(p)).sum();
     assert!((share_sum - 1.0).abs() < 1e-9, "shares sum to {share_sum}");
+    // The movement pass counts what it walks: every walked worm holds at
+    // least one stage, and at this load some worm moves most cycles.
+    assert!(t.worms() > steps / 2, "only {} worms walked", t.worms());
+    assert!(t.stage_visits() >= t.worms());
+    assert!(t.ns_per_stage_visit() > 0.0);
 
     // Reset clears the accumulator alongside the rest of the run state.
     let algo2 = build_algorithm(AlgorithmKind::Duato, ctx.clone(), VcConfig::paper());
     sim.reset(algo2, ctx, Workload::paper_uniform(0.01), cfg);
     assert_eq!(sim.phase_times().cycles(), 0);
     assert_eq!(sim.phase_times().total_nanos(), 0);
+    assert_eq!(sim.phase_times().stage_visits(), 0);
 }
 
 #[test]
@@ -95,4 +101,6 @@ fn default_build_accumulates_nothing() {
     }
     assert_eq!(sim.phase_times().cycles(), 0);
     assert_eq!(sim.phase_times().total_nanos(), 0);
+    assert_eq!(sim.phase_times().worms(), 0);
+    assert_eq!(sim.phase_times().stage_visits(), 0);
 }

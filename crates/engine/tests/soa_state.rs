@@ -1,11 +1,12 @@
-//! Struct-of-arrays hot-state audits: after the per-message scan flags
-//! (liveness, allocation phase, movement stall, watchdog stamp) moved
-//! from `Msg` fields into the simulator's flat id-indexed buffers, these
-//! tests pin (a) that the flat view stays consistent with the structures
-//! it was split from under arbitrary step sequences across the
-//! algo × fault × arbitration matrix, and (b) that warm `reset`
-//! reuse rewinds every flattened buffer completely — no stale occupancy
-//! bits, liveness flags, or wake-list nodes leak into the next run.
+//! Slab and struct-of-arrays audits. The per-message scan flags
+//! (liveness, allocation phase, movement stall, watchdog stamp) live in
+//! the simulator's flat id-indexed buffers beside the message slab, which
+//! holds only messages in flight. These tests pin (a) that every slab slot
+//! is free or owned by exactly one in-flight message, and the flat flags
+//! agree with it, under arbitrary step sequences across the algo × fault ×
+//! arbitration matrix, and (b) that warm `reset` reuse rewinds everything
+//! completely — no stale occupancy bits, liveness flags, queue entries, or
+//! wake-list nodes leak into the next run.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -31,10 +32,9 @@ fn algorithms() -> [AlgorithmKind; 6] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random step sequences, then reconstruct the legacy per-message
-    /// view from the SoA arrays and assert agreement
-    /// (`Simulator::check_soa_layout`), interleaved at random audit
-    /// points so mid-flight states are covered, not just drained ones.
+    /// Random step sequences, audited (`Simulator::check_soa_layout`) at
+    /// random interior points so mid-flight states are covered, not just
+    /// drained ones.
     #[test]
     fn soa_state_matches_legacy_layout(
         seed in any::<u64>(),

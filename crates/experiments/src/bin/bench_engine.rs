@@ -144,6 +144,13 @@ struct PhasesRecord {
     cycles: u64,
     /// Total profiled nanoseconds across all phases.
     total_ns: u64,
+    /// Worms the movement pass walked per cycle (queued, stalled and
+    /// VC-less ones are skipped and not counted).
+    worms_per_cycle: f64,
+    /// Held stages (VCs) those worms walked per cycle.
+    stage_visits_per_cycle: f64,
+    /// `move`-phase nanoseconds per stage visit.
+    ns_per_stage_visit: f64,
     /// One entry per engine phase, in step order.
     breakdown: Vec<PhaseRecord>,
 }
@@ -461,6 +468,14 @@ fn phase_bench(expected_fp: Option<&str>) -> PhasesRecord {
             r.share * 100.0
         );
     }
+    let cycles = t.cycles().max(1) as f64;
+    let worms_per_cycle = t.worms() as f64 / cycles;
+    let stage_visits_per_cycle = t.stage_visits() as f64 / cycles;
+    eprintln!(
+        "move walked {worms_per_cycle:.1} worms and {stage_visits_per_cycle:.1} stages per cycle, \
+         {:.2} ns per stage visit",
+        t.ns_per_stage_visit()
+    );
     PhasesRecord {
         warmup_cycles: cfg.warmup_cycles,
         measure_cycles: cfg.measure_cycles,
@@ -468,6 +483,9 @@ fn phase_bench(expected_fp: Option<&str>) -> PhasesRecord {
         elapsed_secs,
         cycles: t.cycles(),
         total_ns: t.total_nanos(),
+        worms_per_cycle,
+        stage_visits_per_cycle,
+        ns_per_stage_visit: t.ns_per_stage_visit(),
         breakdown,
     }
 }
