@@ -14,12 +14,10 @@
 //!
 //! Alongside the single paper-scale run, a **sweep-throughput** section
 //! times a fixed fig-4-shaped batch (every roster algorithm × three
-//! fault cases at full load, quick scale) through the harness's
-//! reuse machinery — one simulator rewound with `Simulator::reset`,
-//! contexts and algorithms shared through `ContextCache` — against the
-//! old per-run-rebuild path, recording runs/sec for both and asserting
-//! the two produce byte-identical reports. The timed reused passes must
-//! perform zero heap allocations, resets included.
+//! fault cases at full load, quick scale) through one simulator rewound
+//! with `Simulator::reset`, context and algorithm built per run, and
+//! records runs/sec and the batch fingerprint. The timed passes must
+//! perform zero heap allocations across reset and stepping.
 //!
 //! With `--check BASELINE.json` the run becomes a regression gate
 //! against a committed record: the report fingerprint must match
@@ -48,10 +46,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use wormsim_engine::{NullSink, Phase, SimConfig, Simulator};
-use wormsim_experiments::{fnv1a, ContextCache};
+use wormsim_experiments::fnv1a;
 use wormsim_fault::FaultPattern;
 use wormsim_metrics::SimReport;
-use wormsim_routing::{build_algorithm, AlgorithmKind, RoutingContext, VcConfig};
+use wormsim_routing::{build_algorithm, AlgorithmKind, RoutingAlgorithm, RoutingContext, VcConfig};
 use wormsim_topology::Mesh;
 use wormsim_traffic::Workload;
 
@@ -111,16 +109,11 @@ struct BenchRecord {
     /// Heap allocations performed inside the measurement window (must be
     /// zero: the engine's steady state is allocation-free).
     measure_allocations: u64,
-    /// Routing-decision microbenchmark: ns per `route()` call (fastest
-    /// of [`ROUTE_BATCHES`] batches) with the geometry table against the
-    /// direct (table-less) computation, on a representative faulty
-    /// pattern.
-    routing_decision_ns: Vec<RoutingDecisionRecord>,
     /// FNV-1a over the run's serialized `SimReport`: the simulation-result
     /// identity for this seed. Perf work must not change it.
     report_fingerprint: String,
-    /// Sweep-throughput section: the fig-4-shaped batch through the
-    /// harness reuse machinery vs per-run rebuild.
+    /// Sweep-throughput section: the fig-4-shaped batch through one
+    /// reset-reused simulator.
     sweep: SweepRecord,
     /// Per-phase cycle-time breakdown of the paper-scale run through a
     /// `PROFILE = true` simulator, fingerprint-asserted against the
@@ -173,28 +166,13 @@ struct SweepRecord {
     repeats: u32,
     /// Best-of-repeats wall-clock for the reused-simulator batch, seconds.
     best_secs: f64,
-    /// Runs per wall-clock second on the reuse path (best of repeats).
+    /// Runs per wall-clock second (best of repeats).
     runs_per_sec: f64,
-    /// Best-of-repeats wall-clock for the per-run-rebuild batch, seconds.
-    rebuild_secs: f64,
-    /// Runs per wall-clock second when every run rebuilds its context,
-    /// algorithm, and simulator from scratch (the pre-pool behavior).
-    rebuild_runs_per_sec: f64,
-    /// `runs_per_sec / rebuild_runs_per_sec`.
-    speedup: f64,
-    /// Heap allocations inside the timed reused passes, resets included
-    /// (must be zero).
+    /// Heap allocations inside the timed passes, resets included (must
+    /// be zero).
     reset_allocations: u64,
-    /// FNV-1a over the batch's concatenated serialized reports; the
-    /// rebuild path must reproduce it exactly.
+    /// FNV-1a over the batch's concatenated serialized reports.
     sweep_fingerprint: String,
-}
-
-#[derive(Serialize)]
-struct RoutingDecisionRecord {
-    algorithm: &'static str,
-    table_ns: f64,
-    direct_ns: f64,
 }
 
 fn usage() -> ! {
@@ -230,14 +208,13 @@ fn sweep_specs() -> Vec<(AlgorithmKind, Arc<FaultPattern>, u64)> {
     specs
 }
 
-/// One pass over the batch on the reuse path: contexts/algorithms from
-/// `cache`, one simulator rewound per run. Returns wall-clock seconds,
-/// heap allocations bracketing reset + stepping (report building is
-/// excluded — reports allocate by design), and, when requested, the
-/// batch fingerprint.
+/// One pass over the batch: context and algorithm built per run, one
+/// simulator rewound per run. Returns wall-clock seconds, heap
+/// allocations bracketing reset + stepping (context, algorithm and
+/// report building are excluded — they allocate by design), and, when
+/// requested, the batch fingerprint.
 fn sweep_pass_reused(
     specs: &[(AlgorithmKind, Arc<FaultPattern>, u64)],
-    cache: &mut ContextCache,
     sim: &mut Option<Simulator>,
     fingerprint: bool,
 ) -> (f64, u64, Option<String>) {
@@ -246,8 +223,12 @@ fn sweep_pass_reused(
     let mut allocs = 0u64;
     let start = Instant::now();
     for &(kind, ref pattern, seed) in specs {
-        let ctx = cache.context(MESH_SIZE, pattern);
-        let algo = cache.algorithm(kind, &ctx, VcConfig::paper());
+        let ctx = Arc::new(RoutingContext::new(
+            Mesh::square(MESH_SIZE),
+            (**pattern).clone(),
+        ));
+        let algo: Arc<dyn RoutingAlgorithm> =
+            build_algorithm(kind, ctx.clone(), VcConfig::paper()).into();
         let cfg = SimConfig::quick().with_seed(seed);
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         match sim.as_mut() {
@@ -269,55 +250,24 @@ fn sweep_pass_reused(
     (secs, allocs, fp)
 }
 
-/// One pass over the batch rebuilding everything per run — mesh, context
-/// (geometry table included), algorithm, simulator — i.e. the pre-pool
-/// harness behavior, as the A/B baseline.
-fn sweep_pass_rebuild(
-    specs: &[(AlgorithmKind, Arc<FaultPattern>, u64)],
-    fingerprint: bool,
-) -> (f64, Option<String>) {
-    let wl = Workload::paper_uniform(RATE);
-    let mut hash_input = String::new();
-    let start = Instant::now();
-    for &(kind, ref pattern, seed) in specs {
-        let mesh = Mesh::square(MESH_SIZE);
-        let ctx = Arc::new(RoutingContext::new(mesh, (**pattern).clone()));
-        let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
-        let cfg = SimConfig::quick().with_seed(seed);
-        let mut s = Simulator::new(algo, ctx, wl.clone(), cfg);
-        for _ in 0..cfg.total_cycles() {
-            s.step();
-        }
-        let report = std::hint::black_box(s.report());
-        if fingerprint {
-            hash_input.push_str(&serde_json::to_string(&report).expect("report serializes"));
-        }
-    }
-    let secs = start.elapsed().as_secs_f64();
-    let fp = fingerprint.then(|| format!("{:016x}", fnv1a(hash_input.as_bytes())));
-    (secs, fp)
-}
-
 /// Run the sweep-throughput benchmark: warm + fingerprint pass, then
-/// best-of-`repeats` timed passes on both paths. Asserts the reuse path
-/// allocates nothing (resets included) and that both paths produce
-/// byte-identical report batches.
+/// best-of-`repeats` timed passes. Asserts the timed passes allocate
+/// nothing across reset and stepping.
 fn sweep_throughput(repeats: u32) -> SweepRecord {
     let specs = sweep_specs();
     let quick = SimConfig::quick();
-    let mut cache = ContextCache::default();
     let mut sim: Option<Simulator> = None;
 
-    // Warm pass: builds the simulator, fills the cache, grows every
-    // buffer to its batch-wide high-water mark, and fingerprints the
-    // batch (already through the reset path for all runs but the first).
-    let (_, _, fp) = sweep_pass_reused(&specs, &mut cache, &mut sim, true);
+    // Warm pass: builds the simulator, grows every buffer to its
+    // batch-wide high-water mark, and fingerprints the batch (already
+    // through the reset path for all runs but the first).
+    let (_, _, fp) = sweep_pass_reused(&specs, &mut sim, true);
     let sweep_fingerprint = fp.expect("fingerprint pass");
 
     let mut best_secs = f64::INFINITY;
     let mut reset_allocations = 0u64;
     for i in 0..repeats {
-        let (secs, allocs, _) = sweep_pass_reused(&specs, &mut cache, &mut sim, false);
+        let (secs, allocs, _) = sweep_pass_reused(&specs, &mut sim, false);
         eprintln!(
             "sweep {}/{repeats}: {:.3}s ({:.1} runs/sec, {allocs} allocations across resets)",
             i + 1,
@@ -332,38 +282,14 @@ fn sweep_throughput(repeats: u32) -> SweepRecord {
         reset_allocations = reset_allocations.max(allocs);
     }
 
-    // A/B equivalence: the rebuild path must reproduce the batch exactly.
-    let (_, rebuild_fp) = sweep_pass_rebuild(&specs, true);
-    assert_eq!(
-        rebuild_fp.expect("rebuild fingerprint"),
-        sweep_fingerprint,
-        "reused-simulator sweep diverged from per-run rebuild"
-    );
-    let mut rebuild_secs = f64::INFINITY;
-    for i in 0..repeats {
-        let (secs, _) = sweep_pass_rebuild(&specs, false);
-        eprintln!(
-            "sweep rebuild {}/{repeats}: {:.3}s ({:.1} runs/sec)",
-            i + 1,
-            secs,
-            specs.len() as f64 / secs
-        );
-        rebuild_secs = rebuild_secs.min(secs);
-    }
-
     let runs = specs.len() as u32;
-    let runs_per_sec = runs as f64 / best_secs;
-    let rebuild_runs_per_sec = runs as f64 / rebuild_secs;
     SweepRecord {
         runs,
         warmup_cycles: quick.warmup_cycles,
         measure_cycles: quick.measure_cycles,
         repeats,
         best_secs,
-        runs_per_sec,
-        rebuild_secs,
-        rebuild_runs_per_sec,
-        speedup: runs_per_sec / rebuild_runs_per_sec,
+        runs_per_sec: runs as f64 / best_secs,
         reset_allocations,
         sweep_fingerprint,
     }
@@ -488,58 +414,6 @@ fn phase_bench(expected_fp: Option<&str>) -> PhasesRecord {
         ns_per_stage_visit: t.ns_per_stage_visit(),
         breakdown,
     }
-}
-
-/// Timed batches per routing micro-timing; the fastest is recorded, so
-/// one descheduled batch cannot enter a committed baseline.
-const ROUTE_BATCHES: usize = 5;
-
-/// Ns per `route()` call for every roster algorithm, with the context's
-/// geometry table and with the direct computation. Uses a faulty pattern
-/// so ring geometry (where the table earns its keep) is actually on the
-/// decision path.
-fn routing_decision_bench() -> Vec<RoutingDecisionRecord> {
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-
-    let mesh = Mesh::square(MESH_SIZE);
-    let mut rng = SmallRng::seed_from_u64(SEED);
-    let pattern = wormsim_fault::random_pattern(&mesh, 10, &mut rng).expect("pattern");
-    let tabled = Arc::new(RoutingContext::new(mesh.clone(), pattern.clone()));
-    let direct = Arc::new(RoutingContext::new_direct(mesh.clone(), pattern.clone()));
-    let healthy: Vec<_> = pattern.healthy_nodes(&mesh).collect();
-
-    let time_route = |ctx: &Arc<RoutingContext>, kind: AlgorithmKind| -> f64 {
-        let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
-        // One batch routes between every healthy pair; the first warms
-        // caches and is discarded.
-        let pairs: Vec<_> = healthy
-            .iter()
-            .flat_map(|&s| healthy.iter().map(move |&d| (s, d)))
-            .filter(|(s, d)| s != d)
-            .collect();
-        let batch = || {
-            let start = Instant::now();
-            for &(src, dest) in &pairs {
-                let mut st = algo.init_message(src, dest);
-                std::hint::black_box(algo.route(src, &mut st));
-            }
-            start.elapsed().as_nanos() as f64 / pairs.len() as f64
-        };
-        batch();
-        (0..ROUTE_BATCHES)
-            .map(|_| batch())
-            .fold(f64::INFINITY, f64::min)
-    };
-
-    AlgorithmKind::ALL
-        .iter()
-        .map(|&kind| RoutingDecisionRecord {
-            algorithm: kind.paper_name(),
-            table_ns: time_route(&tabled, kind),
-            direct_ns: time_route(&direct, kind),
-        })
-        .collect()
 }
 
 fn load_baseline(path: &str) -> serde_json::Value {
@@ -754,7 +628,6 @@ fn main() {
         messages_delivered: report.throughput.messages_delivered(),
         messages_delivered_per_sec: report.throughput.messages_delivered() as f64 / best_secs,
         measure_allocations,
-        routing_decision_ns: routing_decision_bench(),
         report_fingerprint,
         sweep,
         phases,

@@ -26,7 +26,7 @@ use wormsim_engine::{ChromeTraceSink, EventKind, JsonlSink, SimConfig, Simulator
 use wormsim_experiments::Progress;
 use wormsim_fault::{random_pattern, FaultPattern};
 use wormsim_obs::parse_jsonl;
-use wormsim_routing::{build_algorithm, AlgorithmKind, RoutingContext, VcConfig};
+use wormsim_routing::{build_algorithm, min_total_vcs, AlgorithmKind, RoutingContext, VcConfig};
 use wormsim_topology::Mesh;
 use wormsim_traffic::Workload;
 
@@ -94,8 +94,22 @@ fn main() {
     let progress = Progress::from_quiet_flag(quiet);
     std::fs::create_dir_all(&out_dir).expect("create output dir");
 
-    // Faulty mesh: `faults` nodes drawn reproducibly from the seed.
+    // The algorithm constructors assert their VC minimums; a mesh too
+    // large for the paper's budget is a usage error, not a crash.
     let mesh = Mesh::square(mesh_size);
+    let vc = VcConfig::paper();
+    let required = min_total_vcs(kind, &mesh, vc.bc_vcs);
+    if vc.total < required {
+        eprintln!(
+            "trace: {} on a {mesh_size}×{mesh_size} mesh needs {required} VCs per channel, \
+             the budget is {}; pick a smaller --mesh or another --algo",
+            kind.paper_name(),
+            vc.total
+        );
+        std::process::exit(2);
+    }
+
+    // Faulty mesh: `faults` nodes drawn reproducibly from the seed.
     let pattern = if faults == 0 {
         FaultPattern::fault_free(&mesh)
     } else {
@@ -110,7 +124,7 @@ fn main() {
     ));
 
     let ctx = Arc::new(RoutingContext::new(mesh, pattern));
-    let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
+    let algo = build_algorithm(kind, ctx.clone(), vc);
     let cfg = SimConfig {
         warmup_cycles: cycles / 3,
         measure_cycles: cycles - cycles / 3,

@@ -48,8 +48,7 @@ fn algorithm_columns(kinds: &[AlgorithmKind]) -> Vec<String> {
 /// Random fault patterns shared by every algorithm in a fault case (the
 /// paper: "comparative performance across different fault cases is in
 /// accordance with the fault sets used"). `Arc`-wrapped so every spec
-/// shares one allocation per pattern and the context cache can key off
-/// pattern identity.
+/// shares one allocation per pattern.
 fn fault_patterns(cfg: &ExperimentConfig, faults: usize, salt: u64) -> Vec<Arc<FaultPattern>> {
     let mesh = Mesh::square(cfg.mesh_size);
     if faults == 0 {

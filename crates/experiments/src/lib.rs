@@ -18,7 +18,6 @@
 //! deterministic given [`ExperimentConfig::base_seed`].
 
 mod ablations;
-mod cache;
 mod config;
 mod dynamic;
 mod figures;
@@ -31,7 +30,6 @@ pub use ablations::{
     ablation_arbitration, ablation_buffer_depth, ablation_mesh_size, ablation_message_length,
     ablation_misroute_limit, ablation_traffic_patterns, ablation_turn_models, ablation_vc_budget,
 };
-pub use cache::{shared_cache, ContextCache};
 pub use config::{ExperimentConfig, Scale};
 pub use dynamic::{dynamic_faults, DYNAMIC_KINDS, DYNAMIC_RATE};
 pub use figures::{

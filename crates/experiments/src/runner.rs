@@ -3,23 +3,23 @@
 //! Runs execute on the persistent [`WorkerPool`](crate::pool::WorkerPool):
 //! each pool thread parks one `Simulator` in a thread-local and rewinds it
 //! with [`Simulator::reset`] between runs, so a sweep of thousands of runs
-//! allocates simulator state once per thread. Routing contexts and
-//! algorithm instances are shared through the
-//! [`ContextCache`](crate::cache::ContextCache) — specs carry
-//! `Arc<FaultPattern>` so the cache can key them by identity.
+//! allocates simulator state once per thread. The routing context and the
+//! algorithm instance are built per run: both are O(nodes) and cost
+//! microseconds against runs of milliseconds.
 
-use crate::cache::{shared_cache, ContextCache};
 use crate::config::ExperimentConfig;
 use crate::pool::{SyncPtr, WorkerPool};
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, MutexGuard};
+use std::sync::Arc;
 use wormsim_engine::{ConfigError, SimConfig, Simulator};
 use wormsim_fault::FaultPattern;
 use wormsim_metrics::SimReport;
 use wormsim_obs::Progress;
-use wormsim_routing::{min_total_vcs, AlgorithmKind, RoutingAlgorithm, RoutingContext, VcConfig};
+use wormsim_routing::{
+    build_algorithm, min_total_vcs, AlgorithmKind, RoutingAlgorithm, RoutingContext, VcConfig,
+};
 use wormsim_topology::Mesh;
 use wormsim_traffic::Workload;
 
@@ -29,8 +29,7 @@ pub struct RunSpec {
     /// Which algorithm to run.
     pub kind: AlgorithmKind,
     /// The (static) fault pattern. Shared: every spec built from the same
-    /// pattern clones one `Arc`, and the cache keys contexts off its
-    /// identity.
+    /// pattern clones one `Arc`.
     pub pattern: Arc<FaultPattern>,
     /// Message generation rate (messages/node/cycle).
     pub rate: f64,
@@ -94,19 +93,10 @@ fn run_reusing_sim(
     })
 }
 
-/// Poison-tolerant lock on the shared context cache. A panic elsewhere
-/// while the lock was held must not convert every later run in the
-/// process into a `PoisonError` panic of its own — the cache's contents
-/// are rebuilt-on-miss memoization, always safe to keep using.
-fn cache_lock() -> MutexGuard<'static, ContextCache> {
-    shared_cache().lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Resolve the shared routing context and algorithm for a spec,
-/// validating the VC budget against the algorithm's constructor
-/// minimums *first* — the constructors enforce them as asserts, and an
-/// assert while holding the shared cache lock would otherwise poison it
-/// for every other run in the process.
+/// Build the routing context and algorithm for a spec, validating the
+/// VC budget against the algorithm's constructor minimums *first* — the
+/// constructors enforce them as asserts, and a spec from outside the
+/// program must come back as a typed [`ConfigError`], not a panic.
 fn checked_context_and_algo(
     mesh_size: u16,
     pattern: &Arc<FaultPattern>,
@@ -131,12 +121,10 @@ fn checked_context_and_algo(
             required: 4,
         });
     }
-    let mut cache = cache_lock();
-    let ctx = cache.context(mesh_size, pattern);
     // Per-algorithm minimums are mesh-dependent (the hop-based schemes
-    // scale with the diameter), so they can only be checked once the
-    // mesh exists.
-    let required = min_total_vcs(kind, ctx.mesh(), vc.bc_vcs);
+    // scale with the diameter).
+    let mesh = Mesh::square(mesh_size);
+    let required = min_total_vcs(kind, &mesh, vc.bc_vcs);
     if vc.total < required {
         return Err(ConfigError::InsufficientVcs {
             algorithm: kind.paper_name(),
@@ -144,7 +132,8 @@ fn checked_context_and_algo(
             total: vc.total,
         });
     }
-    let algo = cache.algorithm(kind, &ctx, vc);
+    let ctx = Arc::new(RoutingContext::new(mesh, (**pattern).clone()));
+    let algo = build_algorithm(kind, ctx.clone(), vc).into();
     Ok((ctx, algo))
 }
 
@@ -521,11 +510,9 @@ mod tests {
         // Regression: a spec passing the coarse checks (total <= 32,
         // bc_vcs <= total) but below an algorithm's constructor minimum —
         // e.g. Duato with 6 total VCs, whose base budget 2 trips
-        // `assert!(budget >= 3)` — used to panic inside the shared
-        // context cache's critical section, poisoning the lock and
-        // turning every later run in the process into a panic of its
-        // own. It must come back as a typed ConfigError instead, for
-        // every roster algorithm and mesh-dependent minimum.
+        // `assert!(budget >= 3)` — used to panic the run. It must come
+        // back as a typed ConfigError instead, for every roster
+        // algorithm and mesh-dependent minimum.
         let mesh = Mesh::square(6);
         let pattern = Arc::new(FaultPattern::fault_free(&mesh));
         let mut sim = wormsim_engine::SimConfig::quick();
@@ -585,36 +572,9 @@ mod tests {
             run_custom(&spec(AlgorithmKind::Duato, bc_large)).unwrap_err(),
             ConfigError::BcShareExceedsTotal { .. }
         ));
-        // None of the rejections above touched the shared cache's
-        // critical section: good specs still run.
-        run_custom(&spec(AlgorithmKind::Duato, VcConfig::paper())).expect("cache not poisoned");
-    }
-
-    #[test]
-    fn poisoned_shared_cache_lock_is_tolerated() {
-        // Even if some future bug panics while holding the shared cache
-        // lock, runs must keep working: the cache is rebuild-on-miss
-        // memoization, always safe to reuse, so the lock is taken
-        // poison-tolerantly.
-        let _ = std::thread::Builder::new()
-            .name("poisoner".into())
-            .spawn(|| {
-                let _guard = shared_cache().lock().unwrap_or_else(|e| e.into_inner());
-                panic!("deliberately poison the shared cache lock");
-            })
-            .unwrap()
-            .join();
-        let mut cfg = ExperimentConfig::new(Scale::Quick);
-        cfg.sim.warmup_cycles = 100;
-        cfg.sim.measure_cycles = 300;
-        let mesh = Mesh::square(10);
-        let spec = RunSpec {
-            kind: AlgorithmKind::Xy,
-            pattern: Arc::new(FaultPattern::fault_free(&mesh)),
-            rate: 0.002,
-            seed: 11,
-        };
-        run_single(&cfg, &spec).expect("run survives a poisoned cache lock");
+        // The rejections above left this thread's parked simulator
+        // usable: good specs still run.
+        run_custom(&spec(AlgorithmKind::Duato, VcConfig::paper())).expect("good spec runs");
     }
 
     #[test]
@@ -783,8 +743,7 @@ mod tests {
     #[test]
     fn run_single_reused_simulator_is_deterministic() {
         // The same spec must produce byte-identical reports whether it
-        // lands on a fresh simulator or a reused (reset) one, and across
-        // cached-context hits.
+        // lands on a fresh simulator or a reused (reset) one.
         let mut cfg = ExperimentConfig::new(Scale::Quick);
         cfg.sim.warmup_cycles = 100;
         cfg.sim.measure_cycles = 400;

@@ -231,31 +231,6 @@ impl FRingSet {
             .find(|p| p.ring == region)
     }
 
-    /// Whether node `n`'s ring membership — its set of `(ring id, position)`
-    /// pairs — differs between `prev` and `self`. This is the structural
-    /// half of the seed set for incremental routing-table invalidation
-    /// after an online pattern extension: it catches nodes whose ring was
-    /// re-walked, merged away, or merely re-numbered by the region re-sort.
-    pub fn membership_changed(&self, prev: &FRingSet, n: NodeId) -> bool {
-        self.positions_of(n) != prev.positions_of(n)
-    }
-
-    /// Ring-touch propagation for incremental invalidation: for every ring
-    /// that contains a node flagged in `seeds`, flag **all** of that ring's
-    /// nodes in `marks`. A node's precomputed ring-entry state depends on
-    /// the whole ring walk (orientation choice scans every ring node), so
-    /// touching one ring node dirties the entire ring. Reads only `seeds`,
-    /// so the propagation is a single pass — marks never cascade.
-    pub fn mark_touched_rings(&self, seeds: &[bool], marks: &mut [bool]) {
-        for ring in &self.rings {
-            if ring.nodes.iter().any(|&n| seeds[n.index()]) {
-                for &n in &ring.nodes {
-                    marks[n.index()] = true;
-                }
-            }
-        }
-    }
-
     /// The direction of the physical hop from ring position `pos` to the
     /// next ring node in `orient`, or `None` at a chain end. Consecutive
     /// ring nodes are always mesh-adjacent, except across the clipped gap of
@@ -536,38 +511,6 @@ mod tests {
             for n in m.nodes() {
                 assert_eq!(rebuilt.positions_of(n), fresh.positions_of(n));
             }
-        }
-    }
-
-    #[test]
-    fn membership_changed_tracks_extend() {
-        let m = mesh();
-        let base = FaultPattern::from_faulty_coords(&m, [Coord::new(2, 2)]).unwrap();
-        let base_rings = FRingSet::build(&m, &base);
-        let ext = base.extend(&m, [Coord::new(7, 7)]).unwrap();
-        let rebuilt = FRingSet::rebuild(&m, &ext, &base, &base_rings);
-        // A node on the new ring changed membership; one far from both did
-        // not; nodes on the surviving ring keep theirs only if the region id
-        // did not shift.
-        assert!(rebuilt.membership_changed(&base_rings, m.node(7, 8)));
-        assert!(!rebuilt.membership_changed(&base_rings, m.node(0, 9)));
-    }
-
-    #[test]
-    fn mark_touched_rings_dirties_whole_ring_from_one_seed() {
-        let m = mesh();
-        let p = FaultPattern::from_faulty_coords(&m, [Coord::new(2, 2), Coord::new(7, 7)]).unwrap();
-        let rings = FRingSet::build(&m, &p);
-        let mut seeds = vec![false; m.num_nodes()];
-        let first_ring_node = rings.ring(0).nodes()[0];
-        seeds[first_ring_node.index()] = true;
-        let mut marks = vec![false; m.num_nodes()];
-        rings.mark_touched_rings(&seeds, &mut marks);
-        for &n in rings.ring(0).nodes() {
-            assert!(marks[n.index()], "ring 0 node not marked");
-        }
-        for &n in rings.ring(1).nodes() {
-            assert!(!marks[n.index()], "untouched ring 1 node marked");
         }
     }
 

@@ -144,10 +144,9 @@ impl RoutingAlgorithm for BoppanaChalasani {
             // Enter ring mode if blocked. The complete entry state —
             // blocking region, ring position, message type, and the
             // geometric orientation choice (which scans the whole ring) —
-            // is a pure function of `(node, dest, pattern)`, so a
-            // table-backed context serves the blocked check and the entry
-            // as one fused index lookup (see `wormsim_routing`'s `table`
-            // module for the computation).
+            // is a pure function of `(node, dest, pattern)`; the context
+            // computes it only once the pair is known to be blocked (see
+            // `geometry.rs` for the computation).
             let (blocked, entry) = ctx.blocked_ring_entry(node, st.dest);
             if blocked {
                 st.ring = Some(entry.expect("blocked message must face a faulty region"));

@@ -127,12 +127,11 @@ impl BouraFaultTolerant {
     }
 
     /// Minimal directions with non-faulty next nodes, split into
-    /// (safe-or-destination, merely-non-faulty) preference tiers. Both
-    /// tiers come from the context's precomputed direction sets: `any` is
-    /// the healthy-minimal set, and the preferred tier intersects it with
-    /// the safe-labeled set — except one hop out, where the single minimal
-    /// link lands on the destination itself and is preferred regardless of
-    /// its label.
+    /// (safe-or-destination, merely-non-faulty) preference tiers: `any` is
+    /// the context's healthy-minimal set, and the preferred tier intersects
+    /// it with the safe-labeled set — except one hop out, where the single
+    /// minimal link lands on the destination itself and is preferred
+    /// regardless of its label.
     fn tiered_minimal(&self, node: NodeId, dest: NodeId) -> (DirectionSet, DirectionSet) {
         let any = self.ctx.healthy_minimal_directions(node, dest);
         let preferred = if self.ctx.mesh().distance(node, dest) == 1 {

@@ -1,87 +1,51 @@
 //! The immutable per-simulation context algorithms route against.
 
+use crate::geometry;
 use crate::state::RingState;
-use crate::table::{self, GeometryTable};
 use wormsim_fault::{FRingSet, FaultPattern, NodeLabeling};
 use wormsim_topology::{Direction, DirectionSet, Mesh, NodeId};
 
 /// Everything a routing function needs to know about the network: the mesh,
-/// the (static) fault pattern, the f-rings around its regions, and the
-/// Boura–Das labeling. Built once per simulation and shared via `Arc`.
-///
-/// [`RoutingContext::new`] additionally precomputes a [`GeometryTable`] so
-/// the per-pair queries below are indexed lookups; [`RoutingContext::
-/// new_direct`] skips it and computes every query from first principles —
-/// the reference path the table-equivalence property tests compare against.
+/// the fault pattern, the f-rings around its regions, and the Boura–Das
+/// labeling — O(nodes) in size. Built once per simulation and shared via
+/// `Arc`. The per-node and per-pair queries below are computed from these
+/// four on every call (`geometry.rs`); nothing derived is stored.
 #[derive(Clone, Debug)]
 pub struct RoutingContext {
     mesh: Mesh,
     pattern: FaultPattern,
     rings: FRingSet,
     labeling: NodeLabeling,
-    table: Option<GeometryTable>,
 }
 
 impl RoutingContext {
-    /// Build the context (computes f-rings, labeling, and the geometry
-    /// table).
+    /// Build the context (computes f-rings and labeling).
     pub fn new(mesh: Mesh, pattern: FaultPattern) -> Self {
         let rings = FRingSet::build(&mesh, &pattern);
         let labeling = NodeLabeling::compute(&mesh, &pattern);
-        let table = Some(GeometryTable::build(&mesh, &pattern, &rings, &labeling));
         RoutingContext {
             mesh,
             pattern,
             rings,
             labeling,
-            table,
-        }
-    }
-
-    /// Build the context **without** the geometry table: every query is
-    /// computed directly. Slower per decision; used as the reference
-    /// implementation by equivalence tests and the `routing_decision`
-    /// microbenchmark.
-    pub fn new_direct(mesh: Mesh, pattern: FaultPattern) -> Self {
-        let rings = FRingSet::build(&mesh, &pattern);
-        let labeling = NodeLabeling::compute(&mesh, &pattern);
-        RoutingContext {
-            mesh,
-            pattern,
-            rings,
-            labeling,
-            table: None,
         }
     }
 
     /// Derive a context for an online-extended pattern (see
     /// `FaultPattern::extend`): f-rings are rebuilt incrementally —
     /// regions whose rectangle survived the event keep their node walk —
-    /// the labeling is recomputed (it depends on every region's position,
-    /// so there is no cheap incremental form), and the geometry table is
-    /// rebuilt incrementally (only rows of nodes on or around a touched
-    /// f-ring recompute; the epoch advances by one). Used by the chaos
-    /// driver to swap routing state mid-run. A table-less context stays
-    /// table-less.
+    /// and the labeling is recomputed (it depends on every region's
+    /// position, so there is no cheap incremental form). Equal to
+    /// [`RoutingContext::new`] on the same pattern. Used by the chaos
+    /// driver to swap routing state mid-run.
     pub fn with_pattern(&self, pattern: FaultPattern) -> Self {
         let rings = FRingSet::rebuild(&self.mesh, &pattern, &self.pattern, &self.rings);
         let labeling = NodeLabeling::compute(&self.mesh, &pattern);
-        let table = self.table.as_ref().map(|t| {
-            t.rebuild(
-                &self.mesh,
-                &self.pattern,
-                &self.rings,
-                &pattern,
-                &rings,
-                &labeling,
-            )
-        });
         RoutingContext {
             mesh: self.mesh.clone(),
             pattern,
             rings,
             labeling,
-            table,
         }
     }
 
@@ -109,28 +73,11 @@ impl RoutingContext {
         &self.labeling
     }
 
-    /// The precomputed geometry table, if this context carries one.
-    #[inline]
-    pub fn table(&self) -> Option<&GeometryTable> {
-        self.table.as_ref()
-    }
-
-    /// Context generation: 0 for a fresh context, +1 per
-    /// [`RoutingContext::with_pattern`] derivation. Always 0 for table-less
-    /// contexts.
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.table.as_ref().map_or(0, |t| t.epoch())
-    }
-
     /// Minimal directions from `node` toward `dest` whose next node is
     /// fault-free (the paper's "fault-free link along the shortest path").
     #[inline]
     pub fn healthy_minimal_directions(&self, node: NodeId, dest: NodeId) -> DirectionSet {
-        match &self.table {
-            Some(t) => t.pair(node, dest).healthy_minimal,
-            None => table::compute_healthy_minimal(&self.mesh, &self.pattern, node, dest),
-        }
+        geometry::compute_healthy_minimal(&self.mesh, &self.pattern, node, dest)
     }
 
     /// Whether a message at `node` heading to `dest` is *blocked by faults*:
@@ -138,10 +85,7 @@ impl RoutingContext {
     /// faulty (paper §3).
     #[inline]
     pub fn blocked_by_fault(&self, node: NodeId, dest: NodeId) -> bool {
-        match &self.table {
-            Some(t) => t.pair(node, dest).blocked,
-            None => table::compute_blocked(&self.mesh, &self.pattern, node, dest),
-        }
+        geometry::compute_blocked(&self.mesh, &self.pattern, node, dest)
     }
 
     /// The complete Boppana–Chalasani ring-entry state for a message
@@ -150,40 +94,24 @@ impl RoutingContext {
     /// not blocked.
     #[inline]
     pub fn ring_entry(&self, node: NodeId, dest: NodeId) -> Option<RingState> {
-        match &self.table {
-            Some(t) => t.ring_entry(node, dest),
-            None => table::compute_ring_entry(&self.mesh, &self.pattern, &self.rings, node, dest),
-        }
+        geometry::compute_ring_entry(&self.mesh, &self.pattern, &self.rings, node, dest)
     }
 
     /// [`RoutingContext::blocked_by_fault`] and
-    /// [`RoutingContext::ring_entry`] in one call: a single fused
-    /// index computation on the table-backed path. The entry component is
+    /// [`RoutingContext::ring_entry`] in one call. The entry component is
     /// `None` whenever the pair is not blocked.
     #[inline]
     pub fn blocked_ring_entry(&self, node: NodeId, dest: NodeId) -> (bool, Option<RingState>) {
-        match &self.table {
-            Some(t) => t.blocked_ring_entry(node, dest),
-            None => {
-                let blocked = table::compute_blocked(&self.mesh, &self.pattern, node, dest);
-                let entry = if blocked {
-                    table::compute_ring_entry(&self.mesh, &self.pattern, &self.rings, node, dest)
-                } else {
-                    None
-                };
-                (blocked, entry)
-            }
-        }
+        let blocked = self.blocked_by_fault(node, dest);
+        let entry = blocked.then(|| self.ring_entry(node, dest)).flatten();
+        (blocked, entry)
     }
 
     /// Directions from `node` whose neighbor is fault-free and safe under
     /// the Boura–Das labeling.
     #[inline]
     pub fn safe_directions(&self, node: NodeId) -> DirectionSet {
-        match &self.table {
-            Some(t) => t.safe_dirs(node),
-            None => table::compute_safe_dirs(&self.mesh, &self.pattern, &self.labeling, node),
-        }
+        geometry::compute_safe_dirs(&self.mesh, &self.pattern, &self.labeling, node)
     }
 
     /// Whether moving from `node` in `dir` stays in-mesh and lands on a
@@ -199,7 +127,8 @@ impl RoutingContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wormsim_topology::Coord;
+    use crate::state::MessageType;
+    use wormsim_topology::{Coord, ALL_DIRECTIONS};
 
     #[test]
     fn fault_free_context() {
@@ -210,8 +139,6 @@ mod tests {
         assert_eq!(ctx.healthy_minimal_directions(a, b).len(), 2);
         assert!(!ctx.blocked_by_fault(a, b));
         assert_eq!(ctx.rings().rings().len(), 0);
-        assert!(ctx.table().is_some());
-        assert_eq!(ctx.epoch(), 0);
     }
 
     #[test]
@@ -226,6 +153,48 @@ mod tests {
         assert!(!ctx.blocked_by_fault(mesh.node(4, 5), mesh.node(9, 6)));
         // At destination → never blocked.
         assert!(!ctx.blocked_by_fault(mesh.node(4, 5), mesh.node(4, 5)));
+    }
+
+    #[test]
+    fn blocked_pairs_have_ring_entries() {
+        let mesh = Mesh::square(10);
+        let pattern = FaultPattern::from_faulty_coords(&mesh, [Coord::new(5, 5)]).unwrap();
+        let ctx = RoutingContext::new(mesh.clone(), pattern);
+        let (node, dest) = (mesh.node(4, 5), mesh.node(9, 5));
+        assert!(ctx.blocked_by_fault(node, dest));
+        let rs = ctx.ring_entry(node, dest).unwrap();
+        assert_eq!(rs.mtype, MessageType::WE);
+        assert_eq!(rs.entry_distance, 5);
+        assert_eq!(
+            ctx.rings().ring(rs.ring).nodes()[rs.pos as usize],
+            node,
+            "ring position must locate the node"
+        );
+        assert_eq!(ctx.blocked_ring_entry(node, dest), (true, Some(rs)));
+        // Unblocked pair → no entry.
+        assert!(ctx.ring_entry(mesh.node(0, 0), dest).is_none());
+        assert_eq!(ctx.blocked_ring_entry(mesh.node(0, 0), dest), (false, None));
+    }
+
+    #[test]
+    fn healthy_and_safe_dirs() {
+        let mesh = Mesh::square(10);
+        let pattern = FaultPattern::from_faulty_coords(&mesh, [Coord::new(5, 5)]).unwrap();
+        let ctx = RoutingContext::new(mesh.clone(), pattern);
+        let sd = ctx.safe_directions(mesh.node(4, 5));
+        assert!(!sd.contains(Direction::East), "east neighbor is faulty");
+        assert!(sd.contains(Direction::West));
+        // Corner node: only in-mesh dirs.
+        assert_eq!(ctx.safe_directions(mesh.node(0, 0)).len(), 2);
+        // With a single convex fault every healthy node is safe, so the
+        // safe directions are exactly the healthy steps everywhere.
+        for node in mesh.nodes() {
+            let healthy: DirectionSet = ALL_DIRECTIONS
+                .into_iter()
+                .filter(|&d| ctx.healthy_step(node, d).is_some())
+                .collect();
+            assert_eq!(ctx.safe_directions(node), healthy);
+        }
     }
 
     #[test]

@@ -46,9 +46,9 @@ mod boppana_chalasani;
 mod boura;
 mod context;
 mod duato;
+mod geometry;
 mod hop_based;
 mod state;
-mod table;
 mod traits;
 mod turn_model;
 
@@ -60,7 +60,6 @@ pub use context::RoutingContext;
 pub use duato::{Duato, EscapeKind};
 pub use hop_based::{NHop, PHop};
 pub use state::{CandidateHop, Candidates, MessageState, MessageType, RingState, VcMask};
-pub use table::{GeometryTable, PairEntry};
 pub use traits::{greedy_trace, BaseRouting, Plain, RoutingAlgorithm, TraceError};
 pub use turn_model::{DimensionOrder, TurnModel, TurnModelKind};
 
@@ -202,17 +201,21 @@ impl VcConfig {
 }
 
 /// The minimum total VC count (base + BC overlay) `kind` requires on
-/// `mesh`. Used by the VC-budget and mesh-size ablations to skip
-/// infeasible combinations.
+/// `mesh`, saturating at `u8::MAX` (no VC budget reaches it, so a mesh
+/// that large reads as infeasible instead of wrapping to a small number).
+/// Used by the runner, the `trace` binary and the VC-budget and mesh-size
+/// ablations to reject infeasible combinations before a constructor
+/// asserts on them.
 pub fn min_total_vcs(kind: AlgorithmKind, mesh: &wormsim_topology::Mesh, bc_vcs: u8) -> u8 {
-    let phop_classes = (mesh.diameter() + 1) as u8;
-    let nhop_classes = (mesh.max_negative_hops_bound() + 1) as u8;
+    let classes = |hops: u32| u8::try_from(hops + 1).unwrap_or(u8::MAX);
+    let phop_classes = classes(mesh.diameter());
+    let nhop_classes = classes(mesh.max_negative_hops_bound());
     let base = match kind {
         AlgorithmKind::PHop | AlgorithmKind::Pbc => phop_classes,
         AlgorithmKind::NHop | AlgorithmKind::Nbc => nhop_classes,
         AlgorithmKind::Duato => 3,
-        AlgorithmKind::DuatoPbc => phop_classes + 1,
-        AlgorithmKind::DuatoNbc => nhop_classes + 1,
+        AlgorithmKind::DuatoPbc => phop_classes.saturating_add(1),
+        AlgorithmKind::DuatoNbc => nhop_classes.saturating_add(1),
         AlgorithmKind::MinimalAdaptive | AlgorithmKind::FullyAdaptive => 1,
         AlgorithmKind::BouraAdaptive | AlgorithmKind::BouraFaultTolerant => 2,
         AlgorithmKind::Xy
@@ -220,7 +223,7 @@ pub fn min_total_vcs(kind: AlgorithmKind, mesh: &wormsim_topology::Mesh, bc_vcs:
         | AlgorithmKind::NorthLast
         | AlgorithmKind::NegativeFirst => 1,
     };
-    base + bc_vcs
+    base.saturating_add(bc_vcs)
 }
 
 /// Construct any roster algorithm bound to a routing context.

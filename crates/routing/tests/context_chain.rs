@@ -1,8 +1,9 @@
-//! Property tests pinning the geometry-table fast path to the direct
-//! computation it caches: for random fault patterns — including online
-//! `extend` chains rebuilt incrementally via `with_pattern` — every
-//! per-pair query and every algorithm's full `route()` answer must be
-//! identical between a tabled context and a table-less one.
+//! Property tests pinning `RoutingContext::with_pattern` to
+//! `RoutingContext::new`: for random fault patterns grown through online
+//! `extend` chains, a context advanced once per event (f-rings rebuilt
+//! incrementally by `FRingSet::rebuild`) must answer every per-node and
+//! per-pair query, every algorithm's `route()`, and every greedy walk
+//! exactly like a context built fresh on the final pattern.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -14,9 +15,9 @@ use wormsim_routing::{build_algorithm, AlgorithmKind, RoutingContext, VcConfig};
 use wormsim_topology::{Mesh, NodeId};
 
 /// A base pattern plus a chain of online extension events, all derived
-/// deterministically from `seed`. Returns the chained-tabled context
-/// (built fresh, then advanced with `with_pattern` once per event) and
-/// the final pattern.
+/// deterministically from `seed`. Returns the chained context (built
+/// fresh, then advanced with `with_pattern` once per event) and the final
+/// pattern.
 fn chained_context(
     mesh: &Mesh,
     seed: u64,
@@ -45,44 +46,45 @@ fn chained_context(
     Some((ctx, pattern))
 }
 
-/// Entry-wise comparison of every tabled query against `direct` (which
-/// must be table-less, i.e. computing from first principles).
+/// Query-by-query comparison of `chained` against `fresh`.
 fn assert_queries_match(
-    tabled: &RoutingContext,
-    direct: &RoutingContext,
-    what: &str,
+    chained: &RoutingContext,
+    fresh: &RoutingContext,
 ) -> Result<(), TestCaseError> {
-    let mesh = tabled.mesh();
+    let mesh = chained.mesh();
     for node in mesh.nodes() {
         prop_assert_eq!(
-            tabled.safe_directions(node),
-            direct.safe_directions(node),
-            "{}: safe_directions({:?})",
-            what,
+            chained.safe_directions(node),
+            fresh.safe_directions(node),
+            "safe_directions({:?})",
             node
         );
         for dest in mesh.nodes() {
             prop_assert_eq!(
-                tabled.healthy_minimal_directions(node, dest),
-                direct.healthy_minimal_directions(node, dest),
-                "{}: healthy_minimal({:?},{:?})",
-                what,
+                chained.healthy_minimal_directions(node, dest),
+                fresh.healthy_minimal_directions(node, dest),
+                "healthy_minimal({:?},{:?})",
                 node,
                 dest
             );
             prop_assert_eq!(
-                tabled.blocked_by_fault(node, dest),
-                direct.blocked_by_fault(node, dest),
-                "{}: blocked({:?},{:?})",
-                what,
+                chained.blocked_by_fault(node, dest),
+                fresh.blocked_by_fault(node, dest),
+                "blocked({:?},{:?})",
                 node,
                 dest
             );
             prop_assert_eq!(
-                tabled.ring_entry(node, dest),
-                direct.ring_entry(node, dest),
-                "{}: ring_entry({:?},{:?})",
-                what,
+                chained.ring_entry(node, dest),
+                fresh.ring_entry(node, dest),
+                "ring_entry({:?},{:?})",
+                node,
+                dest
+            );
+            prop_assert_eq!(
+                chained.blocked_ring_entry(node, dest),
+                fresh.blocked_ring_entry(node, dest),
+                "blocked_ring_entry({:?},{:?})",
                 node,
                 dest
             );
@@ -94,11 +96,10 @@ fn assert_queries_match(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Tabled contexts — fresh-built and incrementally rebuilt through a
-    /// chain of fault-extension events — answer every geometry query
-    /// exactly like the direct computation.
+    /// A context advanced through a chain of fault-extension events
+    /// answers every geometry query exactly like a fresh one.
     #[test]
-    fn table_queries_match_direct(
+    fn chained_queries_match_fresh(
         seed in any::<u64>(),
         side in 6u16..=8,
         faults in 0usize..=6,
@@ -108,16 +109,14 @@ proptest! {
         let Some((chained, pattern)) = chained_context(&mesh, seed, faults, events) else {
             return Ok(());
         };
-        let direct = RoutingContext::new_direct(mesh.clone(), pattern.clone());
         let fresh = RoutingContext::new(mesh.clone(), pattern);
-        assert_queries_match(&chained, &direct, "chained")?;
-        assert_queries_match(&fresh, &direct, "fresh")?;
+        assert_queries_match(&chained, &fresh)?;
     }
 
     /// Every roster algorithm returns bit-identical candidates whether its
-    /// context resolves geometry through the table or directly.
+    /// context was chained or built fresh.
     #[test]
-    fn route_matches_direct_for_all_algorithms(
+    fn route_matches_fresh_for_all_algorithms(
         seed in any::<u64>(),
         faults in 0usize..=6,
         events in 0usize..=2,
@@ -126,12 +125,12 @@ proptest! {
         let Some((chained, pattern)) = chained_context(&mesh, seed, faults, events) else {
             return Ok(());
         };
-        let tabled = Arc::new(chained);
-        let direct = Arc::new(RoutingContext::new_direct(mesh.clone(), pattern.clone()));
+        let chained = Arc::new(chained);
+        let fresh = Arc::new(RoutingContext::new(mesh.clone(), pattern.clone()));
         let healthy: Vec<NodeId> = pattern.healthy_nodes(&mesh).collect();
         for kind in AlgorithmKind::ALL {
-            let a = build_algorithm(kind, tabled.clone(), VcConfig::paper());
-            let b = build_algorithm(kind, direct.clone(), VcConfig::paper());
+            let a = build_algorithm(kind, chained.clone(), VcConfig::paper());
+            let b = build_algorithm(kind, fresh.clone(), VcConfig::paper());
             for &src in &healthy {
                 for &dest in &healthy {
                     if src == dest {
@@ -155,11 +154,11 @@ proptest! {
         }
     }
 
-    /// Lockstep greedy walks through tabled and direct contexts take the
+    /// Lockstep greedy walks through chained and fresh contexts take the
     /// same path hop for hop (exercises on-ring traversal state, not just
     /// the first decision).
     #[test]
-    fn greedy_walks_match_direct(
+    fn greedy_walks_match_fresh(
         seed in any::<u64>(),
         faults in 1usize..=6,
         events in 0usize..=2,
@@ -170,8 +169,8 @@ proptest! {
         let Some((chained, pattern)) = chained_context(&mesh, seed, faults, events) else {
             return Ok(());
         };
-        let tabled = Arc::new(chained);
-        let direct = Arc::new(RoutingContext::new_direct(mesh.clone(), pattern.clone()));
+        let chained = Arc::new(chained);
+        let fresh = Arc::new(RoutingContext::new(mesh.clone(), pattern.clone()));
         let healthy: Vec<NodeId> = pattern.healthy_nodes(&mesh).collect();
         let src = healthy[a % healthy.len()];
         let dest = healthy[b % healthy.len()];
@@ -179,8 +178,8 @@ proptest! {
             return Ok(());
         }
         for kind in AlgorithmKind::ALL {
-            let ta = build_algorithm(kind, tabled.clone(), VcConfig::paper());
-            let tb = build_algorithm(kind, direct.clone(), VcConfig::paper());
+            let ta = build_algorithm(kind, chained.clone(), VcConfig::paper());
+            let tb = build_algorithm(kind, fresh.clone(), VcConfig::paper());
             let mut sa = ta.init_message(src, dest);
             let mut sb = tb.init_message(src, dest);
             let mut cur = src;

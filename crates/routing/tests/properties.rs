@@ -7,7 +7,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use wormsim_fault::FaultPattern;
-use wormsim_routing::{build_algorithm, AlgorithmKind, RoutingContext, VcConfig};
+use wormsim_routing::{build_algorithm, min_total_vcs, AlgorithmKind, RoutingContext, VcConfig};
 use wormsim_topology::{Mesh, NodeId};
 
 fn context(seed: u64, faults: usize) -> Option<Arc<RoutingContext>> {
@@ -218,4 +218,24 @@ proptest! {
             prop_assert_eq!(cands, again, "{:?} route() not idempotent", kind);
         }
     }
+}
+
+#[test]
+fn min_total_vcs_saturates_instead_of_wrapping() {
+    // 129×129: diameter 256, so 257 PHop classes wrapped to 1 as a u8 and
+    // the minimum read 5 — feasible under the paper's 24.
+    let mesh = Mesh::square(129);
+    for kind in [AlgorithmKind::PHop, AlgorithmKind::DuatoPbc] {
+        assert_eq!(min_total_vcs(kind, &mesh, 4), u8::MAX, "{kind:?}");
+    }
+    // Inside the range nothing changes: the paper's mesh and the widest
+    // the wire admits.
+    assert_eq!(
+        min_total_vcs(AlgorithmKind::DuatoNbc, &Mesh::square(10), 4),
+        15
+    );
+    assert_eq!(
+        min_total_vcs(AlgorithmKind::DuatoNbc, &Mesh::square(64), 4),
+        69
+    );
 }

@@ -1,20 +1,16 @@
 //! Fault-pattern interning.
 //!
-//! The experiment harness's `ContextCache` keys routing contexts by the
-//! *pointer identity* of the spec's `Arc<FaultPattern>` — a fine scheme
-//! in-process, where the harness builds each pattern once. Wire requests
-//! break that assumption: two clients describing the same faults would
-//! naively get two `Arc`s, two contexts, and two copies of the geometry
-//! table. The interner restores the invariant by canonicalizing each
-//! request's fault list (sorted, deduplicated) and handing every
-//! identical list the same `Arc`.
+//! Building a `FaultPattern` from a wire request validates the fault list
+//! (in-bounds, connected, not all-faulty) and coalesces it into block
+//! regions. The interner canonicalizes each request's list (sorted,
+//! deduplicated) and hands every identical list the same
+//! `Arc<FaultPattern>`, so a repeated list skips that work.
 //!
 //! The map is bounded: at [`PatternInterner::DEFAULT_CAP`] entries it is
 //! cleared outright rather than evicted piecemeal. Clearing only costs
-//! future *sharing* — the next identical request re-interns under a
-//! fresh `Arc` (and therefore rebuilds its routing context once);
-//! results are unaffected because the dedup/cache identity hashes the
-//! pattern by value, never by pointer.
+//! future *sharing* — the next identical request re-validates and
+//! re-interns under a fresh `Arc`; results are unaffected because the
+//! dedup/cache identity is the pattern's content, never its pointer.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};

@@ -34,7 +34,7 @@
 //!   `ServerStats` is derived from the registry — one source of truth.
 //!
 //! Crate layout: [`protocol`] (framing + wire vocabulary), [`intern`]
-//! (fault-pattern interning so wire requests share routing contexts),
+//! (fault-pattern interning so a repeated fault list is validated once),
 //! [`scheduler`] (dedup, cache, quotas, dispatcher), [`metrics`]
 //! (counters, gauges, latency histograms, periodic emitter), [`server`]
 //! (TCP plumbing), [`client`] (blocking client used by `loadgen`, the

@@ -230,8 +230,7 @@ pub fn algorithm_from_name(name: &str) -> Option<AlgorithmKind> {
 
 impl WireSpec {
     /// Expand into the [`CustomSpec`] the runner consumes, interning the
-    /// fault pattern so identical wire patterns share one `Arc` (the
-    /// context cache keys on `Arc` identity).
+    /// fault pattern so identical wire patterns share one `Arc`.
     ///
     /// Only *malformed* specs are rejected here. A well-formed spec the
     /// engine cannot honor (`vc_total` past the bitmask ceiling or below

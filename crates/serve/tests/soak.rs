@@ -110,7 +110,7 @@ fn soak_over_1000_concurrent_mixed_requests_zero_divergence() {
         too_many_vcs.vc_total = 40;
         // Passes the wire parse check (>= 6) but is below Duato's
         // constructor minimum — must be a typed rejection, and must not
-        // poison the shared context cache for the rest of the storm.
+        // disturb the rest of the storm.
         let mut under_min_vcs = pool[0].clone();
         under_min_vcs.vc_total = 6;
         let mut unknown_algo = pool[2].clone();
@@ -426,6 +426,31 @@ fn sweeps_stream_progress_frames_and_match_direct_runs() {
         assert_eq!(&serde_json::to_string(&report).unwrap(), server_json);
     }
     server.stop();
+}
+
+#[test]
+fn the_largest_admitted_mesh_is_answered_and_the_connection_survives() {
+    // 64×64 is the widest mesh `to_custom` admits. Duato's minimum VC
+    // budget does not grow with the mesh, so the paper's 24 VCs suffice.
+    let server = start_server(SchedulerConfig::default());
+    let mut client = connect(&server);
+    let mut spec = WireSpec::basic(64, "Duato", 0.001, 64);
+    spec.warmup_cycles = 100;
+    spec.measure_cycles = 200;
+    spec.faults = (0..20)
+        .map(|i| Coord {
+            x: 3 * i + 1,
+            y: 61 - 3 * i,
+        })
+        .collect();
+    let outcome = client.run_spec(&spec).expect("64×64 run");
+    let custom = spec.to_custom(&PatternInterner::default()).unwrap();
+    let report = wormsim_experiments::run_custom(&custom).unwrap();
+    assert!(report.throughput.messages_delivered() > 0);
+    assert_eq!(serde_json::to_string(&report).unwrap(), outcome.report_json);
+    client.ping().expect("same connection still answers");
+    let stats = server.stop();
+    assert_eq!(stats.internal_errors, 0);
 }
 
 #[test]
