@@ -343,7 +343,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     /// `PathBuf` capacities included), source queues, scratch buffers,
     /// wake lists, and statistics vectors. Once a first run has sized
     /// those structures, a same-shape `reset` + run performs no heap
-    /// allocation (asserted by `bench_engine`'s counting allocator).
+    /// allocation (asserted by `tests/steady_state_alloc.rs`).
     ///
     /// Determinism: the run after a `reset` is byte-identical to one on a
     /// freshly constructed simulator with the same arguments. The one

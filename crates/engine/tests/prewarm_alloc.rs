@@ -60,10 +60,10 @@ fn prewarmed_big_mesh_run_never_allocates() {
     .with_seed(0xB16_3E5);
     let mut sim = Simulator::new(algo, ctx, Workload::paper_uniform(RATE), cfg);
     // Expected creations over the whole schedule plus Bernoulli slack —
-    // the same sizing rule `bench_engine` uses. A 64×64 worm crosses up
-    // to ~2·(w+h) channels; prewarm must derive that from the mesh (the
-    // old hardcoded 10×10 hop budget made exactly this scenario
-    // reallocate path buffers mid-run).
+    // the sizing rule `tests/steady_state_alloc.rs` uses. A 64×64 worm
+    // crosses up to ~2·(w+h) channels; prewarm must derive that from the
+    // mesh (the old hardcoded 10×10 hop budget made exactly this
+    // scenario reallocate path buffers mid-run).
     let expected = (cfg.total_cycles() as f64 * f64::from(SIDE) * f64::from(SIDE) * RATE) as usize;
     sim.prewarm(expected + expected / 4 + 1024);
     let before = ALLOCATIONS.load(Ordering::Relaxed);

@@ -10,7 +10,8 @@
 //! `--check-determinism` additionally runs one chaos scenario twice with
 //! the same seed, asserts the two `SimReport`s (including `RecoveryStats`)
 //! are byte-identical, and prints the report's FNV-1a fingerprint — the
-//! same convention `bench_engine` uses for the static engine.
+//! same convention `tests/golden_fingerprints.rs` pins the static engine
+//! with.
 
 use std::time::Instant;
 use wormsim_chaos::{run_chaos, FaultEvent, FaultSchedule};
@@ -79,6 +80,13 @@ fn check_determinism(cfg: &ExperimentConfig) {
     );
 }
 
+/// A flag's value as a number; missing or unparsable is a usage error.
+fn number<T: std::str::FromStr>(value: Option<&String>) -> T {
+    value
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage())
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Paper;
@@ -94,15 +102,8 @@ fn main() {
             "--quick" => scale = Scale::Quick,
             "--plot" => plot = true,
             "--quiet" => quiet = true,
-            "--seed" => seed = Some(it.next().unwrap_or_else(|| usage()).parse().expect("seed")),
-            "--threads" => {
-                threads = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage())
-                        .parse()
-                        .expect("threads"),
-                )
-            }
+            "--seed" => seed = Some(number(it.next())),
+            "--threads" => threads = Some(number(it.next())),
             "--out" => out_dir = it.next().unwrap_or_else(|| usage()).clone(),
             "--check-determinism" => determinism = true,
             _ => usage(),

@@ -22,6 +22,13 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// A flag's value as a number; missing or unparsable is a usage error.
+fn number<T: std::str::FromStr>(value: Option<&String>) -> T {
+    value
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage())
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
@@ -44,15 +51,8 @@ fn main() {
             "--quick" => scale = Scale::Quick,
             "--plot" => plot = true,
             "--quiet" => quiet = true,
-            "--seed" => seed = Some(it.next().unwrap_or_else(|| usage()).parse().expect("seed")),
-            "--threads" => {
-                threads = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage())
-                        .parse()
-                        .expect("threads"),
-                )
-            }
+            "--seed" => seed = Some(number(it.next())),
+            "--threads" => threads = Some(number(it.next())),
             "--out" => out_dir = it.next().unwrap_or_else(|| usage()).clone(),
             _ => usage(),
         }

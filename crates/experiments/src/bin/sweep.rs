@@ -12,6 +12,7 @@ use rand::SeedableRng;
 use wormsim_engine::{Arbitration, SimConfig};
 use wormsim_experiments::{parallel_map_with_progress, run_custom, CustomSpec, Progress, Table};
 use wormsim_fault::{random_pattern, FaultPattern};
+use wormsim_metrics::SimReport;
 use wormsim_routing::{AlgorithmKind, VcConfig};
 use wormsim_topology::Mesh;
 use wormsim_traffic::Workload;
@@ -47,6 +48,12 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// A combination of flag values the simulator cannot run: one line, exit 2.
+fn reject(why: impl std::fmt::Display) -> ! {
+    eprintln!("sweep: {why}");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut algos: Vec<AlgorithmKind> = Vec::new();
@@ -71,13 +78,13 @@ fn main() {
                     usage()
                 }));
             }
-            "--rate" => rates.push(next().parse().expect("rate")),
-            "--faults" => faults = next().parse().expect("faults"),
-            "--length" => length = next().parse().expect("length"),
-            "--vcs" => vcs = next().parse().expect("vcs"),
-            "--mesh" => mesh_size = next().parse().expect("mesh"),
-            "--cycles" => cycles = next().parse().expect("cycles"),
-            "--seeds" => seeds = next().parse().expect("seeds"),
+            "--rate" => rates.push(next().parse().unwrap_or_else(|_| usage())),
+            "--faults" => faults = next().parse().unwrap_or_else(|_| usage()),
+            "--length" => length = next().parse().unwrap_or_else(|_| usage()),
+            "--vcs" => vcs = next().parse().unwrap_or_else(|_| usage()),
+            "--mesh" => mesh_size = next().parse().unwrap_or_else(|_| usage()),
+            "--cycles" => cycles = next().parse().unwrap_or_else(|_| usage()),
+            "--seeds" => seeds = next().parse().unwrap_or_else(|_| usage()),
             "--oldest-first" => arbitration = Arbitration::OldestFirst,
             "--plot" => plot = true,
             "--quiet" => quiet = true,
@@ -96,7 +103,8 @@ fn main() {
     let pattern = std::sync::Arc::new(if faults == 0 {
         FaultPattern::fault_free(&mesh)
     } else {
-        random_pattern(&mesh, faults, &mut rng).expect("fault pattern")
+        random_pattern(&mesh, faults, &mut rng)
+            .unwrap_or_else(|e| reject(format_args!("--faults {faults}: {e}")))
     });
     let progress = Progress::from_quiet_flag(quiet);
     progress.out(format_args!(
@@ -137,9 +145,11 @@ fn main() {
     let threads = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(4);
-    let reports = parallel_map_with_progress(&specs, threads, progress, "sweep", |s| {
-        run_custom(s).expect("runnable spec")
-    });
+    let reports: Vec<SimReport> =
+        parallel_map_with_progress(&specs, threads, progress, "sweep", run_custom)
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .unwrap_or_else(|e| reject(e));
 
     let mut thr = Table::new(
         "normalized throughput",

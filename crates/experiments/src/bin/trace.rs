@@ -80,12 +80,12 @@ fn main() {
                     usage()
                 });
             }
-            "--mesh" => mesh_size = next().parse().expect("mesh"),
-            "--faults" => faults = next().parse().expect("faults"),
-            "--rate" => rate = next().parse().expect("rate"),
-            "--cycles" => cycles = next().parse().expect("cycles"),
-            "--seed" => seed = next().parse().expect("seed"),
-            "--telemetry-window" => window = next().parse().expect("telemetry-window"),
+            "--mesh" => mesh_size = next().parse().unwrap_or_else(|_| usage()),
+            "--faults" => faults = next().parse().unwrap_or_else(|_| usage()),
+            "--rate" => rate = next().parse().unwrap_or_else(|_| usage()),
+            "--cycles" => cycles = next().parse().unwrap_or_else(|_| usage()),
+            "--seed" => seed = next().parse().unwrap_or_else(|_| usage()),
+            "--telemetry-window" => window = next().parse().unwrap_or_else(|_| usage()),
             "--out" => out_dir = next(),
             "--quiet" => quiet = true,
             _ => usage(),
@@ -114,7 +114,10 @@ fn main() {
         FaultPattern::fault_free(&mesh)
     } else {
         let mut rng = SmallRng::seed_from_u64(seed);
-        random_pattern(&mesh, faults, &mut rng).expect("fault pattern")
+        random_pattern(&mesh, faults, &mut rng).unwrap_or_else(|e| {
+            eprintln!("trace: --faults {faults} on a {mesh_size}×{mesh_size} mesh: {e}");
+            std::process::exit(2);
+        })
     };
     progress.out(format_args!(
         "tracing {} on a {mesh_size}×{mesh_size} mesh, {} faulty nodes, rate {rate}, \

@@ -1,13 +1,13 @@
 //! Result and spec fingerprints.
 //!
-//! Two identities underpin the serving layer and the perf gates:
+//! Two identities underpin the serving layer and the result pins:
 //!
 //! - a **report fingerprint** — FNV-1a over a run's serialized
 //!   [`SimReport`]. Simulation results are deterministic per seed and
 //!   machine-independent, so the fingerprint is the result's identity:
-//!   `bench_engine --check` pins it against a committed baseline, and the
-//!   result cache in `wormsim-serve` stores it alongside each cached
-//!   report as an integrity check.
+//!   `tests/golden_fingerprints.rs` and `tests/steady_state_alloc.rs`
+//!   pin recorded values, and the result cache in `wormsim-serve` stores
+//!   it alongside each cached report as an integrity check.
 //! - a **spec identity** — FNV-1a over the *canonical form* of a
 //!   [`RunSpec`](crate::RunSpec)/[`CustomSpec`](crate::CustomSpec)
 //!   (pattern faults by value, not `Arc` pointer). Two requests that
@@ -19,8 +19,8 @@
 use wormsim_metrics::SimReport;
 
 /// FNV-1a over a byte string: the workspace's standard cheap,
-/// dependency-free, stable 64-bit hash (same constants as the perf
-/// harness has always used, so committed fingerprints stay valid).
+/// dependency-free, stable 64-bit hash (the constants every committed
+/// fingerprint was recorded with).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -37,8 +37,8 @@ pub fn report_json_fingerprint(report_json: &str) -> String {
 }
 
 /// Serialize `report` compactly and fingerprint it. The compact form is
-/// the wire/cache form; the perf harness fingerprints the *pretty* form
-/// for historical reasons, so the two are distinct namespaces — never
+/// the wire/cache form; the historical paper-run pin `6fea1f0c9bd99fc2`
+/// is over the *pretty* form, so the two are distinct namespaces — never
 /// compare one against the other.
 pub fn report_fingerprint(report: &SimReport) -> String {
     let json = serde_json::to_string(report).expect("report serializes");

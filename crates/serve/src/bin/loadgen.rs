@@ -13,10 +13,6 @@
 //! overlap in flight, and a sprinkle of invalid specs that must come
 //! back as typed `bad_spec` / `config` error frames.
 //!
-//! Every answered request is also stamped into a client-side
-//! [`LatencyHistogram`] (send → response), and a p50/p95/p99/max table
-//! prints after the storm.
-//!
 //! After the storm, a sequential second pass re-requests known specs
 //! (guaranteed cache hits), then checks:
 //!
@@ -39,7 +35,7 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use wormsim_obs::{validate_prometheus, LatencyHistogram, Progress};
+use wormsim_obs::{validate_prometheus, Progress};
 use wormsim_serve::{Client, PatternInterner, Request, Response, WireSpec};
 use wormsim_topology::Coord;
 
@@ -180,16 +176,15 @@ fn run_connection(
     addr: &str,
     specs: Vec<(u64, Expect, WireSpec)>,
     tally: &Mutex<Tally>,
-    latency: &LatencyHistogram,
 ) -> Result<(), String> {
     let mut client =
         Client::connect_retry(addr, Duration::from_secs(5)).map_err(|e| format!("connect: {e}"))?;
-    let mut expects: HashMap<u64, (Expect, Instant)> = HashMap::new();
+    let mut expects: HashMap<u64, Expect> = HashMap::new();
     for (id, expect, spec) in specs {
         client
             .send(&Request::Run { id, spec })
             .map_err(|e| format!("send: {e}"))?;
-        expects.insert(id, (expect, Instant::now()));
+        expects.insert(id, expect);
     }
     let mut anchor_report: Option<String> = None;
     while !expects.is_empty() {
@@ -204,10 +199,9 @@ fn run_connection(
                 deduped,
                 ..
             } => {
-                let (expect, sent) = expects
+                let expect = expects
                     .remove(&id)
                     .ok_or_else(|| format!("unexpected result id {id}"))?;
-                latency.record_duration(sent.elapsed());
                 t.ok += 1;
                 if cached {
                     t.cached += 1;
@@ -236,10 +230,9 @@ fn run_connection(
                 }
             }
             Response::Error { id, code, .. } => {
-                let (expect, sent) = expects
+                let expect = expects
                     .remove(&id)
                     .ok_or_else(|| format!("unexpected error id {id}"))?;
-                latency.record_duration(sent.elapsed());
                 *t.errors.entry(code.clone()).or_insert(0) += 1;
                 match expect {
                     Expect::Invalid(want) if code == want => {}
@@ -265,10 +258,6 @@ fn main() -> ExitCode {
     let anchor = anchor_spec(args.seed);
     let invalid = invalid_specs(args.seed);
     let tally = Arc::new(Mutex::new(Tally::default()));
-    // Client-observed latency (send → response), shared across all
-    // connection threads — the same lock-free histogram type the server
-    // records into.
-    let latency = Arc::new(LatencyHistogram::new());
 
     // Deal the storm across connections: each connection leads with
     // anchor duplicates (overlap → dedup), then interleaves pool cycles
@@ -283,7 +272,6 @@ fn main() -> ExitCode {
             let anchor = &anchor;
             let invalid = &invalid;
             let tally = tally.clone();
-            let latency = latency.clone();
             let addr = args.addr.as_str();
             handles.push(scope.spawn(move || {
                 let mut batch: Vec<(u64, Expect, WireSpec)> = Vec::with_capacity(per_conn);
@@ -311,7 +299,7 @@ fn main() -> ExitCode {
                     }
                     id += 1;
                 }
-                run_connection(addr, batch, &tally, &latency)
+                run_connection(addr, batch, &tally)
             }));
         }
         for h in handles {
@@ -340,11 +328,9 @@ fn main() -> ExitCode {
     let mut second_pass_hits = 0u64;
     let mut second_pass_total = 0u64;
     for (idx, spec) in pool.iter().enumerate().take(8) {
-        let sent = Instant::now();
         second_pass_total += 1;
         match client.run_spec(spec) {
             Ok(out) => {
-                latency.record_duration(sent.elapsed());
                 if out.cached {
                     second_pass_hits += 1;
                 }
@@ -440,15 +426,6 @@ fn main() -> ExitCode {
         stats.config_rejects,
         stats.bad_spec_rejects,
         stats.integrity_drops,
-    ));
-    let ms = |ns: u64| ns as f64 / 1e6;
-    progress.out(format_args!(
-        "client latency ({} answered): p50 {:.2}ms  p95 {:.2}ms  p99 {:.2}ms  max {:.2}ms",
-        latency.count(),
-        ms(latency.quantile(0.50)),
-        ms(latency.quantile(0.95)),
-        ms(latency.quantile(0.99)),
-        ms(latency.max()),
     ));
 
     let mut failed = false;

@@ -1,0 +1,26 @@
+//! Bad command-line input is a usage error, not a crash: an unparsable
+//! flag value, or a flag combination the simulator cannot run, exits 2
+//! with a message and never reaches a `panic!`.
+
+use std::process::Command;
+
+fn rejects(bin: &str, args: &[&str]) {
+    let out = Command::new(bin).args(args).output().expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+    assert!(!stderr.contains("panicked at"), "{bin} {args:?}: {stderr}");
+    assert!(!stderr.trim().is_empty(), "{bin} {args:?} says nothing");
+}
+
+#[test]
+fn bad_flag_values_exit_2_without_panicking() {
+    let sweep = env!("CARGO_BIN_EXE_sweep");
+    rejects(sweep, &["--mesh", "abc"]);
+    rejects(env!("CARGO_BIN_EXE_figures"), &["fig1", "--threads", "x"]);
+    rejects(env!("CARGO_BIN_EXE_ablations"), &["all", "--seed", "x"]);
+    rejects(env!("CARGO_BIN_EXE_dynamic_faults"), &["--seed", "x"]);
+    rejects(env!("CARGO_BIN_EXE_trace"), &["--cycles", "x"]);
+    // Parses, but Duato-Nbc needs 15 VCs on a 10×10 mesh: a `ConfigError`.
+    rejects(sweep, &["--algo", "duato-nbc", "--vcs", "4", "--quiet"]);
+    rejects(env!("CARGO_BIN_EXE_bench_engine"), &["--phases"]);
+}

@@ -34,8 +34,8 @@ fn run(
     Simulator::new(algo, ctx, workload, cfg).run()
 }
 
-/// The run `bench_engine` and `wormbench paper_saturated` run 0 have
-/// always pinned: the paper configuration at seed `0xB41C`, fingerprinted
+/// The run `tests/steady_state_alloc.rs` and `wormbench paper_saturated`
+/// run 0 also pin: the paper configuration at seed `0xB41C`, fingerprinted
 /// in the pretty form.
 #[test]
 fn paper_run_at_the_historical_seed() {
