@@ -43,6 +43,8 @@
 //! assert!((model.zero_load_latency(100) - (model.mean_distance() + 100.0)).abs() < 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use wormsim_fault::FaultPattern;

@@ -29,6 +29,8 @@
 //! `chaos_runs_are_byte_identical_for_a_seed` test and by the
 //! `dynamic_faults --check-determinism` experiment flag).
 
+#![forbid(unsafe_code)]
+
 mod driver;
 mod schedule;
 

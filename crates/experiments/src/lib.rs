@@ -14,15 +14,17 @@
 //! | [`fig5_latency_vs_faults`] | Fig 5 | normalized latency at 0/5/10 % faults |
 //! | [`fig6_fring_traffic`] | Fig 6 | traffic load split: f-ring vs other nodes |
 //!
-//! Runs fan out over threads (one simulation per work item); everything is
-//! deterministic given [`ExperimentConfig::base_seed`].
+//! Runs fan out over scoped threads with [`parallel_map`] (one simulation
+//! per work item); everything is deterministic given
+//! [`ExperimentConfig::base_seed`].
+
+#![forbid(unsafe_code)]
 
 mod ablations;
 mod config;
 mod dynamic;
 mod figures;
 mod fingerprint;
-mod pool;
 mod runner;
 mod table;
 
@@ -38,9 +40,63 @@ pub use figures::{
     FigureResult, ANALYSIS_RATE, FULL_LOAD_RATE, RATE_SWEEP,
 };
 pub use fingerprint::{fnv1a, report_fingerprint, report_json_fingerprint};
-pub use pool::WorkerPool;
 pub use runner::{
     parallel_map, parallel_map_with_progress, run_custom, run_single, CustomSpec, RunSpec,
 };
 pub use table::Table;
 pub use wormsim_obs::Progress;
+
+/// The worker-pool contract [`parallel_map`] keeps on its scoped threads:
+/// every item runs exactly once, whatever the batch size, and a batch
+/// too small to share stays on the caller.
+#[cfg(test)]
+mod pool {
+    mod tests {
+        use crate::parallel_map;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::thread;
+
+        #[test]
+        fn pool_runs_every_item_exactly_once() {
+            let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
+            let items: Vec<usize> = (0..hits.len()).collect();
+            parallel_map(&items, 8, |&i| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            });
+            for (i, h) in hits.iter().enumerate() {
+                assert_eq!(h.load(Ordering::Relaxed), 1, "item {i}");
+            }
+        }
+
+        #[test]
+        fn pool_zero_items_is_a_noop() {
+            let out: Vec<()> = parallel_map(&[] as &[usize], 8, |_| unreachable!("no items"));
+            assert!(out.is_empty());
+        }
+
+        #[test]
+        fn pool_single_item_runs_on_the_caller() {
+            // A one-item batch spawns no helper: the caller runs it.
+            let caller = thread::current().id();
+            let ran = AtomicUsize::new(0);
+            parallel_map(&[0usize], 16, |&i| {
+                assert_eq!(i, 0);
+                assert_eq!(thread::current().id(), caller);
+                ran.fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(ran.load(Ordering::Relaxed), 1);
+        }
+
+        #[test]
+        fn pool_chunks_cover_uneven_totals() {
+            for total in [1usize, 2, 3, 7, 17, 63, 64, 65] {
+                let sum = AtomicUsize::new(0);
+                let items: Vec<usize> = (0..total).collect();
+                parallel_map(&items, 5, |&i| {
+                    sum.fetch_add(i + 1, Ordering::Relaxed);
+                });
+                assert_eq!(sum.load(Ordering::Relaxed), total * (total + 1) / 2);
+            }
+        }
+    }
+}

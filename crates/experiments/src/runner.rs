@@ -1,18 +1,20 @@
 //! Single-simulation runner and the thread fan-out.
 //!
-//! Runs execute on the persistent [`WorkerPool`](crate::pool::WorkerPool):
-//! each pool thread parks one `Simulator` in a thread-local and rewinds it
-//! with [`Simulator::reset`] between runs, so a sweep of thousands of runs
-//! allocates simulator state once per thread. The routing context and the
-//! algorithm instance are built per run: both are O(nodes) and cost
-//! microseconds against runs of milliseconds.
+//! Every thread that runs simulations — a sweep's caller, the scoped
+//! threads [`parallel_map`] spawns for one batch, the serving layer's
+//! dispatcher — parks one `Simulator` in a thread-local and rewinds it
+//! with [`Simulator::reset`] between runs. The caller's simulator stays
+//! warm across batches; a helper lives for one batch and builds its own.
+//! The routing context and the algorithm instance are built per run:
+//! both are O(nodes) and cost microseconds against runs of milliseconds.
 
 use crate::config::ExperimentConfig;
-use crate::pool::{SyncPtr, WorkerPool};
 use std::cell::RefCell;
 use std::fmt::Write as _;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread;
 use wormsim_engine::{ConfigError, SimConfig, Simulator};
 use wormsim_fault::FaultPattern;
 use wormsim_metrics::SimReport;
@@ -59,17 +61,16 @@ impl RunSpec {
 }
 
 thread_local! {
-    /// The calling thread's reusable simulator (pool workers and the
-    /// fan-out caller alike). Built on the first run, rewound with
-    /// `Simulator::reset` for every run after.
+    /// The calling thread's reusable simulator. Built on the first run,
+    /// rewound with `Simulator::reset` for every run after.
     static WORKER_SIM: RefCell<Option<Simulator>> = const { RefCell::new(None) };
 }
 
 /// Run one simulation on this thread's reusable simulator. A
 /// configuration the engine cannot honor comes back as a typed
 /// [`ConfigError`] (the `try_reset` rejection leaves the parked simulator
-/// untouched and reusable), so one bad spec no longer panics a whole
-/// sweep off the pool.
+/// untouched and reusable), so one bad spec does not panic a whole
+/// sweep.
 fn run_reusing_sim(
     algo: Arc<dyn RoutingAlgorithm>,
     ctx: Arc<RoutingContext>,
@@ -246,8 +247,8 @@ pub fn run_custom(spec: &CustomSpec) -> Result<SimReport, ConfigError> {
     run_reusing_sim(algo, ctx, spec.workload.clone(), spec.sim)
 }
 
-/// Map `f` over `items` on the persistent worker pool (dynamic chunked
-/// work stealing over a shared index). Result order matches input order.
+/// Map `f` over `items` on up to `threads` threads, the caller included.
+/// Result order matches input order.
 ///
 /// Shorthand for [`parallel_map_with_progress`] with a quiet reporter.
 pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
@@ -264,10 +265,12 @@ where
 /// worker-panic context goes through [`Progress::error`] so it survives a
 /// quiet reporter. Result order matches input order.
 ///
-/// The calling thread participates as the first worker, and pool
-/// enrollment is clamped to the number of outstanding work chunks — a
-/// one-item batch runs inline on the caller, and no idle workers are woken
-/// just to join an exhausted queue.
+/// The batch runs on the caller plus `min(threads, items.len()) - 1`
+/// scoped threads, so a one-item batch spawns nothing. Each participant claims indices off one shared counter and
+/// keeps its own `(index, result)` list; the lists are merged into input
+/// order after the join. A panicking item's own payload is re-raised on
+/// the caller once every thread has joined. Nesting is plain recursion:
+/// an item may call `parallel_map` itself.
 pub fn parallel_map_with_progress<T, R, F>(
     items: &[T],
     threads: usize,
@@ -281,34 +284,48 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let total = items.len();
-    if total == 0 {
-        return Vec::new();
-    }
-    let mut out: Vec<Option<R>> = Vec::with_capacity(total);
-    out.resize_with(total, || None);
-    let slots = SyncPtr(out.as_mut_ptr());
+    let next = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
-    let task = |i: usize| {
-        let r = f(&items[i]);
-        // SAFETY: the pool claims each index exactly once, so this slot
-        // has a unique writer, and its completion handshake orders every
-        // write before `run` returns and `out` is read.
-        unsafe { *slots.at(i) = Some(r) };
-        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-        progress.note(format_args!("{label}: {finished}/{total} runs done"));
+    let work = || {
+        let mut mine = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return mine;
+            };
+            mine.push((i, f(item)));
+            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+            progress.note(format_args!("{label}: {finished}/{total} runs done"));
+        }
     };
-    if let Err((claimed, payload)) = WorkerPool::global().run(threads, total, &task) {
-        // Re-raise the worker's own panic payload (message and all)
-        // instead of masking it behind a generic join error, so a crashing
-        // run identifies its work item.
-        progress.error(format_args!(
-            "{label}: worker panicked ({claimed}/{total} items claimed)"
-        ));
-        std::panic::resume_unwind(payload);
+    let helpers = threads.min(total).saturating_sub(1);
+    let parts: Vec<thread::Result<Vec<(usize, R)>>> = thread::scope(|scope| {
+        // `work` borrows only, so each participant gets its own copy.
+        let spawned: Vec<_> = (0..helpers).map(|_| scope.spawn(work)).collect();
+        let own = catch_unwind(AssertUnwindSafe(work));
+        std::iter::once(own)
+            .chain(spawned.into_iter().map(|h| h.join()))
+            .collect()
+    });
+    let mut indexed = Vec::with_capacity(total);
+    for part in parts {
+        match part {
+            Ok(part) => indexed.extend(part),
+            Err(payload) => {
+                // Every thread has joined. Re-raise the worker's own panic
+                // payload (message and all) instead of masking it behind a
+                // generic join error, so a crashing run identifies its
+                // work item.
+                let claimed = next.load(Ordering::Relaxed).min(total);
+                progress.error(format_args!(
+                    "{label}: worker panicked ({claimed}/{total} items claimed)"
+                ));
+                resume_unwind(payload);
+            }
+        }
     }
-    out.into_iter()
-        .map(|r| r.expect("pool ran every item"))
-        .collect()
+    indexed.sort_unstable_by_key(|&(i, _)| i);
+    indexed.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Derive a per-run seed from the experiment base seed and work indices
@@ -352,12 +369,61 @@ mod tests {
 
     #[test]
     fn parallel_map_more_threads_than_items() {
-        // Regression: the old scoped fan-out spawned (and joined) idle
-        // threads whenever `threads > items`; the pool clamps enrollment
-        // to outstanding chunks, and results stay ordered.
         let items: Vec<u64> = (0..3).collect();
         let out = parallel_map(&items, 64, |&x| x + 10);
         assert_eq!(out, vec![10, 11, 12]);
+    }
+
+    #[test]
+    fn parallel_map_runs_each_item_once_in_input_order() {
+        for total in [0usize, 1, 2, 3, 7, 17, 63, 64, 65] {
+            for threads in [1usize, 2, 5, 64] {
+                let hits: Vec<AtomicUsize> = (0..total).map(|_| AtomicUsize::new(0)).collect();
+                let items: Vec<usize> = (0..total).collect();
+                let out = parallel_map(&items, threads, |&i| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                    i * 3
+                });
+                assert_eq!(out, (0..total).map(|i| i * 3).collect::<Vec<_>>());
+                assert!(
+                    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                    "{total} items on {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "boom at 3")]
+    fn parallel_map_reraises_the_items_own_panic() {
+        let items: Vec<usize> = (0..10).collect();
+        parallel_map(&items, 4, |&i| {
+            if i == 3 {
+                panic!("boom at {i}");
+            }
+        });
+    }
+
+    #[test]
+    fn nested_parallel_map_completes() {
+        let outer: Vec<usize> = (0..8).collect();
+        let out = parallel_map(&outer, 4, |&i| {
+            let inner: Vec<usize> = (0..16).collect();
+            parallel_map(&inner, 4, |&j| i * 16 + j)
+        });
+        assert_eq!(out.concat(), (0..8 * 16).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "inner boom")]
+    fn nested_parallel_map_reraises_an_inner_panic() {
+        parallel_map(&[0, 1], 2, |_| {
+            parallel_map(&[0, 1, 2, 3], 2, |&j| {
+                if j == 1 {
+                    panic!("inner boom");
+                }
+            })
+        });
     }
 
     #[test]

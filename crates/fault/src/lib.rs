@@ -32,6 +32,8 @@
 //! assert_eq!(rings.ring(0).nodes().len(), 14); // ring around a 2x3 block
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod labeling;
 mod pattern;
 mod ring;

@@ -5,6 +5,8 @@
 //! utilization (Fig 3), and per-node traffic load with the f-ring/other
 //! split (Fig 6).
 
+#![forbid(unsafe_code)]
+
 mod latency;
 mod node_load;
 mod recovery;

@@ -25,6 +25,8 @@
 //!   buckets, JSON snapshots ([`MetricsSnapshot`]), and Prometheus text
 //!   exposition ([`render_prometheus`] / [`validate_prometheus`]).
 
+#![forbid(unsafe_code)]
+
 mod chrome;
 mod event;
 mod jsonl;

@@ -40,6 +40,8 @@
 //! assert!(!cands.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod adaptive;
 mod bonus_cards;
 mod boppana_chalasani;

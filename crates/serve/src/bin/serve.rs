@@ -9,7 +9,7 @@
 //! Binds the address (default `127.0.0.1:7420`; port `0` lets the OS
 //! pick), prints one `listening on <addr>` line to stdout so scripts can
 //! scrape the port, and serves until a client sends a `Shutdown` frame —
-//! then drains every admitted request, joins the worker pool, and prints
+//! then drains every admitted request, joins the dispatcher, and prints
 //! the final counters as one JSON line.
 //!
 //! With `--metrics-jsonl PATH`, a background emitter appends one

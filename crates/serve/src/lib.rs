@@ -2,9 +2,9 @@
 //!
 //! The simulator as a long-running service. A `serve` process binds a
 //! TCP port, accepts length-prefixed JSON frames (see [`protocol`]), and
-//! schedules simulation requests onto a persistent worker pool whose
-//! threads reuse parked simulators between runs — the same warm path the
-//! batch harness uses, kept hot across thousands of requests.
+//! runs simulation requests in batches with the batch harness's own
+//! fan-out, [`wormsim_experiments::parallel_map`]; the dispatcher's parked
+//! simulator stays warm across thousands of requests.
 //!
 //! What the service guarantees:
 //!
@@ -24,7 +24,7 @@
 //!   `backpressure`) instead of hanging; malformed specs and
 //!   engine-rejected configurations come back as `bad_spec` / `config`.
 //! - **Graceful drain.** Shutdown answers every admitted request, then
-//!   joins the worker pool's threads.
+//!   joins the dispatcher.
 //!
 //! - **A scrapeable metric surface.** Every counter, gauge, and latency
 //!   histogram lives in a lock-free [`MetricsRegistry`](wormsim_obs::MetricsRegistry)
@@ -39,6 +39,8 @@
 //! (counters, gauges, latency histograms, periodic emitter), [`server`]
 //! (TCP plumbing), [`client`] (blocking client used by `loadgen`, the
 //! soak test, and scripts).
+
+#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod intern;

@@ -1,4 +1,4 @@
-//! Dedup/caching job scheduler over the persistent worker pool.
+//! Dedup/caching job scheduler over a dispatcher thread.
 //!
 //! Every Run/Sweep request decomposes into per-spec *jobs* keyed by
 //! [`CustomSpec::canonical`] — the spec's full serialized content,
@@ -17,24 +17,26 @@
 //!   the request attaches as a waiter and shares the one execution.
 //! - **new** — the job enters the queue for the dispatcher.
 //!
-//! The dispatcher thread drains the queue in batches onto a scheduler-
-//! owned [`WorkerPool`], whose threads park reusable simulators in their
-//! thread-locals — the same zero-alloc warm path the sweep harness uses.
-//! Admission control happens before any of this: a client past its
+//! The dispatcher thread drains the queue in batches and fans each batch
+//! out with [`parallel_map`], the sweep harness's own fan-out: it runs
+//! jobs itself, on the simulator it keeps warm across batches, plus as
+//! many scoped threads as the batch can use. A job whose simulation
+//! panics is answered with `code: "internal"`; the rest of its batch runs
+//! on. Admission control happens before any of this: a client past its
 //! in-flight request quota gets `code: "quota"`, and a full job queue
 //! gets `code: "backpressure"`; both are typed rejections, never hangs.
 //!
 //! Shutdown is a drain: pending jobs finish, their waiters are answered,
-//! then the pool's workers are joined. Submissions racing the shutdown
-//! get `code: "shutting_down"`.
+//! then the dispatcher is joined. Submissions racing the shutdown get
+//! `code: "shutting_down"`.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::Instant;
 use wormsim_engine::ConfigError;
-use wormsim_experiments::{report_json_fingerprint, run_custom, CustomSpec, WorkerPool};
+use wormsim_experiments::{parallel_map, report_json_fingerprint, run_custom, CustomSpec};
 use wormsim_obs::ProgressFrame;
 
 use crate::metrics::ServeMetrics;
@@ -44,7 +46,8 @@ use crate::protocol::{Emit, Outgoing, Response, RunResult, ServerStats};
 /// deployments.
 #[derive(Clone, Copy, Debug)]
 pub struct SchedulerConfig {
-    /// Worker-pool enrollment per batch (0 = available parallelism).
+    /// Threads per batch, the dispatcher included; the rest are scoped
+    /// threads that live for one batch (0 = available parallelism).
     pub threads: usize,
     /// Jobs queued-or-running before new requests are rejected with
     /// `backpressure`.
@@ -155,11 +158,10 @@ struct Inner {
     /// `ServerStats` is derived from it, so this is the one source of
     /// truth for every count.
     metrics: Arc<ServeMetrics>,
-    pool: WorkerPool,
 }
 
-/// The scheduler: owns its dispatcher thread and worker pool. See the
-/// module docs for the job lifecycle.
+/// The scheduler: owns its dispatcher thread. See the module docs for the
+/// job lifecycle.
 pub struct Scheduler {
     inner: Arc<Inner>,
     dispatcher: Mutex<Option<thread::JoinHandle<()>>>,
@@ -177,7 +179,6 @@ impl Scheduler {
             state: Mutex::new(SchedState::default()),
             work_ready: Condvar::new(),
             metrics: Arc::new(ServeMetrics::new()),
-            pool: WorkerPool::new(),
         });
         let dispatcher = {
             let inner = inner.clone();
@@ -345,8 +346,8 @@ impl Scheduler {
         self.inner.metrics.clone()
     }
 
-    /// Drain the queue (answering every waiter), stop the dispatcher, and
-    /// join the worker pool's threads. Idempotent.
+    /// Drain the queue (answering every waiter) and join the dispatcher.
+    /// Idempotent.
     pub fn shutdown(&self) {
         {
             let mut s = lock(&self.inner.state);
@@ -356,12 +357,6 @@ impl Scheduler {
         if let Some(h) = lock(&self.dispatcher).take() {
             let _ = h.join();
         }
-        self.inner.pool.shutdown();
-    }
-
-    /// The pool's thread-name prefix (tests assert worker teardown).
-    pub fn pool_thread_prefix(&self) -> String {
-        self.inner.pool.thread_name_prefix().to_string()
     }
 
     /// How many records the scheduler state holds in all: cached results,
@@ -568,44 +563,34 @@ impl Inner {
                     }
                     s = self.work_ready.wait(s).unwrap_or_else(|e| e.into_inner());
                 }
-                // Micro-batch: enough to saturate the pool without letting
-                // one huge sweep starve late-arriving small requests.
+                // Micro-batch: enough to keep every thread busy without
+                // letting one huge sweep starve late-arriving small requests.
                 let n = s.queue.len().min(threads * 4);
                 s.queue.drain(..n).collect()
             };
-            let done: Vec<AtomicBool> = batch.iter().map(|_| AtomicBool::new(false)).collect();
-            let task = |i: usize| {
-                let job = &batch[i];
-                // Worker pickup: the job's queue wait ends here and its
-                // execution span begins. Both histograms are stamped for
-                // config errors too, so their counts stay equal to the
-                // number of jobs dequeued.
+            parallel_map(&batch, threads, |job| {
+                // Pickup: the job's queue wait ends here and its execution
+                // span begins. Both histograms are stamped for failed jobs
+                // too, so their counts stay equal to the number of jobs
+                // dequeued.
                 self.metrics
                     .queue_wait
                     .record_duration(job.admitted.elapsed());
                 let exec_start = Instant::now();
-                let run = run_custom(&job.spec);
+                // A panic is a simulator bug: it fails this job alone.
+                let run = catch_unwind(AssertUnwindSafe(|| run_custom(&job.spec)));
                 self.metrics.execution.record_duration(exec_start.elapsed());
                 let outcome = match run {
-                    Ok(report) => {
+                    Ok(Ok(report)) => {
                         let json = serde_json::to_string(&report).expect("report serializes");
                         let fp = report_json_fingerprint(&json);
                         Ok(Arc::new(RunResult::new(json, fp)))
                     }
-                    Err(e) => Err(JobError::Config(e)),
+                    Ok(Err(e)) => Err(JobError::Config(e)),
+                    Err(_) => Err(JobError::Panicked),
                 };
                 self.resolve_job(&job.key, outcome);
-                done[i].store(true, Ordering::Release);
-            };
-            if let Err((_claimed, _payload)) = self.pool.run(threads, batch.len(), &task) {
-                // A worker panicked. The pool already contained it; answer
-                // every job the batch did not get to so no waiter hangs.
-                for (i, job) in batch.iter().enumerate() {
-                    if !done[i].load(Ordering::Acquire) {
-                        self.resolve_job(&job.key, Err(JobError::Panicked));
-                    }
-                }
-            }
+            });
         }
     }
 }
@@ -656,6 +641,7 @@ fn cache_insert(s: &mut SchedState, cap: usize, key: &SpecKey, result: Arc<RunRe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
     use std::time::{Duration, Instant};
     use wormsim_engine::SimConfig;
     use wormsim_routing::{AlgorithmKind, VcConfig};
@@ -754,6 +740,41 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_job_gets_internal_and_the_scheduler_runs_on() {
+        // A 6×6 pattern on an 8×8 mesh panics while the routing context
+        // is built. The wire cannot express it (the pattern is interned
+        // from the spec's own mesh size); in-process it can.
+        let sched = Scheduler::new(SchedulerConfig::default());
+        let (emit, sink) = collect_emit();
+        let mut mismatched = tiny_spec(1);
+        mismatched.mesh_size = 8;
+        sched
+            .submit(1, 20, vec![mismatched], false, emit.clone())
+            .unwrap();
+        wait_for(|| !lock(&sink).is_empty(), "internal error");
+        match lock(&sink).remove(0) {
+            Response::Error { id, code, .. } => {
+                assert_eq!(id, 20);
+                assert_eq!(code, "internal");
+            }
+            other => panic!("expected Error, got {other:?}"),
+        }
+        assert_eq!(sched.stats().internal_errors, 1);
+        sched
+            .submit(1, 21, vec![tiny_spec(1)], false, emit)
+            .unwrap();
+        wait_for(|| !lock(&sink).is_empty(), "the next result");
+        match lock(&sink).remove(0) {
+            Response::Result { id, cached, .. } => {
+                assert_eq!(id, 21);
+                assert!(!cached);
+            }
+            other => panic!("expected Result, got {other:?}"),
+        }
+        sched.shutdown();
+    }
+
+    #[test]
     fn sweep_streams_progress_and_dedups_intra_request() {
         let sched = Scheduler::new(SchedulerConfig::default());
         let (emit, sink) = collect_emit();
@@ -843,7 +864,7 @@ mod tests {
 
     #[test]
     fn in_flight_returns_to_zero_after_a_burst_drains() {
-        // Submit a burst of distinct jobs on a small pool, watch the
+        // Submit a burst of distinct jobs on two threads, watch the
         // gauge go up, then assert it returns to *exactly* zero once
         // every response has arrived — the gauge is incremented and
         // decremented under the same lock sections that maintain

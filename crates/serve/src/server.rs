@@ -3,16 +3,16 @@
 //! Each connection gets a reader thread (this function) and a writer
 //! thread draining an unbounded channel of [`Outgoing`] frames in FIFO
 //! order. The scheduler
-//! delivers results by sending into that channel from whatever pool
-//! thread finished the job, so one connection can have many requests in
+//! delivers results by sending into that channel from whatever thread
+//! finished the job, so one connection can have many requests in
 //! flight and responses interleave freely (matched by request id).
 //!
 //! Shutdown — whether from [`Server::stop`] or a wire
 //! [`Request::Shutdown`] — is cooperative: the listener stops accepting,
 //! reader threads notice the stop flag at their next read-timeout poll,
 //! the scheduler drains its queue so every admitted request is answered,
-//! and the worker pool's threads are joined. Nothing is abandoned
-//! mid-flight and nothing hangs on an idle client.
+//! and its dispatcher is joined. Nothing is abandoned mid-flight and
+//! nothing hangs on an idle client.
 
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -142,14 +142,8 @@ impl Server {
         self.scheduler.metrics()
     }
 
-    /// The scheduler's worker-pool thread-name prefix (tests use it to
-    /// assert the pool's threads are joined on shutdown).
-    pub fn pool_thread_prefix(&self) -> String {
-        self.scheduler.pool_thread_prefix()
-    }
-
     /// Graceful shutdown: stop accepting, drain every admitted request,
-    /// join the worker pool and all connection threads, and return the
+    /// join the dispatcher and all connection threads, and return the
     /// final counters.
     pub fn stop(mut self) -> ServerStats {
         self.stop.store(true, Ordering::Relaxed);

@@ -22,6 +22,8 @@
 //! assert_eq!(mesh.distance(a, b), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod coord;
 mod mesh;
 mod rect;

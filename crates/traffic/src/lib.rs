@@ -26,6 +26,8 @@
 //! assert!(due > 50 && due < 200); // ~100 expected
 //! ```
 
+#![forbid(unsafe_code)]
+
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use wormsim_topology::{Mesh, NodeId};

@@ -18,6 +18,8 @@
 //! assert!(rendered.contains("NHop"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod bars;
 mod canvas;
 mod line;
