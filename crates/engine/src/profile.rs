@@ -65,15 +65,20 @@ impl Phase {
 }
 
 /// Accumulated wall-clock nanoseconds per phase, the number of profiled
-/// cycles, and how much the `move` phase walked: worms visited and the
-/// stages (held VCs) they held. Plain copyable data; `reset` clears it
-/// along with the rest of the simulator's run state.
+/// cycles, how much the `move` phase walked (worms visited and the stages,
+/// i.e. held VCs, they held) and what the `allocate` phase did: live
+/// headers visited, `route()` calls, and blocked headers that only ticked
+/// their wait counter. Plain copyable data; `reset` clears it along with
+/// the rest of the simulator's run state.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     nanos: [u64; NUM_PHASES],
     cycles: u64,
     worms: u64,
     stage_visits: u64,
+    alloc_visits: u64,
+    route_calls: u64,
+    blocked_ticks: u64,
 }
 
 impl PhaseTimes {
@@ -100,6 +105,36 @@ impl PhaseTimes {
     pub fn count_worm(&mut self, stages: usize) {
         self.worms += 1;
         self.stage_visits += stages as u64;
+    }
+
+    #[inline]
+    pub(crate) fn count_alloc_visit(&mut self) {
+        self.alloc_visits += 1;
+    }
+
+    #[inline]
+    pub(crate) fn count_route_call(&mut self) {
+        self.route_calls += 1;
+    }
+
+    #[inline]
+    pub(crate) fn count_blocked_tick(&mut self) {
+        self.blocked_ticks += 1;
+    }
+
+    /// Live messages the allocation pass visited, whatever their phase.
+    pub fn alloc_visits(&self) -> u64 {
+        self.alloc_visits
+    }
+
+    /// `route()` calls the allocation pass made.
+    pub fn route_calls(&self) -> u64 {
+        self.route_calls
+    }
+
+    /// Blocked headers the allocation pass only ticked (no `route()`).
+    pub fn blocked_ticks(&self) -> u64 {
+        self.blocked_ticks
     }
 
     /// Worms the movement pass walked (stalled and queued ones excluded).
@@ -182,12 +217,21 @@ mod tests {
         t.count_worm(7);
         assert_eq!((t.worms(), t.stage_visits()), (2, 10));
         assert_eq!(t.ns_per_stage_visit(), 50.0);
+        t.count_alloc_visit();
+        t.count_alloc_visit();
+        t.count_route_call();
+        t.count_blocked_tick();
+        assert_eq!(
+            (t.alloc_visits(), t.route_calls(), t.blocked_ticks()),
+            (2, 1, 1)
+        );
         assert_eq!(t.share(Phase::Recover), 0.0);
         assert!((t.share(Phase::Move) - 0.5).abs() < 1e-12);
         t.clear();
         assert_eq!(t.total_nanos(), 0);
         assert_eq!(t.cycles(), 0);
         assert_eq!(t.stage_visits(), 0);
+        assert_eq!(t.alloc_visits(), 0);
     }
 
     #[test]

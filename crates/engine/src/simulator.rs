@@ -17,7 +17,7 @@ use wormsim_metrics::{
 };
 use wormsim_obs::{EventKind, NullSink, Sink, StallDiagnosis, StallMessage, TraceEvent, WaitEdge};
 use wormsim_routing::{MessageState, RoutingAlgorithm, RoutingContext};
-use wormsim_topology::{ChannelId, NodeId};
+use wormsim_topology::{ChannelId, Direction, NodeId};
 use wormsim_traffic::{DestinationSampler, Injector, Workload};
 
 /// The flit-level wormhole simulator. Construct with an algorithm bound to
@@ -74,6 +74,19 @@ pub struct Simulator<S: Sink = NullSink, const PROFILE: bool = false> {
     stalled: Vec<bool>,
     /// Cycle of the last flit movement (watchdog input).
     last_progress: Vec<u64>,
+    /// Cycles the header has waited since its last hop. The authoritative
+    /// copy of [`MessageState::wait_cycles`]: it is copied into the state
+    /// before `route()` and back after the attempt, so the per-cycle tick
+    /// of a blocked header touches only this array.
+    wait: Vec<u32>,
+    /// The head node the registration record `reg_bits` describes.
+    reg_node: Vec<u16>,
+    /// Registration record: bit `dir * 32 + vc` is set iff this id is on
+    /// the wake list of `reg_node`'s outgoing slot `(dir, vc)`. A set bit
+    /// always has its list entry, so a re-blocking header skips the push
+    /// without walking the list. The converse can fail after a node
+    /// revisit or an id recycle, which costs one duplicate entry.
+    reg_bits: Vec<u128>,
     free_list: Vec<u32>,
     /// Messages currently in the network or injecting.
     active: Vec<u32>,
@@ -109,10 +122,11 @@ pub struct Simulator<S: Sink = NullSink, const PROFILE: bool = false> {
     /// Scratch buffer for slot keys freed while moving one message's flits.
     freed_scratch: Vec<u32>,
     /// Per-VC-slot wake lists: blocked headers to re-arbitrate when the
-    /// slot frees. Deduplicated on push; stale entries (headers that moved
-    /// on, died, or were recycled) are dropped when the list drains.
-    /// Arena-backed flat storage (see [`WaiterTable`]) — one shared node
-    /// pool instead of a `Vec` per slot.
+    /// slot frees. A header is pushed only when its registration record
+    /// (`reg_bits`) says it is not listed there yet; stale entries
+    /// (headers that moved on, died, or were recycled) are dropped when
+    /// the list drains. Arena-backed flat storage (see [`WaiterTable`]) —
+    /// one shared node pool instead of a `Vec` per slot.
     waiters: WaiterTable,
     /// `active` mirrored in `(created, id)` order. Maintained incrementally
     /// (binary insert on promotion, mirrored removals) and only under
@@ -284,6 +298,9 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             alloc: Vec::new(),
             stalled: Vec::new(),
             last_progress: Vec::new(),
+            wait: Vec::new(),
+            reg_node: Vec::new(),
+            reg_bits: Vec::new(),
             free_list: Vec::new(),
             active: Vec::new(),
             queues: vec![VecDeque::new(); num_nodes],
@@ -417,6 +434,11 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         self.stalled.iter_mut().for_each(|s| *s = false);
         self.last_progress.resize(n, 0);
         self.last_progress.iter_mut().for_each(|p| *p = 0);
+        self.wait.resize(n, 0);
+        self.wait.iter_mut().for_each(|w| *w = 0);
+        self.reg_node.resize(n, 0);
+        self.reg_bits.resize(n, 0);
+        self.reg_bits.iter_mut().for_each(|b| *b = 0);
         self.free_list.clear();
         self.free_list.extend((0..self.msgs.len() as u32).rev());
         self.active.clear();
@@ -659,6 +681,9 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         self.alloc.resize(n, AllocPhase::Contend);
         self.stalled.resize(n, false);
         self.last_progress.resize(n, 0);
+        self.wait.resize(n, 0);
+        self.reg_node.resize(n, 0);
+        self.reg_bits.resize(n, 0);
         let per_node = 4 * messages / num_nodes.max(1) + 64;
         for q in &mut self.queues {
             q.reserve(per_node);
@@ -668,8 +693,11 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         self.ordered.reserve(max_active);
         self.stuck_scratch.reserve(max_active);
         self.backoff.reserve(max_active);
-        // Each blocked header registers on at most one routing decision's
-        // busy candidates at a time.
+        // Sized for each blocked header listed on one routing decision's
+        // busy candidates. Entries left behind by an earlier hop or an
+        // earlier holder of the id stay until their slot frees, so a run
+        // can exceed this once; the arena then keeps its high-water mark
+        // and recycles nodes through the free chain.
         let per_route = self.num_vcs as usize * 8;
         self.waiters
             .reserve_nodes(max_active.min(per_route * num_nodes));
@@ -693,12 +721,19 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             self.alloc.push(AllocPhase::Contend);
             self.stalled.push(false);
             self.last_progress.push(0);
+            self.wait.push(0);
+            self.reg_node.push(0);
+            self.reg_bits.push(0);
             self.msgs.len() as u32 - 1
         };
         let i = idx as usize;
         self.alive[i] = true;
         self.alloc[i] = AllocPhase::Contend;
         self.stalled[i] = false;
+        self.wait[i] = 0;
+        // Entries the id's previous holder left on wake lists stay there,
+        // unrecorded: a re-block on one of those slots pushes a duplicate.
+        self.reg_bits[i] = 0;
         // The watchdog clock starts at creation, not at promotion: a
         // message that queued for longer than `deadlock_timeout` is
         // "recovered" on the cycle it is promoted unless it moves a flit
@@ -814,6 +849,12 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     /// 5. Chaos bookkeeping: a message waiting out a backoff holds no VC
     ///    and has every flit back at its (healthy) source; no owned VC
     ///    slot touches a faulty node — aborts must not leak freed VCs.
+    /// 6. A routable header is never parked in the `Moving` phase.
+    /// 7. The occupancy and wake-flag bitmasks mirror `slots` and the
+    ///    wake lists bit for bit.
+    /// 8. A blocked header is listed on every busy candidate slot, so no
+    ///    wake is lost.
+    /// 9. Every set registration-record bit has its wake-list entry.
     pub fn check_invariants(&self) {
         let depth = self.cfg.buffer_depth as u32;
         // 1. Ownership bijection.
@@ -946,6 +987,56 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
                 self.waiter_mask[ch], expect_wait,
                 "wake-flag bitmask out of sync with wake lists on channel {ch}"
             );
+        }
+        // 8. Wake-list soundness: a blocked header sleeps until a slot it
+        // is listed on frees, so it must be listed on every candidate slot
+        // that is busy now. The candidates are recomputed with `route()`
+        // on a copy of its state. (At the recheck threshold the next pass
+        // re-routes it with a wider set anyway.)
+        let listed = |key: u32, id: u32| self.waiters.iter(key).any(|w| w == id);
+        let allowed = vc_width_mask(self.num_vcs);
+        for &id in &self.active {
+            let i = id as usize;
+            if !self.alive[i]
+                || self.alloc[i] != AllocPhase::Blocked
+                || Some(self.wait[i]) == self.recheck_wait
+            {
+                continue;
+            }
+            let m = &self.msgs[i];
+            let head = self.head_node(m);
+            let mut state = m.state;
+            state.wait_cycles = self.wait[i];
+            for hop in self.algo.route(head, &mut state).iter() {
+                let ch = mesh.channel(head, hop.dir).0;
+                let mut busy =
+                    (hop.preferred.0 | hop.fallback.0) & allowed & self.occ_mask[ch as usize];
+                while busy != 0 {
+                    let vc = busy.trailing_zeros();
+                    busy &= busy - 1;
+                    let key = ch * self.num_vcs as u32 + vc;
+                    assert!(
+                        listed(key, id),
+                        "blocked msg {id} is not on the wake list of its busy candidate slot {key}"
+                    );
+                }
+            }
+        }
+        // 9. Registration records: every set bit has its list entry.
+        for (i, &bits) in self.reg_bits.iter().enumerate() {
+            let mut rest = bits;
+            while rest != 0 {
+                let b = rest.trailing_zeros();
+                rest &= rest - 1;
+                let (dir, vc) = (Direction::from_index(b as usize / 32), b % 32);
+                assert!(vc < self.num_vcs as u32, "msg {i} registered on VC {vc}");
+                let ch = mesh.channel(NodeId(self.reg_node[i]), dir).0;
+                let key = ch * self.num_vcs as u32 + vc;
+                assert!(
+                    listed(key, i as u32),
+                    "msg {i}'s registration record names slot {key}, whose wake list lacks it"
+                );
+            }
         }
     }
 
@@ -1214,6 +1305,9 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         if !self.alive[i] {
             return;
         }
+        if PROFILE {
+            self.phase_times.count_alloc_visit();
+        }
         match self.alloc[i] {
             AllocPhase::Moving => return,
             AllocPhase::Blocked => {
@@ -1221,9 +1315,12 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
                 // exactly the threshold wait count (the widened attempt the
                 // always-retry loop would have made); otherwise just keep
                 // the wait counter ticking as that loop did.
-                if Some(self.msgs[i].state.wait_cycles) != self.recheck_wait {
-                    self.msgs[i].state.wait_cycles += 1;
+                if Some(self.wait[i]) != self.recheck_wait {
+                    self.wait[i] += 1;
                     self.blocked_this_cycle += 1;
+                    if PROFILE {
+                        self.phase_times.count_blocked_tick();
+                    }
                     return;
                 }
             }
@@ -1242,7 +1339,11 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         }
 
         let mut state = m.state;
+        state.wait_cycles = self.wait[i];
         let cands = self.algo.route(head, &mut state);
+        if PROFILE {
+            self.phase_times.count_route_call();
+        }
         if S::ENABLED {
             self.sink
                 .record(TraceEvent::new(self.cycle, EventKind::RouteDecision, id).at(head.0));
@@ -1289,16 +1390,27 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             // fault-blocked with nowhere to go — leaves the wake lists
             // empty; only the watchdog, the recheck threshold, or a fault
             // activation can change that picture, and all three re-set
-            // `Contend`.) Dedup on push bounds each list by the number of
-            // live contenders, keeping steady-state pushes allocation-free.
+            // `Contend`.) A header that was woken and lost again is
+            // usually still listed on these slots; its registration record
+            // says which, so it is pushed only where it is missing.
+            if self.reg_node[i] != head.0 {
+                self.reg_node[i] = head.0;
+                self.reg_bits[i] = 0;
+            }
             for &key in &busy {
-                self.waiters.register(key, id);
-                self.waiter_mask[(key / self.num_vcs as u32) as usize] |=
-                    1 << (key % self.num_vcs as u32);
+                let ch = key / self.num_vcs as u32;
+                let vc = key % self.num_vcs as u32;
+                let bit = registration_bit(mesh.channel_dir(ChannelId(ch)), vc);
+                if self.reg_bits[i] & bit != 0 {
+                    continue;
+                }
+                self.reg_bits[i] |= bit;
+                self.waiters.push(key, id);
+                self.waiter_mask[ch as usize] |= 1 << vc;
             }
             self.eligible_scratch = eligible;
             self.busy_scratch = busy;
-            state.wait_cycles += 1;
+            self.wait[i] = state.wait_cycles + 1;
             self.blocked_this_cycle += 1;
             if S::ENABLED {
                 self.sink
@@ -1315,6 +1427,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         let next = mesh.channel_dest(ch).expect("candidate channel exists");
         let dir = mesh.channel_dir(ch);
         self.algo.on_hop(head, next, dir, vc, &mut state);
+        self.wait[i] = state.wait_cycles;
         if self.algo.is_overlay_vc(vc) {
             self.ring_hops += 1;
         }
@@ -1374,8 +1487,16 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             !self.waiters.is_empty(key),
             "wake flag set on an empty list"
         );
+        // The list is about to drain: every record that names this slot
+        // forgets it. A repeated id finds `Contend` on its second visit.
+        let mesh = self.ctx.mesh();
+        let src = mesh.channel_src(ChannelId(ch)).0;
+        let bit = registration_bit(mesh.channel_dir(ChannelId(ch)), vc as u32);
         for wid in self.waiters.iter(key) {
             let wi = wid as usize;
+            if self.reg_node[wi] == src {
+                self.reg_bits[wi] &= !bit;
+            }
             if self.alive[wi] && self.alloc[wi] == AllocPhase::Blocked {
                 self.alloc[wi] = AllocPhase::Contend;
                 if S::ENABLED {
@@ -1620,6 +1741,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
                 if let Some(i) = parked {
                     if keep {
                         self.msgs[i].state = self.algo.init_message(NodeId(node as u16), dest);
+                        self.wait[i] = 0;
                     } else {
                         self.alive[i] = false;
                         self.free_list.push(i as u32);
@@ -1672,6 +1794,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         self.recheck_wait = self.algo.recheck_wait();
         self.waiters.clear_all();
         self.waiter_mask.iter_mut().for_each(|m| *m = 0);
+        self.reg_bits.iter_mut().for_each(|b| *b = 0);
         for &id in &self.active {
             self.alloc[id as usize] = AllocPhase::Contend;
         }
@@ -1743,6 +1866,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
                 .record(TraceEvent::new(self.cycle, EventKind::Abort, id).at(src.0));
         }
         let state = self.algo.init_message(src, dest);
+        self.wait[id as usize] = 0;
         let m = &mut self.msgs[id as usize];
         m.state = state;
         let exp = (m.chaos_aborts - 1).min(self.cfg.recovery_backoff_cap);
@@ -1815,6 +1939,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         self.freed_scratch = freed;
         let state = self.algo.init_message(src, self.msgs[id as usize].dest);
         self.msgs[id as usize].state = state;
+        self.wait[id as usize] = 0;
         // Give the injection port back if this message held it; otherwise
         // requeue at the front.
         if self.injecting[src.index()] == Some(id) {
@@ -1880,10 +2005,15 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             // Freed but not yet drained: its sleepers are about to wake.
             return;
         };
+        let first = edges.len();
         for waiter in self.waiters.iter(key) {
             let wi = waiter as usize;
-            // Stale entries (moved on, died, recycled) are not waiting.
-            if self.alive[wi] && self.alloc[wi] == AllocPhase::Blocked {
+            // Stale entries (moved on, died, recycled) are not waiting, and
+            // a list is a set: a repeated id adds no second edge.
+            if self.alive[wi]
+                && self.alloc[wi] == AllocPhase::Blocked
+                && !edges[first..].iter().any(|e| e.waiter == waiter)
+            {
                 edges.push(WaitEdge {
                     waiter,
                     channel,
@@ -1909,7 +2039,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             head: coord(self.head_node(m)),
             at_source: m.path.is_empty(),
             delivered: m.delivered,
-            wait_cycles: m.state.wait_cycles,
+            wait_cycles: self.wait[id as usize],
             recoveries: m.recoveries,
             holds: m.path.iter().map(|e| (e.ch, e.vc)).collect(),
         }
@@ -1931,6 +2061,9 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             n,
             "last_progress[] not slab-length"
         );
+        assert_eq!(self.wait.len(), n, "wait[] not slab-length");
+        assert_eq!(self.reg_node.len(), n, "reg_node[] not slab-length");
+        assert_eq!(self.reg_bits.len(), n, "reg_bits[] not slab-length");
         for &id in &self.free_list {
             let i = id as usize;
             assert!(!self.alive[i], "free slab slot {id} marked alive");
@@ -2007,6 +2140,11 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             self.last_progress.iter().all(|&c| c == 0),
             "stale watchdog stamps"
         );
+        assert!(self.wait.iter().all(|&w| w == 0), "stale wait counters");
+        assert!(
+            self.reg_bits.iter().all(|&b| b == 0),
+            "stale registration records"
+        );
         assert!(
             self.msgs.iter().all(|m| m.path.is_empty()),
             "parked message still holds VCs"
@@ -2026,6 +2164,13 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             "stale waiter bits"
         );
     }
+}
+
+/// The registration-record bit of the slot on VC `vc` of the channel
+/// leaving the header's node in direction `dir`.
+#[inline]
+fn registration_bit(dir: Direction, vc: u32) -> u128 {
+    1 << (dir as u32 * 32 + vc)
 }
 
 /// All-ones mask over the low `num_vcs` bits (`u32::MAX` at the full
@@ -2694,7 +2839,7 @@ mod tests {
             sim.slots[keys[i] as usize] = Some(holder);
             sim.occ_mask[(keys[i] / sim.num_vcs as u32) as usize] |=
                 1 << (keys[i] % sim.num_vcs as u32);
-            sim.waiters.register(keys[i], ids[i]);
+            sim.waiters.push(keys[i], ids[i]);
             sim.waiter_mask[(keys[i] / sim.num_vcs as u32) as usize] |=
                 1 << (keys[i] % sim.num_vcs as u32);
         }
@@ -2717,6 +2862,77 @@ mod tests {
             sim.waiter_mask[(key / sim.num_vcs as u32) as usize] &=
                 !(1 << (key % sim.num_vcs as u32));
         }
+    }
+
+    /// Occupy every VC of every channel leaving `node` with a forged
+    /// owner, so any header there blocks on all of them.
+    fn occupy_all_outputs(sim: &mut Simulator, node: NodeId, owner: u32) {
+        let vcs = sim.num_vcs as u32;
+        for dir in wormsim_topology::ALL_DIRECTIONS {
+            let ch = sim.ctx.mesh().channel(node, dir).0;
+            if !sim.ctx.mesh().channel_exists(ChannelId(ch)) {
+                continue;
+            }
+            sim.occ_mask[ch as usize] = vc_width_mask(sim.num_vcs);
+            for vc in 0..vcs {
+                sim.slots[(ch * vcs + vc) as usize] = Some(owner);
+            }
+        }
+    }
+
+    #[test]
+    fn reblocking_at_the_same_hop_pushes_nothing() {
+        // A header that was woken and lost again re-blocks on the slots it
+        // is still listed on: its registration record must skip every
+        // push, so the wake lists do not grow.
+        let mesh = Mesh::square(10);
+        let mut sim = make_sim(AlgorithmKind::Duato, fault_free(), 0.0, SimConfig::quick());
+        let src = mesh.node(4, 4);
+        let id = sim.inject_message(src, mesh.node(9, 9)).0;
+        let owner = sim.inject_message(mesh.node(0, 0), mesh.node(9, 9)).0;
+        occupy_all_outputs(&mut sim, src, owner);
+        sim.try_allocate(id);
+        assert_eq!(sim.alloc[id as usize], AllocPhase::Blocked);
+        let listed = sim.waiters.live_nodes();
+        assert!(listed > 0, "the header registered nowhere");
+        for round in 1..=3 {
+            sim.alloc[id as usize] = AllocPhase::Contend;
+            sim.try_allocate(id);
+            assert_eq!(sim.alloc[id as usize], AllocPhase::Blocked);
+            assert_eq!(
+                sim.waiters.live_nodes(),
+                listed,
+                "re-block {round} grew the wake lists"
+            );
+        }
+        assert_eq!(
+            sim.wait[id as usize], 4,
+            "one wait cycle per failed attempt"
+        );
+    }
+
+    #[test]
+    fn duplicate_wake_entry_yields_one_edge() {
+        // An id listed twice on one slot (left behind by a node revisit or
+        // an id recycle) is one wait-for edge, not two.
+        let mesh = Mesh::square(10);
+        let mut sim = make_sim(AlgorithmKind::Duato, fault_free(), 0.0, SimConfig::quick());
+        let waiter = sim.inject_message(mesh.node(0, 0), mesh.node(9, 9)).0;
+        let holder = sim.inject_message(mesh.node(1, 0), mesh.node(9, 9)).0;
+        let key = 5u32;
+        let (ch, vc) = (key / sim.num_vcs as u32, key % sim.num_vcs as u32);
+        sim.alloc[waiter as usize] = AllocPhase::Blocked;
+        sim.slots[key as usize] = Some(holder);
+        sim.occ_mask[ch as usize] |= 1 << vc;
+        sim.waiters.push(key, waiter);
+        sim.waiters.push(key, waiter);
+        sim.waiter_mask[ch as usize] |= 1 << vc;
+        let diag = sim.diagnose_stall(None);
+        assert_eq!(diag.edges.len(), 1, "{:?}", diag.edges);
+        assert_eq!(
+            (diag.edges[0].waiter, diag.edges[0].holder),
+            (waiter, holder)
+        );
     }
 
     #[test]

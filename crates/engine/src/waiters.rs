@@ -13,6 +13,13 @@
 //! wake pass re-arms blocked headers in exactly the sequence the old
 //! per-slot `Vec` produced, which the byte-identity discipline depends
 //! on.
+//!
+//! The table keeps duplicates: [`WaiterTable::push`] appends without
+//! looking. Whether an id is already listed is the simulator's
+//! registration record (`Simulator::reg_bits`), which answers in O(1)
+//! what a walk of the list used to. A list can still name an id twice
+//! after the header revisits a node or the id is recycled; readers treat
+//! each list as a set, and only the first entry of an id has any effect.
 
 /// Sentinel index for "no node" (list ends, empty slots, empty free
 /// chain).
@@ -32,7 +39,7 @@ pub(crate) struct WaiterTable {
     tail: Vec<u32>,
     /// Shared node arena; freed nodes chain through `next`.
     nodes: Vec<WaiterNode>,
-    /// Head of the free chain (`NONE` = exhausted; next register grows
+    /// Head of the free chain (`NONE` = exhausted; the next push grows
     /// the arena).
     free: u32,
 }
@@ -81,25 +88,16 @@ impl WaiterTable {
         self.nodes.len() - on_free
     }
 
-    /// Pre-size the arena for `nodes` concurrent registrations.
+    /// Pre-size the arena for `nodes` concurrent list entries.
     pub fn reserve_nodes(&mut self, nodes: usize) {
         if self.nodes.capacity() < nodes {
             self.nodes.reserve(nodes - self.nodes.len());
         }
     }
 
-    /// Append `id` to `key`'s list unless already registered (same dedup
-    /// the per-slot `Vec` did with `contains`, bounding each list by the
-    /// number of live contenders).
-    pub fn register(&mut self, key: u32, id: u32) {
-        let mut cur = self.head[key as usize];
-        while cur != NONE {
-            let n = self.nodes[cur as usize];
-            if n.msg == id {
-                return;
-            }
-            cur = n.next;
-        }
+    /// Append `id` to `key`'s list. O(1): no check for an entry already
+    /// there (see the module docs).
+    pub fn push(&mut self, key: u32, id: u32) {
         let slot = if self.free != NONE {
             let s = self.free;
             self.free = self.nodes[s as usize].next;
@@ -172,17 +170,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insertion_order_and_dedup() {
+    fn insertion_order_duplicates_kept() {
         let mut t = WaiterTable::new();
         t.reset(4);
-        t.register(2, 10);
-        t.register(2, 11);
-        t.register(2, 10); // duplicate: dropped
-        t.register(0, 7);
-        assert_eq!(t.iter(2).collect::<Vec<_>>(), vec![10, 11]);
+        t.push(2, 10);
+        t.push(2, 11);
+        t.push(2, 10); // duplicate: kept, in order
+        t.push(0, 7);
+        assert_eq!(t.iter(2).collect::<Vec<_>>(), vec![10, 11, 10]);
         assert_eq!(t.iter(0).collect::<Vec<_>>(), vec![7]);
         assert!(t.is_empty(1));
-        assert_eq!(t.live_nodes(), 3);
+        assert_eq!(t.live_nodes(), 4);
     }
 
     #[test]
@@ -190,14 +188,14 @@ mod tests {
         let mut t = WaiterTable::new();
         t.reset(2);
         for id in 0..8 {
-            t.register(0, id);
+            t.push(0, id);
         }
         t.release(0);
         assert!(t.is_empty(0));
         assert_eq!(t.live_nodes(), 0);
         let cap = t.nodes.capacity();
         for id in 20..28 {
-            t.register(1, id);
+            t.push(1, id);
         }
         assert_eq!(t.nodes.capacity(), cap, "recycled nodes must be reused");
         assert_eq!(t.iter(1).collect::<Vec<_>>(), (20..28).collect::<Vec<_>>());
@@ -207,8 +205,8 @@ mod tests {
     fn reset_rewinds_every_list() {
         let mut t = WaiterTable::new();
         t.reset(3);
-        t.register(0, 1);
-        t.register(1, 2);
+        t.push(0, 1);
+        t.push(1, 2);
         t.reset(3);
         for k in 0..3 {
             assert!(t.is_empty(k));

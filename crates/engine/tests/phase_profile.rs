@@ -82,6 +82,10 @@ fn profiled_run_accumulates_phase_times() {
     assert!(t.worms() > steps / 2, "only {} worms walked", t.worms());
     assert!(t.stage_visits() >= t.worms());
     assert!(t.ns_per_stage_visit() > 0.0);
+    // The allocation pass counts its visits: each one routes, ticks a
+    // blocked header, or skips, never two of those.
+    assert!(t.route_calls() > 0, "no route() call counted");
+    assert!(t.alloc_visits() >= t.route_calls() + t.blocked_ticks());
 
     // Reset clears the accumulator alongside the rest of the run state.
     let algo2 = build_algorithm(AlgorithmKind::Duato, ctx.clone(), VcConfig::paper());
@@ -89,6 +93,7 @@ fn profiled_run_accumulates_phase_times() {
     assert_eq!(sim.phase_times().cycles(), 0);
     assert_eq!(sim.phase_times().total_nanos(), 0);
     assert_eq!(sim.phase_times().stage_visits(), 0);
+    assert_eq!(sim.phase_times().alloc_visits(), 0);
 }
 
 #[test]
@@ -102,5 +107,8 @@ fn default_build_accumulates_nothing() {
     assert_eq!(sim.phase_times().cycles(), 0);
     assert_eq!(sim.phase_times().total_nanos(), 0);
     assert_eq!(sim.phase_times().worms(), 0);
+    assert_eq!(sim.phase_times().route_calls(), 0);
+    assert_eq!(sim.phase_times().blocked_ticks(), 0);
     assert_eq!(sim.phase_times().stage_visits(), 0);
+    assert_eq!(sim.phase_times().alloc_visits(), 0);
 }

@@ -6,6 +6,8 @@
 //! prints nanoseconds per engine phase and what the movement pass walks:
 //! worms and stage visits per cycle, and `move` nanoseconds per stage
 //! visit, so a kernel change reads per unit of work and not per cycle.
+//! For `allocate` it prints what that phase did per cycle: live headers
+//! visited, `route()` calls, and blocked headers that only ticked.
 //!
 //! This is a printer, not a gate. Speed is judged with `wormbench`
 //! (`benchmark/`); this run's fingerprint and its allocation-free
@@ -86,4 +88,16 @@ fn main() {
         t.stage_visits() as f64 / cycles
     );
     println!("ns_per_stage_visit     {:.2}", t.ns_per_stage_visit());
+    println!(
+        "alloc_visits_per_cycle {:.1}",
+        t.alloc_visits() as f64 / cycles
+    );
+    println!(
+        "route_calls_per_cycle  {:.1}",
+        t.route_calls() as f64 / cycles
+    );
+    println!(
+        "blocked_ticks_per_cycle {:.1}",
+        t.blocked_ticks() as f64 / cycles
+    );
 }

@@ -256,8 +256,10 @@ pub struct MessageState {
     pub next_class_min: u8,
     /// Misroutes taken (Fully-Adaptive, capped).
     pub misroutes: u8,
-    /// Cycles the header has waited since its last hop; maintained by the
-    /// engine, read by algorithms that react to blocking (misrouting).
+    /// Cycles the header has waited since its last hop, read by algorithms
+    /// that react to blocking (misrouting). The engine keeps the counter in
+    /// its own per-message array and writes it here before every `route()`
+    /// call; `on_hop` resets it.
     pub wait_cycles: u32,
     /// Active f-ring traversal, if any.
     pub ring: Option<RingState>,

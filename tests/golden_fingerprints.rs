@@ -12,6 +12,15 @@
 //!
 //! A changed fingerprint means simulation semantics, the RNG call
 //! sequence or the report schema moved: decide which before re-recording.
+//!
+//! Equal reports do not prove equal runs: the order in which headers wake,
+//! block and win VCs can change while every statistic stays put. The event
+//! streams of the eleven §5.2 runs, the watchdog run and the `OldestFirst`
+//! run are therefore pinned too, by the fingerprint of their serialized
+//! [`TraceEvent`]s. Those values were recorded on commit `264ed2b`, before
+//! wake-list registration moved from a dedup walk to a per-message record
+//! and the blocked-wait counter moved off `MessageState`, and must not
+//! change under either rewrite.
 
 use std::sync::Arc;
 use wormsim_chaos::{run_chaos, FaultEvent, FaultSchedule};
@@ -19,6 +28,7 @@ use wormsim_engine::{Arbitration, SimConfig, Simulator};
 use wormsim_experiments::{paper_52_layout, report_fingerprint, report_json_fingerprint};
 use wormsim_fault::FaultPattern;
 use wormsim_metrics::SimReport;
+use wormsim_obs::{Sink, TraceEvent, VecSink};
 use wormsim_routing::{build_algorithm, AlgorithmKind, RoutingContext, VcConfig};
 use wormsim_topology::{Coord, Mesh};
 use wormsim_traffic::Workload;
@@ -29,9 +39,32 @@ fn run(
     workload: Workload,
     cfg: SimConfig,
 ) -> SimReport {
+    run_with(kind, pattern, workload, cfg, wormsim_obs::NullSink).0
+}
+
+fn run_with<S: Sink>(
+    kind: AlgorithmKind,
+    pattern: FaultPattern,
+    workload: Workload,
+    cfg: SimConfig,
+    sink: S,
+) -> (SimReport, S) {
     let ctx = Arc::new(RoutingContext::new(Mesh::square(10), pattern));
     let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
-    Simulator::new(algo, ctx, workload, cfg).run()
+    let mut sim = Simulator::with_sink(algo, ctx, workload, cfg, sink);
+    let report = sim.run();
+    (report, sim.into_sink())
+}
+
+/// The fingerprint of an event stream: one compact JSON document per
+/// event, newline-terminated, hashed like a report.
+fn stream_fingerprint(events: &[TraceEvent]) -> String {
+    let mut jsonl = String::new();
+    for e in events {
+        jsonl.push_str(&serde_json::to_string(e).expect("event serializes"));
+        jsonl.push('\n');
+    }
+    report_json_fingerprint(&jsonl)
 }
 
 /// The run `tests/steady_state_alloc.rs` and `wormbench paper_saturated`
@@ -54,23 +87,21 @@ fn paper_run_at_the_historical_seed() {
 
 /// Eight-flit messages on the paper's §5.2 fault layout: header-dominated
 /// traffic, ring detours, and `ring_load` in the report.
-#[test]
-fn every_algorithm_on_the_paper_fault_layout() {
-    const EXPECTED: [(AlgorithmKind, &str); 11] = [
-        (AlgorithmKind::BouraAdaptive, "88242d21c9eb42cc"),
-        (AlgorithmKind::FullyAdaptive, "039bd5fda1d4ca61"),
-        (AlgorithmKind::Nbc, "0b5cbfa7e3b34212"),
-        (AlgorithmKind::NHop, "9ae9572d78c86e28"),
-        (AlgorithmKind::PHop, "1d31b1e0fb6f8e7b"),
-        (AlgorithmKind::Pbc, "08240ab32df61915"),
-        (AlgorithmKind::MinimalAdaptive, "c0333b9e75eb71d9"),
-        (AlgorithmKind::Duato, "b8ac7d05ed37a6e0"),
-        (AlgorithmKind::DuatoNbc, "f3d5b119482d33ec"),
-        (AlgorithmKind::DuatoPbc, "a4c9b39367e025ea"),
-        (AlgorithmKind::BouraFaultTolerant, "09651be8db6a3000"),
-    ];
-    assert_eq!(EXPECTED.map(|(k, _)| k), AlgorithmKind::ALL);
-    let mesh = Mesh::square(10);
+const PAPER_52: [(AlgorithmKind, &str); 11] = [
+    (AlgorithmKind::BouraAdaptive, "88242d21c9eb42cc"),
+    (AlgorithmKind::FullyAdaptive, "039bd5fda1d4ca61"),
+    (AlgorithmKind::Nbc, "0b5cbfa7e3b34212"),
+    (AlgorithmKind::NHop, "9ae9572d78c86e28"),
+    (AlgorithmKind::PHop, "1d31b1e0fb6f8e7b"),
+    (AlgorithmKind::Pbc, "08240ab32df61915"),
+    (AlgorithmKind::MinimalAdaptive, "c0333b9e75eb71d9"),
+    (AlgorithmKind::Duato, "b8ac7d05ed37a6e0"),
+    (AlgorithmKind::DuatoNbc, "f3d5b119482d33ec"),
+    (AlgorithmKind::DuatoPbc, "a4c9b39367e025ea"),
+    (AlgorithmKind::BouraFaultTolerant, "09651be8db6a3000"),
+];
+
+fn paper_52_dense() -> (Workload, SimConfig) {
     let cfg = SimConfig {
         warmup_cycles: 200,
         measure_cycles: 1_000,
@@ -80,7 +111,15 @@ fn every_algorithm_on_the_paper_fault_layout() {
         message_length: 8,
         ..Workload::paper_uniform(0.05)
     };
-    let got: Vec<(AlgorithmKind, String)> = EXPECTED
+    (workload, cfg)
+}
+
+#[test]
+fn every_algorithm_on_the_paper_fault_layout() {
+    assert_eq!(PAPER_52.map(|(k, _)| k), AlgorithmKind::ALL);
+    let mesh = Mesh::square(10);
+    let (workload, cfg) = paper_52_dense();
+    let got: Vec<(AlgorithmKind, String)> = PAPER_52
         .iter()
         .map(|&(kind, _)| {
             let report = run(kind, paper_52_layout(&mesh), workload.clone(), cfg);
@@ -88,7 +127,7 @@ fn every_algorithm_on_the_paper_fault_layout() {
             (kind, report_fingerprint(&report))
         })
         .collect();
-    let want: Vec<(AlgorithmKind, String)> = EXPECTED
+    let want: Vec<(AlgorithmKind, String)> = PAPER_52
         .iter()
         .map(|&(kind, fp)| (kind, fp.to_string()))
         .collect();
@@ -152,15 +191,20 @@ fn chaos_schedule() {
     assert_eq!(report_fingerprint(&report), "39f6741ee8305e29");
 }
 
-/// A short watchdog timeout on an algorithm that can deadlock: recovery
-/// re-injects through a held port or the front of the source queue.
-#[test]
-fn watchdog_recoveries() {
+fn watchdog_heavy() -> (Workload, SimConfig) {
     let (workload, cfg) = saturated_short(Arbitration::Random);
     let cfg = SimConfig {
         deadlock_timeout: 300,
         ..cfg
     };
+    (workload, cfg)
+}
+
+/// A short watchdog timeout on an algorithm that can deadlock: recovery
+/// re-injects through a held port or the front of the source queue.
+#[test]
+fn watchdog_recoveries() {
+    let (workload, cfg) = watchdog_heavy();
     let report = run(
         AlgorithmKind::MinimalAdaptive,
         paper_52_layout(&Mesh::square(10)),
@@ -183,4 +227,69 @@ fn oldest_first_after_the_slab_moved_to_promotion() {
         cfg,
     );
     assert_eq!(report_fingerprint(&report), "cb0e546673abb382");
+}
+
+/// The event streams behind the eleven §5.2 reports, the watchdog run and
+/// the `OldestFirst` run, recorded on commit `264ed2b` (see the module
+/// docs). The traced §5.2 reports must also still read their pins. The
+/// two Boura variants share a stream: on this layout they take the same
+/// decisions, and their reports differ only in the algorithm name.
+#[test]
+fn event_streams_of_the_dense_watchdog_and_oldest_first_runs() {
+    const EXPECTED: [&str; 13] = [
+        "31399d771089affd",
+        "863c95873ed792ff",
+        "00691e86bf680803",
+        "dd0375c22f743f5e",
+        "e4650cad77898bbc",
+        "284d624c4f35ddec",
+        "b6b8c7e269af433f",
+        "681ef30e25d974e8",
+        "d069fb4f09985ec6",
+        "f6fb486f52aef457",
+        "31399d771089affd",
+        "e6bf68fe382b2b92",
+        "0727f3a1f03ea15d",
+    ];
+    let mesh = Mesh::square(10);
+    let traced = |kind, pattern, workload, cfg| {
+        let (report, sink) = run_with(kind, pattern, workload, cfg, VecSink::new());
+        (report, stream_fingerprint(sink.events()))
+    };
+    let mut got = Vec::new();
+    let (workload, cfg) = paper_52_dense();
+    for (kind, pin) in PAPER_52 {
+        let (report, events) = traced(kind, paper_52_layout(&mesh), workload.clone(), cfg);
+        assert_eq!(
+            report_fingerprint(&report),
+            pin,
+            "{kind:?}: traced report moved"
+        );
+        got.push(format!("{kind:?} {events}"));
+    }
+    let (workload, cfg) = watchdog_heavy();
+    let (_, events) = traced(
+        AlgorithmKind::MinimalAdaptive,
+        paper_52_layout(&mesh),
+        workload,
+        cfg,
+    );
+    got.push(format!("watchdog {events}"));
+    let (workload, cfg) = saturated_short(Arbitration::OldestFirst);
+    let (_, events) = traced(
+        AlgorithmKind::Nbc,
+        FaultPattern::fault_free(&mesh),
+        workload,
+        cfg,
+    );
+    got.push(format!("oldest_first {events}"));
+    let names = PAPER_52
+        .iter()
+        .map(|(kind, _)| format!("{kind:?}"))
+        .chain(["watchdog".to_string(), "oldest_first".to_string()]);
+    let want: Vec<String> = names
+        .zip(EXPECTED)
+        .map(|(name, fp)| format!("{name} {fp}"))
+        .collect();
+    assert_eq!(got, want);
 }
