@@ -17,11 +17,20 @@
 //! `--metrics-interval-ms` (default 1000) while serving, plus a final
 //! frame at shutdown — the soak-run companion to the on-demand
 //! `Metrics` wire request.
+//!
+//! An unknown flag or an unusable value exits 2 with the usage line; a
+//! failed bind or metrics file exits 1.
 
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 use wormsim_obs::Progress;
 use wormsim_serve::{MetricsEmitter, SchedulerConfig, Server, ServerConfig};
+
+const USAGE: &str = "usage: serve [--addr HOST:PORT] [--threads N] [--max-queue N] \
+                     [--quota N] [--cache-cap N] \
+                     [--metrics-jsonl PATH] [--metrics-interval-ms N] [--quiet]";
 
 struct Args {
     addr: String,
@@ -41,46 +50,20 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match arg.as_str() {
-            "--addr" => args.addr = value("--addr")?,
-            "--threads" => {
-                args.scheduler.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?
-            }
-            "--max-queue" => {
-                args.scheduler.max_queue = value("--max-queue")?
-                    .parse()
-                    .map_err(|e| format!("--max-queue: {e}"))?
-            }
-            "--quota" => {
-                args.scheduler.per_client_quota = value("--quota")?
-                    .parse()
-                    .map_err(|e| format!("--quota: {e}"))?
-            }
-            "--cache-cap" => {
-                args.scheduler.cache_capacity = value("--cache-cap")?
-                    .parse()
-                    .map_err(|e| format!("--cache-cap: {e}"))?
-            }
-            "--metrics-jsonl" => args.metrics_jsonl = Some(value("--metrics-jsonl")?),
-            "--metrics-interval-ms" => {
-                let ms: u64 = value("--metrics-interval-ms")?
-                    .parse()
-                    .map_err(|e| format!("--metrics-interval-ms: {e}"))?;
-                if ms == 0 {
-                    return Err("--metrics-interval-ms must be positive".into());
-                }
-                args.metrics_interval = Duration::from_millis(ms);
-            }
+            "--addr" => args.addr = value(&mut it, &arg)?,
+            "--threads" => args.scheduler.threads = value(&mut it, &arg)?,
+            "--max-queue" => args.scheduler.max_queue = value(&mut it, &arg)?,
+            "--quota" => args.scheduler.per_client_quota = value(&mut it, &arg)?,
+            "--cache-cap" => args.scheduler.cache_capacity = value(&mut it, &arg)?,
+            "--metrics-jsonl" => args.metrics_jsonl = Some(value(&mut it, &arg)?),
+            "--metrics-interval-ms" => match value(&mut it, &arg)? {
+                0 => return Err(format!("{arg} must be positive")),
+                ms => args.metrics_interval = Duration::from_millis(ms),
+            },
             "--quiet" => args.quiet = true,
             "--help" | "-h" => {
-                println!(
-                    "usage: serve [--addr HOST:PORT] [--threads N] [--max-queue N] \
-                     [--quota N] [--cache-cap N] \
-                     [--metrics-jsonl PATH] [--metrics-interval-ms N] [--quiet]"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument {other:?}")),
@@ -89,12 +72,21 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// The value after `flag`, parsed; missing or unparsable is an error.
+fn value<T: FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let text = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    text.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("serve: {e}");
-            return ExitCode::FAILURE;
+            eprintln!("serve: {e}\n{USAGE}");
+            return ExitCode::from(2);
         }
     };
     let progress = Progress::from_quiet_flag(args.quiet);
@@ -110,11 +102,8 @@ fn main() -> ExitCode {
     };
     let emitter = match &args.metrics_jsonl {
         Some(path) => match std::fs::File::create(path)
-            .map_err(|e| e.to_string())
-            .and_then(|f| {
-                MetricsEmitter::spawn(server.metrics(), f, args.metrics_interval)
-                    .map_err(|e| e.to_string())
-            }) {
+            .and_then(|f| MetricsEmitter::spawn(server.metrics(), f, args.metrics_interval))
+        {
             Ok(em) => {
                 progress.out(format_args!(
                     "metrics -> {path} every {}ms",
@@ -133,7 +122,7 @@ fn main() -> ExitCode {
     // the resolved port, so it prints regardless of --quiet.
     println!("listening on {}", server.local_addr());
     progress.out(format_args!(
-        "serving; send a Shutdown frame (loadgen --shutdown) to stop"
+        "serving until a client sends a Shutdown frame"
     ));
     let stats = server.run_until_shutdown();
     if let Some(em) = emitter {

@@ -6,11 +6,10 @@
 //!   [`Client::stats`], ...) for scripts and tests;
 //! - raw [`Client::send`] / [`Client::recv`] for pipelining — issue many
 //!   requests with distinct ids, then match the interleaved responses
-//!   yourself (the load generator does exactly this).
+//!   yourself (the soak test's storm does exactly this).
 
 use std::io::{self, BufReader};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
 use wormsim_obs::{MetricsSnapshot, ProgressFrame};
 
 use crate::protocol::{read_frame, send_message, Request, Response, ServerStats, WireSpec};
@@ -95,24 +94,6 @@ impl Client {
             writer,
             next_id: 1,
         })
-    }
-
-    /// Connect, retrying until `timeout` elapses — for scripts that race
-    /// the server's startup (CI starts `serve` in the background and
-    /// immediately launches `loadgen`).
-    pub fn connect_retry(addr: &str, timeout: Duration) -> io::Result<Client> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match Client::connect(addr) {
-                Ok(c) => return Ok(c),
-                Err(e) => {
-                    if Instant::now() >= deadline {
-                        return Err(e);
-                    }
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-            }
-        }
     }
 
     /// A fresh request id (unique per connection).

@@ -37,8 +37,8 @@
 //! (fault-pattern interning so a repeated fault list is validated once),
 //! [`scheduler`] (dedup, cache, quotas, dispatcher), [`metrics`]
 //! (counters, gauges, latency histograms, periodic emitter), [`server`]
-//! (TCP plumbing), [`client`] (blocking client used by `loadgen`, the
-//! soak test, and scripts).
+//! (TCP plumbing), [`client`] (blocking client used by the soak and
+//! process tests, `wormbench`, and scripts).
 
 #![forbid(unsafe_code)]
 

@@ -35,8 +35,7 @@ fn start_server(scheduler: SchedulerConfig) -> Server {
 }
 
 fn connect(server: &Server) -> Client {
-    Client::connect_retry(&server.local_addr().to_string(), Duration::from_secs(5))
-        .expect("connect to in-process server")
+    Client::connect(&server.local_addr().to_string()).expect("connect to in-process server")
 }
 
 /// Small fast specs the storm cycles through (some with faults).
@@ -186,8 +185,11 @@ fn soak_over_1000_concurrent_mixed_requests_zero_divergence() {
         "a spec got the wrong outcome class"
     );
     let errors = lock(&typed_errors);
-    assert!(errors.get("config").copied().unwrap_or(0) > 0);
+    let config_errors = errors.get("config").copied().unwrap_or(0);
+    assert!(config_errors > 0);
     assert!(errors.get("bad_spec").copied().unwrap_or(0) > 0);
+    // Every request got exactly one answer: a result or a typed error.
+    let results = (THREADS * PER_THREAD) as u64 - errors.values().sum::<u64>();
     drop(errors);
 
     // Every unique spec's server report must byte-match a direct run.
@@ -222,7 +224,7 @@ fn soak_over_1000_concurrent_mixed_requests_zero_divergence() {
         }
     }
 
-    let stats = server.stats();
+    let stats = connect(&server).stats().expect("Stats over the wire");
     assert!(
         stats.cache_hits > 0,
         "storm produced no cache hits: {stats:?}"
@@ -237,6 +239,13 @@ fn soak_over_1000_concurrent_mixed_requests_zero_divergence() {
         "dedup/cache should have avoided re-running duplicates: {stats:?}"
     );
     assert_eq!(stats.in_flight, 0, "storm fully drained: {stats:?}");
+    // Only admitted requests complete: every result, every config
+    // reject and the second pass; a bad_spec is refused before admission.
+    assert_eq!(
+        stats.completed,
+        results + config_errors + pool.len() as u64,
+        "{stats:?}"
+    );
 
     // The metrics wire request must agree with the stats the storm just
     // pinned: every answered request timed exactly once, quantiles
@@ -259,27 +268,33 @@ fn soak_over_1000_concurrent_mixed_requests_zero_divergence() {
             "quantiles out of order: {req:?}"
         );
 
-        assert_eq!(snap.counter("wormsim_internal_errors_total"), Some(0));
+        assert_eq!(stats.internal_errors, 0);
         let queue_wait = snap.histogram("wormsim_queue_wait_seconds").unwrap();
         let execution = snap.histogram("wormsim_execution_seconds").unwrap();
         assert_eq!(queue_wait.count, stats.jobs_run, "one wait per dequeue");
         assert_eq!(execution.count, stats.jobs_run, "one span per dequeue");
 
-        // The counters the stats struct now derives from must read back
+        // The counters the stats struct derives from must read back
         // identically over the wire.
-        assert_eq!(snap.counter("wormsim_requests_total"), Some(stats.requests));
-        assert_eq!(
-            snap.counter("wormsim_requests_completed_total"),
-            Some(stats.completed)
-        );
-        assert_eq!(
-            snap.counter("wormsim_cache_hits_total"),
-            Some(stats.cache_hits)
-        );
-        assert_eq!(
-            snap.counter("wormsim_dedup_joins_total"),
-            Some(stats.dedup_joins)
-        );
+        let twins = [
+            ("wormsim_requests_total", stats.requests),
+            ("wormsim_requests_completed_total", stats.completed),
+            ("wormsim_jobs_run_total", stats.jobs_run),
+            ("wormsim_cache_hits_total", stats.cache_hits),
+            ("wormsim_dedup_joins_total", stats.dedup_joins),
+            ("wormsim_rejects_quota_total", stats.quota_rejects),
+            (
+                "wormsim_rejects_backpressure_total",
+                stats.backpressure_rejects,
+            ),
+            ("wormsim_rejects_bad_spec_total", stats.bad_spec_rejects),
+            ("wormsim_rejects_config_total", stats.config_rejects),
+            ("wormsim_internal_errors_total", stats.internal_errors),
+            ("wormsim_integrity_drops_total", stats.integrity_drops),
+        ];
+        for (name, want) in twins {
+            assert_eq!(snap.counter(name), Some(want), "{name}");
+        }
         assert_eq!(snap.gauge("wormsim_jobs_in_flight"), Some(0));
         assert_eq!(
             snap.gauge("wormsim_cached_results"),
@@ -291,6 +306,28 @@ fn soak_over_1000_concurrent_mixed_requests_zero_divergence() {
     assert_eq!(final_stats.internal_errors, 0);
 }
 
+/// Pipeline `n` distinct slow specs on one connection, so the first is
+/// still in flight when the rest arrive (the reader admits strictly in
+/// order), and count the `code` rejections and the results.
+fn pipeline_slow_specs(server: &Server, n: u64, seed: u64, code: &str) -> (u64, u64) {
+    let mut client = connect(server);
+    for i in 0..n {
+        let mut spec = WireSpec::basic(8, "Xy", 0.002, seed + i);
+        spec.warmup_cycles = 500;
+        spec.measure_cycles = 4000;
+        client.send(&Request::Run { id: i + 1, spec }).unwrap();
+    }
+    let (mut rejects, mut results) = (0, 0);
+    for _ in 0..n {
+        match client.recv().unwrap() {
+            Response::Error { code: got, .. } if got == code => rejects += 1,
+            Response::Result { .. } => results += 1,
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+    (rejects, results)
+}
+
 #[test]
 fn quota_rejections_are_typed_over_the_wire() {
     let server = start_server(SchedulerConfig {
@@ -299,34 +336,7 @@ fn quota_rejections_are_typed_over_the_wire() {
         per_client_quota: 1,
         cache_capacity: 16,
     });
-    let mut client = connect(&server);
-    // Distinct slow specs so the first is still in flight when the rest
-    // arrive (reader admits strictly in order on one connection).
-    let mut specs = Vec::new();
-    for i in 0..4u64 {
-        let mut s = WireSpec::basic(8, "Xy", 0.002, 1000 + i);
-        s.warmup_cycles = 500;
-        s.measure_cycles = 4000;
-        specs.push(s);
-    }
-    for (i, spec) in specs.iter().enumerate() {
-        client
-            .send(&Request::Run {
-                id: (i + 1) as u64,
-                spec: spec.clone(),
-            })
-            .unwrap();
-    }
-    let mut quota_rejects = 0;
-    let mut results = 0;
-    for _ in 0..specs.len() {
-        match client.recv().unwrap() {
-            Response::Error { code, .. } if code == "quota" => quota_rejects += 1,
-            Response::Result { .. } => results += 1,
-            Response::Progress { .. } => continue,
-            other => panic!("unexpected response {other:?}"),
-        }
-    }
+    let (quota_rejects, results) = pipeline_slow_specs(&server, 4, 1000, "quota");
     assert!(quota_rejects > 0, "quota bound never tripped");
     assert!(results > 0, "admitted request still completed");
     assert_eq!(server.stats().quota_rejects, quota_rejects);
@@ -341,32 +351,7 @@ fn backpressure_rejections_are_typed_over_the_wire() {
         per_client_quota: 64,
         cache_capacity: 16,
     });
-    let mut client = connect(&server);
-    let mut specs = Vec::new();
-    for i in 0..5u64 {
-        let mut s = WireSpec::basic(8, "Xy", 0.002, 2000 + i);
-        s.warmup_cycles = 500;
-        s.measure_cycles = 4000;
-        specs.push(s);
-    }
-    for (i, spec) in specs.iter().enumerate() {
-        client
-            .send(&Request::Run {
-                id: (i + 1) as u64,
-                spec: spec.clone(),
-            })
-            .unwrap();
-    }
-    let mut backpressure = 0;
-    let mut results = 0;
-    for _ in 0..specs.len() {
-        match client.recv().unwrap() {
-            Response::Error { code, .. } if code == "backpressure" => backpressure += 1,
-            Response::Result { .. } => results += 1,
-            Response::Progress { .. } => continue,
-            other => panic!("unexpected response {other:?}"),
-        }
-    }
+    let (backpressure, results) = pipeline_slow_specs(&server, 5, 2000, "backpressure");
     assert!(backpressure > 0, "queue bound never tripped");
     assert!(results > 0, "admitted requests still completed");
     assert_eq!(server.stats().backpressure_rejects, backpressure);
