@@ -48,6 +48,7 @@ mod fault_hook;
 mod message;
 mod profile;
 mod simulator;
+mod sources;
 mod waiters;
 
 pub use config::{Arbitration, ConfigError, SimConfig};

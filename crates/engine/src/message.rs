@@ -1,6 +1,5 @@
 //! In-flight message bookkeeping.
 
-use wormsim_metrics::NodeLoadStats;
 use wormsim_routing::MessageState;
 use wormsim_topology::NodeId;
 
@@ -290,8 +289,12 @@ impl Msg {
     /// `stamp` marks a spent budget in `link_used` (one flit per physical
     /// channel; checked and marked in stage order, because a worm can hold
     /// two VCs of one channel) and in `eject_used` (one flit per node).
-    /// `counting` is whether statistics are being collected. The path must
-    /// be non-empty.
+    /// The path must be non-empty.
+    ///
+    /// A flit arriving in a stage's buffer is that stage's `entered`
+    /// going up by one, and that is all the pass records of it: the
+    /// engine credits a stage's `entered` to its node's load when it
+    /// releases the stage, so no per-flit counter is touched here.
     ///
     /// Forced inline: left to the optimizer, some `Simulator<S, PROFILE>`
     /// instantiations call it out of line, which costs ≈ 8 % of a
@@ -303,8 +306,6 @@ impl Msg {
         stamp: u64,
         link_used: &mut [u64],
         eject_used: &mut [u64],
-        node_load: &mut NodeLoadStats,
-        counting: bool,
     ) -> Advance {
         let path = self.path.as_mut_slice();
         let head = path[path.len() - 1];
@@ -324,7 +325,6 @@ impl Msg {
             path[j].entered = down;
             ready |= has;
             moved |= can;
-            node_load.record_arrivals(cur.dest, (can & counting) as u64);
         }
 
         let first = path[0];
@@ -333,7 +333,6 @@ impl Msg {
         let injected = spend(&mut link_used[first.ch as usize], stamp, has);
         path[0].entered = first.entered + injected as u32;
         self.at_source -= injected as u32;
-        node_load.record_arrivals(first.dest, (injected & counting) as u64);
 
         Advance {
             moved: moved | injected,
@@ -426,7 +425,7 @@ mod tests {
     /// The reference pass: one `if` per boundary, head side first, and the
     /// stall decision as a second walk when nothing moved. Shares no code
     /// with [`Msg::advance`].
-    fn naive_pass(w: &mut NaiveWorm, depth: u32, counting: bool) -> NaiveOutcome {
+    fn naive_pass(w: &mut NaiveWorm, depth: u32) -> NaiveOutcome {
         let n = w.entered.len();
         let mut out = NaiveOutcome {
             arrivals: vec![0; NODES],
@@ -454,9 +453,7 @@ mod tests {
                 if j == n - 1 && w.entered[j] == 1 {
                     out.header_arrived = true;
                 }
-                if counting {
-                    out.arrivals[stage_node(j).index()] += 1;
-                }
+                out.arrivals[stage_node(j).index()] += 1;
             }
         }
         let link = w.ch[0] as usize;
@@ -477,9 +474,7 @@ mod tests {
                     out.header_arrived = true;
                 }
             }
-            if counting {
-                out.arrivals[stage_node(0).index()] += 1;
-            }
+            out.arrivals[stage_node(0).index()] += 1;
         }
         if !out.moved {
             let mut movable = w.at_home && w.buffered[n - 1] > 0;
@@ -547,7 +542,6 @@ mod tests {
             counts in (0u32..=3, 0u32..=3),
             flags in any::<u16>(),
         ) {
-            let counting = flags >> 15 == 1;
             let worm = build_worm(depth, buffered, ch, dup, counts, flags);
             let n = worm.entered.len();
             let dest = if worm.at_home { stage_node(n - 1) } else { ELSEWHERE };
@@ -569,12 +563,17 @@ mod tests {
             let mut link_used = worm.links_spent.map(|spent| if spent { STAMP } else { STAMP - 2 });
             let mut eject_used = [0u64; NODES];
             eject_used[dest.index()] = if worm.eject_spent { STAMP } else { 0 };
-            let mut node_load = NodeLoadStats::new(NODES);
+            let before: Vec<u32> = m.path.iter().map(|e| e.entered).collect();
 
-            let pass = m.advance(depth, STAMP, &mut link_used, &mut eject_used, &mut node_load, counting);
+            let pass = m.advance(depth, STAMP, &mut link_used, &mut eject_used);
             let mut naive = worm.clone();
-            let want = naive_pass(&mut naive, depth, counting);
+            let want = naive_pass(&mut naive, depth);
 
+            // A flit's arrival at a node is its stage's `entered` delta.
+            let mut arrivals = vec![0u64; NODES];
+            for (e, b) in m.path.iter().zip(&before) {
+                arrivals[e.dest.index()] += u64::from(e.entered - b);
+            }
             let got = NaiveOutcome {
                 moved: pass.moved,
                 stalled: !(pass.moved | pass.ready),
@@ -582,7 +581,7 @@ mod tests {
                 injected: pass.injected,
                 header_arrived: pass.header_arrived,
                 first_flit: pass.first_flit,
-                arrivals: node_load.arrivals().to_vec(),
+                arrivals,
             };
             prop_assert_eq!(got, want);
             let entered: Vec<u32> = m.path.iter().map(|e| e.entered).collect();

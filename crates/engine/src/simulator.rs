@@ -5,6 +5,7 @@ use crate::config::{ConfigError, SimConfig};
 use crate::fault_hook::{FaultActivation, FaultDriver};
 use crate::message::{AllocPhase, Msg, MsgId, PathEntry, Queued};
 use crate::profile::{Phase, PhaseTimes};
+use crate::sources::{Calendar, SourceQueues};
 use crate::waiters::WaiterTable;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -18,7 +19,7 @@ use wormsim_metrics::{
 use wormsim_obs::{EventKind, NullSink, Sink, StallDiagnosis, StallMessage, TraceEvent, WaitEdge};
 use wormsim_routing::{MessageState, RoutingAlgorithm, RoutingContext};
 use wormsim_topology::{ChannelId, Direction, NodeId};
-use wormsim_traffic::{DestinationSampler, Injector, Workload};
+use wormsim_traffic::{DestinationSampler, Workload};
 
 /// The flit-level wormhole simulator. Construct with an algorithm bound to
 /// a [`RoutingContext`], a [`Workload`], and a [`SimConfig`]; then either
@@ -90,14 +91,14 @@ pub struct Simulator<S: Sink = NullSink, const PROFILE: bool = false> {
     free_list: Vec<u32>,
     /// Messages currently in the network or injecting.
     active: Vec<u32>,
-    /// Per-node source queues of generated-but-not-started messages. A
-    /// queued message owns a slab slot only if something gave it one
-    /// earlier ([`Queued::Parked`]); traffic generation queues 16-byte
-    /// [`Queued::Fresh`] entries and the slot is taken at promotion.
-    queues: Vec<VecDeque<Queued>>,
-    /// Per-node message currently occupying the injection port.
-    injecting: Vec<Option<u32>>,
-    injectors: Vec<Injector>,
+    /// Per-node source queues of generated-but-not-started messages and
+    /// the injection ports they wait for. A queued message owns a slab
+    /// slot only if something gave it one earlier ([`Queued::Parked`]);
+    /// traffic generation queues 16-byte [`Queued::Fresh`] entries and the
+    /// slot is taken at promotion.
+    sources: SourceQueues,
+    /// Per-node Poisson sources, polled only when due.
+    calendar: Calendar,
     sampler: DestinationSampler,
     rng: SmallRng,
 
@@ -141,7 +142,21 @@ pub struct Simulator<S: Sink = NullSink, const PROFILE: bool = false> {
     network_latency: LatencyStats,
     throughput: ThroughputStats,
     vc_usage: VcUsageStats,
+    /// Flit arrivals per node over the measurement window; filled when the
+    /// window closes (see `stage_arrivals`).
     node_load: NodeLoadStats,
+    /// Per node: the flits that entered every stage released there so
+    /// far. A stage's `entered` counts the flits that arrived in its
+    /// buffer, so this plus the `entered` of the stages still held (the
+    /// *live* count) is every arrival at the node since the run began, and
+    /// the pipeline loop needs no per-flit node-load update.
+    stage_arrivals: Vec<u64>,
+    /// `stage_arrivals` plus the live count, per node, when the
+    /// measurement window opened; the window's arrivals are the same sum
+    /// now minus this.
+    window_base: Vec<u64>,
+    /// Scratch per-node buffer for closing the window (reused).
+    window_scratch: Vec<u64>,
     recoveries: u64,
     /// Hops taken on the fault-tolerance overlay VCs (ring detour hops).
     ring_hops: u64,
@@ -272,16 +287,10 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         let pattern = ctx.pattern();
         let healthy: Vec<NodeId> = pattern.healthy_nodes(mesh).collect();
         let num_healthy = healthy.len();
-        let injectors = mesh
-            .nodes()
-            .map(|n| {
-                if pattern.is_faulty(n) {
-                    Injector::new(0.0)
-                } else {
-                    Injector::new(workload.rate)
-                }
-            })
-            .collect();
+        let mut calendar = Calendar::default();
+        calendar.reset(source_rates(&ctx, workload.rate));
+        let mut sources = SourceQueues::default();
+        sources.reset(num_nodes);
         let sampler = DestinationSampler::new(workload.pattern, mesh, healthy);
         let channels = mesh.channels().count();
         let recheck_wait = algo.recheck_wait();
@@ -303,9 +312,8 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             reg_bits: Vec::new(),
             free_list: Vec::new(),
             active: Vec::new(),
-            queues: vec![VecDeque::new(); num_nodes],
-            injecting: vec![None; num_nodes],
-            injectors,
+            sources,
+            calendar,
             sampler,
             rng: SmallRng::seed_from_u64(cfg.seed),
             cycle: 0,
@@ -328,6 +336,9 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             throughput: ThroughputStats::new(num_healthy),
             vc_usage: VcUsageStats::new(num_vcs, channels),
             node_load: NodeLoadStats::new(num_nodes),
+            stage_arrivals: vec![0; num_nodes],
+            window_base: vec![0; num_nodes],
+            window_scratch: Vec::with_capacity(num_nodes),
             recoveries: 0,
             ring_hops: 0,
             total_misroutes: 0,
@@ -449,22 +460,10 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         self.busy_scratch.clear();
         self.freed_scratch.clear();
 
-        self.queues.resize_with(num_nodes, VecDeque::new);
-        for q in &mut self.queues {
-            q.clear();
-        }
-        self.injecting.resize(num_nodes, None);
-        self.injecting.iter_mut().for_each(|p| *p = None);
+        self.sources.reset(num_nodes);
+        self.calendar
+            .reset(source_rates(&self.ctx, self.workload.rate));
         let pattern = self.ctx.pattern();
-        let rate = self.workload.rate;
-        self.injectors.clear();
-        self.injectors.extend(mesh.nodes().map(|n| {
-            if pattern.is_faulty(n) {
-                Injector::new(0.0)
-            } else {
-                Injector::new(rate)
-            }
-        }));
         self.sampler
             .reset(self.workload.pattern, &mesh, pattern.healthy_nodes(&mesh));
         let num_healthy = self.sampler.healthy().len();
@@ -477,6 +476,10 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         self.throughput.reset(num_healthy);
         self.vc_usage.reset(num_vcs, mesh.channels().count());
         self.node_load.reset(num_nodes);
+        for v in [&mut self.stage_arrivals, &mut self.window_base] {
+            v.clear();
+            v.resize(num_nodes, 0);
+        }
         self.recoveries = 0;
         self.ring_hops = 0;
         self.total_misroutes = 0;
@@ -576,7 +579,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
 
     /// Messages waiting in source queues.
     pub fn queued(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
+        self.sources.len()
     }
 
     /// Total watchdog recoveries so far.
@@ -618,7 +621,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         assert!(!self.ctx.pattern().is_faulty(dest), "destination is faulty");
         assert_ne!(src, dest, "source equals destination");
         let id = self.alloc_msg(src, dest, self.cycle);
-        self.queues[src.index()].push_back(Queued::Parked(id.0));
+        self.sources.push_back(src.index(), Queued::Parked(id.0));
         id
     }
 
@@ -656,7 +659,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     pub fn prewarm(&mut self, messages: usize) {
         let mesh = self.ctx.mesh();
         let max_path = 2 * (mesh.width() as usize + mesh.height() as usize);
-        let num_nodes = self.queues.len();
+        let num_nodes = self.sources.num_nodes();
         // Every message that owns a slot also owns a VC slot or its
         // node's injection port.
         let max_active = self.slots.len() + num_nodes;
@@ -684,10 +687,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         self.wait.resize(n, 0);
         self.reg_node.resize(n, 0);
         self.reg_bits.resize(n, 0);
-        let per_node = 4 * messages / num_nodes.max(1) + 64;
-        for q in &mut self.queues {
-            q.reserve(per_node);
-        }
+        self.sources.reserve(4 * messages / num_nodes.max(1) + 64);
         self.active.reserve(max_active);
         self.order.reserve(max_active);
         self.ordered.reserve(max_active);
@@ -804,12 +804,20 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
                 )
                 .max(1),
         );
+        let mut node_load = self.node_load.clone();
+        if self.load_window_open() {
+            let mut arrivals = Vec::new();
+            self.window_arrivals(&mut arrivals);
+            for (n, &k) in arrivals.iter().enumerate() {
+                node_load.record_arrivals(NodeId(n as u16), k);
+            }
+        }
         let ring_load = if ctx.pattern().is_fault_free() {
             None
         } else {
             let on_ring: Vec<bool> = mesh.nodes().map(|n| ctx.rings().on_any_ring(n)).collect();
             let usable: Vec<bool> = mesh.nodes().map(|n| !ctx.pattern().is_faulty(n)).collect();
-            Some(self.node_load.ring_summary(&on_ring, &usable))
+            Some(node_load.ring_summary(&on_ring, &usable))
         };
         SimReport {
             algorithm: self.algo.name().to_string(),
@@ -822,7 +830,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             network_latency: self.network_latency.clone(),
             throughput,
             vc_usage: self.vc_usage.clone(),
-            node_load: self.node_load.clone(),
+            node_load,
             recoveries: self.recoveries,
             ring_hops: self.ring_hops,
             total_misroutes: self.total_misroutes,
@@ -855,6 +863,12 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     /// 8. A blocked header is listed on every busy candidate slot, so no
     ///    wake is lost.
     /// 9. Every set registration-record bit has its wake-list entry.
+    /// 10. A node's pending bit is set iff its source queue is non-empty,
+    ///     and its idle bit iff its injection port is free.
+    /// 11. Every enabled traffic source has a calendar entry at its own
+    ///     due cycle, and a disabled one has none.
+    /// 12. On every node, the stored arrivals of released stages plus the
+    ///     live stages' `entered` are at least the window's baseline.
     pub fn check_invariants(&self) {
         let depth = self.cfg.buffer_depth as u32;
         // 1. Ownership bijection.
@@ -909,7 +923,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             // 4. Injection port bookkeeping.
             if m.at_source > 0 && !m.path.is_empty() {
                 assert_eq!(
-                    self.injecting[m.src.index()],
+                    self.sources.port(m.src.index()),
                     Some(id),
                     "injecting message without the port"
                 );
@@ -1038,6 +1052,19 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
                 );
             }
         }
+        // 10. Pending and idle bits.
+        self.sources.check();
+        // 11. Traffic calendar.
+        self.calendar.check();
+        // 12. Node-load baseline.
+        let mut arrivals = Vec::new();
+        self.arrivals_so_far(&mut arrivals);
+        for (n, (&a, &base)) in arrivals.iter().zip(&self.window_base).enumerate() {
+            assert!(
+                a >= base,
+                "node {n}: {a} arrivals so far, below the window baseline {base}"
+            );
+        }
     }
 
     /// Advance the simulation by one cycle.
@@ -1051,26 +1078,34 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             None
         };
 
+        // The measurement window opens: every arrival so far is its
+        // baseline. (Releasing a stage moves its count from live to
+        // stored, so only flit movement changes the sum.)
+        if measuring && self.cycle == self.cfg.warmup_cycles {
+            let mut base = std::mem::take(&mut self.window_base);
+            self.arrivals_so_far(&mut base);
+            self.window_base = base;
+        }
+
         // 0. Online fault activation (before traffic so this cycle already
         // generates/routes against the new pattern).
         if self.fault_driver.is_some() {
             self.poll_fault_driver();
         }
 
-        // 1. Stochastic message generation (open-loop Poisson sources).
-        if self.workload.rate > 0.0 {
-            self.generate_traffic(measuring);
-        }
+        // 1. Stochastic message generation (open-loop Poisson sources),
+        // only at the sources due this cycle.
+        self.generate_traffic(measuring);
 
         // 1b. Re-enqueue chaos-aborted messages whose backoff expired; they
         // compete for the injection port like freshly generated traffic.
         if !self.backoff.is_empty() {
             let cycle = self.cycle;
-            let queues = &mut self.queues;
+            let sources = &mut self.sources;
             let msgs = &self.msgs;
             self.backoff.retain(|&(ready, id)| {
                 if ready <= cycle {
-                    queues[msgs[id as usize].src.index()].push_back(Queued::Parked(id));
+                    sources.push_back(msgs[id as usize].src.index(), Queued::Parked(id));
                     false
                 } else {
                     true
@@ -1078,37 +1113,35 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             });
         }
 
-        // 2. Promote queued messages onto free injection ports.
+        // 2. Promote queued messages onto free injection ports, visiting
+        // only the nodes that have both, in ascending order.
         let oldest_first = matches!(
             self.cfg.arbitration,
             crate::config::Arbitration::OldestFirst
         );
-        for node in 0..self.queues.len() {
-            if self.injecting[node].is_none() {
-                if let Some(entry) = self.queues[node].pop_front() {
-                    let id = match entry {
-                        Queued::Parked(id) => id,
-                        // `init_message` is a pure function of the mesh
-                        // and the current pattern, so taking the slot now
-                        // is what creation-time state re-sampled at every
-                        // fault activation would have been.
-                        Queued::Fresh { dest, created } => {
-                            self.alloc_msg(NodeId(node as u16), dest, created).0
-                        }
-                    };
-                    self.injecting[node] = Some(id);
-                    self.active.push(id);
-                    self.injected_this_cycle += 1;
-                    if S::ENABLED {
-                        self.sink.record(
-                            TraceEvent::new(self.cycle, EventKind::Inject, id).at(node as u16),
-                        );
-                    }
-                    if oldest_first {
-                        self.ordered_insert(id);
-                    }
+        let mut next = self.sources.next_promotable(0);
+        while let Some(node) = next {
+            let id = match self.sources.pop_front(node).expect("queue is pending") {
+                Queued::Parked(id) => id,
+                // `init_message` is a pure function of the mesh and the
+                // current pattern, so taking the slot now is what
+                // creation-time state re-sampled at every fault activation
+                // would have been.
+                Queued::Fresh { dest, created } => {
+                    self.alloc_msg(NodeId(node as u16), dest, created).0
                 }
+            };
+            self.sources.seize_port(node, id);
+            self.active.push(id);
+            self.injected_this_cycle += 1;
+            if S::ENABLED {
+                self.sink
+                    .record(TraceEvent::new(self.cycle, EventKind::Inject, id).at(node as u16));
             }
+            if oldest_first {
+                self.ordered_insert(id);
+            }
+            next = self.sources.next_promotable(node + 1);
         }
 
         self.phase_lap(&mut mark, Phase::Inject);
@@ -1178,6 +1211,9 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         if measuring {
             self.vc_usage.tick();
             self.node_load.tick();
+            if self.cycle + 1 == self.cfg.warmup_cycles + self.cfg.measure_cycles {
+                self.close_load_window();
+            }
         }
         let alive = &self.alive;
         self.active.retain(|&id| alive[id as usize]);
@@ -1266,26 +1302,69 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         self.window_sum as f64 / self.delivered_window.len() as f64
     }
 
+    /// Poll the sources due this cycle, in ascending node order, and
+    /// queue what they generate. Each source draws its gaps and then its
+    /// messages' destinations before the next one is polled, the same RNG
+    /// sequence as polling every source in node order.
     fn generate_traffic(&mut self, measuring: bool) {
-        // Node ids are dense (one injector per node, row-major), so index
-        // iteration visits the same nodes in the same order as
-        // `mesh.nodes()` without touching the mesh.
-        for idx in 0..self.injectors.len() {
+        while let Some((idx, due)) = self.calendar.poll_next(self.cycle, &mut self.rng) {
             let node = NodeId(idx as u16);
-            let due = self.injectors[idx].poll_rng(self.cycle, &mut self.rng);
             for _ in 0..due {
                 let Some(dest) = self.sampler.sample(node, &mut self.rng) else {
                     continue;
                 };
-                self.queues[idx].push_back(Queued::Fresh {
-                    dest,
-                    created: self.cycle,
-                });
+                self.sources.push_back(
+                    idx,
+                    Queued::Fresh {
+                        dest,
+                        created: self.cycle,
+                    },
+                );
                 if measuring {
                     self.throughput.record_injection();
                 }
             }
         }
+    }
+
+    /// Every flit arrival at each node since the run began, into `out`:
+    /// the stored count of released stages plus the `entered` of every
+    /// stage still held. O(nodes + slab + held stages); run at the two
+    /// window edges and by [`Simulator::report`], never per cycle.
+    fn arrivals_so_far(&self, out: &mut Vec<u64>) {
+        out.clear();
+        out.extend_from_slice(&self.stage_arrivals);
+        for m in &self.msgs {
+            for e in &m.path {
+                out[e.dest.index()] += u64::from(e.entered);
+            }
+        }
+    }
+
+    /// The measurement window's arrivals per node, into `out`.
+    fn window_arrivals(&self, out: &mut Vec<u64>) {
+        self.arrivals_so_far(out);
+        for (a, &base) in out.iter_mut().zip(&self.window_base) {
+            *a -= base;
+        }
+    }
+
+    /// Whether the window has opened and not yet closed: its arrivals
+    /// are not in `node_load` yet.
+    fn load_window_open(&self) -> bool {
+        let w = self.cfg.warmup_cycles;
+        w < self.cycle && self.cycle < w + self.cfg.measure_cycles
+    }
+
+    /// The last measured cycle ends: fold the window's arrivals into
+    /// `node_load`, which later cycles no longer change.
+    fn close_load_window(&mut self) {
+        let mut arrivals = std::mem::take(&mut self.window_scratch);
+        self.window_arrivals(&mut arrivals);
+        for (n, &k) in arrivals.iter().enumerate() {
+            self.node_load.record_arrivals(NodeId(n as u16), k);
+        }
+        self.window_scratch = arrivals;
     }
 
     /// Route the header of message `id` and claim an output VC if possible.
@@ -1529,8 +1608,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             self.cycle + 1,
             &mut self.link_used,
             &mut self.eject_used,
-            &mut self.node_load,
-            measuring,
         );
         self.delivered_this_cycle += pass.ejected as u32;
         // Every movement predicate is the worm's own state (`ready`) and a
@@ -1556,7 +1633,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         }
         if pass.injected & (m.at_source == 0) {
             // The tail left the source: free the injection port.
-            self.injecting[m.src.index()] = None;
+            self.sources.free_port(m.src.index());
         }
         let tail_drained = m.path.len() > 1 && m.path[1].entered == m.length;
         if tail_drained | m.is_complete() {
@@ -1569,33 +1646,63 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     /// [`Simulator::finish_completion`].
     #[inline(never)]
     fn retire_stages(&mut self, id: u32, measuring: bool) {
-        let mut freed = std::mem::take(&mut self.freed_scratch);
-        freed.clear();
-        let m = &mut self.msgs[id as usize];
-        let complete = m.is_complete();
+        let i = id as usize;
+        let complete = self.msgs[i].is_complete();
         // Stage 0 is drained when everything has entered stage 1; a
         // complete message gives back whatever it still holds.
-        while (complete && !m.path.is_empty())
-            || (m.path.len() > 1 && m.path[1].entered == m.length)
-        {
+        loop {
+            let m = &mut self.msgs[i];
+            let drained = (complete && !m.path.is_empty())
+                || (m.path.len() > 1 && m.path[1].entered == m.length);
+            if !drained {
+                break;
+            }
             let front = m.path[0];
-            self.slots[front.key as usize] = None;
-            self.occ_mask[front.ch as usize] &= !(1 << front.vc);
-            self.vc_usage.release(front.vc);
-            freed.push(front.key);
             m.path.pop_front();
+            self.release_stage(front);
         }
         if complete {
-            self.alive[id as usize] = false;
+            self.alive[i] = false;
             if S::ENABLED {
+                let dest = self.msgs[i].dest.0;
                 self.sink
-                    .record(TraceEvent::new(self.cycle, EventKind::Deliver, id).at(m.dest.0));
+                    .record(TraceEvent::new(self.cycle, EventKind::Deliver, id).at(dest));
             }
             self.finish_completion(id, measuring);
         }
+        self.wake_freed();
+    }
+
+    /// Give back one held stage: free its VC slot, credit the flits that
+    /// entered it to its node's load (see `stage_arrivals`), and note its
+    /// key for [`Simulator::wake_freed`]. Every stage a message gives up
+    /// passes through here.
+    fn release_stage(&mut self, e: PathEntry) {
+        self.slots[e.key as usize] = None;
+        self.occ_mask[e.ch as usize] &= !(1 << e.vc);
+        self.vc_usage.release(e.vc);
+        self.stage_arrivals[e.dest.index()] += u64::from(e.entered);
+        self.freed_scratch.push(e.key);
+    }
+
+    /// Release every stage message `id` holds, source side first.
+    fn release_path(&mut self, id: u32) {
+        let i = id as usize;
+        for j in 0..self.msgs[i].path.len() {
+            let e = self.msgs[i].path[j];
+            self.release_stage(e);
+        }
+        self.msgs[i].path.clear();
+    }
+
+    /// Wake the headers asleep on the slots released since the last call,
+    /// in release order.
+    fn wake_freed(&mut self) {
+        let mut freed = std::mem::take(&mut self.freed_scratch);
         for &key in &freed {
             self.wake_waiters(key);
         }
+        freed.clear();
         self.freed_scratch = freed;
     }
 
@@ -1686,7 +1793,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         // healthy count so pre/post-fault rates stay comparable.
         for (idx, dead) in newly.iter().enumerate() {
             if *dead {
-                self.injectors[idx] = Injector::new(0.0);
+                self.calendar.disable(idx);
             }
         }
         let pattern = self.ctx.pattern();
@@ -1724,9 +1831,8 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         // dead source loses its whole queue, a dead destination loses the
         // entry, everything else counts as requeued (a parked message's
         // route state is re-sampled; a fresh one has none yet).
-        for node in 0..self.queues.len() {
-            let mut q = std::mem::take(&mut self.queues[node]);
-            q.retain(|&entry| {
+        for node in 0..self.sources.num_nodes() {
+            self.sources.retain(node, |&entry| {
                 let (parked, dest) = match entry {
                     Queued::Fresh { dest, .. } => (None, dest),
                     Queued::Parked(id) => (Some(id as usize), self.msgs[id as usize].dest),
@@ -1749,7 +1855,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
                 }
                 keep
             });
-            self.queues[node] = q;
         }
 
         // Backoff triage: a waiting message whose endpoint died is lost.
@@ -1805,27 +1910,16 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     /// prunes `active` (activation triage immediately, the watchdog via
     /// the end-of-step retain).
     fn kill_active(&mut self, id: u32) {
-        let mut freed = std::mem::take(&mut self.freed_scratch);
-        freed.clear();
-        let m = &mut self.msgs[id as usize];
-        for e in &m.path {
-            self.slots[e.key as usize] = None;
-            self.occ_mask[e.ch as usize] &= !(1 << e.vc);
-            self.vc_usage.release(e.vc);
-            freed.push(e.key);
-        }
-        m.path.clear();
+        self.release_path(id);
         self.alive[id as usize] = false;
+        let m = &mut self.msgs[id as usize];
         m.abort_tag = None;
         let src = m.src;
-        if self.injecting[src.index()] == Some(id) {
-            self.injecting[src.index()] = None;
+        if self.sources.port(src.index()) == Some(id) {
+            self.sources.free_port(src.index());
         }
         self.free_list.push(id);
-        for &key in &freed {
-            self.wake_waiters(key);
-        }
-        self.freed_scratch = freed;
+        self.wake_freed();
     }
 
     /// Chaos abort: drop the message's flits back to its source, release
@@ -1833,17 +1927,9 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     /// re-injection after `backoff_base << min(aborts-1, backoff_cap)`
     /// cycles.
     fn abort_for_fault(&mut self, id: u32, ev: usize) {
-        let mut freed = std::mem::take(&mut self.freed_scratch);
-        freed.clear();
+        self.release_path(id);
         let (src, dest) = {
             let m = &mut self.msgs[id as usize];
-            for e in &m.path {
-                self.slots[e.key as usize] = None;
-                self.occ_mask[e.ch as usize] &= !(1 << e.vc);
-                self.vc_usage.release(e.vc);
-                freed.push(e.key);
-            }
-            m.path.clear();
             m.at_source = m.length;
             m.delivered = 0;
             m.first_injected = None;
@@ -1854,12 +1940,9 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             self.stalled[id as usize] = false;
             (m.src, m.dest)
         };
-        for &key in &freed {
-            self.wake_waiters(key);
-        }
-        self.freed_scratch = freed;
-        if self.injecting[src.index()] == Some(id) {
-            self.injecting[src.index()] = None;
+        self.wake_freed();
+        if self.sources.port(src.index()) == Some(id) {
+            self.sources.free_port(src.index());
         }
         if S::ENABLED {
             self.sink
@@ -1913,17 +1996,9 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
                 .record(TraceEvent::new(self.cycle, EventKind::Recover, id).at(head));
         }
         let src;
-        let mut freed = std::mem::take(&mut self.freed_scratch);
-        freed.clear();
+        self.release_path(id);
         {
             let m = &mut self.msgs[id as usize];
-            for e in &m.path {
-                self.slots[e.key as usize] = None;
-                self.occ_mask[e.ch as usize] &= !(1 << e.vc);
-                self.vc_usage.release(e.vc);
-                freed.push(e.key);
-            }
-            m.path.clear();
             m.at_source = m.length;
             m.delivered = 0;
             m.first_injected = None;
@@ -1933,37 +2008,32 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             self.stalled[id as usize] = false;
             src = m.src;
         }
-        for &key in &freed {
-            self.wake_waiters(key);
-        }
-        self.freed_scratch = freed;
+        self.wake_freed();
         let state = self.algo.init_message(src, self.msgs[id as usize].dest);
         self.msgs[id as usize].state = state;
         self.wait[id as usize] = 0;
-        // Give the injection port back if this message held it; otherwise
-        // requeue at the front.
-        if self.injecting[src.index()] == Some(id) {
-            // Keeps the port; restarts next cycle from the source.
-        } else {
-            self.injecting[src.index()] = match self.injecting[src.index()] {
-                Some(other) if other != id => {
-                    // Port busy with another message: requeue this one.
-                    self.queues[src.index()].push_front(Queued::Parked(id));
-                    // Remove from active; re-promoted later.
-                    self.alive[id as usize] = true;
-                    self.active.retain(|&x| x != id);
-                    self.ordered.retain(|&x| x != id);
-                    return;
-                }
-                _ => Some(id),
-            };
-            if !self.active.contains(&id) {
-                self.active.push(id);
-                if matches!(
-                    self.cfg.arbitration,
-                    crate::config::Arbitration::OldestFirst
-                ) {
-                    self.ordered_insert(id);
+        // A message that holds its injection port keeps it and restarts
+        // next cycle from the source; one whose port is free takes it; one
+        // whose port is busy with another message is requeued at the front.
+        match self.sources.port(src.index()) {
+            Some(holder) if holder == id => {}
+            Some(_) => {
+                self.sources.push_front(src.index(), Queued::Parked(id));
+                // Remove from active; re-promoted later.
+                self.alive[id as usize] = true;
+                self.active.retain(|&x| x != id);
+                self.ordered.retain(|&x| x != id);
+            }
+            None => {
+                self.sources.seize_port(src.index(), id);
+                if !self.active.contains(&id) {
+                    self.active.push(id);
+                    if matches!(
+                        self.cfg.arbitration,
+                        crate::config::Arbitration::OldestFirst
+                    ) {
+                        self.ordered_insert(id);
+                    }
                 }
             }
         }
@@ -2079,9 +2149,8 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             "slab slot neither free nor alive"
         );
         let parked = self
-            .queues
+            .sources
             .iter()
-            .flatten()
             .filter(|q| matches!(q, Queued::Parked(_)))
             .count();
         let active = self.active.iter().filter(|&&id| self.alive[id as usize]);
@@ -2163,7 +2232,23 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             self.waiter_mask.iter().all(|&m| m == 0),
             "stale waiter bits"
         );
+        assert!(
+            self.stage_arrivals.iter().all(|&a| a == 0),
+            "stale stage arrivals"
+        );
+        assert!(
+            self.window_base.iter().all(|&a| a == 0),
+            "stale window baseline"
+        );
     }
+}
+
+/// Each node's message rate: the workload's, or 0 at a faulty node.
+fn source_rates(ctx: &RoutingContext, rate: f64) -> impl Iterator<Item = f64> + '_ {
+    let pattern = ctx.pattern();
+    ctx.mesh()
+        .nodes()
+        .map(move |n| if pattern.is_faulty(n) { 0.0 } else { rate })
 }
 
 /// The registration-record bit of the slot on VC `vc` of the channel

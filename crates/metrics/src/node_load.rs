@@ -36,9 +36,10 @@ impl NodeLoadStats {
         self.arrivals[n.index()] += 1;
     }
 
-    /// Record `k` flit arrivals at node `n` in one update. `k` may be 0:
-    /// branchless callers (the engine's pipeline loop) fold their move
-    /// condition into `k` instead of branching around the call.
+    /// Record `k` flit arrivals at node `n` in one update. The engine
+    /// calls it once per node when the measurement window closes (and on
+    /// a copy when a report is taken inside the window), with the node's
+    /// arrivals over the window counted from its stages' `entered`.
     #[inline]
     pub fn record_arrivals(&mut self, n: NodeId, k: u64) {
         self.arrivals[n.index()] += k;

@@ -22,7 +22,7 @@
 //! assert_ne!(dest, mesh.node(0, 0));
 //!
 //! let mut inj = Injector::new(0.01); // 0.01 messages/node/cycle
-//! let due = (0..10_000u64).map(|c| inj.poll(c) as u64).sum::<u64>();
+//! let due = (0..10_000u64).map(|c| inj.poll_rng(c, &mut rng) as u64).sum::<u64>();
 //! assert!(due > 50 && due < 200); // ~100 expected
 //! ```
 
@@ -55,6 +55,13 @@ pub enum TrafficPattern {
 /// Per-node Poisson message source: inter-arrival gaps are exponential with
 /// mean `1/rate` (implemented as `-ln(U)/rate`), so the arrival process has
 /// `rate` messages per cycle on average.
+///
+/// The source holds no randomness of its own: every uniform variate comes
+/// from the generator passed to [`Injector::poll_rng`], so a run's arrivals
+/// are a function of that generator's stream and the order sources are
+/// polled in. Between polls the source is inert, and [`Injector::next_due`]
+/// names the first cycle whose poll does anything, which lets a caller
+/// with many sources poll only the due ones.
 #[derive(Clone, Debug)]
 pub struct Injector {
     rate: f64,
@@ -81,59 +88,48 @@ impl Injector {
         self.rate
     }
 
-    /// Number of messages due at cycle `now`. Uses a thread-free xorshift
-    /// seeded from the arrival index so the stream is deterministic per
-    /// injector... messages are due when their arrival time ≤ `now`.
-    pub fn poll(&mut self, now: u64) -> usize {
-        self.poll_with(now, &mut DefaultGap)
-    }
-
-    /// As [`Injector::poll`] but drawing uniform variates from `rng`.
-    pub fn poll_rng<R: Rng>(&mut self, now: u64, rng: &mut R) -> usize {
-        struct G<'a, R: Rng>(&'a mut R);
-        impl<R: Rng> GapSource for G<'_, R> {
-            fn uniform(&mut self) -> f64 {
-                self.0.gen_range(1e-12..1.0)
-            }
+    /// The first cycle at which [`Injector::poll_rng`] draws from its
+    /// generator or reports an arrival; polls at earlier cycles do
+    /// neither. An unprimed source is due at cycle 0 (its first poll
+    /// draws the first gap), a primed one at the ceiling of its next
+    /// arrival time, and a disabled one (rate 0) never: `u64::MAX`.
+    /// Polling never makes it decrease.
+    pub fn next_due(&self) -> u64 {
+        if self.rate <= 0.0 {
+            u64::MAX
+        } else if !self.primed {
+            0
+        } else {
+            // `next ≤ now` for an integer `now` is `ceil(next) ≤ now`; the
+            // cast saturates for a gap beyond `u64::MAX` cycles.
+            self.next.ceil() as u64
         }
-        self.poll_with(now, &mut G(rng))
     }
 
-    fn poll_with(&mut self, now: u64, src: &mut dyn GapSource) -> usize {
+    /// Number of messages due at cycle `now`: arrivals whose time is
+    /// ≤ `now` and that no earlier poll reported. Each gap is one uniform
+    /// variate from `rng`.
+    pub fn poll_rng<R: Rng>(&mut self, now: u64, rng: &mut R) -> usize {
         if self.rate <= 0.0 {
             return 0;
         }
         if !self.primed {
             self.primed = true;
-            self.next = -src.uniform().ln() / self.rate;
+            self.next = self.gap(rng);
         }
         let mut due = 0;
         let now = now as f64;
         while self.next <= now {
             due += 1;
-            self.next += -src.uniform().ln() / self.rate;
+            self.next += self.gap(rng);
         }
         due
     }
-}
 
-trait GapSource {
-    fn uniform(&mut self) -> f64;
-}
-
-/// Deterministic low-discrepancy fallback used when no RNG is supplied
-/// (golden-ratio sequence — adequate for doc examples and smoke tests).
-struct DefaultGap;
-
-impl GapSource for DefaultGap {
-    fn uniform(&mut self) -> f64 {
-        use std::cell::Cell;
-        thread_local! { static STATE: Cell<f64> = const { Cell::new(0.5) }; }
-        STATE.with(|s| {
-            let v = (s.get() + 0.618_033_988_749_895) % 1.0;
-            s.set(v);
-            v.max(1e-12)
-        })
+    /// One exponential inter-arrival gap.
+    #[inline]
+    fn gap<R: Rng>(&self, rng: &mut R) -> f64 {
+        -rng.gen_range(1e-12..1.0).ln() / self.rate
     }
 }
 
@@ -334,6 +330,39 @@ mod tests {
             "std {}",
             var.sqrt()
         );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// What lets a caller poll only due sources: a poll before
+        /// `next_due` neither draws nor reports an arrival, a poll at or
+        /// after it does one or the other, and polling never moves
+        /// `next_due` back.
+        #[test]
+        fn next_due_is_the_first_poll_that_does_anything(
+            rate in proptest::prelude::prop::sample::select(vec![0.0, 1e-4, 0.0015, 0.01, 0.05, 2.5]),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use rand::RngCore;
+            let mut inj = Injector::new(rate);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut due = inj.next_due();
+            for cycle in 0..1_500u64 {
+                let (mut probe, mut probe_rng) = (inj.clone(), rng.clone());
+                let arrivals = probe.poll_rng(cycle, &mut probe_rng);
+                let drew = probe_rng.next_u64() != rng.clone().next_u64();
+                proptest::prop_assert_eq!(
+                    drew || arrivals > 0,
+                    cycle >= due,
+                    "rate {} cycle {} due {}", rate, cycle, due
+                );
+                inj.poll_rng(cycle, &mut rng);
+                let next = inj.next_due();
+                proptest::prop_assert!(next >= due, "next_due fell from {} to {}", due, next);
+                due = next;
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! change under either rewrite.
 
 use std::sync::Arc;
-use wormsim_chaos::{run_chaos, FaultEvent, FaultSchedule};
+use wormsim_chaos::{run_chaos, ChaosDriver, FaultEvent, FaultSchedule};
 use wormsim_engine::{Arbitration, SimConfig, Simulator};
 use wormsim_experiments::{paper_52_layout, report_fingerprint, report_json_fingerprint};
 use wormsim_fault::FaultPattern;
@@ -156,21 +156,7 @@ fn saturated_short(arbitration: Arbitration) -> (Workload, SimConfig) {
 fn chaos_schedule() {
     let mesh = Mesh::square(10);
     let base = FaultPattern::fault_free(&mesh);
-    let schedule = FaultSchedule::new(
-        &mesh,
-        &base,
-        vec![
-            FaultEvent {
-                cycle: 500,
-                coords: vec![Coord::new(4, 4), Coord::new(5, 5)],
-            },
-            FaultEvent {
-                cycle: 1_100,
-                coords: vec![Coord::new(8, 2)],
-            },
-        ],
-    )
-    .expect("schedule is acceptable");
+    let schedule = two_fault_events(&mesh, &base);
     let (workload, cfg) = saturated_short(Arbitration::Random);
     let report = run_chaos(
         mesh,
@@ -189,6 +175,24 @@ fn chaos_schedule() {
     assert!(rec.total_aborted() > 0 && rec.total_lost() > 0);
     assert!(rec.events().iter().all(|e| e.requeued > 0));
     assert_eq!(report_fingerprint(&report), "39f6741ee8305e29");
+}
+
+fn two_fault_events(mesh: &Mesh, base: &FaultPattern) -> FaultSchedule {
+    FaultSchedule::new(
+        mesh,
+        base,
+        vec![
+            FaultEvent {
+                cycle: 500,
+                coords: vec![Coord::new(4, 4), Coord::new(5, 5)],
+            },
+            FaultEvent {
+                cycle: 1_100,
+                coords: vec![Coord::new(8, 2)],
+            },
+        ],
+    )
+    .expect("schedule is acceptable")
 }
 
 fn watchdog_heavy() -> (Workload, SimConfig) {
@@ -213,6 +217,95 @@ fn watchdog_recoveries() {
     );
     assert!(report.recoveries > 0, "scenario must trip the watchdog");
     assert_eq!(report_fingerprint(&report), "2d37c0e0e41c4938");
+}
+
+/// Node load counts the flits that arrive inside the measurement window
+/// and no others: none before it opens, none after it closes however long
+/// the run goes on. Checked on the paper run, on the chaos schedule (whose
+/// aborts and losses release worms mid-window) and on the watchdog run
+/// (whose recoveries do too). The report halfway through the window is
+/// pinned as well: it is the one report that sees a window still open.
+/// Its values were recorded on commit `f065690`, where every arrival was
+/// counted as it happened.
+#[test]
+fn node_load_is_frozen_outside_the_window() {
+    let mesh = Mesh::square(10);
+    let base = FaultPattern::fault_free(&mesh);
+    let (saturated, saturated_cfg) = saturated_short(Arbitration::Random);
+    let (watchdog, watchdog_cfg) = watchdog_heavy();
+    let cases = [
+        (
+            "paper",
+            AlgorithmKind::Duato,
+            base.clone(),
+            Workload::paper_uniform(0.01),
+            SimConfig::paper().with_seed(0xB41C),
+            None,
+            "658cfdef277da725",
+        ),
+        (
+            "chaos",
+            AlgorithmKind::DuatoNbc,
+            base.clone(),
+            saturated,
+            saturated_cfg,
+            Some(two_fault_events(&mesh, &base)),
+            "0e85b9826671c549",
+        ),
+        (
+            "watchdog",
+            AlgorithmKind::MinimalAdaptive,
+            paper_52_layout(&mesh),
+            watchdog,
+            watchdog_cfg,
+            None,
+            "ba4c35c0a26b13b0",
+        ),
+    ];
+    for (name, kind, pattern, workload, cfg, schedule, mid_pin) in cases {
+        let ctx = Arc::new(RoutingContext::new(mesh.clone(), pattern));
+        let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
+        let mut sim = Simulator::new(algo, ctx.clone(), workload, cfg);
+        if let Some(schedule) = &schedule {
+            let driver =
+                ChaosDriver::new(schedule, ctx, kind, VcConfig::paper()).expect("schedule replays");
+            sim.install_fault_driver(Box::new(driver));
+        }
+        let step_to = |sim: &mut Simulator, cycle: u64| {
+            while sim.cycle() < cycle {
+                sim.step();
+            }
+        };
+        let load = |sim: &Simulator| serde_json::to_string(&sim.report().node_load).unwrap();
+
+        step_to(&mut sim, cfg.warmup_cycles);
+        let before = sim.report().node_load;
+        assert!(
+            before.arrivals().iter().all(|&a| a == 0),
+            "{name}: arrivals counted before the window opened"
+        );
+        step_to(&mut sim, cfg.warmup_cycles + cfg.measure_cycles / 2);
+        assert_eq!(
+            report_fingerprint(&sim.report()),
+            mid_pin,
+            "{name}: the report inside the window moved"
+        );
+        let end = cfg.total_cycles();
+        step_to(&mut sim, end);
+        let closed = load(&sim);
+        assert!(
+            sim.report().node_load.arrivals().iter().sum::<u64>() > 0,
+            "{name}: no arrivals counted in the window"
+        );
+        for k in [1, 500] {
+            step_to(&mut sim, end + k);
+            assert_eq!(
+                load(&sim),
+                closed,
+                "{name}: node load moved {k} cycles after the window"
+            );
+        }
+    }
 }
 
 /// Recorded after the slab moved to promotion time (see the module docs).
