@@ -108,8 +108,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Conflict-resolution policy (paper: random).
     pub arbitration: Arbitration,
-    /// Print diagnostic details for every watchdog recovery (debug aid).
-    pub debug_watchdog: bool,
     /// Base re-injection delay (cycles) after a chaos abort; doubles per
     /// abort of the same message (bounded exponential backoff).
     pub recovery_backoff_base: u64,
@@ -119,10 +117,6 @@ pub struct SimConfig {
     /// Width (cycles) of the sliding delivered-rate window used for the
     /// post-fault settling-time metric.
     pub settle_window: u64,
-    /// Width (cycles) of the per-window cycle-telemetry aggregation; `0`
-    /// disables telemetry entirely (the report's `telemetry` field stays
-    /// `None` and off the wire, preserving report byte-identity).
-    pub telemetry_window: u64,
 }
 
 impl SimConfig {
@@ -136,11 +130,9 @@ impl SimConfig {
             deadlock_timeout: 25_000,
             seed: 0x5EED,
             arbitration: Arbitration::Random,
-            debug_watchdog: false,
             recovery_backoff_base: 16,
             recovery_backoff_cap: 6,
             settle_window: 500,
-            telemetry_window: 0,
         }
     }
 
@@ -169,18 +161,6 @@ impl SimConfig {
         self.arbitration = arbitration;
         self
     }
-
-    /// Builder-style watchdog-diagnostics toggle.
-    pub fn with_debug_watchdog(mut self, on: bool) -> Self {
-        self.debug_watchdog = on;
-        self
-    }
-
-    /// Builder-style telemetry-window override (`0` disables telemetry).
-    pub fn with_telemetry_window(mut self, window: u64) -> Self {
-        self.telemetry_window = window;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -198,12 +178,6 @@ mod tests {
     fn seed_override() {
         let c = SimConfig::paper().with_seed(7);
         assert_eq!(c.seed, 7);
-    }
-
-    #[test]
-    fn debug_watchdog_flag() {
-        assert!(!SimConfig::paper().debug_watchdog);
-        assert!(SimConfig::paper().with_debug_watchdog(true).debug_watchdog);
     }
 
     #[test]
@@ -226,16 +200,5 @@ mod tests {
             required: 4,
         };
         assert!(e.to_string().contains('2') && e.to_string().contains('4'));
-    }
-
-    #[test]
-    fn telemetry_defaults_off() {
-        assert_eq!(SimConfig::paper().telemetry_window, 0);
-        assert_eq!(
-            SimConfig::paper()
-                .with_telemetry_window(500)
-                .telemetry_window,
-            500
-        );
     }
 }

@@ -19,7 +19,7 @@
 //! | `route`    | 3: service-order construction (shuffle / ordered mirror) |
 //! | `allocate` | 4: routing decisions + VC allocation for headers       |
 //! | `move`     | 5: flit movement                                       |
-//! | `recover`  | 6–9: watchdog scan, recoveries, stats/cleanup, delivery window, telemetry fold |
+//! | `recover`  | 6–8: watchdog scan, recoveries, stats/cleanup, delivery window |
 
 use std::time::Duration;
 
@@ -38,7 +38,7 @@ pub enum Phase {
     Allocate = 2,
     /// Flit movement.
     Move = 3,
-    /// Watchdog, recoveries, and the stats/cleanup/telemetry tail.
+    /// Watchdog, recoveries, and the stats/cleanup/delivery-window tail.
     Recover = 4,
 }
 

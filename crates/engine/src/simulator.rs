@@ -13,8 +13,8 @@ use rand::SeedableRng;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use wormsim_metrics::{
-    LatencyStats, NodeLoadStats, RecoveryStats, SimReport, TelemetryCollector, ThroughputStats,
-    VcUsageStats, SETTLE_FRACTION,
+    LatencyStats, NodeLoadStats, RecoveryStats, SimReport, ThroughputStats, VcUsageStats,
+    SETTLE_FRACTION,
 };
 use wormsim_obs::{EventKind, NullSink, Sink, StallDiagnosis, StallMessage, TraceEvent, WaitEdge};
 use wormsim_routing::{MessageState, RoutingAlgorithm, RoutingContext};
@@ -184,18 +184,9 @@ pub struct Simulator<S: Sink = NullSink, const PROFILE: bool = false> {
     /// Trace-event destination; [`NullSink`] by default (instrumentation
     /// compiled out).
     sink: S,
-    /// Per-window telemetry accumulator; `Some` iff
-    /// `cfg.telemetry_window > 0`.
-    telemetry: Option<TelemetryCollector>,
-    /// The most recent watchdog stall diagnosis (replaces the old raw
-    /// `eprintln!` dump; see [`Simulator::last_stall`]).
+    /// The most recent watchdog stall diagnosis (see
+    /// [`Simulator::last_stall`]).
     last_stall: Option<StallDiagnosis>,
-    /// Messages promoted queue → injection port this cycle.
-    injected_this_cycle: u64,
-    /// Blocked-header wait cycles accounted this cycle.
-    blocked_this_cycle: u64,
-    /// Messages fully delivered this cycle.
-    completed_this_cycle: u64,
     /// Per-phase wall-clock accumulator; only written when `PROFILE`
     /// (every stamp site is `if PROFILE`-guarded and compiles away in
     /// the default instantiation).
@@ -350,15 +341,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             window_sum: 0,
             delivered_this_cycle: 0,
             sink,
-            telemetry: if cfg.telemetry_window > 0 {
-                Some(TelemetryCollector::new(cfg.telemetry_window))
-            } else {
-                None
-            },
             last_stall: None,
-            injected_this_cycle: 0,
-            blocked_this_cycle: 0,
-            completed_this_cycle: 0,
             phase_times: PhaseTimes::new(),
             cfg,
             ctx,
@@ -490,15 +473,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         self.delivered_window.clear();
         self.window_sum = 0;
         self.delivered_this_cycle = 0;
-        self.telemetry = if self.cfg.telemetry_window > 0 {
-            Some(TelemetryCollector::new(self.cfg.telemetry_window))
-        } else {
-            None
-        };
         self.last_stall = None;
-        self.injected_this_cycle = 0;
-        self.blocked_this_cycle = 0;
-        self.completed_this_cycle = 0;
         self.phase_times.clear();
         Ok(())
     }
@@ -540,11 +515,9 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         }
     }
 
-    /// The most recent watchdog stall diagnosis. Structured replacement
-    /// for the old stderr-only dump; with `cfg.debug_watchdog` the same
-    /// diagnosis is also printed. Captured only when a real sink is
-    /// attached or `debug_watchdog` is set — building the diagnosis
-    /// allocates, which the default `NullSink` fast path must not
+    /// The most recent watchdog stall diagnosis. Captured only when a
+    /// real sink is attached — building the diagnosis allocates, which
+    /// the default `NullSink` fast path must not
     /// ([`diagnose_stall`](Simulator::diagnose_stall) computes one on
     /// demand regardless).
     pub fn last_stall(&self) -> Option<&StallDiagnosis> {
@@ -837,7 +810,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             in_flight_at_end: self.active.len() as u64,
             ring_load,
             recovery: self.recovery.clone(),
-            telemetry: self.telemetry.as_ref().map(|t| t.snapshot()),
         }
     }
 
@@ -1133,7 +1105,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             };
             self.sources.seize_port(node, id);
             self.active.push(id);
-            self.injected_this_cycle += 1;
             if S::ENABLED {
                 self.sink
                     .record(TraceEvent::new(self.cycle, EventKind::Inject, id).at(node as u16));
@@ -1225,26 +1196,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         if self.recovery.is_some() {
             self.update_delivery_window();
         }
-
-        // 9. Telemetry fold (before the per-cycle counters reset). The
-        // counters themselves are maintained unconditionally — plain adds,
-        // far cheaper than branching on them at every site.
-        if let Some(t) = self.telemetry.as_mut() {
-            let vc_held: u64 = self.vc_usage.held_counts().iter().sum();
-            t.record_cycle(
-                self.cycle,
-                self.injected_this_cycle,
-                self.completed_this_cycle,
-                u64::from(self.delivered_this_cycle),
-                self.blocked_this_cycle,
-                vc_held,
-                self.ring_hops,
-            );
-        }
         self.delivered_this_cycle = 0;
-        self.injected_this_cycle = 0;
-        self.blocked_this_cycle = 0;
-        self.completed_this_cycle = 0;
 
         self.phase_lap(&mut mark, Phase::Recover);
         if PROFILE {
@@ -1396,7 +1348,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
                 // the wait counter ticking as that loop did.
                 if Some(self.wait[i]) != self.recheck_wait {
                     self.wait[i] += 1;
-                    self.blocked_this_cycle += 1;
                     if PROFILE {
                         self.phase_times.count_blocked_tick();
                     }
@@ -1490,7 +1441,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             self.eligible_scratch = eligible;
             self.busy_scratch = busy;
             self.wait[i] = state.wait_cycles + 1;
-            self.blocked_this_cycle += 1;
             if S::ENABLED {
                 self.sink
                     .record(TraceEvent::new(self.cycle, EventKind::Block, id).at(head.0));
@@ -1659,7 +1609,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             }
             let front = m.path[0];
             m.path.pop_front();
-            self.release_stage(front);
+            self.release_stage(id, front);
         }
         if complete {
             self.alive[i] = false;
@@ -1677,10 +1627,17 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     /// entered it to its node's load (see `stage_arrivals`), and note its
     /// key for [`Simulator::wake_freed`]. Every stage a message gives up
     /// passes through here.
-    fn release_stage(&mut self, e: PathEntry) {
+    fn release_stage(&mut self, id: u32, e: PathEntry) {
         self.slots[e.key as usize] = None;
         self.occ_mask[e.ch as usize] &= !(1 << e.vc);
         self.vc_usage.release(e.vc);
+        if S::ENABLED {
+            self.sink.record(
+                TraceEvent::new(self.cycle, EventKind::VcRelease, id)
+                    .at(e.dest.0)
+                    .on(e.ch, e.vc),
+            );
+        }
         self.stage_arrivals[e.dest.index()] += u64::from(e.entered);
         self.freed_scratch.push(e.key);
     }
@@ -1690,7 +1647,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         let i = id as usize;
         for j in 0..self.msgs[i].path.len() {
             let e = self.msgs[i].path[j];
-            self.release_stage(e);
+            self.release_stage(id, e);
         }
         self.msgs[i].path.clear();
     }
@@ -1718,7 +1675,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             - m.first_injected
                 .expect("a completed message must have injected flits");
         let length = m.length;
-        self.completed_this_cycle += 1;
         self.total_misroutes += misroutes;
         if let Some((ev, aborted_at)) = abort {
             if let Some(rec) = self.recovery.as_mut() {
@@ -1817,6 +1773,11 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
                 // Destination gone, or flits stranded at / re-injection
                 // required from a dead source.
                 self.kill_active(id);
+                if S::ENABLED {
+                    let src = self.msgs[id as usize].src.0;
+                    self.sink
+                        .record(TraceEvent::new(self.cycle, EventKind::Abort, id).at(src));
+                }
                 self.recovery.as_mut().expect("stats exist").record_lost(ev);
             } else if crosses {
                 self.abort_for_fault(id, ev);
@@ -1965,8 +1926,23 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     /// re-inject it from its source with fresh routing state.
     fn recover(&mut self, id: u32) {
         // A survivor of an online fault event whose source has since died
-        // cannot be re-injected: drop it for good.
-        if self.ctx.pattern().is_faulty(self.msgs[id as usize].src) {
+        // cannot be re-injected: it is dropped for good.
+        let lost = self.ctx.pattern().is_faulty(self.msgs[id as usize].src);
+        // Structured stall forensics: snapshot the blocked-message
+        // wait-for graph (the wake lists are exactly its edges) and name
+        // the deadlock cycle or congestion hotspot. The diagnosis is kept
+        // as a value so tests and tools can assert on the identified
+        // resource. Building it allocates, so the untraced fast path
+        // skips it to preserve the zero-allocation steady state.
+        if S::ENABLED {
+            if !lost {
+                self.last_stall = Some(self.diagnose_stall(Some(MsgId(id))));
+            }
+            let head = self.head_node(&self.msgs[id as usize]).0;
+            self.sink
+                .record(TraceEvent::new(self.cycle, EventKind::Recover, id).at(head));
+        }
+        if lost {
             self.kill_active(id);
             if let Some(rec) = self.recovery.as_mut() {
                 if rec.num_events() > 0 {
@@ -1976,25 +1952,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             return;
         }
         self.recoveries += 1;
-        // Structured stall forensics replace the old ad-hoc stderr dump:
-        // snapshot the blocked-message wait-for graph (the wake lists are
-        // exactly its edges) and name the deadlock cycle or congestion
-        // hotspot. The diagnosis is kept as a value so tests and tools can
-        // assert on the identified resource instead of scraping stderr.
-        // Building it allocates, so the untraced/undebugged fast path skips
-        // it to preserve the zero-allocation steady state.
-        if S::ENABLED || self.cfg.debug_watchdog {
-            let diag = self.diagnose_stall(Some(MsgId(id)));
-            if self.cfg.debug_watchdog {
-                eprint!("{diag}");
-            }
-            self.last_stall = Some(diag);
-        }
-        if S::ENABLED {
-            let head = self.head_node(&self.msgs[id as usize]).0;
-            self.sink
-                .record(TraceEvent::new(self.cycle, EventKind::Recover, id).at(head));
-        }
         let src;
         self.release_path(id);
         {
@@ -2875,20 +2832,32 @@ mod tests {
             warmup_cycles: 0,
             measure_cycles: 1_000,
             ..SimConfig::paper()
-        }
-        .with_telemetry_window(50);
-        let mut sim = make_sim(AlgorithmKind::Duato, fault_free(), 0.0, cfg);
+        };
+        let ctx = Arc::new(RoutingContext::new(mesh.clone(), fault_free()));
+        let algo = build_algorithm(AlgorithmKind::Duato, ctx.clone(), VcConfig::paper());
+        let sink = wormsim_obs::TeeSink(
+            wormsim_obs::VecSink::new(),
+            wormsim_obs::TelemetrySink::new(50, 0),
+        );
+        let mut sim = Simulator::with_sink(algo, ctx, Workload::paper_uniform(0.0), cfg, sink);
         let n = 4u64;
         for i in 0..n {
             sim.inject_message(mesh.node(0, i as u16), mesh.node(9, 9 - i as u16));
         }
         assert!(sim.run_until_drained(2_000));
-        let report = sim.report();
-        let t = report.telemetry.expect("telemetry enabled");
+        let cycles = sim.cycle();
+        let wormsim_obs::TeeSink(events, telemetry) = sim.into_sink();
+        let count = |k| events.events().iter().filter(|e| e.kind == k).count();
+        assert_eq!(
+            count(EventKind::VcRelease),
+            count(EventKind::VcAcquire),
+            "a drained network has given back every VC it acquired"
+        );
+        let t = telemetry.finish(cycles);
         assert_eq!(t.window, 50);
         assert_eq!(
             t.windows.iter().map(|w| w.cycles).sum::<u64>(),
-            sim.cycle(),
+            cycles,
             "windows must tile the simulated cycles exactly"
         );
         assert_eq!(t.total_injected(), n);
@@ -2897,14 +2866,6 @@ mod tests {
             t.windows.iter().any(|w| w.mean_vc_held > 0.0),
             "in-flight worms must show up as held VCs"
         );
-        // And without a window configured, the field stays None + off-wire.
-        let mut sim = make_sim(AlgorithmKind::Duato, fault_free(), 0.0, SimConfig::quick());
-        sim.inject_message(mesh.node(0, 0), mesh.node(1, 0));
-        assert!(sim.run_until_drained(100));
-        let report = sim.report();
-        assert!(report.telemetry.is_none());
-        let json = serde_json::to_string(&report).unwrap();
-        assert!(!json.contains("telemetry"));
     }
 
     #[test]

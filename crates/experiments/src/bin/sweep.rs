@@ -91,6 +91,14 @@ fn main() {
             _ => usage(),
         }
     }
+    if !(1..=256).contains(&mesh_size) {
+        reject(format_args!(
+            "--mesh {mesh_size}: the side must be 1 to 256"
+        ));
+    }
+    if let Some(rate) = rates.iter().find(|r| !(**r >= 0.0 && r.is_finite())) {
+        reject(format_args!("--rate {rate}: must be finite and at least 0"));
+    }
     if algos.is_empty() {
         algos.push(AlgorithmKind::DuatoNbc);
     }

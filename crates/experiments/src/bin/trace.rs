@@ -6,16 +6,20 @@
 //!     --mesh 8 --faults 3 --rate 0.004 --cycles 4000 --out results
 //! ```
 //!
-//! Writes three files to `--out`:
+//! Writes four files to `--out`:
 //!
 //! - `trace_events.jsonl` — one `TraceEvent` per line (streaming form).
 //! - `trace_chrome.json` — Chrome `trace_event` document; load it at
 //!   `chrome://tracing` or <https://ui.perfetto.dev> to see one track per
 //!   node plus a fabric track of VC wake-ups.
-//! - `trace_report.json` — the run's `SimReport`, telemetry included.
+//! - `trace_telemetry.json` — the `CycleTelemetry` time series a
+//!   `TelemetrySink` folded from the same events, one window per
+//!   `--telemetry-window` cycles (at least 1; default 200).
+//! - `trace_report.json` — the run's `SimReport`.
 //!
-//! Before exiting the binary re-parses both trace files and checks they
-//! agree, so a zero exit status certifies the artifacts are well-formed.
+//! Before exiting the binary re-parses the three event-derived files and
+//! checks they agree with each other and with the run, so a zero exit
+//! status certifies the artifacts are well-formed.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -25,7 +29,7 @@ use std::sync::Arc;
 use wormsim_engine::{ChromeTraceSink, EventKind, JsonlSink, SimConfig, Simulator, TeeSink};
 use wormsim_experiments::Progress;
 use wormsim_fault::{random_pattern, FaultPattern};
-use wormsim_obs::parse_jsonl;
+use wormsim_obs::{parse_jsonl, CycleTelemetry, TelemetrySink};
 use wormsim_routing::{build_algorithm, min_total_vcs, AlgorithmKind, RoutingContext, VcConfig};
 use wormsim_topology::Mesh;
 use wormsim_traffic::Workload;
@@ -55,6 +59,12 @@ fn usage() -> ! {
         "usage: trace [--algo NAME] [--mesh K] [--faults N] [--rate R] [--cycles C] \
          [--seed S] [--telemetry-window W] [--out DIR] [--quiet]"
     );
+    std::process::exit(2);
+}
+
+/// A flag value the simulator cannot run: one line, exit 2.
+fn reject(why: impl std::fmt::Display) -> ! {
+    eprintln!("trace: {why}");
     std::process::exit(2);
 }
 
@@ -90,6 +100,17 @@ fn main() {
             "--quiet" => quiet = true,
             _ => usage(),
         }
+    }
+    if !(1..=256).contains(&mesh_size) {
+        reject(format_args!(
+            "--mesh {mesh_size}: the side must be 1 to 256"
+        ));
+    }
+    if !(rate >= 0.0 && rate.is_finite()) {
+        reject(format_args!("--rate {rate}: must be finite and at least 0"));
+    }
+    if window == 0 {
+        reject("--telemetry-window 0: a window is at least 1 cycle");
     }
     let progress = Progress::from_quiet_flag(quiet);
     std::fs::create_dir_all(&out_dir).expect("create output dir");
@@ -128,38 +149,50 @@ fn main() {
 
     let ctx = Arc::new(RoutingContext::new(mesh, pattern));
     let algo = build_algorithm(kind, ctx.clone(), vc);
+    let overlay_vcs = (0..vc.total)
+        .filter(|&v| algo.is_overlay_vc(v))
+        .fold(0u32, |mask, v| mask | 1 << v);
     let cfg = SimConfig {
         warmup_cycles: cycles / 3,
         measure_cycles: cycles - cycles / 3,
         ..SimConfig::paper()
     }
-    .with_seed(seed)
-    .with_telemetry_window(window);
+    .with_seed(seed);
 
     let jsonl_path = format!("{out_dir}/trace_events.jsonl");
     let chrome_path = format!("{out_dir}/trace_chrome.json");
+    let telemetry_path = format!("{out_dir}/trace_telemetry.json");
     let report_path = format!("{out_dir}/trace_report.json");
     let jsonl_file = File::create(&jsonl_path).expect("create jsonl file");
     let sink = TeeSink(
         JsonlSink::new(jsonl_file),
-        ChromeTraceSink::new(mesh_size, mesh_size),
+        TeeSink(
+            ChromeTraceSink::new(mesh_size, mesh_size),
+            TelemetrySink::new(window, overlay_vcs),
+        ),
     );
     let mut sim = Simulator::with_sink(algo, ctx, Workload::paper_uniform(rate), cfg, sink);
     let report = sim.run();
     let stall = sim.last_stall().cloned();
-    let TeeSink(jsonl, chrome) = sim.into_sink();
+    let cycles_run = sim.cycle();
+    let TeeSink(jsonl, TeeSink(chrome, telemetry)) = sim.into_sink();
     let recorded = jsonl.written();
     jsonl.finish().expect("flush jsonl").flush().expect("sync");
     chrome
         .write_to(File::create(&chrome_path).expect("create chrome file"))
         .expect("write chrome trace");
     std::fs::write(
+        &telemetry_path,
+        serde_json::to_string_pretty(&telemetry.finish(cycles_run)).expect("telemetry serializes"),
+    )
+    .expect("write telemetry");
+    std::fs::write(
         &report_path,
         serde_json::to_string_pretty(&report).expect("report serializes"),
     )
     .expect("write report");
 
-    // Self-validation: both artifacts must re-parse and agree with the run.
+    // Self-validation: the artifacts must re-parse and agree with the run.
     let text = std::fs::read_to_string(&jsonl_path).expect("read back jsonl");
     let events = parse_jsonl(&text).expect("jsonl re-parses");
     assert_eq!(
@@ -180,12 +213,24 @@ fn main() {
     }
 
     let count = |k: EventKind| events.iter().filter(|e| e.kind == k).count();
+    let t: CycleTelemetry =
+        serde_json::from_str(&std::fs::read_to_string(&telemetry_path).expect("read back"))
+            .expect("telemetry re-parses");
+    assert_eq!(
+        t.windows.iter().map(|w| w.cycles).sum::<u64>(),
+        cycles_run,
+        "telemetry windows must tile the run"
+    );
+    assert_eq!(t.total_injected(), count(EventKind::Inject) as u64);
+    assert_eq!(t.total_delivered(), count(EventKind::Deliver) as u64);
+
     println!("recorded {} trace events to {jsonl_path}", events.len());
     println!(
-        "  inject {} / route {} / vc-acquire {} / block {} / wake {} / abort {} / recover {} / deliver {}",
+        "  inject {} / route {} / vc-acquire {} / vc-release {} / block {} / wake {} / abort {} / recover {} / deliver {}",
         count(EventKind::Inject),
         count(EventKind::RouteDecision),
         count(EventKind::VcAcquire),
+        count(EventKind::VcRelease),
         count(EventKind::Block),
         count(EventKind::Wake),
         count(EventKind::Abort),
@@ -193,21 +238,20 @@ fn main() {
         count(EventKind::Deliver),
     );
     println!("chrome trace written to {chrome_path} (open in Perfetto)");
-    if let Some(t) = &report.telemetry {
+    println!(
+        "telemetry: {} windows of {} cycles — {} injected, {} delivered",
+        t.windows.len(),
+        t.window,
+        t.total_injected(),
+        t.total_delivered(),
+    );
+    if let Some(w) = t.peak_blocked_window() {
         println!(
-            "telemetry: {} windows of {} cycles — {} injected, {} delivered",
-            t.windows.len(),
-            t.window,
-            t.total_injected(),
-            t.total_delivered(),
+            "  peak contention at cycle {}: {} blocked waits, mean {:.1} VCs held",
+            w.start_cycle, w.blocked_waits, w.mean_vc_held,
         );
-        if let Some(w) = t.peak_blocked_window() {
-            println!(
-                "  peak contention at cycle {}: {} blocked waits, mean {:.1} VCs held",
-                w.start_cycle, w.blocked_waits, w.mean_vc_held,
-            );
-        }
     }
+    println!("telemetry written to {telemetry_path}");
     match &stall {
         Some(diag) => print!("{diag}"),
         None => println!("no stalls: the watchdog never fired"),

@@ -676,7 +676,7 @@ mod tests {
 
     /// One edit per scalar field of a spec, each away from
     /// `keyed_spec`'s value.
-    const SCALAR_EDITS: [fn(&mut CustomSpec); 18] = [
+    const SCALAR_EDITS: [fn(&mut CustomSpec); 16] = [
         |s| s.vc.total += 1,
         |s| s.vc.bc_vcs += 1,
         |s| s.vc.misroute_limit += 1,
@@ -686,11 +686,9 @@ mod tests {
         |s| s.sim.deadlock_timeout += 1,
         |s| s.sim.seed += 1,
         |s| s.sim.arbitration = wormsim_engine::Arbitration::OldestFirst,
-        |s| s.sim.debug_watchdog = true,
         |s| s.sim.recovery_backoff_base += 1,
         |s| s.sim.recovery_backoff_cap += 1,
         |s| s.sim.settle_window += 1,
-        |s| s.sim.telemetry_window += 1,
         |s| s.kind = AlgorithmKind::DuatoNbc,
         |s| s.workload.pattern = wormsim_traffic::TrafficPattern::Transpose,
         |s| s.workload.rate = f64::from_bits(s.workload.rate.to_bits() + 1),

@@ -11,7 +11,6 @@ mod latency;
 mod node_load;
 mod recovery;
 mod report;
-mod telemetry;
 mod throughput;
 mod vc_usage;
 
@@ -19,6 +18,5 @@ pub use latency::LatencyStats;
 pub use node_load::{NodeLoadStats, RingLoadSummary};
 pub use recovery::{RecoveryEvent, RecoveryStats, SETTLE_FRACTION};
 pub use report::SimReport;
-pub use telemetry::{CycleTelemetry, TelemetryCollector, TelemetryWindow};
 pub use throughput::ThroughputStats;
 pub use vc_usage::VcUsageStats;

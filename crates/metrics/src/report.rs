@@ -1,14 +1,13 @@
 //! The combined per-simulation report.
 
 use crate::{
-    CycleTelemetry, LatencyStats, NodeLoadStats, RecoveryStats, RingLoadSummary, ThroughputStats,
-    VcUsageStats,
+    LatencyStats, NodeLoadStats, RecoveryStats, RingLoadSummary, ThroughputStats, VcUsageStats,
 };
-use serde::{DeError, Deserialize, Serialize, Serializer, Value};
+use serde::{Deserialize, Serialize};
 
 /// Everything one simulation run measured. Produced by the engine,
 /// consumed by the experiment harness and benches.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SimReport {
     /// Algorithm display name.
     pub algorithm: String,
@@ -48,72 +47,6 @@ pub struct SimReport {
     /// Online fault-recovery statistics (`None` for static-fault runs
     /// without a chaos driver installed).
     pub recovery: Option<RecoveryStats>,
-    /// Per-window cycle telemetry (`None` unless the run enabled a
-    /// telemetry window). Skipped entirely on the wire when absent, so
-    /// telemetry-off runs keep their historical report bytes — see the
-    /// fingerprint policy note in `results/`.
-    pub telemetry: Option<CycleTelemetry>,
-}
-
-// Manual impls rather than derives: `telemetry` must be *absent* (not
-// `null`) when unset, so the committed bench fingerprint over the
-// serialized report survives this field's addition. The vendored derive
-// has no `skip_serializing_if`, hence the hand-written mirror of the
-// field list.
-impl Serialize for SimReport {
-    fn serialize(&self, s: &mut Serializer) {
-        s.begin_map();
-        s.field("algorithm", &self.algorithm);
-        s.field("offered_rate", &self.offered_rate);
-        s.field("message_length", &self.message_length);
-        s.field("seed_faults", &self.seed_faults);
-        s.field("total_faults", &self.total_faults);
-        s.field("measured_cycles", &self.measured_cycles);
-        s.field("latency", &self.latency);
-        s.field("network_latency", &self.network_latency);
-        s.field("throughput", &self.throughput);
-        s.field("vc_usage", &self.vc_usage);
-        s.field("node_load", &self.node_load);
-        s.field("recoveries", &self.recoveries);
-        s.field("ring_hops", &self.ring_hops);
-        s.field("total_misroutes", &self.total_misroutes);
-        s.field("in_flight_at_end", &self.in_flight_at_end);
-        s.field("ring_load", &self.ring_load);
-        s.field("recovery", &self.recovery);
-        if let Some(t) = &self.telemetry {
-            s.field("telemetry", t);
-        }
-        s.end_map();
-    }
-}
-
-impl Deserialize for SimReport {
-    fn deserialize(v: &Value) -> Result<Self, DeError> {
-        let telemetry = match v.get("telemetry") {
-            None => None,
-            Some(t) => Deserialize::deserialize(t)?,
-        };
-        Ok(SimReport {
-            algorithm: serde::__field(v, "algorithm")?,
-            offered_rate: serde::__field(v, "offered_rate")?,
-            message_length: serde::__field(v, "message_length")?,
-            seed_faults: serde::__field(v, "seed_faults")?,
-            total_faults: serde::__field(v, "total_faults")?,
-            measured_cycles: serde::__field(v, "measured_cycles")?,
-            latency: serde::__field(v, "latency")?,
-            network_latency: serde::__field(v, "network_latency")?,
-            throughput: serde::__field(v, "throughput")?,
-            vc_usage: serde::__field(v, "vc_usage")?,
-            node_load: serde::__field(v, "node_load")?,
-            recoveries: serde::__field(v, "recoveries")?,
-            ring_hops: serde::__field(v, "ring_hops")?,
-            total_misroutes: serde::__field(v, "total_misroutes")?,
-            in_flight_at_end: serde::__field(v, "in_flight_at_end")?,
-            ring_load: serde::__field(v, "ring_load")?,
-            recovery: serde::__field(v, "recovery")?,
-            telemetry,
-        })
-    }
 }
 
 impl SimReport {
@@ -177,7 +110,6 @@ mod tests {
             in_flight_at_end: 0,
             ring_load: None,
             recovery: None,
-            telemetry: None,
         }
     }
 
@@ -197,33 +129,5 @@ mod tests {
         let back: SimReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.algorithm, "PHop");
         assert_eq!(back.latency.count(), 1);
-    }
-
-    #[test]
-    fn absent_telemetry_stays_off_the_wire() {
-        let r = report();
-        let json = serde_json::to_string(&r).unwrap();
-        assert!(
-            !json.contains("telemetry"),
-            "None telemetry must not appear in the report JSON (fingerprint policy): {json}"
-        );
-        let back: SimReport = serde_json::from_str(&json).unwrap();
-        assert!(back.telemetry.is_none());
-    }
-
-    #[test]
-    fn telemetry_round_trips_when_present() {
-        let mut r = report();
-        let mut c = crate::TelemetryCollector::new(100);
-        for cycle in 0..250 {
-            c.record_cycle(cycle, 2, 1, 100, 4, 12, cycle / 10);
-        }
-        r.telemetry = Some(c.snapshot());
-        let json = serde_json::to_string(&r).unwrap();
-        assert!(json.contains("\"telemetry\""));
-        let back: SimReport = serde_json::from_str(&json).unwrap();
-        let t = back.telemetry.expect("telemetry survives the round trip");
-        assert_eq!(t, r.telemetry.unwrap());
-        assert_eq!(t.windows.len(), 3);
     }
 }

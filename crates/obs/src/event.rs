@@ -8,7 +8,9 @@ use serde::{Deserialize, Serialize};
 /// network (`Inject`), its header asks the routing function for
 /// candidates (`RouteDecision`) and either claims an output VC
 /// (`VcAcquire`) or goes to sleep on the busy candidates' wake lists
-/// (`Block`); a freed VC slot re-arms sleeping headers (`Wake`); an
+/// (`Block`); the worm gives a VC back once its tail has left it, or when
+/// it is torn out of the network (`VcRelease`); a freed VC slot re-arms
+/// sleeping headers (`Wake`); an
 /// online fault tears a message out of the network (`Abort`), the
 /// watchdog drops and re-injects a stuck one (`Recover`); and the tail
 /// flit finally drains at the destination (`Deliver`).
@@ -22,11 +24,15 @@ pub enum EventKind {
     VcAcquire,
     /// Every candidate VC was busy; the header sleeps on wake lists.
     Block,
+    /// The message gave back `(channel, vc)`, the VC it held into `node`.
+    VcRelease,
     /// `(channel, vc)` freed and re-armed this sleeping header.
     Wake,
-    /// An online fault activation aborted the message (chaos recovery).
+    /// An online fault activation aborted the message (chaos recovery),
+    /// or dropped it for good because an endpoint died.
     Abort,
-    /// The watchdog dropped the stuck message for re-injection.
+    /// The watchdog dropped the stuck message for re-injection, or for
+    /// good if its source has died since it was injected.
     Recover,
     /// The tail flit drained at the destination; the message is done.
     Deliver,
@@ -46,8 +52,9 @@ pub struct TraceEvent {
     /// `Deliver` boundaries to recover unique message lifetimes).
     pub msg: u32,
     /// Node involved (source for `Inject`/`Abort`, header position for
-    /// `RouteDecision`/`VcAcquire`/`Block`/`Recover`, destination for
-    /// `Deliver`), or [`TraceEvent::NO_NODE`].
+    /// `RouteDecision`/`VcAcquire`/`Block`/`Recover`, the released VC's
+    /// downstream node for `VcRelease`, destination for `Deliver`), or
+    /// [`TraceEvent::NO_NODE`].
     pub node: u16,
     /// Physical channel involved, or [`TraceEvent::NO_CHANNEL`].
     pub channel: u32,

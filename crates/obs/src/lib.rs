@@ -1,8 +1,8 @@
 //! # wormsim-obs
 //!
 //! The observability layer for the wormhole simulator: structured
-//! flit-level trace events, pluggable sinks, stall forensics, and the
-//! shared experiment progress reporter.
+//! flit-level trace events, pluggable sinks, windowed cycle telemetry,
+//! stall forensics, and the shared experiment progress reporter.
 //!
 //! Design constraint: instrumentation must be *zero-cost when off*. The
 //! engine is generic over a [`Sink`] whose associated `ENABLED` constant
@@ -16,6 +16,8 @@
 //! - [`NullSink`], [`VecSink`], [`RingSink`], [`TeeSink`] — in-memory
 //!   sinks; [`JsonlSink`] streams to any writer; [`ChromeTraceSink`]
 //!   exports `chrome://tracing` / Perfetto documents.
+//! - [`TelemetrySink`] — folds the event stream into per-window
+//!   [`CycleTelemetry`] time series.
 //! - [`StallDiagnosis`] — wait-for-graph forensics for the watchdog.
 //! - [`Progress`] — quiet/verbose chatter policy for experiment bins;
 //!   [`ProgressFrame`] / [`FrameLog`] — machine-readable progress ticks
@@ -34,6 +36,7 @@ mod metrics;
 mod progress;
 mod sink;
 mod stall;
+mod telemetry;
 
 pub use chrome::ChromeTraceSink;
 pub use event::{EventKind, TraceEvent};
@@ -46,3 +49,4 @@ pub use metrics::{
 pub use progress::{parse_frame_log, FrameLog, Progress, ProgressFrame};
 pub use sink::{NullSink, RingSink, Sink, TeeSink, VecSink};
 pub use stall::{Hotspot, StallDiagnosis, StallMessage, WaitEdge};
+pub use telemetry::{CycleTelemetry, TelemetrySink, TelemetryWindow};

@@ -23,4 +23,13 @@ fn bad_flag_values_exit_2_without_panicking() {
     // Parses, but Duato-Nbc needs 15 VCs on a 10×10 mesh: a `ConfigError`.
     rejects(sweep, &["--algo", "duato-nbc", "--vcs", "4", "--quiet"]);
     rejects(env!("CARGO_BIN_EXE_bench_engine"), &["--phases"]);
+    // Parse, but out of range: checked before a mesh or a source is built.
+    let trace = env!("CARGO_BIN_EXE_trace");
+    for bin in [sweep, trace] {
+        rejects(bin, &["--mesh", "0"]);
+        rejects(bin, &["--mesh", "300"]);
+        rejects(bin, &["--rate", "-1"]);
+        rejects(bin, &["--rate", "nan"]);
+    }
+    rejects(trace, &["--telemetry-window", "0"]);
 }

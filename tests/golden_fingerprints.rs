@@ -20,15 +20,23 @@
 //! [`TraceEvent`]s. Those values were recorded on commit `264ed2b`, before
 //! wake-list registration moved from a dedup walk to a per-message record
 //! and the blocked-wait counter moved off `MessageState`, and must not
-//! change under either rewrite.
+//! change under either rewrite. `VcRelease` events are newer than those
+//! pins, so the stream fingerprint leaves them out: the pinned streams
+//! are the other kinds, in order.
+//!
+//! The same runs, plus the chaos schedule, also pin the per-window
+//! telemetry a `TelemetrySink` folds from their events (50-cycle
+//! windows). Those values were recorded on commit `d119a54` from the
+//! engine-side collector the sink replaced, in the sink's field layout,
+//! so they show the sink counts what the collector counted.
 
 use std::sync::Arc;
-use wormsim_chaos::{run_chaos, ChaosDriver, FaultEvent, FaultSchedule};
+use wormsim_chaos::{run_chaos, run_chaos_with_sink, ChaosDriver, FaultEvent, FaultSchedule};
 use wormsim_engine::{Arbitration, SimConfig, Simulator};
 use wormsim_experiments::{paper_52_layout, report_fingerprint, report_json_fingerprint};
 use wormsim_fault::FaultPattern;
 use wormsim_metrics::SimReport;
-use wormsim_obs::{Sink, TraceEvent, VecSink};
+use wormsim_obs::{EventKind, Sink, TeeSink, TelemetrySink, TraceEvent, VecSink};
 use wormsim_routing::{build_algorithm, AlgorithmKind, RoutingContext, VcConfig};
 use wormsim_topology::{Coord, Mesh};
 use wormsim_traffic::Workload;
@@ -56,11 +64,12 @@ fn run_with<S: Sink>(
     (report, sim.into_sink())
 }
 
-/// The fingerprint of an event stream: one compact JSON document per
-/// event, newline-terminated, hashed like a report.
+/// The fingerprint of an event stream without its `VcRelease` events:
+/// one compact JSON document per event, newline-terminated, hashed like
+/// a report.
 fn stream_fingerprint(events: &[TraceEvent]) -> String {
     let mut jsonl = String::new();
-    for e in events {
+    for e in events.iter().filter(|e| e.kind != EventKind::VcRelease) {
         jsonl.push_str(&serde_json::to_string(e).expect("event serializes"));
         jsonl.push('\n');
     }
@@ -322,11 +331,33 @@ fn oldest_first_after_the_slab_moved_to_promotion() {
     assert_eq!(report_fingerprint(&report), "cb0e546673abb382");
 }
 
+/// The fingerprint of the 50-cycle-window telemetry folded from a run
+/// of `cycles` cycles with `kind`'s overlay VCs.
+fn telemetry_fingerprint(sink: TelemetrySink, cycles: u64) -> String {
+    report_json_fingerprint(&serde_json::to_string(&sink.finish(cycles)).expect("serializes"))
+}
+
+fn telemetry_sink(kind: AlgorithmKind) -> TelemetrySink {
+    let mesh = Mesh::square(10);
+    let ctx = Arc::new(RoutingContext::new(
+        mesh.clone(),
+        FaultPattern::fault_free(&mesh),
+    ));
+    let vc = VcConfig::paper();
+    let algo = build_algorithm(kind, ctx, vc);
+    let overlay = (0..vc.total)
+        .filter(|&v| algo.is_overlay_vc(v))
+        .fold(0u32, |mask, v| mask | 1 << v);
+    TelemetrySink::new(50, overlay)
+}
+
 /// The event streams behind the eleven §5.2 reports, the watchdog run and
-/// the `OldestFirst` run, recorded on commit `264ed2b` (see the module
-/// docs). The traced §5.2 reports must also still read their pins. The
-/// two Boura variants share a stream: on this layout they take the same
-/// decisions, and their reports differ only in the algorithm name.
+/// the `OldestFirst` run, recorded on commit `264ed2b`, and the telemetry
+/// of those runs and the chaos schedule, recorded on commit `d119a54`
+/// (see the module docs). The traced §5.2 reports must also still read
+/// their pins. The two Boura variants share a stream: on this layout
+/// they take the same decisions, and their reports differ only in the
+/// algorithm name.
 #[test]
 fn event_streams_of_the_dense_watchdog_and_oldest_first_runs() {
     const EXPECTED: [&str; 13] = [
@@ -344,10 +375,29 @@ fn event_streams_of_the_dense_watchdog_and_oldest_first_runs() {
         "e6bf68fe382b2b92",
         "0727f3a1f03ea15d",
     ];
+    const TELEMETRY: [&str; 14] = [
+        "f53d4676a3c43123",
+        "35509a86e3b281a0",
+        "a1480457e272b404",
+        "035245e7aed9f412",
+        "0ad2b084f57b0d23",
+        "8b2566abdc00731a",
+        "eabe539604e66584",
+        "63f3e4fc1a06a56c",
+        "84da725449ac5f08",
+        "30d66be5d54af594",
+        "f53d4676a3c43123",
+        "2972fc7fb73da50c",
+        "c994ea1010696142",
+        "2c82369479f84c91",
+    ];
     let mesh = Mesh::square(10);
-    let traced = |kind, pattern, workload, cfg| {
-        let (report, sink) = run_with(kind, pattern, workload, cfg, VecSink::new());
-        (report, stream_fingerprint(sink.events()))
+    let traced = |kind, pattern, workload, cfg: SimConfig| {
+        let sink = TeeSink(VecSink::new(), telemetry_sink(kind));
+        let (report, TeeSink(events, telemetry)) = run_with(kind, pattern, workload, cfg, sink);
+        let events = stream_fingerprint(events.events());
+        let telemetry = telemetry_fingerprint(telemetry, cfg.total_cycles());
+        (report, format!("{events} {telemetry}"))
     };
     let mut got = Vec::new();
     let (workload, cfg) = paper_52_dense();
@@ -376,13 +426,32 @@ fn event_streams_of_the_dense_watchdog_and_oldest_first_runs() {
         cfg,
     );
     got.push(format!("oldest_first {events}"));
+    let base = FaultPattern::fault_free(&mesh);
+    let (workload, cfg) = saturated_short(Arbitration::Random);
+    let (_, telemetry) = run_chaos_with_sink(
+        mesh.clone(),
+        base.clone(),
+        &two_fault_events(&mesh, &base),
+        AlgorithmKind::DuatoNbc,
+        VcConfig::paper(),
+        workload,
+        cfg,
+        telemetry_sink(AlgorithmKind::DuatoNbc),
+    )
+    .expect("schedule replays");
+    got.push(format!(
+        "chaos {}",
+        telemetry_fingerprint(telemetry, cfg.total_cycles())
+    ));
     let names = PAPER_52
         .iter()
         .map(|(kind, _)| format!("{kind:?}"))
         .chain(["watchdog".to_string(), "oldest_first".to_string()]);
     let want: Vec<String> = names
         .zip(EXPECTED)
-        .map(|(name, fp)| format!("{name} {fp}"))
+        .zip(TELEMETRY)
+        .map(|((name, fp), telemetry)| format!("{name} {fp} {telemetry}"))
+        .chain([format!("chaos {}", TELEMETRY[13])])
         .collect();
     assert_eq!(got, want);
 }
