@@ -20,8 +20,10 @@
 //!   random manner").
 //! - A watchdog recovers messages that make no progress for a configurable
 //!   number of cycles by dropping and re-injecting them (Disha-style
-//!   recovery); recoveries are counted and must be zero for provably
-//!   deadlock-free algorithms.
+//!   recovery); recoveries are counted in every report. Its clock starts
+//!   at message creation, so long source queues at saturation trip it even
+//!   for algorithms the routing audit proves deadlock-free (a few per
+//!   30 000 cycles on the fault-free paper mesh; DESIGN.md §7).
 //!
 //! ```
 //! use std::sync::Arc;

@@ -68,7 +68,7 @@ impl Phase {
 /// cycles, how much the `move` phase walked (worms visited and the stages,
 /// i.e. held VCs, they held) and what the `allocate` phase did: live
 /// headers visited, `route()` calls, and blocked headers that only ticked
-/// their wait counter. Plain copyable data; `reset` clears it along with
+/// their wait counter. Copyable data; `reset` clears it along with
 /// the rest of the simulator's run state.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimes {

@@ -619,10 +619,15 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     /// Per-message path capacity is derived from the *actual* mesh shape:
     /// a traversal pushes one entry per hop and the grow-only buffer
     /// reclaims only when the path empties, so the bound is the longest
-    /// simple detour a routing algorithm takes — covered by one full
-    /// perimeter, `2 × (width + height)` hops. (This used to be a caller
-    /// constant shaped for the 10×10 paper mesh; a 64×64 run then spent
-    /// its first cycles growing every path buffer.)
+    /// walk a routing algorithm takes. A walk that only detours around
+    /// fault regions is covered by one full perimeter, `2 × (width +
+    /// height)` hops; an algorithm that misroutes (one with a
+    /// `recheck_wait`) gets twice that. The routing audit
+    /// (`tests/routing_audit.rs`) checks every walk of every algorithm
+    /// against this rule: on a faulty 10×10 mesh the longest
+    /// Fully-Adaptive walk is 58 hops, the longest other walk 26. (This
+    /// used to be a caller constant shaped for the 10×10 paper mesh; a
+    /// 64×64 run then spent its first cycles growing every path buffer.)
     ///
     /// Queue reservations assume roughly uniform source selection (4× the
     /// per-node mean plus slack); a pathological workload funneling most
@@ -631,7 +636,8 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     /// simulation behavior is completely unaffected.
     pub fn prewarm(&mut self, messages: usize) {
         let mesh = self.ctx.mesh();
-        let max_path = 2 * (mesh.width() as usize + mesh.height() as usize);
+        let perimeter = 2 * (mesh.width() as usize + mesh.height() as usize);
+        let max_path = perimeter * if self.recheck_wait.is_some() { 2 } else { 1 };
         let num_nodes = self.sources.num_nodes();
         // Every message that owns a slot also owns a VC slot or its
         // node's injection port.

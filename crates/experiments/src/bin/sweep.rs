@@ -10,32 +10,14 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use wormsim_engine::{Arbitration, SimConfig};
-use wormsim_experiments::{parallel_map_with_progress, run_custom, CustomSpec, Progress, Table};
+use wormsim_experiments::{
+    parallel_map_with_progress, parse_algorithm, run_custom, CustomSpec, Progress, Table,
+};
 use wormsim_fault::{random_pattern, FaultPattern};
 use wormsim_metrics::SimReport;
 use wormsim_routing::{AlgorithmKind, VcConfig};
 use wormsim_topology::Mesh;
 use wormsim_traffic::Workload;
-
-fn parse_algo(s: &str) -> Option<AlgorithmKind> {
-    let norm = s.to_lowercase().replace(['_', ' '], "-");
-    let all = AlgorithmKind::ALL
-        .into_iter()
-        .chain(AlgorithmKind::EXTENDED_BASELINES);
-    for k in all {
-        let name = k
-            .paper_name()
-            .to_lowercase()
-            .replace([' ', '\'', '(', ')'], "-")
-            .replace("--", "-");
-        if name.trim_matches('-') == norm
-            || format!("{k:?}").to_lowercase() == norm.replace('-', "")
-        {
-            return Some(k);
-        }
-    }
-    None
-}
 
 fn usage() -> ! {
     eprintln!(
@@ -73,7 +55,7 @@ fn main() {
         match a.as_str() {
             "--algo" => {
                 let name = next();
-                algos.push(parse_algo(&name).unwrap_or_else(|| {
+                algos.push(parse_algorithm(&name).unwrap_or_else(|| {
                     eprintln!("unknown algorithm {name:?}");
                     usage()
                 }));

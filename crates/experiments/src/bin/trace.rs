@@ -27,32 +27,12 @@ use std::fs::File;
 use std::io::Write;
 use std::sync::Arc;
 use wormsim_engine::{ChromeTraceSink, EventKind, JsonlSink, SimConfig, Simulator, TeeSink};
-use wormsim_experiments::Progress;
+use wormsim_experiments::{parse_algorithm, Progress};
 use wormsim_fault::{random_pattern, FaultPattern};
 use wormsim_obs::{parse_jsonl, CycleTelemetry, TelemetrySink};
 use wormsim_routing::{build_algorithm, min_total_vcs, AlgorithmKind, RoutingContext, VcConfig};
 use wormsim_topology::Mesh;
 use wormsim_traffic::Workload;
-
-fn parse_algo(s: &str) -> Option<AlgorithmKind> {
-    let norm = s.to_lowercase().replace(['_', ' '], "-");
-    let all = AlgorithmKind::ALL
-        .into_iter()
-        .chain(AlgorithmKind::EXTENDED_BASELINES);
-    for k in all {
-        let name = k
-            .paper_name()
-            .to_lowercase()
-            .replace([' ', '\'', '(', ')'], "-")
-            .replace("--", "-");
-        if name.trim_matches('-') == norm
-            || format!("{k:?}").to_lowercase() == norm.replace('-', "")
-        {
-            return Some(k);
-        }
-    }
-    None
-}
 
 fn usage() -> ! {
     eprintln!(
@@ -85,7 +65,7 @@ fn main() {
         match a.as_str() {
             "--algo" => {
                 let name = next();
-                kind = parse_algo(&name).unwrap_or_else(|| {
+                kind = parse_algorithm(&name).unwrap_or_else(|| {
                     eprintln!("unknown algorithm {name:?}");
                     usage()
                 });

@@ -82,9 +82,60 @@ impl ExperimentConfig {
     }
 }
 
+/// The algorithm a command-line name denotes, for the harness binaries'
+/// `--algo`: the paper name (`"Duato's routing"`, `"Boura (Adaptive)"`),
+/// the variant identifier (`DuatoNbc`) or the hyphenated slug
+/// (`duato-nbc`), in any case. Only letters and digits are compared, so
+/// the apostrophe, the parentheses and the separators do not matter.
+pub fn parse_algorithm(name: &str) -> Option<wormsim_routing::AlgorithmKind> {
+    use wormsim_routing::AlgorithmKind;
+    let key = |s: &str| -> String {
+        s.chars()
+            .filter(char::is_ascii_alphanumeric)
+            .map(|c| c.to_ascii_lowercase())
+            .collect()
+    };
+    let want = key(name);
+    AlgorithmKind::ALL
+        .into_iter()
+        .chain(AlgorithmKind::EXTENDED_BASELINES)
+        .find(|k| key(k.paper_name()) == want || key(&format!("{k:?}")) == want)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_printed_algorithm_name_parses_back() {
+        use wormsim_routing::AlgorithmKind;
+        let kinds: Vec<AlgorithmKind> = AlgorithmKind::ALL
+            .into_iter()
+            .chain(AlgorithmKind::EXTENDED_BASELINES)
+            .collect();
+        assert_eq!(kinds.len(), 15);
+        for k in kinds {
+            let ident = format!("{k:?}");
+            // `MinimalAdaptive` → `minimal-adaptive`.
+            let mut slug = String::new();
+            for (i, c) in ident.chars().enumerate() {
+                if c.is_ascii_uppercase() && i > 0 {
+                    slug.push('-');
+                }
+                slug.push(c.to_ascii_lowercase());
+            }
+            for name in [
+                k.paper_name(),
+                &ident,
+                &slug,
+                &k.paper_name().to_uppercase(),
+            ] {
+                assert_eq!(parse_algorithm(name), Some(k), "{name:?}");
+            }
+        }
+        assert_eq!(parse_algorithm("duato-xy"), None);
+        assert_eq!(parse_algorithm(""), None);
+    }
 
     #[test]
     fn scales_differ_in_schedule() {

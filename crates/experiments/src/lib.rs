@@ -32,7 +32,7 @@ pub use ablations::{
     ablation_arbitration, ablation_buffer_depth, ablation_mesh_size, ablation_message_length,
     ablation_misroute_limit, ablation_traffic_patterns, ablation_turn_models, ablation_vc_budget,
 };
-pub use config::{ExperimentConfig, Scale};
+pub use config::{parse_algorithm, ExperimentConfig, Scale};
 pub use dynamic::{dynamic_faults, DYNAMIC_KINDS, DYNAMIC_RATE};
 pub use figures::{
     fig1_saturation_throughput, fig2_latency_vs_rate, fig3_vc_utilization,

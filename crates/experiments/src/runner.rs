@@ -528,9 +528,6 @@ mod tests {
         fn on_hop(&self, _: NodeId, _: NodeId, _: Direction, _: u8, _: &mut MessageState) {
             unreachable!("rejected before any hop")
         }
-        fn is_deadlock_free(&self) -> bool {
-            true
-        }
         fn context(&self) -> &RoutingContext {
             &self.0
         }

@@ -322,7 +322,7 @@ pub struct HistogramSample {
     pub buckets: Vec<BucketCount>,
 }
 
-/// A point-in-time copy of every registered metric. Plain data: clones,
+/// A point-in-time copy of every registered metric. Simple data: clones,
 /// compares, and round-trips through JSON.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {

@@ -63,10 +63,6 @@ impl BaseRouting for MinimalAdaptive {
         st.normal_hops += 1;
     }
 
-    fn is_deadlock_free(&self) -> bool {
-        false
-    }
-
     fn context(&self) -> &RoutingContext {
         &self.ctx
     }
@@ -155,10 +151,6 @@ impl BaseRouting for FullyAdaptive {
         if mesh.distance(to, st.dest) > mesh.distance(from, st.dest) {
             st.misroutes = st.misroutes.saturating_add(1);
         }
-    }
-
-    fn is_deadlock_free(&self) -> bool {
-        false
     }
 
     fn recheck_wait(&self) -> Option<u32> {

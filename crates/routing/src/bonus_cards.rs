@@ -93,10 +93,6 @@ impl BaseRouting for Pbc {
         st.next_class_min = (vc + 1).min(self.classes - 1);
     }
 
-    fn is_deadlock_free(&self) -> bool {
-        true
-    }
-
     fn context(&self) -> &RoutingContext {
         &self.ctx
     }
@@ -193,10 +189,6 @@ impl BaseRouting for Nbc {
         if mesh.color(from) > mesh.color(to) {
             st.negative_hops = (st.negative_hops + 1).min(self.classes - 1);
         }
-    }
-
-    fn is_deadlock_free(&self) -> bool {
-        true
     }
 
     fn context(&self) -> &RoutingContext {

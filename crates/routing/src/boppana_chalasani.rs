@@ -176,10 +176,6 @@ impl RoutingAlgorithm for BoppanaChalasani {
         }
     }
 
-    fn is_deadlock_free(&self) -> bool {
-        self.base.is_deadlock_free()
-    }
-
     fn is_overlay_vc(&self, vc: u8) -> bool {
         vc >= self.bc_base
     }

@@ -84,10 +84,6 @@ impl BaseRouting for BouraAdaptive {
         st.normal_hops += 1;
     }
 
-    fn is_deadlock_free(&self) -> bool {
-        true
-    }
-
     fn context(&self) -> &RoutingContext {
         &self.ctx
     }
@@ -190,10 +186,6 @@ impl BaseRouting for BouraFaultTolerant {
         st: &mut MessageState,
     ) {
         st.normal_hops += 1;
-    }
-
-    fn is_deadlock_free(&self) -> bool {
-        true
     }
 
     fn context(&self) -> &RoutingContext {

@@ -222,10 +222,6 @@ impl BaseRouting for Duato {
         }
     }
 
-    fn is_deadlock_free(&self) -> bool {
-        true
-    }
-
     fn context(&self) -> &RoutingContext {
         &self.ctx
     }

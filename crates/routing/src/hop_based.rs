@@ -86,10 +86,6 @@ impl BaseRouting for PHop {
         st.normal_hops += 1;
     }
 
-    fn is_deadlock_free(&self) -> bool {
-        true
-    }
-
     fn context(&self) -> &RoutingContext {
         &self.ctx
     }
@@ -179,10 +175,6 @@ impl BaseRouting for NHop {
         if mesh.color(from) > mesh.color(to) {
             st.negative_hops = (st.negative_hops + 1).min(self.classes - 1);
         }
-    }
-
-    fn is_deadlock_free(&self) -> bool {
-        true
     }
 
     fn context(&self) -> &RoutingContext {

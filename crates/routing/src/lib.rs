@@ -18,7 +18,7 @@
 //! | Minimal-Adaptive | basic | 20 free VCs + 4 BC |
 //! | Fully-Adaptive | basic | 20 free VCs + 4 BC, ≤ 10 misroutes |
 //! | Boura (Adaptive) | basic | 2 × 10-VC Y-partitioned virtual networks + 4 BC |
-//! | Boura (Fault-Tolerant) | comparison | node labeling instead of the BC overlay |
+//! | Boura (Fault-Tolerant) | comparison | Boura (Adaptive)'s networks + node labeling, detouring on the BC overlay |
 //!
 //! Every algorithm implements [`RoutingAlgorithm`]; the simulation engine is
 //! algorithm-agnostic. Use [`build_algorithm`] to construct any roster entry
@@ -62,7 +62,7 @@ pub use context::RoutingContext;
 pub use duato::{Duato, EscapeKind};
 pub use hop_based::{NHop, PHop};
 pub use state::{CandidateHop, Candidates, MessageState, MessageType, RingState, VcMask};
-pub use traits::{greedy_trace, BaseRouting, Plain, RoutingAlgorithm, TraceError};
+pub use traits::{BaseRouting, RoutingAlgorithm};
 pub use turn_model::{DimensionOrder, TurnModel, TurnModelKind};
 
 use serde::{Deserialize, Serialize};
@@ -91,7 +91,7 @@ pub enum AlgorithmKind {
     FullyAdaptive,
     /// Boura–Das adaptive routing (Y-partitioned virtual networks).
     BouraAdaptive,
-    /// Boura–Das fault-tolerant routing (node labeling, no BC overlay).
+    /// Boura–Das fault-tolerant routing (node labeling plus the BC overlay).
     BouraFaultTolerant,
     /// Deterministic dimension-order routing (extension baseline).
     Xy,
@@ -230,10 +230,11 @@ pub fn min_total_vcs(kind: AlgorithmKind, mesh: &wormsim_topology::Mesh, bc_vcs:
 
 /// Construct any roster algorithm bound to a routing context.
 ///
-/// All algorithms except `BouraFaultTolerant` are fortified with the
-/// Boppana–Chalasani overlay (paper §3: "we incorporate the routing scheme
-/// suggested by Boppana and Chalasani"); the Boura fault-tolerant scheme
-/// uses its node labeling instead.
+/// Every algorithm is fortified with the Boppana–Chalasani overlay (paper
+/// §3: "we incorporate the routing scheme suggested by Boppana and
+/// Chalasani"). `BouraFaultTolerant` adds its node labeling on top: unsafe
+/// nodes become a fallback tier, and the detour around a fault region is
+/// the overlay's f-ring traversal (DESIGN.md §3.4).
 pub fn build_algorithm(
     kind: AlgorithmKind,
     ctx: Arc<RoutingContext>,

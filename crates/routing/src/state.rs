@@ -184,7 +184,7 @@ impl Candidates {
 /// travel direction, each owning one of the 4 additional BC virtual
 /// channels. Determined from the current-node → destination offset when a
 /// message first meets a fault.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 #[repr(u8)]
 pub enum MessageType {
     /// Traveling east (west-to-east).
@@ -219,7 +219,7 @@ impl MessageType {
 }
 
 /// State of an in-progress f-ring traversal (BC overlay).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct RingState {
     /// Which f-ring is being traversed.
     pub ring: usize,
@@ -238,7 +238,7 @@ pub struct RingState {
 /// Per-message routing state, updated by the engine via
 /// [`crate::RoutingAlgorithm::on_hop`]. One struct serves every algorithm;
 /// each uses the fields it needs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct MessageState {
     /// Source node.
     pub src: NodeId,

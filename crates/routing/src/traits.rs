@@ -1,5 +1,4 @@
-//! The routing traits the engine consumes, and the `Plain` (no-overlay)
-//! adapter.
+//! The routing traits the engine consumes.
 
 use crate::context::RoutingContext;
 use crate::state::{Candidates, MessageState};
@@ -36,11 +35,6 @@ pub trait RoutingAlgorithm: Send + Sync {
     /// `dir` on virtual channel `vc`. Updates class/bookkeeping state.
     fn on_hop(&self, from: NodeId, to: NodeId, dir: Direction, vc: u8, st: &mut MessageState);
 
-    /// Whether the algorithm is provably deadlock-free under the paper's
-    /// assumptions (used by tests: such algorithms must show zero watchdog
-    /// recoveries).
-    fn is_deadlock_free(&self) -> bool;
-
     /// Whether `vc` belongs to the fault-tolerance overlay (e.g. a BC ring
     /// VC) rather than the base discipline. The engine uses this to count
     /// detour hops. Default: no overlay.
@@ -65,8 +59,8 @@ pub trait RoutingAlgorithm: Send + Sync {
 }
 
 /// A *base* routing discipline: produces candidates assuming the fault
-/// handling is someone else's job. The Boppana–Chalasani overlay (or the
-/// [`Plain`] adapter) turns a base into a full [`RoutingAlgorithm`].
+/// handling is someone else's job. The Boppana–Chalasani overlay turns a
+/// base into a full [`RoutingAlgorithm`].
 ///
 /// Contract: `candidates` may assume the message is **not** blocked by
 /// faults (the wrapper has already checked); it must still only propose
@@ -95,9 +89,6 @@ pub trait BaseRouting: Send + Sync {
         st: &mut MessageState,
     );
 
-    /// Whether the base discipline is provably deadlock-free.
-    fn is_deadlock_free(&self) -> bool;
-
     /// Base-discipline counterpart of
     /// [`RoutingAlgorithm::recheck_wait`]; wrappers delegate to it.
     fn recheck_wait(&self) -> Option<u32> {
@@ -106,129 +97,4 @@ pub trait BaseRouting: Send + Sync {
 
     /// The bound routing context.
     fn context(&self) -> &RoutingContext;
-}
-
-/// Why [`greedy_trace`] did not reach the destination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceError {
-    /// The algorithm offered no candidate hop at `at` after `hops` hops.
-    /// For a correct algorithm on a connected healthy subgraph this means
-    /// a routing-table bug, not a transient condition.
-    Stuck {
-        /// Node where the walk ran out of candidates.
-        at: NodeId,
-        /// Hops completed before getting stuck.
-        hops: u32,
-    },
-    /// The walk exceeded `budget` hops without arriving (livelock).
-    HopBudgetExceeded {
-        /// The exhausted hop budget.
-        budget: u32,
-    },
-}
-
-impl core::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            TraceError::Stuck { at, hops } => {
-                write!(f, "no candidates at {at:?} after {hops} hops")
-            }
-            TraceError::HopBudgetExceeded { budget } => {
-                write!(f, "exceeded {budget} hops without arriving")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
-
-/// Walk a message from `src` to `dest`, always taking the algorithm's
-/// first candidate direction on its lowest permitted VC, and return the
-/// hop count. A connectivity/livelock diagnostic for tests and tools:
-/// instead of panicking mid-walk, a stuck or non-terminating walk comes
-/// back as a structured [`TraceError`].
-pub fn greedy_trace(
-    algo: &dyn RoutingAlgorithm,
-    src: NodeId,
-    dest: NodeId,
-    budget: u32,
-) -> Result<u32, TraceError> {
-    let mesh = algo.context().mesh();
-    let mut st = algo.init_message(src, dest);
-    let mut cur = src;
-    let mut hops = 0u32;
-    while cur != dest {
-        if hops >= budget {
-            return Err(TraceError::HopBudgetExceeded { budget });
-        }
-        let cands = algo.route(cur, &mut st);
-        let Some(hop) = cands.iter().next() else {
-            return Err(TraceError::Stuck { at: cur, hops });
-        };
-        let mask = if hop.preferred.is_empty() {
-            hop.fallback
-        } else {
-            hop.preferred
-        };
-        let vc = mask.iter().next().unwrap_or(0);
-        let Some(next) = mesh.neighbor(cur, hop.dir) else {
-            // An off-mesh candidate is as dead an end as no candidate.
-            return Err(TraceError::Stuck { at: cur, hops });
-        };
-        algo.on_hop(cur, next, hop.dir, vc, &mut st);
-        cur = next;
-        hops += 1;
-    }
-    Ok(hops)
-}
-
-/// Adapter that runs a base discipline with **no** fault-tolerance overlay.
-/// Used for the Boura fault-tolerant scheme (which does its own fault
-/// handling via labeling) and for fault-free ablation runs.
-pub struct Plain {
-    base: Box<dyn BaseRouting>,
-}
-
-impl Plain {
-    /// Wrap a base discipline.
-    pub fn new(base: Box<dyn BaseRouting>) -> Self {
-        Plain { base }
-    }
-}
-
-impl RoutingAlgorithm for Plain {
-    fn name(&self) -> &'static str {
-        self.base.name()
-    }
-
-    fn num_vcs(&self) -> u8 {
-        self.base.base_vcs()
-    }
-
-    fn init_message(&self, src: NodeId, dest: NodeId) -> MessageState {
-        self.base.init_message(src, dest)
-    }
-
-    fn route(&self, node: NodeId, st: &mut MessageState) -> Candidates {
-        self.base.candidates(node, st)
-    }
-
-    fn on_hop(&self, from: NodeId, to: NodeId, dir: Direction, vc: u8, st: &mut MessageState) {
-        st.hops += 1;
-        st.last_dir = Some(dir);
-        st.wait_cycles = 0;
-        self.base.on_normal_hop(from, to, dir, vc, st);
-    }
-
-    fn is_deadlock_free(&self) -> bool {
-        self.base.is_deadlock_free()
-    }
-
-    fn recheck_wait(&self) -> Option<u32> {
-        self.base.recheck_wait()
-    }
-
-    fn context(&self) -> &RoutingContext {
-        self.base.context()
-    }
 }

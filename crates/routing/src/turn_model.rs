@@ -76,10 +76,6 @@ impl BaseRouting for DimensionOrder {
         st.normal_hops += 1;
     }
 
-    fn is_deadlock_free(&self) -> bool {
-        true
-    }
-
     fn context(&self) -> &RoutingContext {
         &self.ctx
     }
@@ -196,10 +192,6 @@ impl BaseRouting for TurnModel {
         st.normal_hops += 1;
     }
 
-    fn is_deadlock_free(&self) -> bool {
-        true
-    }
-
     fn context(&self) -> &RoutingContext {
         &self.ctx
     }
@@ -292,32 +284,5 @@ mod tests {
         let mut st = nf.init_message(mesh.node(2, 2), mesh.node(7, 7));
         let cands = nf.candidates(mesh.node(2, 2), &mut st);
         assert_eq!(cands.len(), 2);
-    }
-
-    #[test]
-    fn turn_models_reach_destination_greedily() {
-        let c = ctx();
-        let mesh = c.mesh().clone();
-        for kind in [
-            TurnModelKind::WestFirst,
-            TurnModelKind::NorthLast,
-            TurnModelKind::NegativeFirst,
-        ] {
-            let tm = crate::Plain::new(Box::new(TurnModel::new(c.clone(), 20, kind)));
-            for (s, d) in [
-                ((0, 0), (9, 9)),
-                ((9, 9), (0, 0)),
-                ((3, 8), (8, 1)),
-                ((8, 1), (3, 8)),
-            ] {
-                let (src, dest) = (mesh.node(s.0, s.1), mesh.node(d.0, d.1));
-                match crate::greedy_trace(&tm, src, dest, 400) {
-                    Ok(hops) => {
-                        assert_eq!(hops, mesh.distance(src, dest), "{kind:?} non-minimal")
-                    }
-                    Err(e) => panic!("{kind:?} {s:?}->{d:?}: {e}"),
-                }
-            }
-        }
     }
 }
