@@ -1,18 +1,24 @@
 //! Ablation studies beyond the paper's figures: how the design parameters
 //! the paper fixes (VC budget, message length, buffer depth, traffic
 //! pattern, misroute cap, arbitration, mesh radix) move the results, plus
-//! the turn-model baseline comparison. Each returns a [`FigureResult`] so
+//! the turn-model baseline comparison and the other reading of the fault
+//! axis. Each returns a [`FigureResult`] so
 //! the `ablations` binary renders them like the paper figures.
 
 use crate::config::ExperimentConfig;
-use crate::figures::{paper_52_layout, FigureResult, ANALYSIS_RATE, FULL_LOAD_RATE};
+use crate::figures::{
+    fault_case_reports, fault_patterns, fault_set_note, mean_defined, paper_52_layout,
+    FigureResult, ANALYSIS_RATE, FULL_LOAD_RATE,
+};
 use crate::runner::{derive_seed, parallel_map_with_progress, run_custom, CustomSpec};
 use crate::table::Table;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use wormsim_engine::Arbitration;
 use wormsim_fault::{random_pattern, FaultPattern};
+use wormsim_metrics::SimReport;
 use wormsim_routing::{min_total_vcs, AlgorithmKind, VcConfig};
 use wormsim_topology::Mesh;
 use wormsim_traffic::{TrafficPattern, Workload};
@@ -564,6 +570,88 @@ pub fn ablation_mesh_size(cfg: &ExperimentConfig) -> FigureResult {
     }
 }
 
+/// A pattern with exactly `k` unavailable nodes after the convex closure:
+/// fail one uniformly random healthy node at a time until at least `k`
+/// are unavailable, and redraw from scratch on overshoot or on a
+/// disconnecting failure. Returns the pattern and the draws it took.
+fn exactly_unavailable<R: Rng>(mesh: &Mesh, k: usize, rng: &mut R) -> (FaultPattern, usize) {
+    for draws in 1.. {
+        let mut pattern = FaultPattern::fault_free(mesh);
+        while pattern.num_faulty() < k {
+            let healthy: Vec<_> = pattern.healthy_nodes(mesh).collect();
+            let victim = mesh.coord(*healthy.choose(rng).expect("a healthy node"));
+            match pattern.extend(mesh, [victim]) {
+                Ok(next) => pattern = next,
+                Err(_) => break,
+            }
+        }
+        if pattern.num_faulty() == k {
+            return (pattern, draws);
+        }
+    }
+    unreachable!("the draw loop only ends by returning")
+}
+
+/// **Fault axis** — Figure 4's throughput under the two readings of
+/// "percentage of faulty nodes": the shipped one (k seed failures,
+/// closure victims disabled on top, as [`random_pattern`] draws them; its
+/// rows repeat Figure 4's runs) and "exactly k nodes unavailable after
+/// the closure". Same algorithms, load and traffic seeds.
+pub fn ablation_fault_axis(cfg: &ExperimentConfig) -> FigureResult {
+    let mesh = Mesh::square(cfg.mesh_size);
+    let nodes = mesh.num_nodes();
+    let mut table = Table::new(
+        "Normalized throughput vs percentage of faulty nodes, two readings (100% load)",
+        "faults / reading",
+        AlgorithmKind::ALL
+            .iter()
+            .map(|k| k.paper_name().to_string())
+            .collect(),
+    );
+    let mut notes = vec![format!(
+        "rate {FULL_LOAD_RATE} (100% load); seeds: k seed failures, closure on top \
+         (Figure 4's reading); exact: exactly k nodes unavailable"
+    )];
+    for k in [nodes / 20, nodes / 10] {
+        let pct = k * 100 / nodes;
+        let seeded = fault_patterns(cfg, k, 4);
+        let mut rng = SmallRng::seed_from_u64(derive_seed(cfg.base_seed, 18, k as u64, 0));
+        let mut draws = 0;
+        let exact: Vec<Arc<FaultPattern>> = (0..cfg.fault_patterns)
+            .map(|_| {
+                let (pattern, n) = exactly_unavailable(&mesh, k, &mut rng);
+                draws += n;
+                Arc::new(pattern)
+            })
+            .collect();
+        let seeds = exact.iter().map(|p| p.num_seed_faulty()).sum::<usize>() as f64;
+        notes.push(fault_set_note(&format!("{pct}% seeds"), &seeded));
+        notes.push(format!(
+            "{pct}% exact: {k} nodes unavailable × {} sets; {:.1} seed failures on average; \
+             {:.0}% of draws rejected",
+            exact.len(),
+            seeds / exact.len() as f64,
+            100.0 * (1.0 - exact.len() as f64 / draws as f64),
+        ));
+        for (reading, patterns) in [("seeds", &seeded), ("exact", &exact)] {
+            let per_kind = fault_case_reports(cfg, k, patterns, 4);
+            table.push_row(
+                format!("{pct}% {reading}"),
+                per_kind
+                    .iter()
+                    .map(|r| mean_defined(r, SimReport::normalized_throughput))
+                    .collect(),
+            );
+        }
+    }
+    FigureResult {
+        id: "ablation_fault_axis",
+        title: "Ablation: what \"percentage of faulty nodes\" counts".into(),
+        tables: vec![table],
+        notes,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -611,6 +699,18 @@ mod tests {
             AlgorithmKind::Duato,
         ] {
             assert!(min_total_vcs(kind, &mesh14, 4) <= 24.max(min_total_vcs(kind, &mesh14, 4)));
+        }
+    }
+
+    #[test]
+    fn exact_reading_has_exactly_k_unavailable() {
+        let mesh = Mesh::square(10);
+        let mut rng = SmallRng::seed_from_u64(5);
+        for k in [5, 10] {
+            let (pattern, draws) = exactly_unavailable(&mesh, k, &mut rng);
+            assert_eq!(pattern.num_faulty(), k);
+            assert!(pattern.num_seed_faulty() <= k && draws >= 1);
+            assert!(pattern.healthy_connected(&mesh));
         }
     }
 

@@ -7,12 +7,13 @@
 
 use std::time::Instant;
 use wormsim_experiments::{
-    ablation_arbitration, ablation_buffer_depth, ablation_mesh_size, ablation_message_length,
-    ablation_misroute_limit, ablation_traffic_patterns, ablation_turn_models, ablation_vc_budget,
-    ExperimentConfig, FigureResult, Progress, Scale,
+    ablation_arbitration, ablation_buffer_depth, ablation_fault_axis, ablation_mesh_size,
+    ablation_message_length, ablation_misroute_limit, ablation_traffic_patterns,
+    ablation_turn_models, ablation_vc_budget, provenance, ExperimentConfig, FigureResult, Progress,
+    Scale,
 };
 
-const NAMES: [&str; 8] = [
+const NAMES: [&str; 9] = [
     "vc_budget",
     "message_length",
     "buffer_depth",
@@ -21,6 +22,7 @@ const NAMES: [&str; 8] = [
     "arbitration",
     "turn_models",
     "mesh_size",
+    "fault_axis",
 ];
 
 fn usage() -> ! {
@@ -77,6 +79,7 @@ fn main() {
         cfg = cfg.with_threads(t);
     }
     std::fs::create_dir_all(&out_dir).expect("create results dir");
+    let header = provenance(scale, &cfg);
     progress.out(format_args!(
         "# wormsim ablation studies ({:?} scale, seed {}, {} threads)\n",
         scale, cfg.base_seed, cfg.threads
@@ -92,44 +95,10 @@ fn main() {
             "arbitration" => ablation_arbitration(&cfg),
             "turn_models" => ablation_turn_models(&cfg),
             "mesh_size" => ablation_mesh_size(&cfg),
+            "fault_axis" => ablation_fault_axis(&cfg),
             _ => unreachable!(),
         };
-        let elapsed = t.elapsed();
-        let mut md = format!("## {}\n\n", fig.title);
-        for note in &fig.notes {
-            md.push_str(&format!("- {note}\n"));
-        }
-        md.push('\n');
-        for (i, table) in fig.tables.iter().enumerate() {
-            md.push_str(&table.to_markdown());
-            md.push('\n');
-            if plot {
-                // Wide tables read better as line charts; bar-style data
-                // (few columns) as bars.
-                let chart = if table.columns.len() >= 4 {
-                    table.to_line_chart(70, 14)
-                } else {
-                    table.to_bar_chart(50)
-                };
-                md.push_str("```text\n");
-                md.push_str(&chart);
-                md.push_str("```\n\n");
-            }
-            let suffix = if fig.tables.len() > 1 {
-                format!("_{}", (b'a' + i as u8) as char)
-            } else {
-                String::new()
-            };
-            std::fs::write(format!("{out_dir}/{}{suffix}.csv", fig.id), table.to_csv())
-                .expect("write csv");
-        }
-        md.push_str(&format!("_generated in {elapsed:.2?}_\n"));
-        std::fs::write(
-            format!("{out_dir}/{}.json", fig.id),
-            serde_json::to_string_pretty(&fig).expect("figure serializes"),
-        )
-        .expect("write json");
-        std::fs::write(format!("{out_dir}/{}.md", fig.id), &md).expect("write md");
+        let md = fig.write(&out_dir, &header, t.elapsed(), plot);
         progress.out(format_args!("{md}"));
     }
 }

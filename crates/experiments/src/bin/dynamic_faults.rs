@@ -15,7 +15,9 @@
 
 use std::time::Instant;
 use wormsim_chaos::{run_chaos, FaultEvent, FaultSchedule};
-use wormsim_experiments::{dynamic_faults, ExperimentConfig, Progress, Scale, DYNAMIC_RATE};
+use wormsim_experiments::{
+    dynamic_faults, provenance, ExperimentConfig, Progress, Scale, DYNAMIC_RATE,
+};
 use wormsim_fault::FaultPattern;
 use wormsim_routing::{AlgorithmKind, VcConfig};
 use wormsim_topology::{Coord, Mesh};
@@ -127,30 +129,6 @@ fn main() {
     ));
     let t = Instant::now();
     let fig = dynamic_faults(&cfg);
-    let elapsed = t.elapsed();
-    let mut md = format!("## {}\n\n", fig.title);
-    for note in &fig.notes {
-        md.push_str(&format!("- {note}\n"));
-    }
-    md.push('\n');
-    for (i, table) in fig.tables.iter().enumerate() {
-        md.push_str(&table.to_markdown());
-        md.push('\n');
-        if plot {
-            md.push_str("```text\n");
-            md.push_str(&table.to_bar_chart(50));
-            md.push_str("```\n\n");
-        }
-        let suffix = (b'a' + i as u8) as char;
-        std::fs::write(format!("{out_dir}/{}_{suffix}.csv", fig.id), table.to_csv())
-            .expect("write csv");
-    }
-    md.push_str(&format!("_generated in {elapsed:.2?}_\n"));
-    std::fs::write(
-        format!("{out_dir}/{}.json", fig.id),
-        serde_json::to_string_pretty(&fig).expect("figure serializes"),
-    )
-    .expect("write json");
-    std::fs::write(format!("{out_dir}/{}.md", fig.id), &md).expect("write md");
+    let md = fig.write(&out_dir, &provenance(scale, &cfg), t.elapsed(), plot);
     progress.out(format_args!("{md}"));
 }

@@ -5,15 +5,18 @@
 //! cargo run --release -p wormsim-experiments --bin figures -- fig4
 //! ```
 //!
-//! Markdown and CSV land in `results/`; the Markdown is also printed.
+//! Markdown, JSON and CSV land in `results/` (or `--out DIR`); the
+//! Markdown and JSON start with a provenance line, and the Markdown is
+//! also printed.
 
 use std::io::Write;
 use std::time::Instant;
 use wormsim_experiments::{
-    fig1_saturation_throughput, fig2_latency_vs_rate, fig3_vc_utilization,
-    fig4_throughput_vs_faults, fig5_latency_vs_faults, fig6_fring_traffic, ExperimentConfig,
-    FigureResult, Progress, Scale,
+    fig1_saturation_throughput, fig2_latency_vs_rate, fig3_vc_utilization, fig4_fig5_fault_sweep,
+    fig6_fring_traffic, provenance, ExperimentConfig, Progress, Scale,
 };
+
+const FIGURES: [&str; 6] = ["fig1", "fig2", "fig3", "fig4", "fig5", "fig6"];
 
 fn usage() -> ! {
     eprintln!(
@@ -44,10 +47,8 @@ fn main() {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "fig1" | "fig2" | "fig3" | "fig4" | "fig5" | "fig6" => {
-                which.push(Box::leak(a.clone().into_boxed_str()))
-            }
-            "all" => which.extend(["fig1", "fig2", "fig3", "fig4", "fig5", "fig6"]),
+            id if FIGURES.contains(&id) => which.push(id),
+            "all" => which.extend(FIGURES),
             "--quick" => scale = Scale::Quick,
             "--plot" => plot = true,
             "--quiet" => quiet = true,
@@ -70,62 +71,36 @@ fn main() {
         cfg = cfg.with_threads(t);
     }
     std::fs::create_dir_all(&out_dir).expect("create results dir");
+    let header = provenance(scale, &cfg);
 
     progress.out(format_args!(
         "# wormsim figure reproduction ({:?} scale, seed {}, {} threads)\n",
         scale, cfg.base_seed, cfg.threads
     ));
-    for id in which {
+    let mut written: Vec<&str> = Vec::new();
+    for &id in &which {
+        if written.contains(&id) {
+            continue;
+        }
         let t = Instant::now();
-        let fig: FigureResult = match id {
-            "fig1" => fig1_saturation_throughput(&cfg),
-            "fig2" => fig2_latency_vs_rate(&cfg),
-            "fig3" => fig3_vc_utilization(&cfg),
-            "fig4" => fig4_throughput_vs_faults(&cfg),
-            "fig5" => fig5_latency_vs_faults(&cfg),
-            "fig6" => fig6_fring_traffic(&cfg),
+        let figs = match id {
+            "fig1" => vec![fig1_saturation_throughput(&cfg)],
+            "fig2" => vec![fig2_latency_vs_rate(&cfg)],
+            "fig3" => vec![fig3_vc_utilization(&cfg)],
+            "fig4" | "fig5" => {
+                let (fig4, fig5) = fig4_fig5_fault_sweep(&cfg);
+                vec![fig4, fig5]
+            }
+            "fig6" => vec![fig6_fring_traffic(&cfg)],
             _ => unreachable!(),
         };
         let elapsed = t.elapsed();
-        let mut md = format!("## {}\n\n", fig.title);
-        for note in &fig.notes {
-            md.push_str(&format!("- {note}\n"));
+        // Figures 4 and 5 come from one sweep: write those that were asked.
+        for fig in figs.into_iter().filter(|f| which.contains(&f.id)) {
+            written.push(fig.id);
+            let md = fig.write(&out_dir, &header, elapsed, plot);
+            progress.out(format_args!("{md}"));
+            let _ = std::io::stdout().flush();
         }
-        md.push('\n');
-        for (i, table) in fig.tables.iter().enumerate() {
-            md.push_str(&table.to_markdown());
-            md.push('\n');
-            if plot {
-                // Wide tables read better as line charts; bar-style data
-                // (few columns) as bars.
-                let chart = if table.columns.len() >= 4 {
-                    table.to_line_chart(70, 14)
-                } else {
-                    table.to_bar_chart(50)
-                };
-                md.push_str("```text\n");
-                md.push_str(&chart);
-                md.push_str("```\n\n");
-            }
-            let csv_path = format!(
-                "{out_dir}/{}{}.csv",
-                fig.id,
-                if fig.tables.len() > 1 {
-                    format!("_{}", (b'a' + i as u8) as char)
-                } else {
-                    String::new()
-                }
-            );
-            std::fs::write(&csv_path, table.to_csv()).expect("write csv");
-        }
-        md.push_str(&format!("_generated in {elapsed:.2?}_\n"));
-        std::fs::write(
-            format!("{out_dir}/{}.json", fig.id),
-            serde_json::to_string_pretty(&fig).expect("figure serializes"),
-        )
-        .expect("write json");
-        std::fs::write(format!("{out_dir}/{}.md", fig.id), &md).expect("write md");
-        progress.out(format_args!("{md}"));
-        let _ = std::io::stdout().flush();
     }
 }

@@ -1,13 +1,15 @@
 //! One function per paper figure.
 
-use crate::config::ExperimentConfig;
+use crate::config::{ExperimentConfig, Scale};
 use crate::runner::{derive_seed, parallel_map_with_progress, run_single, RunSpec};
 use crate::table::Table;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::process::Command;
 use std::sync::Arc;
-use wormsim_fault::{FaultPattern, FaultPatternBuilder};
+use std::time::Duration;
+use wormsim_fault::{random_pattern, FaultPattern};
 use wormsim_metrics::SimReport;
 use wormsim_routing::AlgorithmKind;
 use wormsim_topology::{Coord, Mesh, Rect};
@@ -23,6 +25,85 @@ pub struct FigureResult {
     pub tables: Vec<Table>,
     /// Parameters and caveats recorded alongside the data.
     pub notes: Vec<String>,
+}
+
+/// A results file's header: scale, base seed, fault sets per case and
+/// the source commit (`git rev-parse --short HEAD`, with `-dirty` when
+/// tracked files differ from it; `unknown` without git).
+pub fn provenance(scale: Scale, cfg: &ExperimentConfig) -> String {
+    let git = |args: &[&str]| {
+        let out = Command::new("git").args(args).output().ok()?;
+        out.status
+            .success()
+            .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    let commit = match git(&["rev-parse", "--short", "HEAD"]) {
+        Some(hash) => match git(&["status", "--porcelain", "--untracked-files=no"]) {
+            Some(changes) if changes.is_empty() => hash,
+            _ => format!("{hash}-dirty"),
+        },
+        None => "unknown".into(),
+    };
+    format!(
+        "{scale:?} scale, base seed {:#X}, {} fault sets per case, source commit {commit}",
+        cfg.base_seed, cfg.fault_patterns
+    )
+}
+
+/// The JSON form of a results file: the header, then the figure.
+#[derive(Serialize)]
+struct FigureFile {
+    provenance: String,
+    figure: FigureResult,
+}
+
+impl FigureResult {
+    /// Write `<id>.md` and `<id>.json` (both led by `provenance`) and one
+    /// CSV per table (`<id>.csv`, or `<id>_a.csv`, `<id>_b.csv`, …) into
+    /// `out_dir`; returns the Markdown. `plot` adds a terminal chart under
+    /// each table.
+    pub fn write(&self, out_dir: &str, provenance: &str, elapsed: Duration, plot: bool) -> String {
+        let mut md = format!("## {}\n\n_provenance: {provenance}_\n\n", self.title);
+        for note in &self.notes {
+            md.push_str(&format!("- {note}\n"));
+        }
+        md.push('\n');
+        for (i, table) in self.tables.iter().enumerate() {
+            md.push_str(&table.to_markdown());
+            md.push('\n');
+            if plot {
+                // Wide tables read better as line charts; bar-style data
+                // (few columns) as bars.
+                let chart = if table.columns.len() >= 4 {
+                    table.to_line_chart(70, 14)
+                } else {
+                    table.to_bar_chart(50)
+                };
+                md.push_str("```text\n");
+                md.push_str(&chart);
+                md.push_str("```\n\n");
+            }
+            let suffix = if self.tables.len() > 1 {
+                format!("_{}", (b'a' + i as u8) as char)
+            } else {
+                String::new()
+            };
+            std::fs::write(format!("{out_dir}/{}{suffix}.csv", self.id), table.to_csv())
+                .expect("write csv");
+        }
+        md.push_str(&format!("_generated in {elapsed:.2?}_\n"));
+        let file = FigureFile {
+            provenance: provenance.to_string(),
+            figure: self.clone(),
+        };
+        std::fs::write(
+            format!("{out_dir}/{}.json", self.id),
+            serde_json::to_string_pretty(&file).expect("figure serializes"),
+        )
+        .expect("write json");
+        std::fs::write(format!("{out_dir}/{}.md", self.id), &md).expect("write md");
+        md
+    }
 }
 
 /// Generation rates swept in Figures 1–2. The paper's tick marks
@@ -47,9 +128,14 @@ fn algorithm_columns(kinds: &[AlgorithmKind]) -> Vec<String> {
 
 /// Random fault patterns shared by every algorithm in a fault case (the
 /// paper: "comparative performance across different fault cases is in
-/// accordance with the fault sets used"). `Arc`-wrapped so every spec
-/// shares one allocation per pattern.
-fn fault_patterns(cfg: &ExperimentConfig, faults: usize, salt: u64) -> Vec<Arc<FaultPattern>> {
+/// accordance with the fault sets used"), drawn by [`random_pattern`]:
+/// `faults` seed failures each, closure victims disabled on top.
+/// `Arc`-wrapped so every spec shares one allocation per pattern.
+pub(crate) fn fault_patterns(
+    cfg: &ExperimentConfig,
+    faults: usize,
+    salt: u64,
+) -> Vec<Arc<FaultPattern>> {
     let mesh = Mesh::square(cfg.mesh_size);
     if faults == 0 {
         return vec![Arc::new(FaultPattern::fault_free(&mesh))];
@@ -57,13 +143,24 @@ fn fault_patterns(cfg: &ExperimentConfig, faults: usize, salt: u64) -> Vec<Arc<F
     let mut rng = SmallRng::seed_from_u64(derive_seed(cfg.base_seed, salt, faults as u64, 0));
     (0..cfg.fault_patterns)
         .map(|_| {
-            Arc::new(
-                FaultPatternBuilder::new(faults)
-                    .generate(&mesh, &mut rng)
-                    .expect("fault pattern generation failed"),
-            )
+            Arc::new(random_pattern(&mesh, faults, &mut rng).expect("fault pattern generation"))
         })
         .collect()
+}
+
+/// What a fault case's x-axis value stands for: its seed count, how many
+/// sets, and how many nodes those sets leave unavailable.
+pub(crate) fn fault_set_note(label: &str, patterns: &[Arc<FaultPattern>]) -> String {
+    let unavailable: Vec<usize> = patterns.iter().map(|p| p.num_faulty()).collect();
+    let mean = unavailable.iter().sum::<usize>() as f64 / unavailable.len() as f64;
+    format!(
+        "{label}: {} seed failures × {} sets; unavailable nodes (seeds + closure-disabled) \
+         mean {mean:.1}, min {}, max {}",
+        patterns[0].num_seed_faulty(),
+        patterns.len(),
+        unavailable.iter().min().expect("at least one set"),
+        unavailable.iter().max().expect("at least one set"),
+    )
 }
 
 /// **Figure 1** — saturation throughput of the ten algorithms against the
@@ -220,116 +317,109 @@ pub fn fig3_vc_utilization(cfg: &ExperimentConfig) -> FigureResult {
         title: "Figure 3: virtual channel utilization at 5% faults".into(),
         tables: vec![run_panel(&panel_a, "a"), run_panel(&panel_b, "b")],
         notes: vec![
-            format!(
-                "rate {ANALYSIS_RATE}, {} random 5%-fault patterns averaged",
-                patterns.len()
-            ),
+            format!("rate {ANALYSIS_RATE}, fault sets averaged"),
+            fault_set_note("5%", &patterns),
             "utilization = fraction of (channel × cycle) slots the VC was held".into(),
         ],
     }
 }
 
-/// Shared sweep behind Figures 4 and 5: every algorithm × fault case at
-/// 100 % traffic load, averaged over the shared fault sets.
-fn fault_sweep(cfg: &ExperimentConfig, salt: u64) -> Vec<(usize, AlgorithmKind, Vec<SimReport>)> {
-    let kinds = AlgorithmKind::ALL;
-    let nodes = cfg.mesh_size as usize * cfg.mesh_size as usize;
-    let cases = [0usize, nodes / 20, nodes / 10]; // 0 %, 5 %, 10 %
-    let mut out = Vec::new();
-    for &faults in &cases {
-        let patterns = fault_patterns(cfg, faults, salt);
-        let specs: Vec<RunSpec> = kinds
-            .iter()
-            .flat_map(|&kind| {
-                patterns.iter().enumerate().map(move |(pi, p)| RunSpec {
-                    kind,
-                    pattern: p.clone(),
-                    rate: FULL_LOAD_RATE,
-                    seed: derive_seed(cfg.base_seed, salt, kind as u64, (faults * 100 + pi) as u64),
-                })
-            })
-            .collect();
-        let reports = parallel_map_with_progress(
-            &specs,
-            cfg.threads,
-            cfg.progress,
-            &format!("fault sweep ({faults} faults)"),
-            |s| run_single(cfg, s).expect("runnable spec"),
-        );
-        for (ki, &kind) in kinds.iter().enumerate() {
-            let slice = reports[ki * patterns.len()..(ki + 1) * patterns.len()].to_vec();
-            out.push((faults, kind, slice));
-        }
-    }
-    out
-}
-
-fn fault_case_table(
+/// Every algorithm at 100 % traffic load on each of `patterns`: one
+/// report list per algorithm, in [`AlgorithmKind::ALL`] order.
+pub(crate) fn fault_case_reports(
     cfg: &ExperimentConfig,
-    title: &str,
-    value: impl Fn(&SimReport) -> f64,
+    faults: usize,
+    patterns: &[Arc<FaultPattern>],
     salt: u64,
-) -> Table {
-    let sweep = fault_sweep(cfg, salt);
-    let kinds = AlgorithmKind::ALL;
-    let nodes = cfg.mesh_size as usize * cfg.mesh_size as usize;
-    let mut table = Table::new(title, "faults", algorithm_columns(&kinds));
-    for &faults in &[0usize, nodes / 20, nodes / 10] {
-        let values: Vec<f64> = kinds
-            .iter()
-            .map(|&kind| {
-                let (_, _, reports) = sweep
-                    .iter()
-                    .find(|(f, k, _)| *f == faults && *k == kind)
-                    .expect("sweep entry");
-                let vals: Vec<f64> = reports.iter().map(&value).filter(|v| !v.is_nan()).collect();
-                if vals.is_empty() {
-                    f64::NAN
-                } else {
-                    vals.iter().sum::<f64>() / vals.len() as f64
-                }
+) -> Vec<Vec<SimReport>> {
+    let specs: Vec<RunSpec> = AlgorithmKind::ALL
+        .iter()
+        .flat_map(|&kind| {
+            patterns.iter().enumerate().map(move |(pi, p)| RunSpec {
+                kind,
+                pattern: p.clone(),
+                rate: FULL_LOAD_RATE,
+                seed: derive_seed(cfg.base_seed, salt, kind as u64, (faults * 100 + pi) as u64),
             })
-            .collect();
-        table.push_row(format!("{}%", faults * 100 / nodes), values);
-    }
-    table
+        })
+        .collect();
+    let reports = parallel_map_with_progress(
+        &specs,
+        cfg.threads,
+        cfg.progress,
+        &format!("fault sweep ({faults} faults)"),
+        |s| run_single(cfg, s).expect("runnable spec"),
+    );
+    reports
+        .chunks(patterns.len())
+        .map(<[SimReport]>::to_vec)
+        .collect()
 }
 
-/// **Figure 4** — normalized throughput at 0 %, 5 %, 10 % faulty nodes,
-/// 100 % traffic load, averaged over the shared fault sets.
-pub fn fig4_throughput_vs_faults(cfg: &ExperimentConfig) -> FigureResult {
-    let table = fault_case_table(
-        cfg,
+/// The mean of `value` over the reports it is defined for (NaN if none).
+pub(crate) fn mean_defined(reports: &[SimReport], value: impl Fn(&SimReport) -> f64) -> f64 {
+    let vals: Vec<f64> = reports.iter().map(value).filter(|v| !v.is_nan()).collect();
+    vals.iter().sum::<f64>() / vals.len() as f64
+}
+
+/// **Figures 4 and 5** — normalized throughput and message latency at
+/// 0 %, 5 %, 10 % faulty nodes, 100 % traffic load, averaged over the
+/// shared fault sets. One sweep feeds both figures.
+pub fn fig4_fig5_fault_sweep(cfg: &ExperimentConfig) -> (FigureResult, FigureResult) {
+    let columns = algorithm_columns(&AlgorithmKind::ALL);
+    let mut thr = Table::new(
         "Normalized throughput vs percentage of faulty nodes (100% load)",
-        |r| r.normalized_throughput(),
-        4,
+        "faults",
+        columns.clone(),
     );
-    FigureResult {
+    let mut lat = Table::new(
+        "Normalized message latency (flit cycles) vs percentage of faulty nodes (100% load)",
+        "faults",
+        columns,
+    );
+    let nodes = cfg.mesh_size as usize * cfg.mesh_size as usize;
+    let mut set_notes = Vec::new();
+    for faults in [0, nodes / 20, nodes / 10] {
+        let patterns = fault_patterns(cfg, faults, 4);
+        let label = format!("{}%", faults * 100 / nodes);
+        if faults > 0 {
+            set_notes.push(fault_set_note(&label, &patterns));
+        }
+        let per_kind = fault_case_reports(cfg, faults, &patterns, 4);
+        thr.push_row(
+            &label,
+            per_kind
+                .iter()
+                .map(|r| mean_defined(r, SimReport::normalized_throughput))
+                .collect(),
+        );
+        lat.push_row(
+            label,
+            per_kind
+                .iter()
+                .map(|r| mean_defined(r, SimReport::mean_network_latency))
+                .collect(),
+        );
+    }
+    let fig4 = FigureResult {
         id: "fig4",
         title: "Figure 4: throughput vs fault percentage".into(),
-        tables: vec![table],
-        notes: vec![format!(
-            "rate {FULL_LOAD_RATE} (100% load), {} fault sets per case",
-            cfg.fault_patterns
-        )],
-    }
-}
-
-/// **Figure 5** — normalized message latency at 0 %, 5 %, 10 % faulty
-/// nodes, 100 % traffic load, averaged over the shared fault sets.
-pub fn fig5_latency_vs_faults(cfg: &ExperimentConfig) -> FigureResult {
-    let table = fault_case_table(
-        cfg,
-        "Normalized message latency (flit cycles) vs percentage of faulty nodes (100% load)",
-        |r| r.mean_network_latency(),
-        4, // same salt as fig4: identical fault sets and seeds, shared shape
-    );
-    FigureResult {
+        tables: vec![thr],
+        notes: [format!("rate {FULL_LOAD_RATE} (100% load)")]
+            .into_iter()
+            .chain(set_notes.iter().cloned())
+            .collect(),
+    };
+    let fig5 = FigureResult {
         id: "fig5",
         title: "Figure 5: message latency vs fault percentage".into(),
-        tables: vec![table],
-        notes: vec!["same fault sets and seeds as Figure 4".into()],
-    }
+        tables: vec![lat],
+        notes: ["same runs as Figure 4".to_string()]
+            .into_iter()
+            .chain(set_notes)
+            .collect(),
+    };
+    (fig4, fig5)
 }
 
 /// The paper's §5.2 fixed fault layout: one 2-wide × 3-tall block plus two
@@ -425,7 +515,6 @@ pub fn fig6_fring_traffic(cfg: &ExperimentConfig) -> FigureResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Scale;
 
     fn tiny_cfg() -> ExperimentConfig {
         let mut cfg = ExperimentConfig::new(Scale::Quick);

@@ -179,7 +179,7 @@ impl CustomSpec {
     /// indices of its seed-faulty nodes. That is the pattern's whole
     /// content: every constructor — [`FaultPattern::fault_free`],
     /// [`FaultPattern::from_faulty_coords`], [`FaultPattern::from_rects`],
-    /// [`FaultPattern::extend`] and `FaultPatternBuilder::generate` —
+    /// [`FaultPattern::extend`] and `wormsim_fault::random_pattern` —
     /// derives the disabled nodes, the block regions and the per-node
     /// region index deterministically from the mesh size and the seed
     /// set (block coalescing is confluent, so an `extend` chain and a

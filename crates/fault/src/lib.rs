@@ -6,9 +6,10 @@
 //! - [`FaultPattern`] — a static set of faulty nodes coalesced into convex
 //!   rectangular *fault regions*; non-faulty nodes swallowed by the convex
 //!   closure are *disabled* (powered off) as in the block-fault literature.
-//! - [`FaultPatternBuilder`] / [`random_pattern`] — random generation of
-//!   patterns with a given faulty-node count, with rejection of patterns
-//!   that disconnect the network (paper §2.2 assumes connectedness).
+//! - [`random_pattern`] — the fault axis of the paper's figures: k random
+//!   seed failures, closure victims disabled on top, rejecting patterns
+//!   that disconnect the network (paper §2.2) or whose closure leaves more
+//!   than 3k nodes unavailable.
 //! - [`FRing`] / [`FRingSet`] — the ring (or boundary-clipped chain) of
 //!   fault-free nodes around each region, with clockwise/counterclockwise
 //!   navigation used by the routing overlay.
@@ -39,5 +40,5 @@ mod pattern;
 mod ring;
 
 pub use labeling::{NodeLabel, NodeLabeling};
-pub use pattern::{random_pattern, FaultPattern, FaultPatternBuilder, PatternError, RegionId};
+pub use pattern::{random_pattern, FaultPattern, PatternError, RegionId};
 pub use ring::{FRing, FRingSet, Orientation, RingPosition};

@@ -316,109 +316,48 @@ fn merge_to_fixpoint(mut boxes: Vec<Rect>) -> Vec<Rect> {
     boxes
 }
 
-/// Configurable random fault-pattern generator. Mirrors the paper's §5
-/// methodology: a given number of node failures placed uniformly at random,
-/// subject to the block fault model and the network staying connected.
+/// How far the convex closure may inflate a random pattern: at most this
+/// many times the seed count of nodes may end up unavailable.
+const MAX_CLOSURE_FACTOR: usize = 3;
+
+/// Draws [`random_pattern`] makes before giving up with
+/// [`PatternError::GenerationFailed`].
+const MAX_ATTEMPTS: usize = 1000;
+
+/// A random pattern of `num_faults` node failures: the fault axis of the
+/// paper's Figures 3–5 ("percentage of faulty nodes").
 ///
-/// ```
-/// use rand::SeedableRng;
-/// use wormsim_topology::Mesh;
-/// use wormsim_fault::FaultPatternBuilder;
-///
-/// let mesh = Mesh::square(10);
-/// let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
-/// let pattern = FaultPatternBuilder::new(5)
-///     .interior_only(true)
-///     .generate(&mesh, &mut rng)
-///     .unwrap();
-/// assert_eq!(pattern.num_seed_faulty(), 5);
-/// assert!(pattern.healthy_connected(&mesh));
-/// ```
-#[derive(Clone, Debug)]
-pub struct FaultPatternBuilder {
-    num_seed_faults: usize,
-    /// Reject patterns whose convex closure disables more than
-    /// `max_total_factor ×` the seed count (guards against runaway closure).
-    max_total_factor: f64,
-    /// Require all fault blocks to avoid the mesh boundary (closed f-rings
-    /// only, no f-chains).
-    interior_only: bool,
-    /// Rejection-sampling attempt budget.
-    max_attempts: usize,
-}
-
-impl FaultPatternBuilder {
-    /// A generator for `num_seed_faults` random node failures.
-    pub fn new(num_seed_faults: usize) -> Self {
-        FaultPatternBuilder {
-            num_seed_faults,
-            max_total_factor: 3.0,
-            interior_only: false,
-            max_attempts: 1000,
-        }
-    }
-
-    /// Limit how much the convex closure may inflate the fault count.
-    pub fn max_total_factor(mut self, f: f64) -> Self {
-        self.max_total_factor = f;
-        self
-    }
-
-    /// Only accept patterns whose blocks avoid the mesh boundary.
-    pub fn interior_only(mut self, yes: bool) -> Self {
-        self.interior_only = yes;
-        self
-    }
-
-    /// Set the rejection-sampling attempt budget.
-    pub fn max_attempts(mut self, n: usize) -> Self {
-        self.max_attempts = n;
-        self
-    }
-
-    /// Sample a pattern.
-    pub fn generate<R: Rng>(&self, mesh: &Mesh, rng: &mut R) -> Result<FaultPattern, PatternError> {
-        if self.num_seed_faults == 0 {
-            return Ok(FaultPattern::fault_free(mesh));
-        }
-        let all: Vec<NodeId> = mesh.nodes().collect();
-        let cap = ((self.num_seed_faults as f64) * self.max_total_factor).ceil() as usize;
-        for _ in 0..self.max_attempts {
-            let picks: Vec<NodeId> = all
-                .choose_multiple(rng, self.num_seed_faults)
-                .copied()
-                .collect();
-            let mut seed = vec![false; mesh.num_nodes()];
-            for n in &picks {
-                seed[n.index()] = true;
-            }
-            let Ok(pattern) = FaultPattern::from_seed_vec(mesh, seed) else {
-                continue;
-            };
-            if pattern.num_faulty() > cap {
-                continue;
-            }
-            if self.interior_only && pattern.regions().iter().any(|r| touches_boundary(mesh, r)) {
-                continue;
-            }
-            return Ok(pattern);
-        }
-        Err(PatternError::GenerationFailed)
-    }
-}
-
-fn touches_boundary(mesh: &Mesh, r: &Rect) -> bool {
-    r.min.x == 0 || r.min.y == 0 || r.max.x == mesh.width() - 1 || r.max.y == mesh.height() - 1
-}
-
-/// Convenience wrapper: a random pattern with `num_faults` seed failures
-/// using default builder settings.
+/// The reading: `num_faults` distinct nodes fail, drawn uniformly at
+/// random; the convex closure of the block model then disables the
+/// healthy nodes it swallows *on top* of them, so a pattern has at least
+/// `num_faults` and at most 3 × `num_faults` unavailable nodes. A draw
+/// whose closure exceeds that cap, or whose healthy nodes are
+/// disconnected (§2.2), is rejected and redrawn, up to 1 000 draws. The
+/// cap is part of the reading: the result is uniform over the seed sets
+/// that pass both checks, not over all of them. Failures are the random variable and disabled nodes a
+/// consequence of the block model, as in reliability studies that
+/// average over patterns of independent router failures.
 pub fn random_pattern<R: Rng>(
     mesh: &Mesh,
     num_faults: usize,
     rng: &mut R,
 ) -> Result<FaultPattern, PatternError> {
-    FaultPatternBuilder::new(num_faults).generate(mesh, rng)
+    if num_faults == 0 {
+        return Ok(FaultPattern::fault_free(mesh));
+    }
+    let all: Vec<NodeId> = mesh.nodes().collect();
+    for _ in 0..MAX_ATTEMPTS {
+        let mut seed = vec![false; mesh.num_nodes()];
+        for n in all.choose_multiple(rng, num_faults) {
+            seed[n.index()] = true;
+        }
+        if let Ok(pattern) = FaultPattern::from_seed_vec(mesh, seed) {
+            if pattern.num_faulty() <= MAX_CLOSURE_FACTOR * num_faults {
+                return Ok(pattern);
+            }
+        }
+    }
+    Err(PatternError::GenerationFailed)
 }
 
 #[cfg(test)]
@@ -551,20 +490,6 @@ mod tests {
             assert_eq!(p.num_seed_faulty(), faults);
             assert!(p.num_faulty() >= faults);
             assert!(p.healthy_connected(&m));
-        }
-    }
-
-    #[test]
-    fn interior_only_generation() {
-        let m = mesh();
-        let mut rng = SmallRng::seed_from_u64(3);
-        let builder = FaultPatternBuilder::new(5).interior_only(true);
-        for _ in 0..20 {
-            let p = builder.generate(&m, &mut rng).unwrap();
-            for r in p.regions() {
-                assert!(r.min.x > 0 && r.min.y > 0);
-                assert!(r.max.x < 9 && r.max.y < 9);
-            }
         }
     }
 

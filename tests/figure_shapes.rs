@@ -6,9 +6,10 @@
 //! Quick scale is noisy, so every assertion here is a robust ordering (or
 //! a coarse ratio), not a point value.
 
+use std::sync::OnceLock;
 use wormsim_experiments::{
-    fig1_saturation_throughput, fig3_vc_utilization, fig4_throughput_vs_faults,
-    fig5_latency_vs_faults, fig6_fring_traffic, ExperimentConfig, Scale,
+    fig1_saturation_throughput, fig3_vc_utilization, fig4_fig5_fault_sweep, fig6_fring_traffic,
+    ExperimentConfig, FigureResult, Scale,
 };
 
 fn cfg() -> ExperimentConfig {
@@ -28,6 +29,12 @@ fn mid_cfg() -> ExperimentConfig {
     cfg.sim.measure_cycles = 9_000;
     cfg.fault_patterns = 3;
     cfg
+}
+
+/// Figures 4 and 5 at [`mid_cfg`]: one sweep, shared by both tests.
+fn fault_figures() -> &'static (FigureResult, FigureResult) {
+    static FIGURES: OnceLock<(FigureResult, FigureResult)> = OnceLock::new();
+    FIGURES.get_or_init(|| fig4_fig5_fault_sweep(&mid_cfg()))
 }
 
 #[test]
@@ -82,7 +89,7 @@ fn fig3_vc_usage_signatures() {
 
 #[test]
 fn fig4_fault_degradation_and_winners() {
-    let fig = fig4_throughput_vs_faults(&mid_cfg());
+    let fig = &fault_figures().0;
     let t = &fig.tables[0];
     for col in &t.columns {
         let t0 = t.get("0%", col).unwrap();
@@ -126,7 +133,7 @@ fn fig4_fault_degradation_and_winners() {
 
 #[test]
 fn fig5_latency_grows_with_faults() {
-    let fig = fig5_latency_vs_faults(&mid_cfg());
+    let fig = &fault_figures().1;
     let t = &fig.tables[0];
     // PHop is excluded: at short measurement windows its delivered-message
     // latency is dominated by survivorship (only unblocked messages finish
