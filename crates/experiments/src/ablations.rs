@@ -7,8 +7,8 @@
 
 use crate::config::ExperimentConfig;
 use crate::figures::{
-    fault_case_reports, fault_patterns, fault_set_note, mean_defined, paper_52_layout,
-    FigureResult, ANALYSIS_RATE, FULL_LOAD_RATE,
+    algorithm_columns, fault_case_reports, fault_patterns, fault_set_note, mean_defined,
+    paper_52_layout, FigureResult, ANALYSIS_RATE, FULL_LOAD_RATE,
 };
 use crate::runner::{derive_seed, parallel_map_with_progress, run_custom, CustomSpec};
 use crate::table::Table;
@@ -22,6 +22,11 @@ use wormsim_metrics::SimReport;
 use wormsim_routing::{min_total_vcs, AlgorithmKind, VcConfig};
 use wormsim_topology::Mesh;
 use wormsim_traffic::{TrafficPattern, Workload};
+
+/// One table row: `value` of each report in `row`.
+fn values(row: &[SimReport], value: impl Fn(&SimReport) -> f64) -> Vec<f64> {
+    row.iter().map(value).collect()
+}
 
 fn base_spec(cfg: &ExperimentConfig, kind: AlgorithmKind, rate: f64, seed: u64) -> CustomSpec {
     let mesh = Mesh::square(cfg.mesh_size);
@@ -77,12 +82,12 @@ pub fn ablation_vc_budget(cfg: &ExperimentConfig) -> FigureResult {
     let mut thr = Table::new(
         "Saturation throughput vs VC budget (uniform traffic, near-saturation load)",
         "VCs/channel",
-        kinds.iter().map(|k| k.paper_name().to_string()).collect(),
+        algorithm_columns(&kinds),
     );
     let mut lat = Table::new(
         "Network latency vs VC budget",
         "VCs/channel",
-        kinds.iter().map(|k| k.paper_name().to_string()).collect(),
+        algorithm_columns(&kinds),
     );
     for (bi, &total) in budgets.iter().enumerate() {
         let mut t_row = vec![f64::NAN; kinds.len()];
@@ -142,25 +147,21 @@ pub fn ablation_message_length(cfg: &ExperimentConfig) -> FigureResult {
     let mut thr = Table::new(
         "Saturation throughput vs message length (offered 0.4 flits/node/cycle)",
         "flits/message",
-        kinds.iter().map(|k| k.paper_name().to_string()).collect(),
+        algorithm_columns(&kinds),
     );
     let mut lat = Table::new(
         "Network latency vs message length",
         "flits/message",
-        kinds.iter().map(|k| k.paper_name().to_string()).collect(),
+        algorithm_columns(&kinds),
     );
-    for (li, &len) in lengths.iter().enumerate() {
+    for (len, row) in lengths.iter().zip(reports.chunks(kinds.len())) {
         thr.push_row(
-            format!("{len}"),
-            (0..kinds.len())
-                .map(|ki| reports[li * kinds.len() + ki].normalized_throughput())
-                .collect(),
+            len.to_string(),
+            values(row, SimReport::normalized_throughput),
         );
         lat.push_row(
-            format!("{len}"),
-            (0..kinds.len())
-                .map(|ki| reports[li * kinds.len() + ki].mean_network_latency())
-                .collect(),
+            len.to_string(),
+            values(row, SimReport::mean_network_latency),
         );
     }
     FigureResult {
@@ -205,14 +206,12 @@ pub fn ablation_buffer_depth(cfg: &ExperimentConfig) -> FigureResult {
     let mut thr = Table::new(
         "Saturation throughput vs per-VC buffer depth",
         "flits/VC buffer",
-        kinds.iter().map(|k| k.paper_name().to_string()).collect(),
+        algorithm_columns(&kinds),
     );
-    for (di, &depth) in depths.iter().enumerate() {
+    for (depth, row) in depths.iter().zip(reports.chunks(kinds.len())) {
         thr.push_row(
-            format!("{depth}"),
-            (0..kinds.len())
-                .map(|ki| reports[di * kinds.len() + ki].normalized_throughput())
-                .collect(),
+            depth.to_string(),
+            values(row, SimReport::normalized_throughput),
         );
     }
     FigureResult {
@@ -268,26 +267,16 @@ pub fn ablation_traffic_patterns(cfg: &ExperimentConfig) -> FigureResult {
     let mut thr = Table::new(
         "Saturation throughput vs traffic pattern",
         "pattern",
-        kinds.iter().map(|k| k.paper_name().to_string()).collect(),
+        algorithm_columns(&kinds),
     );
     let mut lat = Table::new(
         "Network latency vs traffic pattern",
         "pattern",
-        kinds.iter().map(|k| k.paper_name().to_string()).collect(),
+        algorithm_columns(&kinds),
     );
-    for (pi, (name, _)) in patterns.iter().enumerate() {
-        thr.push_row(
-            name.to_string(),
-            (0..kinds.len())
-                .map(|ki| reports[pi * kinds.len() + ki].normalized_throughput())
-                .collect(),
-        );
-        lat.push_row(
-            name.to_string(),
-            (0..kinds.len())
-                .map(|ki| reports[pi * kinds.len() + ki].mean_network_latency())
-                .collect(),
-        );
+    for ((name, _), row) in patterns.iter().zip(reports.chunks(kinds.len())) {
+        thr.push_row(*name, values(row, SimReport::normalized_throughput));
+        lat.push_row(*name, values(row, SimReport::mean_network_latency));
     }
     FigureResult {
         id: "ablation_traffic",
@@ -337,12 +326,10 @@ pub fn ablation_misroute_limit(cfg: &ExperimentConfig) -> FigureResult {
         "misroute cap",
         cases.iter().map(|(n, _)| n.to_string()).collect(),
     );
-    for (li, &limit) in limits.iter().enumerate() {
+    for (limit, row) in limits.iter().zip(reports.chunks(cases.len())) {
         thr.push_row(
-            format!("{limit}"),
-            (0..cases.len())
-                .map(|ci| reports[li * cases.len() + ci].normalized_throughput())
-                .collect(),
+            limit.to_string(),
+            values(row, SimReport::normalized_throughput),
         );
     }
     FigureResult {
@@ -392,26 +379,20 @@ pub fn ablation_arbitration(cfg: &ExperimentConfig) -> FigureResult {
     let mut table = Table::new(
         "Throughput / latency / recoveries by arbitration policy (§5.2 layout, full load)",
         "policy / metric",
-        kinds.iter().map(|k| k.paper_name().to_string()).collect(),
+        algorithm_columns(&kinds),
     );
-    for (ai, (name, _)) in arbs.iter().enumerate() {
+    for ((name, _), row) in arbs.iter().zip(reports.chunks(kinds.len())) {
         table.push_row(
             format!("{name}: throughput"),
-            (0..kinds.len())
-                .map(|ki| reports[ai * kinds.len() + ki].normalized_throughput())
-                .collect(),
+            values(row, SimReport::normalized_throughput),
         );
         table.push_row(
             format!("{name}: latency"),
-            (0..kinds.len())
-                .map(|ki| reports[ai * kinds.len() + ki].mean_network_latency())
-                .collect(),
+            values(row, SimReport::mean_network_latency),
         );
         table.push_row(
             format!("{name}: recoveries"),
-            (0..kinds.len())
-                .map(|ki| reports[ai * kinds.len() + ki].recoveries as f64)
-                .collect(),
+            values(row, |r| r.recoveries as f64),
         );
     }
     FigureResult {
@@ -466,26 +447,16 @@ pub fn ablation_turn_models(cfg: &ExperimentConfig) -> FigureResult {
     let mut thr = Table::new(
         "Saturation throughput: turn-model baselines vs adaptive roster",
         "case",
-        kinds.iter().map(|k| k.paper_name().to_string()).collect(),
+        algorithm_columns(&kinds),
     );
     let mut lat = Table::new(
         "Network latency: turn-model baselines vs adaptive roster",
         "case",
-        kinds.iter().map(|k| k.paper_name().to_string()).collect(),
+        algorithm_columns(&kinds),
     );
-    for (ci, (name, _)) in cases.iter().enumerate() {
-        thr.push_row(
-            name.to_string(),
-            (0..kinds.len())
-                .map(|ki| reports[ci * kinds.len() + ki].normalized_throughput())
-                .collect(),
-        );
-        lat.push_row(
-            name.to_string(),
-            (0..kinds.len())
-                .map(|ki| reports[ci * kinds.len() + ki].mean_network_latency())
-                .collect(),
-        );
+    for ((name, _), row) in cases.iter().zip(reports.chunks(kinds.len())) {
+        thr.push_row(*name, values(row, SimReport::normalized_throughput));
+        lat.push_row(*name, values(row, SimReport::mean_network_latency));
     }
     FigureResult {
         id: "ablation_turn_models",
@@ -538,25 +509,21 @@ pub fn ablation_mesh_size(cfg: &ExperimentConfig) -> FigureResult {
     let mut thr = Table::new(
         "Saturation throughput vs mesh radix (offered 0.6/k flits/node/cycle)",
         "mesh",
-        kinds.iter().map(|k| k.paper_name().to_string()).collect(),
+        algorithm_columns(&kinds),
     );
     let mut lat = Table::new(
         "Network latency vs mesh radix",
         "mesh",
-        kinds.iter().map(|k| k.paper_name().to_string()).collect(),
+        algorithm_columns(&kinds),
     );
-    for (si, &k) in sizes.iter().enumerate() {
+    for (k, row) in sizes.iter().zip(reports.chunks(kinds.len())) {
         thr.push_row(
             format!("{k}×{k}"),
-            (0..kinds.len())
-                .map(|ki| reports[si * kinds.len() + ki].normalized_throughput())
-                .collect(),
+            values(row, SimReport::normalized_throughput),
         );
         lat.push_row(
             format!("{k}×{k}"),
-            (0..kinds.len())
-                .map(|ki| reports[si * kinds.len() + ki].mean_network_latency())
-                .collect(),
+            values(row, SimReport::mean_network_latency),
         );
     }
     FigureResult {
@@ -627,14 +594,14 @@ pub fn ablation_fault_axis(cfg: &ExperimentConfig) -> FigureResult {
         let seeds = exact.iter().map(|p| p.num_seed_faulty()).sum::<usize>() as f64;
         notes.push(fault_set_note(&format!("{pct}% seeds"), &seeded));
         notes.push(format!(
-            "{pct}% exact: {k} nodes unavailable × {} sets; {:.1} seed failures on average; \
-             {:.0}% of draws rejected",
+            "{pct}% exact: {k} nodes unavailable × {} sets, {} draws; {:.1} seed failures \
+             on average",
             exact.len(),
+            draws,
             seeds / exact.len() as f64,
-            100.0 * (1.0 - exact.len() as f64 / draws as f64),
         ));
         for (reading, patterns) in [("seeds", &seeded), ("exact", &exact)] {
-            let per_kind = fault_case_reports(cfg, k, patterns, 4);
+            let per_kind = fault_case_reports(cfg, k, patterns);
             table.push_row(
                 format!("{pct}% {reading}"),
                 per_kind

@@ -122,7 +122,7 @@ pub const FULL_LOAD_RATE: f64 = 0.01;
 /// analyses.
 pub const ANALYSIS_RATE: f64 = 0.004;
 
-fn algorithm_columns(kinds: &[AlgorithmKind]) -> Vec<String> {
+pub(crate) fn algorithm_columns(kinds: &[AlgorithmKind]) -> Vec<String> {
     kinds.iter().map(|k| k.paper_name().to_string()).collect()
 }
 
@@ -163,13 +163,16 @@ pub(crate) fn fault_set_note(label: &str, patterns: &[Arc<FaultPattern>]) -> Str
     )
 }
 
-/// **Figure 1** — saturation throughput of the ten algorithms against the
-/// traffic generation rate on a fault-free 10×10 mesh (100-flit messages,
-/// 24 VCs per physical channel).
-pub fn fig1_saturation_throughput(cfg: &ExperimentConfig) -> FigureResult {
+/// The ten fault-free algorithms across [`RATE_SWEEP`], one row per
+/// rate; `figure` is the figure's number and its seed stream.
+fn rate_sweep_table(
+    cfg: &ExperimentConfig,
+    figure: u64,
+    title: &str,
+    value: impl Fn(&SimReport) -> f64,
+) -> Table {
     let kinds = AlgorithmKind::FAULT_FREE_TEN;
-    let mesh = Mesh::square(cfg.mesh_size);
-    let pattern = Arc::new(FaultPattern::fault_free(&mesh));
+    let pattern = Arc::new(FaultPattern::fault_free(&Mesh::square(cfg.mesh_size)));
     let specs: Vec<RunSpec> = RATE_SWEEP
         .iter()
         .flat_map(|&rate| {
@@ -178,28 +181,34 @@ pub fn fig1_saturation_throughput(cfg: &ExperimentConfig) -> FigureResult {
                 kind,
                 pattern: pattern.clone(),
                 rate,
-                seed: derive_seed(cfg.base_seed, 1, kind as u64, (rate * 1e6) as u64),
+                seed: derive_seed(cfg.base_seed, figure, kind as u64, (rate * 1e6) as u64),
             })
         })
         .collect();
-    let reports = parallel_map_with_progress(&specs, cfg.threads, cfg.progress, "fig1", |s| {
+    let label = format!("fig{figure}");
+    let reports = parallel_map_with_progress(&specs, cfg.threads, cfg.progress, &label, |s| {
         run_single(cfg, s).expect("runnable spec")
     });
-    let mut table = Table::new(
-        "Saturation throughput vs traffic generation rate (fault-free 10×10 mesh)",
-        "rate (msgs/node/cycle)",
-        algorithm_columns(&kinds),
-    );
-    for (ri, &rate) in RATE_SWEEP.iter().enumerate() {
-        let values = (0..kinds.len())
-            .map(|ki| reports[ri * kinds.len() + ki].normalized_throughput())
-            .collect();
-        table.push_row(format!("{rate:.4}"), values);
+    let mut table = Table::new(title, "rate (msgs/node/cycle)", algorithm_columns(&kinds));
+    for (rate, row) in RATE_SWEEP.iter().zip(reports.chunks(kinds.len())) {
+        table.push_row(format!("{rate:.4}"), row.iter().map(&value).collect());
     }
+    table
+}
+
+/// **Figure 1** — saturation throughput of the ten algorithms against the
+/// traffic generation rate on a fault-free 10×10 mesh (100-flit messages,
+/// 24 VCs per physical channel).
+pub fn fig1_saturation_throughput(cfg: &ExperimentConfig) -> FigureResult {
     FigureResult {
         id: "fig1",
         title: "Figure 1: throughput vs traffic load".into(),
-        tables: vec![table],
+        tables: vec![rate_sweep_table(
+            cfg,
+            1,
+            "Saturation throughput vs traffic generation rate (fault-free 10×10 mesh)",
+            SimReport::normalized_throughput,
+        )],
         notes: vec![
             format!("mesh {0}×{0}, 100-flit messages, 24 VCs/PC", cfg.mesh_size),
             "normalized throughput = delivered flits / node / cycle".into(),
@@ -210,39 +219,15 @@ pub fn fig1_saturation_throughput(cfg: &ExperimentConfig) -> FigureResult {
 /// **Figure 2** — average message latency (flit cycles, network latency)
 /// of the ten algorithms against the traffic generation rate, fault-free.
 pub fn fig2_latency_vs_rate(cfg: &ExperimentConfig) -> FigureResult {
-    let kinds = AlgorithmKind::FAULT_FREE_TEN;
-    let mesh = Mesh::square(cfg.mesh_size);
-    let pattern = Arc::new(FaultPattern::fault_free(&mesh));
-    let specs: Vec<RunSpec> = RATE_SWEEP
-        .iter()
-        .flat_map(|&rate| {
-            let pattern = &pattern;
-            kinds.iter().map(move |&kind| RunSpec {
-                kind,
-                pattern: pattern.clone(),
-                rate,
-                seed: derive_seed(cfg.base_seed, 2, kind as u64, (rate * 1e6) as u64),
-            })
-        })
-        .collect();
-    let reports = parallel_map_with_progress(&specs, cfg.threads, cfg.progress, "fig2", |s| {
-        run_single(cfg, s).expect("runnable spec")
-    });
-    let mut table = Table::new(
-        "Average message latency vs traffic generation rate (fault-free 10×10 mesh)",
-        "rate (msgs/node/cycle)",
-        algorithm_columns(&kinds),
-    );
-    for (ri, &rate) in RATE_SWEEP.iter().enumerate() {
-        let values = (0..kinds.len())
-            .map(|ki| reports[ri * kinds.len() + ki].mean_network_latency())
-            .collect();
-        table.push_row(format!("{rate:.4}"), values);
-    }
     FigureResult {
         id: "fig2",
         title: "Figure 2: average message latency vs traffic load".into(),
-        tables: vec![table],
+        tables: vec![rate_sweep_table(
+            cfg,
+            2,
+            "Average message latency vs traffic generation rate (fault-free 10×10 mesh)",
+            SimReport::mean_network_latency,
+        )],
         notes: vec!["latency = first flit injected → tail delivered (flit cycles)".into()],
     }
 }
@@ -294,14 +279,11 @@ pub fn fig3_vc_utilization(cfg: &ExperimentConfig) -> FigureResult {
             algorithm_columns(kinds),
         );
         // Merge the patterns of each algorithm, then emit one row per VC.
-        let merged: Vec<Vec<f64>> = kinds
-            .iter()
-            .enumerate()
-            .map(|(ki, _)| {
-                let mut acc = reports[ki * patterns.len()].vc_usage.clone();
-                for pi in 1..patterns.len() {
-                    acc.merge(&reports[ki * patterns.len() + pi].vc_usage);
-                }
+        let merged: Vec<Vec<f64>> = reports
+            .chunks(patterns.len())
+            .map(|runs| {
+                let mut acc = runs[0].vc_usage.clone();
+                runs[1..].iter().for_each(|r| acc.merge(&r.vc_usage));
                 acc.utilization_percent()
             })
             .collect();
@@ -317,20 +299,20 @@ pub fn fig3_vc_utilization(cfg: &ExperimentConfig) -> FigureResult {
         title: "Figure 3: virtual channel utilization at 5% faults".into(),
         tables: vec![run_panel(&panel_a, "a"), run_panel(&panel_b, "b")],
         notes: vec![
-            format!("rate {ANALYSIS_RATE}, fault sets averaged"),
+            format!("rate {ANALYSIS_RATE}; utilization averaged over the fault sets"),
             fault_set_note("5%", &patterns),
             "utilization = fraction of (channel × cycle) slots the VC was held".into(),
         ],
     }
 }
 
-/// Every algorithm at 100 % traffic load on each of `patterns`: one
-/// report list per algorithm, in [`AlgorithmKind::ALL`] order.
+/// Every algorithm at 100 % traffic load on each of `patterns`, seeded
+/// from Figure 4's stream: one report list per algorithm, in
+/// [`AlgorithmKind::ALL`] order.
 pub(crate) fn fault_case_reports(
     cfg: &ExperimentConfig,
     faults: usize,
     patterns: &[Arc<FaultPattern>],
-    salt: u64,
 ) -> Vec<Vec<SimReport>> {
     let specs: Vec<RunSpec> = AlgorithmKind::ALL
         .iter()
@@ -339,7 +321,7 @@ pub(crate) fn fault_case_reports(
                 kind,
                 pattern: p.clone(),
                 rate: FULL_LOAD_RATE,
-                seed: derive_seed(cfg.base_seed, salt, kind as u64, (faults * 100 + pi) as u64),
+                seed: derive_seed(cfg.base_seed, 4, kind as u64, (faults * 100 + pi) as u64),
             })
         })
         .collect();
@@ -385,7 +367,7 @@ pub fn fig4_fig5_fault_sweep(cfg: &ExperimentConfig) -> (FigureResult, FigureRes
         if faults > 0 {
             set_notes.push(fault_set_note(&label, &patterns));
         }
-        let per_kind = fault_case_reports(cfg, faults, &patterns, 4);
+        let per_kind = fault_case_reports(cfg, faults, &patterns);
         thr.push_row(
             &label,
             per_kind
