@@ -23,11 +23,6 @@ use wormsim_routing::{min_total_vcs, AlgorithmKind, VcConfig};
 use wormsim_topology::Mesh;
 use wormsim_traffic::{TrafficPattern, Workload};
 
-/// One table row: `value` of each report in `row`.
-fn values(row: &[SimReport], value: impl Fn(&SimReport) -> f64) -> Vec<f64> {
-    row.iter().map(value).collect()
-}
-
 fn base_spec(cfg: &ExperimentConfig, kind: AlgorithmKind, rate: f64, seed: u64) -> CustomSpec {
     let mesh = Mesh::square(cfg.mesh_size);
     CustomSpec {
@@ -82,12 +77,12 @@ pub fn ablation_vc_budget(cfg: &ExperimentConfig) -> FigureResult {
     let mut thr = Table::new(
         "Saturation throughput vs VC budget (uniform traffic, near-saturation load)",
         "VCs/channel",
-        algorithm_columns(&kinds),
+        kinds.iter().map(|k| k.paper_name().to_string()).collect(),
     );
     let mut lat = Table::new(
         "Network latency vs VC budget",
         "VCs/channel",
-        algorithm_columns(&kinds),
+        kinds.iter().map(|k| k.paper_name().to_string()).collect(),
     );
     for (bi, &total) in budgets.iter().enumerate() {
         let mut t_row = vec![f64::NAN; kinds.len()];
@@ -147,21 +142,25 @@ pub fn ablation_message_length(cfg: &ExperimentConfig) -> FigureResult {
     let mut thr = Table::new(
         "Saturation throughput vs message length (offered 0.4 flits/node/cycle)",
         "flits/message",
-        algorithm_columns(&kinds),
+        kinds.iter().map(|k| k.paper_name().to_string()).collect(),
     );
     let mut lat = Table::new(
         "Network latency vs message length",
         "flits/message",
-        algorithm_columns(&kinds),
+        kinds.iter().map(|k| k.paper_name().to_string()).collect(),
     );
-    for (len, row) in lengths.iter().zip(reports.chunks(kinds.len())) {
+    for (li, &len) in lengths.iter().enumerate() {
         thr.push_row(
-            len.to_string(),
-            values(row, SimReport::normalized_throughput),
+            format!("{len}"),
+            (0..kinds.len())
+                .map(|ki| reports[li * kinds.len() + ki].normalized_throughput())
+                .collect(),
         );
         lat.push_row(
-            len.to_string(),
-            values(row, SimReport::mean_network_latency),
+            format!("{len}"),
+            (0..kinds.len())
+                .map(|ki| reports[li * kinds.len() + ki].mean_network_latency())
+                .collect(),
         );
     }
     FigureResult {
@@ -206,12 +205,14 @@ pub fn ablation_buffer_depth(cfg: &ExperimentConfig) -> FigureResult {
     let mut thr = Table::new(
         "Saturation throughput vs per-VC buffer depth",
         "flits/VC buffer",
-        algorithm_columns(&kinds),
+        kinds.iter().map(|k| k.paper_name().to_string()).collect(),
     );
-    for (depth, row) in depths.iter().zip(reports.chunks(kinds.len())) {
+    for (di, &depth) in depths.iter().enumerate() {
         thr.push_row(
-            depth.to_string(),
-            values(row, SimReport::normalized_throughput),
+            format!("{depth}"),
+            (0..kinds.len())
+                .map(|ki| reports[di * kinds.len() + ki].normalized_throughput())
+                .collect(),
         );
     }
     FigureResult {
@@ -267,16 +268,26 @@ pub fn ablation_traffic_patterns(cfg: &ExperimentConfig) -> FigureResult {
     let mut thr = Table::new(
         "Saturation throughput vs traffic pattern",
         "pattern",
-        algorithm_columns(&kinds),
+        kinds.iter().map(|k| k.paper_name().to_string()).collect(),
     );
     let mut lat = Table::new(
         "Network latency vs traffic pattern",
         "pattern",
-        algorithm_columns(&kinds),
+        kinds.iter().map(|k| k.paper_name().to_string()).collect(),
     );
-    for ((name, _), row) in patterns.iter().zip(reports.chunks(kinds.len())) {
-        thr.push_row(*name, values(row, SimReport::normalized_throughput));
-        lat.push_row(*name, values(row, SimReport::mean_network_latency));
+    for (pi, (name, _)) in patterns.iter().enumerate() {
+        thr.push_row(
+            name.to_string(),
+            (0..kinds.len())
+                .map(|ki| reports[pi * kinds.len() + ki].normalized_throughput())
+                .collect(),
+        );
+        lat.push_row(
+            name.to_string(),
+            (0..kinds.len())
+                .map(|ki| reports[pi * kinds.len() + ki].mean_network_latency())
+                .collect(),
+        );
     }
     FigureResult {
         id: "ablation_traffic",
@@ -326,10 +337,12 @@ pub fn ablation_misroute_limit(cfg: &ExperimentConfig) -> FigureResult {
         "misroute cap",
         cases.iter().map(|(n, _)| n.to_string()).collect(),
     );
-    for (limit, row) in limits.iter().zip(reports.chunks(cases.len())) {
+    for (li, &limit) in limits.iter().enumerate() {
         thr.push_row(
-            limit.to_string(),
-            values(row, SimReport::normalized_throughput),
+            format!("{limit}"),
+            (0..cases.len())
+                .map(|ci| reports[li * cases.len() + ci].normalized_throughput())
+                .collect(),
         );
     }
     FigureResult {
@@ -379,20 +392,26 @@ pub fn ablation_arbitration(cfg: &ExperimentConfig) -> FigureResult {
     let mut table = Table::new(
         "Throughput / latency / recoveries by arbitration policy (§5.2 layout, full load)",
         "policy / metric",
-        algorithm_columns(&kinds),
+        kinds.iter().map(|k| k.paper_name().to_string()).collect(),
     );
-    for ((name, _), row) in arbs.iter().zip(reports.chunks(kinds.len())) {
+    for (ai, (name, _)) in arbs.iter().enumerate() {
         table.push_row(
             format!("{name}: throughput"),
-            values(row, SimReport::normalized_throughput),
+            (0..kinds.len())
+                .map(|ki| reports[ai * kinds.len() + ki].normalized_throughput())
+                .collect(),
         );
         table.push_row(
             format!("{name}: latency"),
-            values(row, SimReport::mean_network_latency),
+            (0..kinds.len())
+                .map(|ki| reports[ai * kinds.len() + ki].mean_network_latency())
+                .collect(),
         );
         table.push_row(
             format!("{name}: recoveries"),
-            values(row, |r| r.recoveries as f64),
+            (0..kinds.len())
+                .map(|ki| reports[ai * kinds.len() + ki].recoveries as f64)
+                .collect(),
         );
     }
     FigureResult {
@@ -447,16 +466,26 @@ pub fn ablation_turn_models(cfg: &ExperimentConfig) -> FigureResult {
     let mut thr = Table::new(
         "Saturation throughput: turn-model baselines vs adaptive roster",
         "case",
-        algorithm_columns(&kinds),
+        kinds.iter().map(|k| k.paper_name().to_string()).collect(),
     );
     let mut lat = Table::new(
         "Network latency: turn-model baselines vs adaptive roster",
         "case",
-        algorithm_columns(&kinds),
+        kinds.iter().map(|k| k.paper_name().to_string()).collect(),
     );
-    for ((name, _), row) in cases.iter().zip(reports.chunks(kinds.len())) {
-        thr.push_row(*name, values(row, SimReport::normalized_throughput));
-        lat.push_row(*name, values(row, SimReport::mean_network_latency));
+    for (ci, (name, _)) in cases.iter().enumerate() {
+        thr.push_row(
+            name.to_string(),
+            (0..kinds.len())
+                .map(|ki| reports[ci * kinds.len() + ki].normalized_throughput())
+                .collect(),
+        );
+        lat.push_row(
+            name.to_string(),
+            (0..kinds.len())
+                .map(|ki| reports[ci * kinds.len() + ki].mean_network_latency())
+                .collect(),
+        );
     }
     FigureResult {
         id: "ablation_turn_models",
@@ -509,21 +538,25 @@ pub fn ablation_mesh_size(cfg: &ExperimentConfig) -> FigureResult {
     let mut thr = Table::new(
         "Saturation throughput vs mesh radix (offered 0.6/k flits/node/cycle)",
         "mesh",
-        algorithm_columns(&kinds),
+        kinds.iter().map(|k| k.paper_name().to_string()).collect(),
     );
     let mut lat = Table::new(
         "Network latency vs mesh radix",
         "mesh",
-        algorithm_columns(&kinds),
+        kinds.iter().map(|k| k.paper_name().to_string()).collect(),
     );
-    for (k, row) in sizes.iter().zip(reports.chunks(kinds.len())) {
+    for (si, &k) in sizes.iter().enumerate() {
         thr.push_row(
             format!("{k}×{k}"),
-            values(row, SimReport::normalized_throughput),
+            (0..kinds.len())
+                .map(|ki| reports[si * kinds.len() + ki].normalized_throughput())
+                .collect(),
         );
         lat.push_row(
             format!("{k}×{k}"),
-            values(row, SimReport::mean_network_latency),
+            (0..kinds.len())
+                .map(|ki| reports[si * kinds.len() + ki].mean_network_latency())
+                .collect(),
         );
     }
     FigureResult {
@@ -570,10 +603,7 @@ pub fn ablation_fault_axis(cfg: &ExperimentConfig) -> FigureResult {
     let mut table = Table::new(
         "Normalized throughput vs percentage of faulty nodes, two readings (100% load)",
         "faults / reading",
-        AlgorithmKind::ALL
-            .iter()
-            .map(|k| k.paper_name().to_string())
-            .collect(),
+        algorithm_columns(&AlgorithmKind::ALL),
     );
     let mut notes = vec![format!(
         "rate {FULL_LOAD_RATE} (100% load); seeds: k seed failures, closure on top \

@@ -28,22 +28,17 @@ pub struct FigureResult {
 }
 
 /// A results file's header: scale, base seed, fault sets per case and
-/// the source commit (`git rev-parse --short HEAD`, with `-dirty` when
+/// the source commit (the short hash of `HEAD`, with `-dirty` when
 /// tracked files differ from it; `unknown` without git).
 pub fn provenance(scale: Scale, cfg: &ExperimentConfig) -> String {
-    let git = |args: &[&str]| {
-        let out = Command::new("git").args(args).output().ok()?;
-        out.status
-            .success()
-            .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
-    };
-    let commit = match git(&["rev-parse", "--short", "HEAD"]) {
-        Some(hash) => match git(&["status", "--porcelain", "--untracked-files=no"]) {
-            Some(changes) if changes.is_empty() => hash,
-            _ => format!("{hash}-dirty"),
-        },
-        None => "unknown".into(),
-    };
+    let commit = Command::new("git")
+        .args(["describe", "--always", "--dirty", "--exclude=*"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .map_or("unknown".into(), |out| {
+            String::from_utf8_lossy(&out.stdout).trim().to_string()
+        });
     format!(
         "{scale:?} scale, base seed {:#X}, {} fault sets per case, source commit {commit}",
         cfg.base_seed, cfg.fault_patterns
@@ -279,11 +274,14 @@ pub fn fig3_vc_utilization(cfg: &ExperimentConfig) -> FigureResult {
             algorithm_columns(kinds),
         );
         // Merge the patterns of each algorithm, then emit one row per VC.
-        let merged: Vec<Vec<f64>> = reports
-            .chunks(patterns.len())
-            .map(|runs| {
-                let mut acc = runs[0].vc_usage.clone();
-                runs[1..].iter().for_each(|r| acc.merge(&r.vc_usage));
+        let merged: Vec<Vec<f64>> = kinds
+            .iter()
+            .enumerate()
+            .map(|(ki, _)| {
+                let mut acc = reports[ki * patterns.len()].vc_usage.clone();
+                for pi in 1..patterns.len() {
+                    acc.merge(&reports[ki * patterns.len() + pi].vc_usage);
+                }
                 acc.utilization_percent()
             })
             .collect();

@@ -107,6 +107,12 @@ impl FaultPattern {
 
     fn from_seed_vec(mesh: &Mesh, seed: Vec<bool>) -> Result<Self, PatternError> {
         let regions = coalesce_blocks(mesh, &seed);
+        Self::from_blocks(mesh, seed, regions)
+    }
+
+    /// The pattern of `seed` failures whose coalesced blocks are `regions`,
+    /// if it leaves a connected, non-empty healthy remainder.
+    fn from_blocks(mesh: &Mesh, seed: Vec<bool>, regions: Vec<Rect>) -> Result<Self, PatternError> {
         let mut faulty = seed.clone();
         let mut region_of = vec![usize::MAX; mesh.num_nodes()];
         for (i, r) in regions.iter().enumerate() {
@@ -222,31 +228,7 @@ impl FaultPattern {
                 boxes.push(Rect::point(c));
             }
         }
-        let regions = merge_to_fixpoint(boxes);
-        let mut faulty = seed.clone();
-        let mut region_of = vec![usize::MAX; mesh.num_nodes()];
-        for (i, r) in regions.iter().enumerate() {
-            for c in r.coords() {
-                let n = mesh.node_at(c);
-                faulty[n.index()] = true;
-                region_of[n.index()] = i;
-            }
-        }
-        let pattern = FaultPattern {
-            width: self.width,
-            height: self.height,
-            faulty,
-            seed_faulty: seed,
-            regions,
-            region_of,
-        };
-        if pattern.num_healthy() == 0 {
-            return Err(PatternError::AllFaulty);
-        }
-        if !pattern.healthy_connected(mesh) {
-            return Err(PatternError::Disconnects);
-        }
-        Ok(pattern)
+        Self::from_blocks(mesh, seed, merge_to_fixpoint(boxes))
     }
 
     /// BFS connectivity check over healthy nodes (paper §2.2: a pattern is
@@ -334,9 +316,10 @@ const MAX_ATTEMPTS: usize = 1000;
 /// whose closure exceeds that cap, or whose healthy nodes are
 /// disconnected (§2.2), is rejected and redrawn, up to 1 000 draws. The
 /// cap is part of the reading: the result is uniform over the seed sets
-/// that pass both checks, not over all of them. Failures are the random variable and disabled nodes a
-/// consequence of the block model, as in reliability studies that
-/// average over patterns of independent router failures.
+/// that pass both checks, not over all of them. Failures are the random
+/// variable and disabled nodes a consequence of the block model, as in
+/// reliability studies that average over patterns of independent router
+/// failures.
 pub fn random_pattern<R: Rng>(
     mesh: &Mesh,
     num_faults: usize,
