@@ -2,8 +2,8 @@
 //! the paper fixes (VC budget, message length, buffer depth, traffic
 //! pattern, misroute cap, arbitration, mesh radix) move the results, plus
 //! the turn-model baseline comparison and the other reading of the fault
-//! axis. Each returns a [`FigureResult`] so
-//! the `ablations` binary renders them like the paper figures.
+//! axis. Each returns a [`FigureResult`] so the `ablations` binary renders
+//! them like the paper figures.
 
 use crate::config::ExperimentConfig;
 use crate::figures::{
