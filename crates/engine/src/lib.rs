@@ -42,6 +42,12 @@
 //! assert!(report.throughput.messages_delivered() > 0);
 //! assert_eq!(report.recoveries, 0);
 //! ```
+//!
+//! ## Layout
+//!
+//! `simulator` holds the [`Simulator`] state and slab; its children are
+//! `step`, `allocate`, `movement`, `recovery`, `diagnose` and `audit`.
+//! `message` is a worm as boundary counters, `waiters` the wake lists.
 
 #![forbid(unsafe_code)]
 

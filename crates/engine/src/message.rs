@@ -196,13 +196,15 @@ pub(crate) struct Advance {
 /// `at_source`, each stage's `entered`, and `delivered` fully determine
 /// wormhole pipeline behavior.
 ///
-/// The per-cycle scan flags — liveness, [`AllocPhase`], the movement
-/// stall bit, and the watchdog's last-progress stamp — live in the
-/// simulator's id-indexed struct-of-arrays buffers
-/// (`Simulator::{alive, alloc, stalled, last_progress}`), not here: the
-/// service-order, watchdog, and retain passes read exactly one of those
-/// per message, and packing them densely turns each pass into a linear
-/// scan instead of striding through 100+-byte `Msg` records.
+/// The per-cycle scan state — liveness, [`AllocPhase`], the movement
+/// stall bit, the watchdog's last-progress stamp, a blocked header's wait
+/// counter, and its wake-list registration record (node and bits) — lives
+/// in the simulator's seven id-indexed struct-of-arrays buffers
+/// (`Simulator::{alive, alloc, stalled, last_progress, wait, reg_node,
+/// reg_bits}`), not here: the service-order, watchdog, and retain passes
+/// read exactly one of those per message, and packing them densely turns
+/// each pass into a linear scan instead of striding through 100+-byte
+/// `Msg` records.
 #[derive(Debug)]
 pub(crate) struct Msg {
     // --- hot: touched every cycle for every active message ---
@@ -250,8 +252,8 @@ impl Msg {
         }
     }
 
-    /// Reinitialize a recycled slab slot for a fresh message. Unlike
-    /// overwriting with [`Msg::new`], the `path` buffer keeps its
+    /// Reinitialize a recycled slab slot for a fresh message: every field
+    /// as [`Msg::new`] sets it, except that the `path` buffer keeps its
     /// allocated capacity, so steady-state slab reuse performs no heap
     /// allocation.
     pub fn reset(
@@ -263,18 +265,12 @@ impl Msg {
         state: MessageState,
     ) {
         debug_assert!(self.path.is_empty(), "recycled message still holds VCs");
-        self.src = src;
-        self.dest = dest;
-        self.length = length;
-        self.created = created;
-        self.first_injected = None;
-        self.state = state;
-        self.path.clear();
-        self.at_source = length;
-        self.delivered = 0;
-        self.recoveries = 0;
-        self.chaos_aborts = 0;
-        self.abort_tag = None;
+        let mut path = std::mem::take(&mut self.path);
+        path.clear();
+        *self = Msg {
+            path,
+            ..Msg::new(src, dest, length, created, state)
+        };
     }
 
     /// One movement pass: every boundary of the worm — ejection, each held

@@ -1,0 +1,834 @@
+use super::allocate::{expand_candidates, vc_width_mask};
+use super::*;
+use wormsim_fault::FaultPattern;
+use wormsim_routing::{build_algorithm, AlgorithmKind, VcConfig};
+use wormsim_topology::{Coord, Mesh, Rect};
+
+fn make_sim(kind: AlgorithmKind, pattern: FaultPattern, rate: f64, cfg: SimConfig) -> Simulator {
+    let mesh = Mesh::square(10);
+    let ctx = Arc::new(RoutingContext::new(mesh, pattern));
+    let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
+    let mut wl = Workload::paper_uniform(rate);
+    wl.message_length = 20;
+    Simulator::new(algo, ctx, wl, cfg)
+}
+
+fn fault_free() -> FaultPattern {
+    FaultPattern::fault_free(&Mesh::square(10))
+}
+
+#[test]
+fn single_message_delivery_and_latency() {
+    let mut sim = make_sim(AlgorithmKind::Duato, fault_free(), 0.0, SimConfig::quick());
+    let mesh = Mesh::square(10);
+    let (src, dest) = (mesh.node(0, 0), mesh.node(5, 0));
+    let id = sim.inject_message(src, dest);
+    assert!(sim.run_until_drained(1000));
+    assert!(sim.is_delivered(id));
+    // Uncontended wormhole: latency ≈ distance + length.
+    // (Delivery isn't recorded in latency stats during warm-up; check
+    // via drain cycles instead.)
+    assert!(sim.cycle() >= 5 + 20);
+    assert!(sim.cycle() < 5 + 20 + 10, "took {} cycles", sim.cycle());
+}
+
+#[test]
+fn every_algorithm_delivers_on_fault_free_mesh() {
+    let mesh = Mesh::square(10);
+    for kind in AlgorithmKind::ALL {
+        let mut sim = make_sim(kind, fault_free(), 0.0, SimConfig::quick());
+        let ids = vec![
+            sim.inject_message(mesh.node(0, 0), mesh.node(9, 9)),
+            sim.inject_message(mesh.node(9, 0), mesh.node(0, 9)),
+            sim.inject_message(mesh.node(5, 5), mesh.node(2, 7)),
+        ];
+        assert!(sim.run_until_drained(2_000), "{kind:?} failed to drain");
+        for id in ids {
+            assert!(sim.is_delivered(id), "{kind:?} lost a message");
+        }
+        assert_eq!(sim.recoveries(), 0, "{kind:?} tripped the watchdog");
+    }
+}
+
+#[test]
+fn delivery_around_fault_block() {
+    let mesh = Mesh::square(10);
+    let pattern =
+        FaultPattern::from_rects(&mesh, &[Rect::new(Coord::new(4, 4), Coord::new(5, 6))]).unwrap();
+    for kind in AlgorithmKind::ALL {
+        let mut sim = make_sim(kind, pattern.clone(), 0.0, SimConfig::quick());
+        // Straight-line route blocked by the region.
+        let id = sim.inject_message(mesh.node(3, 5), mesh.node(8, 5));
+        assert!(sim.run_until_drained(3_000), "{kind:?} failed to drain");
+        assert!(sim.is_delivered(id), "{kind:?} lost the message");
+    }
+}
+
+#[test]
+fn wormhole_pipelining_rate() {
+    // A lone message's tail should arrive ~1 flit/cycle after the head:
+    // total ≈ dist + L, not dist × L.
+    let mut sim = make_sim(AlgorithmKind::NHop, fault_free(), 0.0, SimConfig::quick());
+    let mesh = Mesh::square(10);
+    sim.inject_message(mesh.node(0, 0), mesh.node(9, 9));
+    assert!(sim.run_until_drained(200));
+    assert!(sim.cycle() < 18 + 20 + 10);
+}
+
+#[test]
+fn stochastic_run_produces_stats() {
+    let cfg = SimConfig {
+        warmup_cycles: 500,
+        measure_cycles: 2_000,
+        ..SimConfig::paper()
+    };
+    let mut sim = make_sim(AlgorithmKind::Duato, fault_free(), 0.002, cfg);
+    let report = sim.run();
+    assert!(report.throughput.messages_delivered() > 50);
+    assert!(report.latency.count() > 0);
+    assert!(report.mean_latency() >= 20.0);
+    assert_eq!(report.recoveries, 0);
+    // VC usage should show some busy channels.
+    assert!(report.vc_usage.utilization().iter().sum::<f64>() > 0.0);
+}
+
+#[test]
+fn incremental_vc_accounting_matches_path_scan() {
+    // The incrementally maintained held-slot counts must equal a
+    // brute-force scan over every active message's path after every
+    // cycle — including cycles with tail drains, completions, and
+    // watchdog recoveries (short timeout + faults force all three).
+    let mesh = Mesh::square(10);
+    let pattern =
+        FaultPattern::from_rects(&mesh, &[Rect::new(Coord::new(4, 4), Coord::new(5, 6))]).unwrap();
+    let cfg = SimConfig {
+        warmup_cycles: 0,
+        measure_cycles: 1_000,
+        deadlock_timeout: 300,
+        ..SimConfig::paper()
+    };
+    let mut sim = make_sim(AlgorithmKind::MinimalAdaptive, pattern, 0.01, cfg);
+    for _ in 0..1_000 {
+        sim.step();
+        let mut scanned = vec![0u64; sim.num_vcs as usize];
+        for &id in &sim.active {
+            let m = &sim.msgs[id as usize];
+            for e in &m.path {
+                scanned[sim.key_vc(e.key) as usize] += 1;
+            }
+        }
+        assert_eq!(
+            scanned,
+            sim.vc_usage.held_counts(),
+            "cycle {}: incremental held counts diverged from path scan",
+            sim.cycle()
+        );
+    }
+    assert!(sim.recoveries() > 0, "recovery release path unexercised");
+}
+
+#[test]
+fn full_run_reports_are_byte_identical_for_a_seed() {
+    let mesh = Mesh::square(10);
+    let pattern = FaultPattern::from_faulty_coords(&mesh, [Coord::new(5, 5)]).unwrap();
+    let cfg = SimConfig {
+        warmup_cycles: 300,
+        measure_cycles: 1_200,
+        ..SimConfig::paper()
+    };
+    let run = || {
+        let mut sim = make_sim(AlgorithmKind::DuatoNbc, pattern.clone(), 0.006, cfg);
+        serde_json::to_string(&sim.run()).expect("report serializes")
+    };
+    assert_eq!(
+        run(),
+        run(),
+        "same-seed runs must produce identical reports"
+    );
+}
+
+#[test]
+fn deterministic_given_seed() {
+    let cfg = SimConfig {
+        warmup_cycles: 200,
+        measure_cycles: 800,
+        ..SimConfig::paper()
+    };
+    let run = |seed: u64| {
+        let mut sim = make_sim(AlgorithmKind::Nbc, fault_free(), 0.003, cfg.with_seed(seed));
+        let r = sim.run();
+        (
+            r.throughput.messages_delivered(),
+            r.latency.count(),
+            r.mean_latency(),
+        )
+    };
+    assert_eq!(run(7), run(7));
+    assert_ne!(run(7), run(8));
+}
+
+#[test]
+fn faulty_nodes_never_generate_or_receive() {
+    let mesh = Mesh::square(10);
+    let pattern = FaultPattern::from_faulty_coords(&mesh, [Coord::new(5, 5)]).unwrap();
+    let cfg = SimConfig {
+        warmup_cycles: 100,
+        measure_cycles: 1_000,
+        ..SimConfig::paper()
+    };
+    let mut sim = make_sim(AlgorithmKind::FullyAdaptive, pattern, 0.004, cfg);
+    let report = sim.run();
+    // The faulty node must see zero flit arrivals.
+    assert_eq!(report.node_load.arrivals()[mesh.node(5, 5).index()], 0);
+    assert!(report.throughput.messages_delivered() > 0);
+}
+
+#[test]
+fn link_bandwidth_is_respected() {
+    // Two messages sharing a column of links: delivered flits over N
+    // cycles can't exceed N per link. Indirect check: drain time for
+    // two overlapping 20-flit messages along one path ≥ 40 cycles.
+    let mut sim = make_sim(
+        AlgorithmKind::MinimalAdaptive,
+        fault_free(),
+        0.0,
+        SimConfig::quick(),
+    );
+    let mesh = Mesh::square(10);
+    sim.inject_message(mesh.node(0, 5), mesh.node(9, 5));
+    sim.inject_message(mesh.node(0, 5), mesh.node(9, 5));
+    assert!(sim.run_until_drained(500));
+    // Single injection port: second message starts after the first's
+    // tail leaves the source (~20 cycles); then pipelines behind it.
+    assert!(sim.cycle() >= 2 * 20, "finished too fast: {}", sim.cycle());
+}
+
+#[test]
+fn report_includes_ring_load_only_with_faults() {
+    let mesh = Mesh::square(10);
+    let mut sim = make_sim(AlgorithmKind::Duato, fault_free(), 0.0, SimConfig::quick());
+    sim.inject_message(mesh.node(0, 0), mesh.node(1, 0));
+    assert!(sim.run_until_drained(100));
+    assert!(sim.report().ring_load.is_none());
+
+    let pattern = FaultPattern::from_faulty_coords(&mesh, [Coord::new(5, 5)]).unwrap();
+    let mut sim = make_sim(AlgorithmKind::Duato, pattern, 0.0, SimConfig::quick());
+    sim.inject_message(mesh.node(0, 0), mesh.node(1, 0));
+    assert!(sim.run_until_drained(100));
+    assert!(sim.report().ring_load.is_some());
+}
+
+#[test]
+fn invariants_hold_every_cycle_under_load() {
+    let cfg = SimConfig {
+        warmup_cycles: 0,
+        measure_cycles: 1_500,
+        ..SimConfig::paper()
+    };
+    for kind in [
+        AlgorithmKind::Duato,
+        AlgorithmKind::PHop,
+        AlgorithmKind::FullyAdaptive,
+    ] {
+        let mut sim = make_sim(kind, fault_free(), 0.01, cfg);
+        for _ in 0..1_500 {
+            sim.step();
+            sim.check_invariants();
+        }
+    }
+}
+
+#[test]
+fn invariants_hold_with_faults_and_recovery() {
+    let mesh = Mesh::square(10);
+    let pattern =
+        FaultPattern::from_rects(&mesh, &[Rect::new(Coord::new(4, 4), Coord::new(5, 6))]).unwrap();
+    let cfg = SimConfig {
+        warmup_cycles: 0,
+        measure_cycles: 1_500,
+        deadlock_timeout: 300, // force some recoveries
+        ..SimConfig::paper()
+    };
+    let mut sim = make_sim(AlgorithmKind::MinimalAdaptive, pattern, 0.01, cfg);
+    for _ in 0..1_500 {
+        sim.step();
+        sim.check_invariants();
+    }
+}
+
+#[test]
+fn overlay_hops_counted_only_with_faults() {
+    let mesh = Mesh::square(10);
+    let mut sim = make_sim(AlgorithmKind::NHop, fault_free(), 0.0, SimConfig::quick());
+    sim.inject_message(mesh.node(0, 5), mesh.node(9, 5));
+    assert!(sim.run_until_drained(500));
+    assert_eq!(sim.report().ring_hops, 0);
+
+    let pattern =
+        FaultPattern::from_rects(&mesh, &[Rect::new(Coord::new(4, 4), Coord::new(5, 6))]).unwrap();
+    let mut sim = make_sim(AlgorithmKind::NHop, pattern, 0.0, SimConfig::quick());
+    sim.inject_message(mesh.node(3, 5), mesh.node(8, 5));
+    assert!(sim.run_until_drained(1_000));
+    assert!(sim.report().ring_hops > 0, "detour must use overlay VCs");
+}
+
+#[test]
+fn misroutes_reported_for_fully_adaptive() {
+    let cfg = SimConfig {
+        warmup_cycles: 0,
+        measure_cycles: 4_000,
+        ..SimConfig::paper()
+    };
+    let mut sim = make_sim(AlgorithmKind::FullyAdaptive, fault_free(), 0.01, cfg);
+    let r = sim.run();
+    // At saturation some messages misroute; the counter must move.
+    // (Not asserting a magnitude — just that wiring works and minimal
+    // algorithms stay at zero.)
+    let _ = r.total_misroutes;
+    let mut sim = make_sim(AlgorithmKind::MinimalAdaptive, fault_free(), 0.01, cfg);
+    assert_eq!(sim.run().total_misroutes, 0);
+}
+
+/// Test fault driver: hands out pre-built activations at their cycles.
+struct ScriptedDriver {
+    events: VecDeque<(u64, FaultActivation)>,
+}
+
+impl crate::fault_hook::FaultDriver for ScriptedDriver {
+    fn poll(&mut self, cycle: u64) -> Option<FaultActivation> {
+        if self.events.front().is_some_and(|(due, _)| *due <= cycle) {
+            Some(self.events.pop_front().expect("front exists").1)
+        } else {
+            None
+        }
+    }
+}
+
+fn activation(
+    base: &Arc<RoutingContext>,
+    kind: AlgorithmKind,
+    coords: &[Coord],
+) -> FaultActivation {
+    let pattern = base
+        .pattern()
+        .extend(base.mesh(), coords.iter().copied())
+        .expect("extension acceptable");
+    let ctx = Arc::new(base.with_pattern(pattern));
+    let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
+    FaultActivation {
+        ctx,
+        algo: algo.into(),
+    }
+}
+
+fn install_events(sim: &mut Simulator, events: Vec<(u64, FaultActivation)>) {
+    sim.install_fault_driver(Box::new(ScriptedDriver {
+        events: events.into(),
+    }));
+}
+
+#[test]
+fn chaos_abort_releases_vcs_and_redelivers() {
+    let mesh = Mesh::square(10);
+    let kind = AlgorithmKind::Duato;
+    let mut sim = make_sim(kind, fault_free(), 0.0, SimConfig::quick());
+    let base = sim.ctx.clone();
+    // Kill (5,5) while the worm (0,5)→(9,5) is stretched across it.
+    install_events(
+        &mut sim,
+        vec![(8, activation(&base, kind, &[Coord::new(5, 5)]))],
+    );
+    let id = sim.inject_message(mesh.node(0, 5), mesh.node(9, 5));
+    for _ in 0..600 {
+        sim.step();
+        sim.check_invariants();
+    }
+    assert!(sim.is_delivered(id), "aborted message never redelivered");
+    let rec = sim.recovery_stats().expect("driver installed");
+    assert_eq!(rec.num_events(), 1);
+    assert_eq!(rec.total_aborted(), 1);
+    assert_eq!(rec.total_recovered(), 1);
+    assert_eq!(rec.total_lost(), 0);
+    assert_eq!(rec.events()[0].newly_faulty, 1);
+    let mean = rec.mean_recovery_latency().expect("one recovery");
+    // Backoff (16) + re-route around the block (≥ 9 hops + 20 flits).
+    assert!(mean >= 16.0 + 29.0, "implausibly fast recovery: {mean}");
+    // Every VC freed by the abort must be free or legitimately reowned.
+    assert_eq!(sim.in_flight(), 0);
+    assert!(sim.slots.iter().all(|s| s.is_none()));
+}
+
+#[test]
+fn chaos_kills_message_when_destination_dies() {
+    let mesh = Mesh::square(10);
+    let kind = AlgorithmKind::NHop;
+    let mut sim = make_sim(kind, fault_free(), 0.0, SimConfig::quick());
+    let base = sim.ctx.clone();
+    install_events(
+        &mut sim,
+        vec![(5, activation(&base, kind, &[Coord::new(5, 5)]))],
+    );
+    let id = sim.inject_message(mesh.node(0, 0), mesh.node(5, 5));
+    for _ in 0..200 {
+        sim.step();
+        sim.check_invariants();
+    }
+    assert!(sim.is_delivered(id), "lost message still marked alive");
+    let rec = sim.recovery_stats().expect("driver installed");
+    assert_eq!(rec.total_lost(), 1);
+    assert_eq!(rec.total_aborted(), 0);
+    assert_eq!(sim.in_flight(), 0);
+    assert_eq!(sim.queued(), 0);
+}
+
+#[test]
+fn chaos_invariants_settling_and_requeues_under_load() {
+    let kind = AlgorithmKind::MinimalAdaptive;
+    let cfg = SimConfig {
+        warmup_cycles: 0,
+        measure_cycles: 4_000,
+        ..SimConfig::paper()
+    };
+    let mut sim = make_sim(kind, fault_free(), 0.006, cfg);
+    let base = sim.ctx.clone();
+    install_events(
+        &mut sim,
+        vec![(
+            1_000,
+            activation(&base, kind, &[Coord::new(4, 4), Coord::new(5, 5)]),
+        )],
+    );
+    for _ in 0..4_000 {
+        sim.step();
+        sim.check_invariants();
+    }
+    let rec = sim.recovery_stats().expect("driver installed");
+    assert_eq!(rec.num_events(), 1);
+    let e = &rec.events()[0];
+    assert_eq!(e.newly_faulty, 4, "diagonal pair coalesces to 2x2");
+    assert!(e.pre_fault_rate > 0.0);
+    assert!(
+        e.aborted + e.requeued + e.lost > 0,
+        "a mid-run fault under load must disturb some traffic"
+    );
+    let settle = e.settle_cycles.expect("light load must re-settle");
+    assert!(
+        settle >= cfg.settle_window,
+        "settling can only be declared once the window holds post-fault cycles only"
+    );
+    // Traffic kept flowing after the event.
+    assert!(sim.delivered() > 0);
+}
+
+#[test]
+fn chaos_runs_are_byte_identical_for_a_seed() {
+    let kind = AlgorithmKind::DuatoNbc;
+    let cfg = SimConfig {
+        warmup_cycles: 300,
+        measure_cycles: 2_000,
+        ..SimConfig::paper()
+    };
+    let run = || {
+        let mut sim = make_sim(kind, fault_free(), 0.005, cfg);
+        let base = sim.ctx.clone();
+        install_events(
+            &mut sim,
+            vec![
+                (800, activation(&base, kind, &[Coord::new(5, 5)])),
+                (1_500, {
+                    let p1 = base
+                        .pattern()
+                        .extend(base.mesh(), [Coord::new(5, 5)])
+                        .expect("first event acceptable");
+                    let ctx1 = Arc::new(base.with_pattern(p1));
+                    activation(&ctx1, kind, &[Coord::new(2, 7)])
+                }),
+            ],
+        );
+        serde_json::to_string(&sim.run()).expect("report serializes")
+    };
+    let a = run();
+    assert_eq!(a, run(), "same seed + schedule must be byte-identical");
+    assert!(
+        a.contains("\"recovery\""),
+        "report must carry RecoveryStats"
+    );
+}
+
+#[test]
+fn injection_port_serializes_messages() {
+    let mut sim = make_sim(AlgorithmKind::Duato, fault_free(), 0.0, SimConfig::quick());
+    let mesh = Mesh::square(10);
+    for _ in 0..5 {
+        sim.inject_message(mesh.node(2, 2), mesh.node(7, 7));
+    }
+    assert!(sim.run_until_drained(2_000));
+    // 5 messages × 20 flits through one injection port ≥ 100 cycles.
+    assert!(sim.cycle() >= 100);
+}
+
+fn make_traced_sim(
+    kind: AlgorithmKind,
+    pattern: FaultPattern,
+    rate: f64,
+    cfg: SimConfig,
+) -> Simulator<wormsim_obs::VecSink> {
+    let mesh = Mesh::square(10);
+    let ctx = Arc::new(RoutingContext::new(mesh, pattern));
+    let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
+    let mut wl = Workload::paper_uniform(rate);
+    wl.message_length = 20;
+    Simulator::with_sink(algo, ctx, wl, cfg, wormsim_obs::VecSink::new())
+}
+
+#[test]
+fn traced_run_report_is_byte_identical_to_untraced() {
+    // The determinism contract behind zero-cost tracing: attaching a
+    // sink observes the run without perturbing it. Same fixed-seed
+    // faulty scenario as `full_run_reports_are_byte_identical_for_a_seed`.
+    let mesh = Mesh::square(10);
+    let pattern = FaultPattern::from_faulty_coords(&mesh, [Coord::new(5, 5)]).unwrap();
+    let cfg = SimConfig {
+        warmup_cycles: 300,
+        measure_cycles: 1_200,
+        ..SimConfig::paper()
+    };
+    let untraced = {
+        let mut sim = make_sim(AlgorithmKind::DuatoNbc, pattern.clone(), 0.006, cfg);
+        serde_json::to_string(&sim.run()).expect("report serializes")
+    };
+    let mut sim = make_traced_sim(AlgorithmKind::DuatoNbc, pattern, 0.006, cfg);
+    let traced = serde_json::to_string(&sim.run()).expect("report serializes");
+    assert_eq!(untraced, traced, "tracing perturbed the simulation");
+    assert!(!sim.sink().events().is_empty(), "sink saw no events");
+}
+
+#[test]
+fn trace_replays_to_the_delivered_message_set() {
+    // Deterministic manual-injection run on a faulty mesh: the event
+    // stream must tell the complete story — every message Injects
+    // exactly once, Delivers exactly once, in that order.
+    let mesh = Mesh::square(10);
+    let pattern =
+        FaultPattern::from_rects(&mesh, &[Rect::new(Coord::new(4, 4), Coord::new(5, 6))]).unwrap();
+    let mut sim = make_traced_sim(AlgorithmKind::NHop, pattern, 0.0, SimConfig::quick());
+    let n = 6u32;
+    for i in 0..n {
+        let src = mesh.node(1, (i % 3) as u16);
+        let dest = mesh.node(8, 5 + (i % 4) as u16);
+        sim.inject_message(src, dest);
+    }
+    assert!(sim.run_until_drained(5_000));
+    assert_eq!(sim.recoveries(), 0, "clean replay needs no recoveries");
+    let events = sim.into_sink().into_events();
+    let all: std::collections::BTreeSet<u32> = (0..n).collect();
+    let injected: std::collections::BTreeSet<u32> = events
+        .iter()
+        .filter(|e| e.kind == EventKind::Inject)
+        .map(|e| e.msg)
+        .collect();
+    let delivered: std::collections::BTreeSet<u32> = events
+        .iter()
+        .filter(|e| e.kind == EventKind::Deliver)
+        .map(|e| e.msg)
+        .collect();
+    assert_eq!(injected, all, "every message must trace an Inject");
+    assert_eq!(delivered, all, "every message must trace a Deliver");
+    for id in 0..n {
+        let inj = events
+            .iter()
+            .find(|e| e.kind == EventKind::Inject && e.msg == id)
+            .expect("inject exists");
+        let del = events
+            .iter()
+            .find(|e| e.kind == EventKind::Deliver && e.msg == id)
+            .expect("deliver exists");
+        assert!(inj.cycle <= del.cycle, "m{id} delivered before injecting");
+    }
+    // Hops are traced too: each delivered message claimed ≥ 1 VC.
+    for id in 0..n {
+        assert!(
+            events
+                .iter()
+                .any(|e| e.kind == EventKind::VcAcquire && e.msg == id),
+            "m{id} delivered without a traced VC acquisition"
+        );
+    }
+}
+
+#[test]
+fn telemetry_time_series_covers_the_whole_run() {
+    let mesh = Mesh::square(10);
+    let cfg = SimConfig {
+        warmup_cycles: 0,
+        measure_cycles: 1_000,
+        ..SimConfig::paper()
+    };
+    let ctx = Arc::new(RoutingContext::new(mesh.clone(), fault_free()));
+    let algo = build_algorithm(AlgorithmKind::Duato, ctx.clone(), VcConfig::paper());
+    let sink = wormsim_obs::TeeSink(
+        wormsim_obs::VecSink::new(),
+        wormsim_obs::TelemetrySink::new(50, 0),
+    );
+    let mut sim = Simulator::with_sink(algo, ctx, Workload::paper_uniform(0.0), cfg, sink);
+    let n = 4u64;
+    for i in 0..n {
+        sim.inject_message(mesh.node(0, i as u16), mesh.node(9, 9 - i as u16));
+    }
+    assert!(sim.run_until_drained(2_000));
+    let cycles = sim.cycle();
+    let wormsim_obs::TeeSink(events, telemetry) = sim.into_sink();
+    let count = |k| events.events().iter().filter(|e| e.kind == k).count();
+    assert_eq!(
+        count(EventKind::VcRelease),
+        count(EventKind::VcAcquire),
+        "a drained network has given back every VC it acquired"
+    );
+    let t = telemetry.finish(cycles);
+    assert_eq!(t.window, 50);
+    assert_eq!(
+        t.windows.iter().map(|w| w.cycles).sum::<u64>(),
+        cycles,
+        "windows must tile the simulated cycles exactly"
+    );
+    assert_eq!(t.total_injected(), n);
+    assert_eq!(t.total_delivered(), n);
+    assert!(
+        t.windows.iter().any(|w| w.mean_vc_held > 0.0),
+        "in-flight worms must show up as held VCs"
+    );
+}
+
+#[test]
+fn forged_wait_cycle_is_diagnosed() {
+    // Hand-build a three-message deadlock ring in the wait-for
+    // structures and check the forensics name it: a waits on a slot
+    // held by b, b on one held by c, c on one held by a.
+    let mesh = Mesh::square(10);
+    let mut sim = make_sim(AlgorithmKind::Duato, fault_free(), 0.0, SimConfig::quick());
+    let ids: Vec<u32> = (0..3)
+        .map(|i| sim.inject_message(mesh.node(i, 0), mesh.node(9, 9)).0)
+        .collect();
+    let keys = [0u32, 1, 2];
+    for i in 0..3 {
+        let holder = ids[(i + 1) % 3];
+        sim.alloc[ids[i] as usize] = AllocPhase::Blocked;
+        sim.slots[keys[i] as usize] = Some(holder);
+        sim.occ_mask[(keys[i] / sim.num_vcs as u32) as usize] |=
+            1 << (keys[i] % sim.num_vcs as u32);
+        sim.waiters.push(keys[i], ids[i]);
+        sim.waiter_mask[(keys[i] / sim.num_vcs as u32) as usize] |=
+            1 << (keys[i] % sim.num_vcs as u32);
+    }
+    let diag = sim.diagnose_stall(Some(MsgId(ids[0])));
+    assert_eq!(diag.edges.len(), 3);
+    let cycle = diag.wait_cycle.as_ref().expect("forged ring found");
+    let mut sorted = cycle.clone();
+    sorted.sort_unstable();
+    assert_eq!(sorted, ids, "cycle must name exactly the forged ring");
+    let name = diag.names_resource().expect("resource named");
+    assert!(name.starts_with("deadlock cycle:"), "{name}");
+    let focus = diag.focus.as_ref().expect("focus snapshotted");
+    assert_eq!(focus.id, ids[0]);
+    assert!(focus.at_source);
+    // Clean up the forgery so Drop-time invariants (if any) stay happy.
+    for &key in &keys {
+        sim.slots[key as usize] = None;
+        sim.occ_mask[(key / sim.num_vcs as u32) as usize] &= !(1 << (key % sim.num_vcs as u32));
+        sim.waiters.release(key);
+        sim.waiter_mask[(key / sim.num_vcs as u32) as usize] &= !(1 << (key % sim.num_vcs as u32));
+    }
+}
+
+/// Occupy every VC of every channel leaving `node` with a forged
+/// owner, so any header there blocks on all of them.
+fn occupy_all_outputs(sim: &mut Simulator, node: NodeId, owner: u32) {
+    let vcs = sim.num_vcs as u32;
+    for dir in wormsim_topology::ALL_DIRECTIONS {
+        let ch = sim.ctx.mesh().channel(node, dir).0;
+        if !sim.ctx.mesh().channel_exists(ChannelId(ch)) {
+            continue;
+        }
+        sim.occ_mask[ch as usize] = vc_width_mask(sim.num_vcs);
+        for vc in 0..vcs {
+            sim.slots[(ch * vcs + vc) as usize] = Some(owner);
+        }
+    }
+}
+
+#[test]
+fn reblocking_at_the_same_hop_pushes_nothing() {
+    // A header that was woken and lost again re-blocks on the slots it
+    // is still listed on: its registration record must skip every
+    // push, so the wake lists do not grow.
+    let mesh = Mesh::square(10);
+    let mut sim = make_sim(AlgorithmKind::Duato, fault_free(), 0.0, SimConfig::quick());
+    let src = mesh.node(4, 4);
+    let id = sim.inject_message(src, mesh.node(9, 9)).0;
+    let owner = sim.inject_message(mesh.node(0, 0), mesh.node(9, 9)).0;
+    occupy_all_outputs(&mut sim, src, owner);
+    sim.try_allocate(id);
+    assert_eq!(sim.alloc[id as usize], AllocPhase::Blocked);
+    let listed = sim.waiters.live_nodes();
+    assert!(listed > 0, "the header registered nowhere");
+    for round in 1..=3 {
+        sim.alloc[id as usize] = AllocPhase::Contend;
+        sim.try_allocate(id);
+        assert_eq!(sim.alloc[id as usize], AllocPhase::Blocked);
+        assert_eq!(
+            sim.waiters.live_nodes(),
+            listed,
+            "re-block {round} grew the wake lists"
+        );
+    }
+    assert_eq!(
+        sim.wait[id as usize], 4,
+        "one wait cycle per failed attempt"
+    );
+}
+
+#[test]
+fn duplicate_wake_entry_yields_one_edge() {
+    // An id listed twice on one slot (left behind by a node revisit or
+    // an id recycle) is one wait-for edge, not two.
+    let mesh = Mesh::square(10);
+    let mut sim = make_sim(AlgorithmKind::Duato, fault_free(), 0.0, SimConfig::quick());
+    let waiter = sim.inject_message(mesh.node(0, 0), mesh.node(9, 9)).0;
+    let holder = sim.inject_message(mesh.node(1, 0), mesh.node(9, 9)).0;
+    let key = 5u32;
+    let (ch, vc) = (key / sim.num_vcs as u32, key % sim.num_vcs as u32);
+    sim.alloc[waiter as usize] = AllocPhase::Blocked;
+    sim.slots[key as usize] = Some(holder);
+    sim.occ_mask[ch as usize] |= 1 << vc;
+    sim.waiters.push(key, waiter);
+    sim.waiters.push(key, waiter);
+    sim.waiter_mask[ch as usize] |= 1 << vc;
+    let diag = sim.diagnose_stall(None);
+    assert_eq!(diag.edges.len(), 1, "{:?}", diag.edges);
+    assert_eq!(
+        (diag.edges[0].waiter, diag.edges[0].holder),
+        (waiter, holder)
+    );
+}
+
+#[test]
+fn organic_stall_produces_a_diagnosis() {
+    // Same scenario that forces real watchdog recoveries in
+    // `incremental_vc_accounting_matches_path_scan`: the diagnosis must
+    // be captured as a value, not just printed. A traced sim is used
+    // because the NullSink fast path skips diagnosis capture to stay
+    // allocation-free (`diagnose_stall` still works on demand there).
+    let mesh = Mesh::square(10);
+    let pattern =
+        FaultPattern::from_rects(&mesh, &[Rect::new(Coord::new(4, 4), Coord::new(5, 6))]).unwrap();
+    let cfg = SimConfig {
+        warmup_cycles: 0,
+        measure_cycles: 1_000,
+        deadlock_timeout: 300,
+        ..SimConfig::paper()
+    };
+    let mut sim = make_traced_sim(AlgorithmKind::MinimalAdaptive, pattern, 0.01, cfg);
+    for _ in 0..1_000 {
+        sim.step();
+    }
+    assert!(sim.recoveries() > 0, "scenario must trip the watchdog");
+    let diag = sim.last_stall().expect("diagnosis captured");
+    assert!(diag.focus.is_some(), "watchdog always has a focus message");
+    // The Display dump renders and carries the verdict line.
+    let text = format!("{diag}");
+    assert!(text.contains("[stall]"), "{text}");
+    assert!(text.contains("verdict:"), "{text}");
+}
+
+/// Reference candidate gather: the per-VC probe loop over `slots` that
+/// [`expand_candidates`] replaced, kept as the oracle.
+fn expand_by_array_scan(
+    mask: wormsim_routing::VcMask,
+    num_vcs: u8,
+    slots: &[Option<u32>],
+    base: u32,
+    eligible: &mut Vec<(u32, u8)>,
+    busy: &mut Vec<u32>,
+) {
+    for vc in mask.iter() {
+        if vc >= num_vcs {
+            break;
+        }
+        let key = base + vc as u32;
+        if slots[key as usize].is_none() {
+            eligible.push((key, vc));
+        } else {
+            busy.push(key);
+        }
+    }
+}
+
+proptest::proptest! {
+    #[test]
+    fn bitmask_expansion_matches_array_scan(
+        mask_bits in proptest::prelude::any::<u32>(),
+        occ_bits in proptest::prelude::any::<u32>(),
+        num_vcs in 1u8..=32,
+        ch in 0u32..16,
+    ) {
+        let allowed = vc_width_mask(num_vcs);
+        let occ = occ_bits & allowed;
+        // Materialize the occupancy mask as a slots array for the
+        // oracle (owner id is irrelevant to the scan).
+        let mut slots = vec![None; 16 * num_vcs as usize];
+        let base = ch * num_vcs as u32;
+        for vc in 0..num_vcs as u32 {
+            if occ & (1 << vc) != 0 {
+                slots[(base + vc) as usize] = Some(0u32);
+            }
+        }
+        let mask = wormsim_routing::VcMask(mask_bits);
+        let (mut e1, mut b1) = (Vec::new(), Vec::new());
+        expand_candidates(mask.0 & allowed, occ, base, &mut e1, &mut b1);
+        let (mut e2, mut b2) = (Vec::new(), Vec::new());
+        expand_by_array_scan(mask, num_vcs, &slots, base, &mut e2, &mut b2);
+        proptest::prop_assert_eq!(e1, e2);
+        proptest::prop_assert_eq!(b1, b2);
+    }
+}
+
+#[test]
+fn reset_reuses_slab_and_matches_fresh_run() {
+    // A simulator reset between runs — algorithm, pattern, rate, and
+    // seed all changing — must produce reports byte-identical to fresh
+    // construction, including under oldest-first arbitration where
+    // recycled message ids act as tie-breakers.
+    let mesh = Mesh::square(10);
+    let cases = [
+        (AlgorithmKind::Duato, 0.004, 11, Arbitration::Random),
+        (AlgorithmKind::Nbc, 0.008, 22, Arbitration::OldestFirst),
+        (AlgorithmKind::FullyAdaptive, 0.002, 33, Arbitration::Random),
+    ];
+    let patterns = [
+        FaultPattern::fault_free(&mesh),
+        FaultPattern::from_rects(&mesh, &[Rect::new(Coord::new(4, 4), Coord::new(5, 5))]).unwrap(),
+        FaultPattern::fault_free(&mesh),
+    ];
+    let mut reused = make_sim(AlgorithmKind::Xy, fault_free(), 0.001, SimConfig::quick());
+    let _ = reused.run();
+    for ((kind, rate, seed, arb), pattern) in cases.into_iter().zip(patterns) {
+        let cfg = SimConfig {
+            warmup_cycles: 100,
+            measure_cycles: 400,
+            ..SimConfig::quick().with_seed(seed).with_arbitration(arb)
+        };
+        let ctx = Arc::new(RoutingContext::new(mesh.clone(), pattern));
+        let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
+        let wl = Workload::paper_uniform(rate);
+        reused.reset(algo, ctx.clone(), wl.clone(), cfg);
+        let warm = reused.run();
+        reused.check_invariants();
+        let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
+        let fresh = Simulator::new(algo, ctx, wl, cfg).run();
+        assert_eq!(
+            serde_json::to_string(&warm).unwrap(),
+            serde_json::to_string(&fresh).unwrap(),
+            "reset-reused run diverged for {kind:?}"
+        );
+    }
+}

@@ -6,13 +6,14 @@
 //! agree with it, under arbitrary step sequences across the algo × fault ×
 //! arbitration matrix, and (b) that warm `reset` reuse rewinds everything
 //! completely — no stale occupancy bits, liveness flags, queue entries, or
-//! wake-list nodes leak into the next run.
+//! wake-list nodes leak into the next run. A fresh simulator is built by
+//! the same initialiser as a reset one, so it must pass the same audits.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use wormsim_engine::{Arbitration, SimConfig, Simulator};
+use wormsim_engine::{Arbitration, NullSink, SimConfig, Simulator};
 use wormsim_fault::FaultPattern;
 use wormsim_routing::{build_algorithm, AlgorithmKind, RoutingContext, VcConfig};
 use wormsim_topology::Mesh;
@@ -158,4 +159,41 @@ fn reset_chain_rewinds_flattened_buffers() {
         SimConfig::quick(),
     );
     sim.assert_rewound();
+}
+
+/// A simulator straight from `try_build`, never stepped, is in the
+/// rewound state and its slab audit holds: construction and `reset` share
+/// one initialiser. Checked across mesh sizes, algorithms and faulty
+/// patterns, for the phase-profiled and the default instantiation.
+#[test]
+fn fresh_build_is_rewound() {
+    for (side, kind, faults) in [
+        (10, AlgorithmKind::Duato, 0),
+        (6, AlgorithmKind::Nbc, 2),
+        (10, AlgorithmKind::FullyAdaptive, 5),
+    ] {
+        let mesh = Mesh::square(side);
+        let mut rng = SmallRng::seed_from_u64(side as u64);
+        let pattern = wormsim_fault::random_pattern(&mesh, faults, &mut rng)
+            .unwrap_or_else(|_| FaultPattern::fault_free(&mesh));
+        let ctx = Arc::new(RoutingContext::new(mesh, pattern));
+        let wl = Workload::paper_uniform(0.004);
+        let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
+        let sim = Simulator::<NullSink, true>::try_build(
+            algo,
+            ctx.clone(),
+            wl.clone(),
+            SimConfig::quick(),
+            NullSink,
+        )
+        .expect("paper VC budget fits");
+        sim.assert_rewound();
+        sim.check_soa_layout();
+        sim.check_invariants();
+        let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
+        let plain = Simulator::<NullSink>::try_build(algo, ctx, wl, SimConfig::quick(), NullSink)
+            .expect("paper VC budget fits");
+        plain.assert_rewound();
+        plain.check_soa_layout();
+    }
 }
