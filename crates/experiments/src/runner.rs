@@ -95,9 +95,9 @@ fn run_reusing_sim(
 }
 
 /// Build the routing context and algorithm for a spec, validating the
-/// VC budget against the algorithm's constructor minimums *first* — the
-/// constructors enforce them as asserts, and a spec from outside the
-/// program must come back as a typed [`ConfigError`], not a panic.
+/// VC budget against [`min_total_vcs`] *first* — `build_algorithm`
+/// asserts on it, and a spec from outside the program must come back as a
+/// typed [`ConfigError`], not a panic.
 fn checked_context_and_algo(
     mesh_size: u16,
     pattern: &Arc<FaultPattern>,
@@ -510,7 +510,7 @@ mod tests {
     /// An algorithm the engine must refuse: it claims more VCs than the
     /// occupancy bitmasks hold. `try_reset` rejects it on `num_vcs()`
     /// alone, so nothing else is ever called.
-    struct TooWide(Arc<RoutingContext>);
+    struct TooWide;
 
     impl RoutingAlgorithm for TooWide {
         fn name(&self) -> &'static str {
@@ -527,9 +527,6 @@ mod tests {
         }
         fn on_hop(&self, _: NodeId, _: NodeId, _: Direction, _: u8, _: &mut MessageState) {
             unreachable!("rejected before any hop")
-        }
-        fn context(&self) -> &RoutingContext {
-            &self.0
         }
     }
 
@@ -551,7 +548,7 @@ mod tests {
         let good = serde_json::to_string(&run_single(&cfg, &spec).unwrap()).unwrap();
         let ctx = Arc::new(RoutingContext::new(mesh, (*spec.pattern).clone()));
         let err = run_reusing_sim(
-            Arc::new(TooWide(ctx.clone())),
+            Arc::new(TooWide),
             ctx,
             Workload::paper_uniform(spec.rate),
             cfg.sim,

@@ -14,193 +14,45 @@
 //! class count. Classes remain monotonic, preserving the deadlock-freedom
 //! arguments of the base algorithms.
 
-use crate::context::RoutingContext;
-use crate::state::{Candidates, MessageState, VcMask};
-use crate::traits::BaseRouting;
-use std::sync::Arc;
-use wormsim_topology::{Direction, NodeId};
+use crate::hop_based::Ladder;
+use crate::state::MessageState;
+use wormsim_topology::{Mesh, NodeId};
 
-/// PHop with bonus cards: `b = diameter − dist(src, dest)`; hop `h` may use
-/// any class in `[prev_class+1, h + b]`.
-pub struct Pbc {
-    ctx: Arc<RoutingContext>,
-    classes: u8,
-}
-
-impl Pbc {
-    /// Build with `budget` base VCs; requires `budget ≥ diameter + 1`.
-    pub fn new(ctx: Arc<RoutingContext>, budget: u8) -> Self {
-        let classes = (ctx.mesh().diameter() + 1) as u8;
-        assert!(
-            budget >= classes,
-            "Pbc needs {} VCs (diameter+1), got {}",
-            classes,
-            budget
-        );
-        Pbc { ctx, classes }
+/// The card rules of Pbc and Nbc, and of the Duato escapes built on them.
+impl Ladder {
+    /// The cards a message from `src` to `dest` receives: Pbc gets
+    /// `diameter − dist(src, dest)`, Nbc `max_negative_hops_bound −
+    /// required_negatives` (required negatives on a minimal path are exact
+    /// under the checkerboard coloring).
+    pub(crate) fn bonus(&self, mesh: &Mesh, src: NodeId, dest: NodeId) -> u8 {
+        if self.negative {
+            (mesh.max_negative_hops_bound() - mesh.max_negative_hops(src, dest)) as u8
+        } else {
+            (mesh.diameter() - mesh.distance(src, dest)) as u8
+        }
     }
 
-    /// Number of hop classes.
-    pub fn num_classes(&self) -> u8 {
-        self.classes
-    }
-
-    /// Allowed class range for the next hop.
-    fn class_range(&self, st: &MessageState) -> (u8, u8) {
+    /// Allowed class range for the next hop: Pbc's `[prev_class+1, h + b]`,
+    /// Nbc's `[max(prev_class, neg), neg + b]`, both within the ladder.
+    pub(crate) fn card_range(&self, st: &MessageState) -> (u8, u8) {
         let top = self.classes - 1;
-        let lo = st.next_class_min.min(top);
-        let hi = ((st.normal_hops as u32 + st.bonus as u32).min(top as u32)) as u8;
+        let floor = if self.negative {
+            st.next_class_min.max(st.negative_hops)
+        } else {
+            st.next_class_min
+        };
+        let lo = floor.min(top);
+        let hi = (self.counted(st) + u32::from(st.bonus)).min(u32::from(top)) as u8;
         (lo, hi.max(lo))
-    }
-}
-
-impl BaseRouting for Pbc {
-    fn name(&self) -> &'static str {
-        "Pbc"
-    }
-
-    fn base_vcs(&self) -> u8 {
-        self.classes
-    }
-
-    fn init_message(&self, src: NodeId, dest: NodeId) -> MessageState {
-        let mut st = MessageState::new(src, dest);
-        let mesh = self.ctx.mesh();
-        st.bonus = (mesh.diameter() - mesh.distance(src, dest)) as u8;
-        st
-    }
-
-    fn candidates(&self, node: NodeId, st: &mut MessageState) -> Candidates {
-        let (lo, hi) = self.class_range(st);
-        let mask = VcMask::range(lo, hi);
-        let mut out = Candidates::none();
-        for dir in self.ctx.mesh().minimal_directions(node, st.dest).iter() {
-            out.push_simple(dir, mask);
-        }
-        out
-    }
-
-    fn on_normal_hop(
-        &self,
-        _from: NodeId,
-        _to: NodeId,
-        _dir: Direction,
-        vc: u8,
-        st: &mut MessageState,
-    ) {
-        // One VC per class → the class used is the VC index.
-        st.normal_hops += 1;
-        st.next_class_min = (vc + 1).min(self.classes - 1);
-    }
-
-    fn context(&self) -> &RoutingContext {
-        &self.ctx
-    }
-}
-
-/// NHop with bonus cards: `b = max_negative_hops_bound − required_negatives`;
-/// the next hop may use any class in `[max(prev_class, neg), neg + b]`.
-pub struct Nbc {
-    ctx: Arc<RoutingContext>,
-    classes: u8,
-    vcs_per_class: u8,
-}
-
-impl Nbc {
-    /// Build with `budget` base VCs; requires `budget ≥ classes`.
-    pub fn new(ctx: Arc<RoutingContext>, budget: u8) -> Self {
-        let classes = (ctx.mesh().max_negative_hops_bound() + 1) as u8;
-        assert!(
-            budget >= classes,
-            "Nbc needs {} VCs, got {}",
-            classes,
-            budget
-        );
-        let vcs_per_class = budget / classes;
-        Nbc {
-            ctx,
-            classes,
-            vcs_per_class,
-        }
-    }
-
-    /// Number of negative-hop classes.
-    pub fn num_classes(&self) -> u8 {
-        self.classes
-    }
-
-    /// VCs allotted to each class.
-    pub fn vcs_per_class(&self) -> u8 {
-        self.vcs_per_class
-    }
-
-    fn class_range(&self, st: &MessageState) -> (u8, u8) {
-        let top = self.classes - 1;
-        let lo = st.next_class_min.max(st.negative_hops).min(top);
-        let hi = ((st.negative_hops as u32 + st.bonus as u32).min(top as u32)) as u8;
-        (lo, hi.max(lo))
-    }
-
-    fn mask_for_classes(&self, lo: u8, hi: u8) -> VcMask {
-        VcMask::range(lo * self.vcs_per_class, (hi + 1) * self.vcs_per_class - 1)
-    }
-}
-
-impl BaseRouting for Nbc {
-    fn name(&self) -> &'static str {
-        "Nbc"
-    }
-
-    fn base_vcs(&self) -> u8 {
-        self.classes * self.vcs_per_class
-    }
-
-    fn init_message(&self, src: NodeId, dest: NodeId) -> MessageState {
-        let mut st = MessageState::new(src, dest);
-        let mesh = self.ctx.mesh();
-        // Required negatives on a minimal path are exact under the
-        // checkerboard coloring.
-        let required = mesh.max_negative_hops(src, dest);
-        st.bonus = (mesh.max_negative_hops_bound() - required) as u8;
-        st
-    }
-
-    fn candidates(&self, node: NodeId, st: &mut MessageState) -> Candidates {
-        let (lo, hi) = self.class_range(st);
-        let mask = self.mask_for_classes(lo, hi);
-        let mut out = Candidates::none();
-        for dir in self.ctx.mesh().minimal_directions(node, st.dest).iter() {
-            out.push_simple(dir, mask);
-        }
-        out
-    }
-
-    fn on_normal_hop(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        _dir: Direction,
-        vc: u8,
-        st: &mut MessageState,
-    ) {
-        st.normal_hops += 1;
-        st.next_class_min = vc / self.vcs_per_class;
-        let mesh = self.ctx.mesh();
-        if mesh.color(from) > mesh.color(to) {
-            st.negative_hops = (st.negative_hops + 1).min(self.classes - 1);
-        }
-    }
-
-    fn context(&self) -> &RoutingContext {
-        &self.ctx
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{AlgorithmKind, BoppanaChalasani, RoutingAlgorithm, RoutingContext, VcMask};
+    use std::sync::Arc;
     use wormsim_fault::FaultPattern;
-    use wormsim_topology::Mesh;
+    use wormsim_topology::{Direction, Mesh};
 
     fn ctx() -> Arc<RoutingContext> {
         let mesh = Mesh::square(10);
@@ -214,7 +66,7 @@ mod tests {
     fn pbc_bonus_is_diameter_minus_distance() {
         let c = ctx();
         let mesh = c.mesh().clone();
-        let p = Pbc::new(c, 20);
+        let p = BoppanaChalasani::paper(AlgorithmKind::Pbc, c);
         let st = p.init_message(mesh.node(0, 0), mesh.node(2, 1));
         assert_eq!(st.bonus, 18 - 3);
         let st2 = p.init_message(mesh.node(0, 0), mesh.node(9, 9));
@@ -225,7 +77,7 @@ mod tests {
     fn pbc_first_hop_uses_classes_zero_to_b() {
         let c = ctx();
         let mesh = c.mesh().clone();
-        let p = Pbc::new(c, 20);
+        let p = BoppanaChalasani::paper(AlgorithmKind::Pbc, c);
         let mut st = p.init_message(mesh.node(4, 4), mesh.node(6, 4)); // dist 2, b=16
         let cands = p.candidates(mesh.node(4, 4), &mut st);
         let h = cands.iter().next().unwrap();
@@ -236,7 +88,7 @@ mod tests {
     fn pbc_without_bonus_behaves_like_phop() {
         let c = ctx();
         let mesh = c.mesh().clone();
-        let p = Pbc::new(c, 20);
+        let p = BoppanaChalasani::paper(AlgorithmKind::Pbc, c);
         // Corner-to-corner: distance = diameter → zero cards.
         let mut st = p.init_message(mesh.node(0, 0), mesh.node(9, 9));
         let cands = p.candidates(mesh.node(0, 0), &mut st);
@@ -256,7 +108,7 @@ mod tests {
     fn pbc_classes_strictly_increase() {
         let c = ctx();
         let mesh = c.mesh().clone();
-        let p = Pbc::new(c, 20);
+        let p = BoppanaChalasani::paper(AlgorithmKind::Pbc, c);
         let mut st = p.init_message(mesh.node(0, 0), mesh.node(3, 0)); // b = 15
                                                                        // Jump straight to class 10 on the first hop.
         p.on_normal_hop(
@@ -276,7 +128,7 @@ mod tests {
     fn nbc_bonus_from_negative_requirements() {
         let c = ctx();
         let mesh = c.mesh().clone();
-        let n = Nbc::new(c, 20);
+        let n = BoppanaChalasani::paper(AlgorithmKind::Nbc, c);
         // (0,0)→(9,9): required negatives 9 of bound 9 → no cards.
         let st = n.init_message(mesh.node(0, 0), mesh.node(9, 9));
         assert_eq!(st.bonus, 0);
@@ -289,7 +141,7 @@ mod tests {
     fn nbc_first_hop_mask_covers_bonus_classes() {
         let c = ctx();
         let mesh = c.mesh().clone();
-        let n = Nbc::new(c, 20);
+        let n = BoppanaChalasani::paper(AlgorithmKind::Nbc, c);
         let mut st = n.init_message(mesh.node(0, 0), mesh.node(1, 0)); // b=9
         let cands = n.candidates(mesh.node(0, 0), &mut st);
         let h = cands.iter().next().unwrap();
@@ -301,7 +153,7 @@ mod tests {
     fn nbc_class_monotonic_and_requirement_bound() {
         let c = ctx();
         let mesh = c.mesh().clone();
-        let n = Nbc::new(c, 20);
+        let n = BoppanaChalasani::paper(AlgorithmKind::Nbc, c);
         let mut st = n.init_message(mesh.node(0, 0), mesh.node(4, 0)); // b = 9 - 2 = 7
         assert_eq!(st.bonus, 7);
         // Take a hop on class 3 (VC 6).
@@ -335,8 +187,8 @@ mod tests {
     fn ranges_stay_within_class_space_under_detours() {
         let c = ctx();
         let mesh = c.mesh().clone();
-        let p = Pbc::new(c.clone(), 20);
-        let n = Nbc::new(c, 20);
+        let p = BoppanaChalasani::paper(AlgorithmKind::Pbc, c.clone());
+        let n = BoppanaChalasani::paper(AlgorithmKind::Nbc, c);
         let mut stp = p.init_message(mesh.node(0, 0), mesh.node(5, 0));
         stp.normal_hops = 100; // simulated long detour
         stp.next_class_min = 30;

@@ -17,15 +17,82 @@
 //! The BC VCs occupy indices `base_budget .. base_budget + 4`; the base
 //! algorithm owns `0 .. base_budget` (it may use fewer, e.g. PHop's 19 of
 //! 20, leaving one idle spare exactly as the paper's 24-VC budget does).
+//!
+//! [`BoppanaChalasani`] is the crate's one [`RoutingAlgorithm`]: every
+//! roster entry is this overlay over a [`Base`], and each family's rules
+//! live in the file named after it.
 
 use crate::context::RoutingContext;
+use crate::hop_based::Ladder;
 use crate::state::{Candidates, MessageState, MessageType, VcMask};
-use crate::traits::{BaseRouting, RoutingAlgorithm};
-use wormsim_topology::{Direction, NodeId};
+use crate::traits::RoutingAlgorithm;
+use crate::turn_model::TurnModelKind;
+use crate::{adaptive, boura, duato, turn_model, AlgorithmKind, VcConfig};
+use std::sync::Arc;
+use wormsim_topology::{Direction, Mesh, NodeId};
+
+/// The base discipline under the overlay, one variant per family. `vcs`
+/// is the base budget, the VC indices below the BC VCs.
+pub(crate) enum Base {
+    /// PHop, NHop, Pbc and Nbc (`hop_based.rs`, `bonus_cards.rs`).
+    Ladder(Ladder),
+    /// Duato's methodology (`duato.rs`): an adaptive class I over an escape
+    /// class II, the 2-VC XY escape when `escape` is `None`.
+    Duato { escape: Option<Ladder>, vcs: u8 },
+    /// Free VC choice (`adaptive.rs`): Minimal-Adaptive, and Fully-Adaptive
+    /// when `misroute_limit` is set.
+    Free { vcs: u8, misroute_limit: Option<u8> },
+    /// Boura–Das's two virtual networks (`boura.rs`), with the node
+    /// labeling when `labeled`.
+    Boura { vcs: u8, labeled: bool },
+    /// XY and the Glass–Ni turn models (`turn_model.rs`).
+    Turn { vcs: u8, kind: TurnModelKind },
+}
+
+impl Base {
+    fn new(kind: AlgorithmKind, mesh: &Mesh, vcs: u8, misroute_limit: u8) -> Base {
+        let ladder = |negative, cards| Ladder::new(mesh, negative, cards);
+        let turn = |kind| Base::Turn { vcs, kind };
+        match kind {
+            AlgorithmKind::PHop => Base::Ladder(ladder(false, false)),
+            AlgorithmKind::NHop => Base::Ladder(ladder(true, false).spread(vcs)),
+            AlgorithmKind::Pbc => Base::Ladder(ladder(false, true)),
+            AlgorithmKind::Nbc => Base::Ladder(ladder(true, true).spread(vcs)),
+            AlgorithmKind::Duato => Base::Duato { escape: None, vcs },
+            AlgorithmKind::DuatoPbc => Base::Duato {
+                escape: Some(ladder(false, true)),
+                vcs,
+            },
+            AlgorithmKind::DuatoNbc => Base::Duato {
+                escape: Some(ladder(true, true)),
+                vcs,
+            },
+            AlgorithmKind::MinimalAdaptive => Base::Free {
+                vcs,
+                misroute_limit: None,
+            },
+            AlgorithmKind::FullyAdaptive => Base::Free {
+                vcs,
+                misroute_limit: Some(misroute_limit),
+            },
+            AlgorithmKind::BouraAdaptive => Base::Boura {
+                vcs,
+                labeled: false,
+            },
+            AlgorithmKind::BouraFaultTolerant => Base::Boura { vcs, labeled: true },
+            AlgorithmKind::Xy => turn(TurnModelKind::Xy),
+            AlgorithmKind::WestFirst => turn(TurnModelKind::WestFirst),
+            AlgorithmKind::NorthLast => turn(TurnModelKind::NorthLast),
+            AlgorithmKind::NegativeFirst => turn(TurnModelKind::NegativeFirst),
+        }
+    }
+}
 
 /// A base discipline fortified with the BC f-ring scheme.
 pub struct BoppanaChalasani {
-    base: Box<dyn BaseRouting>,
+    kind: AlgorithmKind,
+    ctx: Arc<RoutingContext>,
+    base: Base,
     /// First BC VC index (= the base VC budget).
     bc_base: u8,
     /// Number of BC VCs (4).
@@ -33,32 +100,60 @@ pub struct BoppanaChalasani {
 }
 
 impl BoppanaChalasani {
-    /// Fortify `base`. `base_budget` is the number of VC indices reserved
-    /// for the base discipline (its own `base_vcs()` must fit);
-    /// `bc_count` additional VCs sit above them.
-    pub fn new(base: Box<dyn BaseRouting>, base_budget: u8, bc_count: u8) -> Self {
-        assert!(
-            base.base_vcs() <= base_budget,
-            "{} uses {} VCs but the budget is {}",
-            base.name(),
-            base.base_vcs(),
-            base_budget
-        );
-        assert!(bc_count >= 4, "the BC scheme needs 4 additional VCs");
+    /// `kind` on `ctx` under `cfg`, whose budget [`crate::build_algorithm`]
+    /// has checked: the base owns the first `total − bc_vcs` VCs.
+    pub(crate) fn new(kind: AlgorithmKind, ctx: Arc<RoutingContext>, cfg: VcConfig) -> Self {
+        let budget = cfg.total - cfg.bc_vcs;
         BoppanaChalasani {
-            base,
-            bc_base: base_budget,
-            bc_count,
+            kind,
+            base: Base::new(kind, ctx.mesh(), budget, cfg.misroute_limit),
+            ctx,
+            bc_base: budget,
+            bc_count: cfg.bc_vcs,
+        }
+    }
+
+    /// The base discipline's candidates for a normal-mode hop at `node`:
+    /// in-mesh directions only, before the overlay drops those leading
+    /// into faults.
+    pub(crate) fn candidates(&self, node: NodeId, st: &mut MessageState) -> Candidates {
+        let mesh = self.ctx.mesh();
+        match &self.base {
+            Base::Ladder(ladder) => ladder.candidates(mesh, node, st),
+            Base::Duato { escape, vcs } => duato::candidates(mesh, escape.as_ref(), *vcs, node, st),
+            Base::Free {
+                vcs,
+                misroute_limit,
+            } => adaptive::candidates(mesh, *vcs, *misroute_limit, node, st),
+            Base::Boura { vcs, labeled } => boura::candidates(&self.ctx, *vcs, *labeled, node, st),
+            Base::Turn { vcs, kind } => turn_model::candidates(mesh, *vcs, *kind, node, st),
+        }
+    }
+
+    /// The base discipline's bookkeeping for a normal-mode hop on base VC
+    /// `vc`.
+    pub(crate) fn on_normal_hop(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        _dir: Direction,
+        vc: u8,
+        st: &mut MessageState,
+    ) {
+        let mesh = self.ctx.mesh();
+        match &self.base {
+            Base::Ladder(ladder) => ladder.on_hop(mesh, from, to, vc, st),
+            Base::Duato { escape, .. } => duato::on_hop(mesh, escape.as_ref(), from, to, vc, st),
+            Base::Free { misroute_limit, .. } => {
+                adaptive::on_hop(mesh, *misroute_limit, from, to, st)
+            }
+            Base::Boura { .. } | Base::Turn { .. } => st.normal_hops += 1,
         }
     }
 
     /// The VC the message's type owns on every physical channel.
     fn bc_vc(&self, mtype: MessageType) -> u8 {
         self.bc_base + mtype.bc_index()
-    }
-
-    fn ctx(&self) -> &RoutingContext {
-        self.base.context()
     }
 
     /// Whether a ring node offers an exit for a message to `dest` that
@@ -69,8 +164,8 @@ impl BoppanaChalasani {
     /// strictly reduces the distance to the destination).
     fn is_exit(&self, node: NodeId, dest: NodeId, entry_distance: u32) -> bool {
         node == dest
-            || (self.ctx().mesh().distance(node, dest) < entry_distance
-                && !self.ctx().healthy_minimal_directions(node, dest).is_empty())
+            || (self.ctx.mesh().distance(node, dest) < entry_distance
+                && !self.ctx.healthy_minimal_directions(node, dest).is_empty())
     }
 
     /// The single ring-mode candidate (the next ring hop on the type's BC
@@ -80,7 +175,7 @@ impl BoppanaChalasani {
         let Some(mut rs) = st.ring else {
             return out;
         };
-        let ctx = self.ctx();
+        let ctx = &*self.ctx;
         let rings = ctx.rings();
         debug_assert_eq!(
             rings.ring(rs.ring).nodes()[rs.pos as usize],
@@ -106,7 +201,7 @@ impl BoppanaChalasani {
 
 impl RoutingAlgorithm for BoppanaChalasani {
     fn name(&self) -> &'static str {
-        self.base.name()
+        self.kind.paper_name()
     }
 
     fn num_vcs(&self) -> u8 {
@@ -114,11 +209,16 @@ impl RoutingAlgorithm for BoppanaChalasani {
     }
 
     fn init_message(&self, src: NodeId, dest: NodeId) -> MessageState {
-        self.base.init_message(src, dest)
+        let mesh = self.ctx.mesh();
+        match &self.base {
+            Base::Ladder(ladder) => ladder.init(mesh, src, dest),
+            Base::Duato { escape, .. } => duato::init(mesh, escape.as_ref(), src, dest),
+            _ => MessageState::new(src, dest),
+        }
     }
 
     fn route(&self, node: NodeId, st: &mut MessageState) -> Candidates {
-        let ctx = self.ctx();
+        let ctx = &*self.ctx;
         if node == st.dest {
             return Candidates::none();
         }
@@ -131,7 +231,7 @@ impl RoutingAlgorithm for BoppanaChalasani {
         }
         if st.ring.is_none() {
             // Normal mode: base candidates, filtered to fault-free links.
-            let raw = self.base.candidates(node, st);
+            let raw = self.candidates(node, st);
             let mut out = Candidates::none();
             for h in raw.iter() {
                 if ctx.healthy_step(node, h.dir).is_some() {
@@ -166,13 +266,13 @@ impl RoutingAlgorithm for BoppanaChalasani {
             // Ring hop: advance the position to the new node.
             let rs = st.ring.as_mut().expect("BC VC hop outside ring mode");
             let pos = self
-                .ctx()
+                .ctx
                 .rings()
                 .position_on(to, rs.ring)
                 .expect("ring hop must land on the ring");
             rs.pos = pos.pos;
         } else {
-            self.base.on_normal_hop(from, to, dir, vc, st);
+            self.on_normal_hop(from, to, dir, vc, st);
         }
     }
 
@@ -181,20 +281,66 @@ impl RoutingAlgorithm for BoppanaChalasani {
     }
 
     fn recheck_wait(&self) -> Option<u32> {
-        self.base.recheck_wait()
+        // Fully-Adaptive's candidate set widens once a blocked header has
+        // waited out the misroute patience; the engine must re-route it at
+        // that point even though no VC it registered for has freed.
+        match self.base {
+            Base::Free {
+                misroute_limit: Some(_),
+                ..
+            } => Some(adaptive::MISROUTE_PATIENCE),
+            _ => None,
+        }
+    }
+}
+
+/// The paper's VC budget and the accessors the unit tests read.
+#[cfg(test)]
+impl BoppanaChalasani {
+    pub(crate) fn paper(kind: AlgorithmKind, ctx: Arc<RoutingContext>) -> Self {
+        BoppanaChalasani::new(kind, ctx, VcConfig::paper())
     }
 
-    fn context(&self) -> &RoutingContext {
-        self.base.context()
+    pub(crate) fn base_vcs(&self) -> u8 {
+        match &self.base {
+            Base::Ladder(ladder) => ladder.vcs(),
+            Base::Duato { vcs, .. }
+            | Base::Free { vcs, .. }
+            | Base::Boura { vcs, .. }
+            | Base::Turn { vcs, .. } => *vcs,
+        }
+    }
+
+    fn ladder(&self) -> &Ladder {
+        match &self.base {
+            Base::Ladder(ladder) => ladder,
+            _ => panic!("{} has no class ladder", self.kind),
+        }
+    }
+
+    pub(crate) fn num_classes(&self) -> u8 {
+        self.ladder().classes
+    }
+
+    pub(crate) fn vcs_per_class(&self) -> u8 {
+        self.ladder().vcs_per_class
+    }
+
+    pub(crate) fn escape_vcs(&self) -> u8 {
+        match &self.base {
+            Base::Duato { escape, .. } => duato::escape_vcs(escape.as_ref()),
+            _ => panic!("{} has no escape class", self.kind),
+        }
+    }
+
+    pub(crate) fn adaptive_vcs(&self) -> u8 {
+        self.base_vcs() - self.escape_vcs()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adaptive::MinimalAdaptive;
-    use crate::hop_based::PHop;
-    use std::sync::Arc;
     use wormsim_fault::{FaultPattern, Orientation};
     use wormsim_topology::{Coord, Mesh, Rect};
 
@@ -207,13 +353,13 @@ mod tests {
     }
 
     fn bc_minimal(ctx: Arc<RoutingContext>) -> BoppanaChalasani {
-        BoppanaChalasani::new(Box::new(MinimalAdaptive::new(ctx, 20)), 20, 4)
+        BoppanaChalasani::paper(AlgorithmKind::MinimalAdaptive, ctx)
     }
 
     #[test]
     fn vc_budget() {
         let (ctx, _) = ctx_with_block();
-        let bc = BoppanaChalasani::new(Box::new(PHop::new(ctx, 20)), 20, 4);
+        let bc = BoppanaChalasani::paper(AlgorithmKind::PHop, ctx);
         assert_eq!(bc.num_vcs(), 24);
     }
 
@@ -364,7 +510,7 @@ mod tests {
     #[test]
     fn phop_class_frozen_during_ring_hops() {
         let (ctx, mesh) = ctx_with_block();
-        let bc = BoppanaChalasani::new(Box::new(PHop::new(ctx, 20)), 20, 4);
+        let bc = BoppanaChalasani::paper(AlgorithmKind::PHop, ctx);
         let mut st = bc.init_message(mesh.node(3, 5), mesh.node(8, 5));
         bc.route(mesh.node(3, 5), &mut st);
         assert!(st.ring.is_some());

@@ -18,186 +18,76 @@
 //!   strictly closer to its destination than where the detour began.
 
 use crate::context::RoutingContext;
-use crate::state::{Candidates, MessageState, VcMask};
-use crate::traits::BaseRouting;
-use std::sync::Arc;
-use wormsim_topology::{Direction, DirectionSet, NodeId};
+use crate::state::{CandidateHop, Candidates, MessageState, VcMask};
+use wormsim_topology::NodeId;
 
-/// Boura–Das adaptive routing: Y-partitioned dual virtual networks.
-pub struct BouraAdaptive {
-    ctx: Arc<RoutingContext>,
+/// Minimal directions on the message's virtual network.
+///
+/// The network is the lower half of the `vcs` base VCs when the message
+/// travels north or horizontally, the upper half when it travels south;
+/// it is re-evaluated per hop so that fault detours cannot strand a
+/// message in the wrong network.
+///
+/// With the node labeling (`labeled`, Boura (Fault-Tolerant)), only
+/// minimal directions to non-faulty nodes are offered, and unsafe-labeled
+/// (but healthy) next nodes sit in the fallback tier: they are avoided
+/// whenever a safe shortest-path link exists and used otherwise, because at
+/// high fault rates the *safe* subgraph may be disconnected while the
+/// healthy network is not. One hop out, the single minimal link lands on
+/// the destination itself and is preferred regardless of its label. When
+/// every shortest-path link is blocked by actual faults, the detour around
+/// the fault region is the ring traversal of the
+/// [`crate::BoppanaChalasani`] overlay (fault blocks are convex
+/// rectangles, so ring traversal is exactly the detour Boura–Das's
+/// labeling produces around them; see DESIGN.md §3.4).
+pub(crate) fn candidates(
+    ctx: &RoutingContext,
     vcs: u8,
-}
-
-impl BouraAdaptive {
-    /// Build with `budget` base VCs, split evenly between the two networks.
-    pub fn new(ctx: Arc<RoutingContext>, budget: u8) -> Self {
-        assert!(budget >= 2, "Boura needs at least 2 VCs (one per network)");
-        BouraAdaptive { ctx, vcs: budget }
-    }
-
-    /// The VC mask of the virtual network a message at `node` uses:
-    /// lower half when traveling north or horizontally, upper half when
-    /// traveling south. Re-evaluated per hop so that fault detours cannot
-    /// strand a message in the wrong network.
-    fn network_mask(&self, node: NodeId, dest: NodeId) -> VcMask {
-        let mesh = self.ctx.mesh();
-        let half = self.vcs / 2;
-        if mesh.coord(dest).y >= mesh.coord(node).y {
-            VcMask::range(0, half - 1)
+    labeled: bool,
+    node: NodeId,
+    st: &MessageState,
+) -> Candidates {
+    let mesh = ctx.mesh();
+    let half = vcs / 2;
+    let mask = if mesh.coord(st.dest).y >= mesh.coord(node).y {
+        VcMask::range(0, half - 1)
+    } else {
+        VcMask::range(half, vcs - 1)
+    };
+    let (any, safe) = if labeled {
+        let any = ctx.healthy_minimal_directions(node, st.dest);
+        if mesh.distance(node, st.dest) == 1 {
+            (any, any)
         } else {
-            VcMask::range(half, self.vcs - 1)
+            (any, any.intersect(ctx.safe_directions(node)))
         }
-    }
-}
-
-impl BaseRouting for BouraAdaptive {
-    fn name(&self) -> &'static str {
-        "Boura (Adaptive)"
-    }
-
-    fn base_vcs(&self) -> u8 {
-        self.vcs
-    }
-
-    fn init_message(&self, src: NodeId, dest: NodeId) -> MessageState {
-        MessageState::new(src, dest)
-    }
-
-    fn candidates(&self, node: NodeId, st: &mut MessageState) -> Candidates {
-        let mask = self.network_mask(node, st.dest);
-        let mut out = Candidates::none();
-        for dir in self.ctx.mesh().minimal_directions(node, st.dest).iter() {
-            out.push_simple(dir, mask);
-        }
-        out
-    }
-
-    fn on_normal_hop(
-        &self,
-        _from: NodeId,
-        _to: NodeId,
-        _dir: Direction,
-        _vc: u8,
-        st: &mut MessageState,
-    ) {
-        st.normal_hops += 1;
-    }
-
-    fn context(&self) -> &RoutingContext {
-        &self.ctx
-    }
-}
-
-/// Boura–Das fault-tolerant routing: the adaptive discipline plus node
-/// labeling. Unsafe-labeled (but healthy) next nodes are avoided whenever a
-/// safe shortest-path link exists, and used as a fallback tier otherwise —
-/// at high fault rates the *safe* subgraph may be disconnected while the
-/// healthy network is not, so unsafe nodes must remain usable. When every
-/// shortest-path link is blocked by actual faults, the surrounding
-/// fault-region traversal is delegated to the ring machinery of the
-/// [`crate::BoppanaChalasani`] wrapper this base is built with (fault
-/// blocks are convex rectangles, so ring traversal is exactly the detour
-/// Boura–Das's labeling produces around them; see DESIGN.md §3.4).
-pub struct BouraFaultTolerant {
-    ctx: Arc<RoutingContext>,
-    vcs: u8,
-}
-
-impl BouraFaultTolerant {
-    /// Build with `budget` base VCs (the BC wrapper adds its 4 detour VCs
-    /// on top).
-    pub fn new(ctx: Arc<RoutingContext>, budget: u8) -> Self {
-        assert!(budget >= 2);
-        BouraFaultTolerant { ctx, vcs: budget }
-    }
-
-    fn network_mask(&self, node: NodeId, dest: NodeId) -> VcMask {
-        let mesh = self.ctx.mesh();
-        let half = self.vcs / 2;
-        if mesh.coord(dest).y >= mesh.coord(node).y {
-            VcMask::range(0, half - 1)
+    } else {
+        let minimal = mesh.minimal_directions(node, st.dest);
+        (minimal, minimal)
+    };
+    let mut out = Candidates::none();
+    for dir in any.iter() {
+        let (preferred, fallback) = if safe.contains(dir) {
+            (mask, VcMask::EMPTY)
         } else {
-            VcMask::range(half, self.vcs - 1)
-        }
-    }
-
-    /// Minimal directions with non-faulty next nodes, split into
-    /// (safe-or-destination, merely-non-faulty) preference tiers: `any` is
-    /// the context's healthy-minimal set, and the preferred tier intersects
-    /// it with the safe-labeled set — except one hop out, where the single
-    /// minimal link lands on the destination itself and is preferred
-    /// regardless of its label.
-    fn tiered_minimal(&self, node: NodeId, dest: NodeId) -> (DirectionSet, DirectionSet) {
-        let any = self.ctx.healthy_minimal_directions(node, dest);
-        let preferred = if self.ctx.mesh().distance(node, dest) == 1 {
-            any
-        } else {
-            any.intersect(self.ctx.safe_directions(node))
+            (VcMask::EMPTY, mask)
         };
-        (preferred, any)
+        out.push(CandidateHop {
+            dir,
+            preferred,
+            fallback,
+        });
     }
-}
-
-impl BaseRouting for BouraFaultTolerant {
-    fn name(&self) -> &'static str {
-        "Boura (Fault-Tolerant)"
-    }
-
-    fn base_vcs(&self) -> u8 {
-        self.vcs
-    }
-
-    fn init_message(&self, src: NodeId, dest: NodeId) -> MessageState {
-        MessageState::new(src, dest)
-    }
-
-    fn candidates(&self, node: NodeId, st: &mut MessageState) -> Candidates {
-        let mut out = Candidates::none();
-        if node == st.dest {
-            return out;
-        }
-        let (safe, any) = self.tiered_minimal(node, st.dest);
-        let mask = self.network_mask(node, st.dest);
-        for dir in any.iter() {
-            if safe.contains(dir) {
-                out.push(crate::state::CandidateHop {
-                    dir,
-                    preferred: mask,
-                    fallback: VcMask::EMPTY,
-                });
-            } else {
-                out.push(crate::state::CandidateHop {
-                    dir,
-                    preferred: VcMask::EMPTY,
-                    fallback: mask,
-                });
-            }
-        }
-        out
-    }
-
-    fn on_normal_hop(
-        &self,
-        _from: NodeId,
-        _to: NodeId,
-        _dir: Direction,
-        _vc: u8,
-        st: &mut MessageState,
-    ) {
-        st.normal_hops += 1;
-    }
-
-    fn context(&self) -> &RoutingContext {
-        &self.ctx
-    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AlgorithmKind, BoppanaChalasani, RoutingAlgorithm, RoutingContext};
+    use std::sync::Arc;
     use wormsim_fault::FaultPattern;
-    use wormsim_topology::{Coord, Mesh, Rect};
+    use wormsim_topology::{Coord, Direction, Mesh, Rect};
 
     fn free_ctx() -> Arc<RoutingContext> {
         let mesh = Mesh::square(10);
@@ -211,7 +101,7 @@ mod tests {
     fn adaptive_network_split() {
         let c = free_ctx();
         let mesh = c.mesh().clone();
-        let b = BouraAdaptive::new(c, 20);
+        let b = BoppanaChalasani::paper(AlgorithmKind::BouraAdaptive, c);
         // North-going message → lower half.
         let mut st = b.init_message(mesh.node(0, 0), mesh.node(5, 5));
         let cands = b.candidates(mesh.node(0, 0), &mut st);
@@ -234,7 +124,7 @@ mod tests {
     fn adaptive_is_minimal() {
         let c = free_ctx();
         let mesh = c.mesh().clone();
-        let b = BouraAdaptive::new(c, 20);
+        let b = BoppanaChalasani::paper(AlgorithmKind::BouraAdaptive, c);
         let mut st = b.init_message(mesh.node(3, 3), mesh.node(1, 7));
         let cands = b.candidates(mesh.node(3, 3), &mut st);
         assert_eq!(cands.len(), 2);
@@ -255,7 +145,7 @@ mod tests {
     #[test]
     fn ft_blocked_when_only_minimal_link_is_faulty() {
         let (c, mesh) = walled_ctx();
-        let b = BouraFaultTolerant::new(c, 20);
+        let b = BoppanaChalasani::paper(AlgorithmKind::BouraFaultTolerant, c);
         // At (4,5) heading to (6,5): the only minimal dir (East) is faulty;
         // the base has no candidates — the BC wrapper takes over with ring
         // traversal.
@@ -267,7 +157,7 @@ mod tests {
     #[test]
     fn ft_unblocked_routes_minimally() {
         let (c, mesh) = walled_ctx();
-        let b = BouraFaultTolerant::new(c, 20);
+        let b = BoppanaChalasani::paper(AlgorithmKind::BouraFaultTolerant, c);
         let mut st = b.init_message(mesh.node(0, 0), mesh.node(2, 2));
         let cands = b.candidates(mesh.node(0, 0), &mut st);
         assert_eq!(cands.len(), 2);
@@ -293,7 +183,7 @@ mod tests {
         .unwrap();
         let ctx = Arc::new(RoutingContext::new(mesh.clone(), pattern));
         assert!(!ctx.labeling().is_safe(mesh.node(4, 5)));
-        let b = BouraFaultTolerant::new(ctx, 20);
+        let b = BoppanaChalasani::paper(AlgorithmKind::BouraFaultTolerant, ctx);
         // At (4,4) heading to (4,7): the only minimal dir (North) leads into
         // the unsafe slot — offered, but only as fallback.
         let mut st = b.init_message(mesh.node(4, 4), mesh.node(4, 7));

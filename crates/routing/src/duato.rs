@@ -19,219 +19,87 @@
 //! added to adaptive virtual channels in class I" (paper §4.1) — hence
 //! Duato-Nbc's larger class I is the paper's explanation for its win.
 
-use crate::bonus_cards::{Nbc, Pbc};
-use crate::context::RoutingContext;
+use crate::hop_based::Ladder;
 use crate::state::{CandidateHop, Candidates, MessageState, VcMask};
-use crate::traits::BaseRouting;
-use std::sync::Arc;
-use wormsim_topology::{Direction, NodeId};
+use crate::turn_model::TurnModelKind;
+use wormsim_topology::{Mesh, NodeId};
 
-/// Which deadlock-free base drives the class-II escape channels.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum EscapeKind {
-    /// Dimension-order (XY) routing on 2 escape VCs.
-    Xy,
-    /// Pbc on `diameter + 1` escape VCs.
-    Pbc,
-    /// Nbc on `max_negative_hops_bound + 1` escape VCs (1 VC per class).
-    Nbc,
+/// Escape VCs of Duato's routing, which runs XY on them.
+const XY_ESCAPE_VCS: u8 = 2;
+
+/// Class-II VCs: the low indices `0..escape_vcs`, under the escape ladder
+/// (`None`: XY). Class I occupies the rest of the base budget.
+pub(crate) fn escape_vcs(escape: Option<&Ladder>) -> u8 {
+    escape.map_or(XY_ESCAPE_VCS, Ladder::vcs)
 }
 
-enum Escape {
-    Xy,
-    Pbc(Pbc),
-    Nbc(Nbc),
+/// Fresh state: the escape ladder's, bonus cards included.
+pub(crate) fn init(
+    mesh: &Mesh,
+    escape: Option<&Ladder>,
+    src: NodeId,
+    dest: NodeId,
+) -> MessageState {
+    escape.map_or(MessageState::new(src, dest), |l| l.init(mesh, src, dest))
 }
 
-/// A Duato-methodology algorithm: adaptive class I over an escape class II.
-/// Escape VCs occupy the low indices `0..escape_vcs`; class I occupies
-/// `escape_vcs..budget`.
-pub struct Duato {
-    ctx: Arc<RoutingContext>,
-    escape: Escape,
-    escape_vcs: u8,
-    budget: u8,
-    name: &'static str,
+/// Class I on every minimal direction as the preferred tier; class II, the
+/// escape discipline's candidates, as the fallback tier of its directions.
+pub(crate) fn candidates(
+    mesh: &Mesh,
+    escape: Option<&Ladder>,
+    vcs: u8,
+    node: NodeId,
+    st: &MessageState,
+) -> Candidates {
+    let adaptive = VcMask::range(escape_vcs(escape), vcs - 1);
+    let minimal = mesh.minimal_directions(node, st.dest);
+    let (escape_dirs, escape_mask) = match escape {
+        Some(ladder) => (minimal, ladder.mask(st)),
+        None => (
+            TurnModelKind::Xy.permitted(minimal),
+            VcMask::range(0, XY_ESCAPE_VCS - 1),
+        ),
+    };
+    let mut out = Candidates::none();
+    for dir in minimal.iter() {
+        out.push(CandidateHop {
+            dir,
+            preferred: adaptive,
+            fallback: if escape_dirs.contains(dir) {
+                escape_mask
+            } else {
+                VcMask::EMPTY
+            },
+        });
+    }
+    out
 }
 
-impl Duato {
-    /// Build with `budget` base VCs split between escape and adaptive
-    /// channels according to `kind`.
-    pub fn new(ctx: Arc<RoutingContext>, budget: u8, kind: EscapeKind) -> Self {
-        let (escape, escape_vcs, name) = match kind {
-            EscapeKind::Xy => {
-                assert!(budget >= 3, "Duato-XY needs ≥ 3 VCs");
-                (Escape::Xy, 2, "Duato's routing")
-            }
-            EscapeKind::Pbc => {
-                let needed = (ctx.mesh().diameter() + 1) as u8;
-                assert!(
-                    budget > needed,
-                    "Duato-Pbc needs > {} VCs, got {}",
-                    needed,
-                    budget
-                );
-                (
-                    Escape::Pbc(Pbc::new(ctx.clone(), needed)),
-                    needed,
-                    "Duato-Pbc",
-                )
-            }
-            EscapeKind::Nbc => {
-                let needed = (ctx.mesh().max_negative_hops_bound() + 1) as u8;
-                assert!(
-                    budget > needed,
-                    "Duato-Nbc needs > {} VCs, got {}",
-                    needed,
-                    budget
-                );
-                (
-                    Escape::Nbc(Nbc::new(ctx.clone(), needed)),
-                    needed,
-                    "Duato-Nbc",
-                )
-            }
-        };
-        Duato {
-            ctx,
-            escape,
-            escape_vcs,
-            budget,
-            name,
-        }
-    }
-
-    /// Number of class-II (escape) VCs.
-    pub fn escape_vcs(&self) -> u8 {
-        self.escape_vcs
-    }
-
-    /// Number of class-I (adaptive) VCs.
-    pub fn adaptive_vcs(&self) -> u8 {
-        self.budget - self.escape_vcs
-    }
-
-    fn adaptive_mask(&self) -> VcMask {
-        VcMask::range(self.escape_vcs, self.budget - 1)
-    }
-
-    /// The dimension-order (XY) direction toward `dest` from `node`.
-    fn xy_direction(&self, node: NodeId, dest: NodeId) -> Option<Direction> {
-        let mesh = self.ctx.mesh();
-        let (c, d) = (mesh.coord(node), mesh.coord(dest));
-        if d.x > c.x {
-            Some(Direction::East)
-        } else if d.x < c.x {
-            Some(Direction::West)
-        } else if d.y > c.y {
-            Some(Direction::North)
-        } else if d.y < c.y {
-            Some(Direction::South)
-        } else {
-            None
-        }
-    }
-}
-
-impl BaseRouting for Duato {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn base_vcs(&self) -> u8 {
-        self.budget
-    }
-
-    fn init_message(&self, src: NodeId, dest: NodeId) -> MessageState {
-        match &self.escape {
-            Escape::Xy => MessageState::new(src, dest),
-            Escape::Pbc(p) => p.init_message(src, dest),
-            Escape::Nbc(n) => n.init_message(src, dest),
-        }
-    }
-
-    fn candidates(&self, node: NodeId, st: &mut MessageState) -> Candidates {
-        let adaptive = self.adaptive_mask();
-        let mut out = Candidates::none();
-        // Class I: any minimal direction.
-        for dir in self.ctx.mesh().minimal_directions(node, st.dest).iter() {
-            out.push(CandidateHop {
-                dir,
-                preferred: adaptive,
-                fallback: VcMask::EMPTY,
-            });
-        }
-        // Class II: the escape discipline's candidates, demoted to fallback.
-        match &self.escape {
-            Escape::Xy => {
-                if let Some(dir) = self.xy_direction(node, st.dest) {
-                    out.push(CandidateHop {
-                        dir,
-                        preferred: VcMask::EMPTY,
-                        fallback: VcMask::range(0, 1),
-                    });
-                }
-            }
-            Escape::Pbc(p) => {
-                for h in p.candidates(node, st).iter() {
-                    out.push(CandidateHop {
-                        dir: h.dir,
-                        preferred: VcMask::EMPTY,
-                        fallback: h.preferred,
-                    });
-                }
-            }
-            Escape::Nbc(n) => {
-                for h in n.candidates(node, st).iter() {
-                    out.push(CandidateHop {
-                        dir: h.dir,
-                        preferred: VcMask::EMPTY,
-                        fallback: h.preferred,
-                    });
-                }
-            }
-        }
-        out
-    }
-
-    fn on_normal_hop(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        dir: Direction,
-        vc: u8,
-        st: &mut MessageState,
-    ) {
-        if vc < self.escape_vcs {
-            // Escape hop: let the escape discipline keep its class ladder.
-            match &self.escape {
-                Escape::Xy => st.normal_hops += 1,
-                Escape::Pbc(p) => p.on_normal_hop(from, to, dir, vc, st),
-                Escape::Nbc(n) => n.on_normal_hop(from, to, dir, vc, st),
-            }
-        } else {
-            // Adaptive hop: count hops (and negative hops, which raise the
-            // Nbc class floor) without advancing the escape class.
-            st.normal_hops += 1;
-            if let Escape::Nbc(n) = &self.escape {
-                let mesh = self.ctx.mesh();
-                if mesh.color(from) > mesh.color(to) {
-                    st.negative_hops = (st.negative_hops + 1).min(n.num_classes() - 1);
-                }
-            }
-        }
-    }
-
-    fn context(&self) -> &RoutingContext {
-        &self.ctx
+/// An escape hop climbs the escape ladder; an adaptive hop only counts
+/// (negative hops still raise the Nbc class floor).
+pub(crate) fn on_hop(
+    mesh: &Mesh,
+    escape: Option<&Ladder>,
+    from: NodeId,
+    to: NodeId,
+    vc: u8,
+    st: &mut MessageState,
+) {
+    match escape {
+        Some(ladder) if vc < ladder.vcs() => ladder.on_hop(mesh, from, to, vc, st),
+        Some(ladder) => ladder.count(mesh, from, to, st),
+        None => st.normal_hops += 1,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AlgorithmKind, BoppanaChalasani, RoutingAlgorithm, RoutingContext};
+    use std::sync::Arc;
     use wormsim_fault::FaultPattern;
-    use wormsim_topology::Mesh;
+    use wormsim_topology::{Direction, Mesh};
 
     fn ctx() -> Arc<RoutingContext> {
         let mesh = Mesh::square(10);
@@ -243,11 +111,11 @@ mod tests {
 
     #[test]
     fn vc_splits_match_paper() {
-        let d = Duato::new(ctx(), 20, EscapeKind::Xy);
+        let d = BoppanaChalasani::paper(AlgorithmKind::Duato, ctx());
         assert_eq!((d.escape_vcs(), d.adaptive_vcs()), (2, 18));
-        let d = Duato::new(ctx(), 20, EscapeKind::Pbc);
+        let d = BoppanaChalasani::paper(AlgorithmKind::DuatoPbc, ctx());
         assert_eq!((d.escape_vcs(), d.adaptive_vcs()), (19, 1));
-        let d = Duato::new(ctx(), 20, EscapeKind::Nbc);
+        let d = BoppanaChalasani::paper(AlgorithmKind::DuatoNbc, ctx());
         assert_eq!((d.escape_vcs(), d.adaptive_vcs()), (10, 10));
     }
 
@@ -255,7 +123,7 @@ mod tests {
     fn adaptive_preferred_escape_fallback() {
         let c = ctx();
         let mesh = c.mesh().clone();
-        let d = Duato::new(c, 20, EscapeKind::Xy);
+        let d = BoppanaChalasani::paper(AlgorithmKind::Duato, c);
         let mut st = d.init_message(mesh.node(0, 0), mesh.node(5, 5));
         let cands = d.candidates(mesh.node(0, 0), &mut st);
         // Two minimal dirs; East additionally carries the XY escape.
@@ -272,7 +140,7 @@ mod tests {
     fn xy_escape_prefers_x_dimension_first() {
         let c = ctx();
         let mesh = c.mesh().clone();
-        let d = Duato::new(c, 20, EscapeKind::Xy);
+        let d = BoppanaChalasani::paper(AlgorithmKind::Duato, c);
         // Same column → escape goes along Y.
         let mut st = d.init_message(mesh.node(4, 2), mesh.node(4, 8));
         let cands = d.candidates(mesh.node(4, 2), &mut st);
@@ -284,7 +152,7 @@ mod tests {
     fn duato_nbc_escape_mask_is_class_scaled() {
         let c = ctx();
         let mesh = c.mesh().clone();
-        let d = Duato::new(c, 20, EscapeKind::Nbc);
+        let d = BoppanaChalasani::paper(AlgorithmKind::DuatoNbc, c);
         // src color 0, dest distance 1 on color 1 → required 0, bonus 9.
         let mut st = d.init_message(mesh.node(0, 0), mesh.node(1, 0));
         let cands = d.candidates(mesh.node(0, 0), &mut st);
@@ -299,7 +167,7 @@ mod tests {
     fn escape_hop_advances_class_adaptive_hop_does_not() {
         let c = ctx();
         let mesh = c.mesh().clone();
-        let d = Duato::new(c, 20, EscapeKind::Pbc);
+        let d = BoppanaChalasani::paper(AlgorithmKind::DuatoPbc, c);
         let mut st = d.init_message(mesh.node(0, 0), mesh.node(3, 0));
         // Adaptive hop (vc 19).
         d.on_normal_hop(
@@ -327,7 +195,7 @@ mod tests {
     fn adaptive_hop_still_raises_nbc_class_floor() {
         let c = ctx();
         let mesh = c.mesh().clone();
-        let d = Duato::new(c, 20, EscapeKind::Nbc);
+        let d = BoppanaChalasani::paper(AlgorithmKind::DuatoNbc, c);
         let mut st = d.init_message(mesh.node(1, 0), mesh.node(3, 0));
         // (1,0) is color 1 → hop to (2,0) color 0 is negative, taken on an
         // adaptive VC.
@@ -345,7 +213,7 @@ mod tests {
     fn at_destination_no_escape_candidate() {
         let c = ctx();
         let mesh = c.mesh().clone();
-        let d = Duato::new(c, 20, EscapeKind::Xy);
+        let d = BoppanaChalasani::paper(AlgorithmKind::Duato, c);
         let n = mesh.node(3, 3);
         let mut st = d.init_message(n, n);
         let cands = d.candidates(n, &mut st);

@@ -13,180 +13,141 @@
 //!   `1 + ⌊n(k−1)/2⌋` classes — 10 on a 10×10 mesh, so with the same VC
 //!   budget each class gets 2 VCs (paper §5: "12 classes … 2 virtual
 //!   channels" arithmetic normalized to 10 × 2 + 4 BC = 24).
+//!
+//! One [`Ladder`] serves both, their bonus-card variants (`cards`, see
+//! `bonus_cards.rs`) and the escape class of Duato-Pbc and Duato-Nbc.
 
-use crate::context::RoutingContext;
 use crate::state::{Candidates, MessageState, VcMask};
-use crate::traits::BaseRouting;
-use std::sync::Arc;
-use wormsim_topology::{Direction, NodeId};
+use wormsim_topology::{Mesh, NodeId};
 
-/// Positive-Hop routing: buffer class = hops taken.
-pub struct PHop {
-    ctx: Arc<RoutingContext>,
-    /// Number of hop classes (`diameter + 1`).
-    classes: u8,
+/// A ladder of buffer classes, climbed by hops (PHop, Pbc) or by negative
+/// hops (NHop, Nbc). Class `c` owns VCs `c·vcs_per_class ..
+/// (c+1)·vcs_per_class`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Ladder {
+    /// Whether the class counts negative hops (NHop) rather than hops (PHop).
+    pub(crate) negative: bool,
+    /// Whether bonus cards widen the class range (Pbc, Nbc).
+    pub(crate) cards: bool,
+    /// Number of classes: `diameter + 1` for hops, `1 + ⌊n(k−1)/2⌋` for
+    /// negative hops.
+    pub(crate) classes: u8,
+    /// VCs per class.
+    pub(crate) vcs_per_class: u8,
 }
 
-impl PHop {
-    /// Build with `budget` base VCs; requires `budget ≥ diameter + 1`.
-    pub fn new(ctx: Arc<RoutingContext>, budget: u8) -> Self {
-        let classes = (ctx.mesh().diameter() + 1) as u8;
-        assert!(
-            budget >= classes,
-            "PHop needs {} VCs (diameter+1), got {}",
-            classes,
-            budget
-        );
-        PHop { ctx, classes }
-    }
-
-    /// Number of hop classes.
-    pub fn num_classes(&self) -> u8 {
-        self.classes
-    }
-
-    /// The class the next hop must use, clamped to the top class (clamping
-    /// only engages for messages lengthened past the diameter by f-ring
-    /// detours; see DESIGN.md §3.3).
-    fn next_class(&self, st: &MessageState) -> u8 {
-        (st.normal_hops.min(self.classes as u16 - 1)) as u8
-    }
-}
-
-impl BaseRouting for PHop {
-    fn name(&self) -> &'static str {
-        "PHop"
-    }
-
-    fn base_vcs(&self) -> u8 {
-        self.classes
-    }
-
-    fn init_message(&self, src: NodeId, dest: NodeId) -> MessageState {
-        MessageState::new(src, dest)
-    }
-
-    fn candidates(&self, node: NodeId, st: &mut MessageState) -> Candidates {
-        let mask = VcMask::bit(self.next_class(st));
-        let mut out = Candidates::none();
-        for dir in self.ctx.mesh().minimal_directions(node, st.dest).iter() {
-            out.push_simple(dir, mask);
-        }
-        out
-    }
-
-    fn on_normal_hop(
-        &self,
-        _from: NodeId,
-        _to: NodeId,
-        _dir: Direction,
-        _vc: u8,
-        st: &mut MessageState,
-    ) {
-        st.normal_hops += 1;
-    }
-
-    fn context(&self) -> &RoutingContext {
-        &self.ctx
-    }
-}
-
-/// Negative-Hop routing: buffer class = negative hops taken.
-pub struct NHop {
-    ctx: Arc<RoutingContext>,
-    /// Number of negative-hop classes (`1 + ⌈diameter/2⌉`... computed from
-    /// the mesh's checkerboard bound).
-    classes: u8,
-    /// VCs per class (`budget / classes`, paper: 2).
-    vcs_per_class: u8,
-}
-
-impl NHop {
-    /// Build with `budget` base VCs; requires `budget ≥ classes`. Extra
-    /// budget is spread evenly: `vcs_per_class = budget / classes`.
-    pub fn new(ctx: Arc<RoutingContext>, budget: u8) -> Self {
-        let classes = (ctx.mesh().max_negative_hops_bound() + 1) as u8;
-        assert!(
-            budget >= classes,
-            "NHop needs {} VCs, got {}",
-            classes,
-            budget
-        );
-        let vcs_per_class = budget / classes;
-        NHop {
-            ctx,
-            classes,
-            vcs_per_class,
+impl Ladder {
+    /// The ladder on `mesh`, one VC per class.
+    pub(crate) fn new(mesh: &Mesh, negative: bool, cards: bool) -> Ladder {
+        let top = if negative {
+            mesh.max_negative_hops_bound()
+        } else {
+            mesh.diameter()
+        };
+        Ladder {
+            negative,
+            cards,
+            classes: (top + 1) as u8,
+            vcs_per_class: 1,
         }
     }
 
-    /// Number of negative-hop classes.
-    pub fn num_classes(&self) -> u8 {
-        self.classes
+    /// Spread a base budget evenly over the classes (NHop and Nbc: 20 VCs
+    /// over 10 classes is 2 per class). PHop keeps one VC per class and
+    /// leaves its spare VCs idle, as the paper's 19 of 20 does.
+    pub(crate) fn spread(self, budget: u8) -> Ladder {
+        Ladder {
+            vcs_per_class: budget / self.classes,
+            ..self
+        }
     }
 
-    /// VCs allotted to each class.
-    pub fn vcs_per_class(&self) -> u8 {
-        self.vcs_per_class
-    }
-
-    fn class_mask(&self, class: u8) -> VcMask {
-        let lo = class * self.vcs_per_class;
-        VcMask::range(lo, lo + self.vcs_per_class - 1)
-    }
-
-    fn next_class(&self, st: &MessageState) -> u8 {
-        st.negative_hops.min(self.classes - 1)
-    }
-}
-
-impl BaseRouting for NHop {
-    fn name(&self) -> &'static str {
-        "NHop"
-    }
-
-    fn base_vcs(&self) -> u8 {
+    /// VCs the ladder occupies.
+    pub(crate) fn vcs(&self) -> u8 {
         self.classes * self.vcs_per_class
     }
 
-    fn init_message(&self, src: NodeId, dest: NodeId) -> MessageState {
-        MessageState::new(src, dest)
+    /// Fresh state for a message from `src` to `dest`, holding its bonus
+    /// cards when the ladder deals them.
+    pub(crate) fn init(&self, mesh: &Mesh, src: NodeId, dest: NodeId) -> MessageState {
+        let mut st = MessageState::new(src, dest);
+        if self.cards {
+            st.bonus = self.bonus(mesh, src, dest);
+        }
+        st
     }
 
-    fn candidates(&self, node: NodeId, st: &mut MessageState) -> Candidates {
-        let mask = self.class_mask(self.next_class(st));
+    /// The VCs the next hop may use. Without cards the class is the count
+    /// of (negative) hops taken, clamped to the top class: clamping only
+    /// engages for messages lengthened past the diameter by f-ring detours
+    /// (DESIGN.md §3.3).
+    pub(crate) fn mask(&self, st: &MessageState) -> VcMask {
+        let (lo, hi) = if self.cards {
+            self.card_range(st)
+        } else {
+            let need = self.counted(st).min(u32::from(self.classes - 1)) as u8;
+            (need, need)
+        };
+        VcMask::range(lo * self.vcs_per_class, (hi + 1) * self.vcs_per_class - 1)
+    }
+
+    /// Every minimal direction, on the class range of [`Ladder::mask`].
+    pub(crate) fn candidates(&self, mesh: &Mesh, node: NodeId, st: &MessageState) -> Candidates {
+        let mask = self.mask(st);
         let mut out = Candidates::none();
-        for dir in self.ctx.mesh().minimal_directions(node, st.dest).iter() {
+        for dir in mesh.minimal_directions(node, st.dest).iter() {
             out.push_simple(dir, mask);
         }
         out
     }
 
-    fn on_normal_hop(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        _dir: Direction,
-        _vc: u8,
-        st: &mut MessageState,
-    ) {
+    /// The hops (or negative hops) the class follows.
+    pub(crate) fn counted(&self, st: &MessageState) -> u32 {
+        if self.negative {
+            u32::from(st.negative_hops)
+        } else {
+            u32::from(st.normal_hops)
+        }
+    }
+
+    /// Count a normal-mode hop `from → to`: every hop, and the negative
+    /// ones on a negative-hop ladder. Duato's class-I hops count this way
+    /// too, without climbing the escape ladder.
+    pub(crate) fn count(&self, mesh: &Mesh, from: NodeId, to: NodeId, st: &mut MessageState) {
         st.normal_hops += 1;
-        let mesh = self.ctx.mesh();
-        if mesh.color(from) > mesh.color(to) {
+        if self.negative && mesh.color(from) > mesh.color(to) {
             st.negative_hops = (st.negative_hops + 1).min(self.classes - 1);
         }
     }
 
-    fn context(&self) -> &RoutingContext {
-        &self.ctx
+    /// Commit a normal-mode hop on ladder VC `vc`.
+    pub(crate) fn on_hop(
+        &self,
+        mesh: &Mesh,
+        from: NodeId,
+        to: NodeId,
+        vc: u8,
+        st: &mut MessageState,
+    ) {
+        self.count(mesh, from, to, st);
+        if self.cards {
+            // The floor of the next hop: the class above the one just used
+            // on a hop ladder, but the same class on a negative-hop ladder,
+            // so Nbc may stay in its class after a negative hop and close a
+            // cycle (ROADMAP.md, C4 (a)).
+            let class = vc / self.vcs_per_class;
+            st.next_class_min = (class + u8::from(!self.negative)).min(self.classes - 1);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AlgorithmKind, BoppanaChalasani, RoutingAlgorithm, RoutingContext};
+    use std::sync::Arc;
     use wormsim_fault::FaultPattern;
-    use wormsim_topology::Mesh;
+    use wormsim_topology::{Direction, Mesh};
 
     fn ctx() -> Arc<RoutingContext> {
         let mesh = Mesh::square(10);
@@ -198,7 +159,7 @@ mod tests {
 
     #[test]
     fn phop_class_counts() {
-        let p = PHop::new(ctx(), 20);
+        let p = BoppanaChalasani::paper(AlgorithmKind::PHop, ctx());
         assert_eq!(p.num_classes(), 19); // paper: n(k-1)+1 = 19
         assert_eq!(p.base_vcs(), 19);
     }
@@ -206,14 +167,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "PHop needs")]
     fn phop_insufficient_budget_panics() {
-        PHop::new(ctx(), 10);
+        crate::build_algorithm(AlgorithmKind::PHop, ctx(), crate::VcConfig::with_total(14));
     }
 
     #[test]
     fn phop_uses_class_equal_to_hops() {
         let c = ctx();
         let mesh = c.mesh().clone();
-        let p = PHop::new(c, 20);
+        let p = BoppanaChalasani::paper(AlgorithmKind::PHop, c);
         let mut st = p.init_message(mesh.node(0, 0), mesh.node(3, 3));
         let cands = p.candidates(mesh.node(0, 0), &mut st);
         assert_eq!(cands.len(), 2);
@@ -246,7 +207,7 @@ mod tests {
     fn phop_class_clamps_at_top() {
         let c = ctx();
         let mesh = c.mesh().clone();
-        let p = PHop::new(c, 20);
+        let p = BoppanaChalasani::paper(AlgorithmKind::PHop, c);
         let mut st = p.init_message(mesh.node(0, 0), mesh.node(9, 9));
         st.normal_hops = 40; // pretend heavy detours
         let cands = p.candidates(mesh.node(5, 5), &mut st);
@@ -257,7 +218,7 @@ mod tests {
 
     #[test]
     fn nhop_class_counts() {
-        let n = NHop::new(ctx(), 20);
+        let n = BoppanaChalasani::paper(AlgorithmKind::NHop, ctx());
         assert_eq!(n.num_classes(), 10); // paper: 1 + floor(n(k-1)/2) = 10
         assert_eq!(n.vcs_per_class(), 2);
         assert_eq!(n.base_vcs(), 20);
@@ -267,7 +228,7 @@ mod tests {
     fn nhop_counts_only_negative_hops() {
         let c = ctx();
         let mesh = c.mesh().clone();
-        let n = NHop::new(c, 20);
+        let n = BoppanaChalasani::paper(AlgorithmKind::NHop, c);
         let mut st = n.init_message(mesh.node(0, 0), mesh.node(9, 9));
         // (0,0) has color 0 → first hop (to color 1) is non-negative.
         n.on_normal_hop(
@@ -298,7 +259,7 @@ mod tests {
     fn nhop_minimal_directions_only() {
         let c = ctx();
         let mesh = c.mesh().clone();
-        let n = NHop::new(c, 20);
+        let n = BoppanaChalasani::paper(AlgorithmKind::NHop, c);
         let mut st = n.init_message(mesh.node(5, 5), mesh.node(2, 5));
         let cands = n.candidates(mesh.node(5, 5), &mut st);
         assert_eq!(cands.len(), 1);
@@ -311,7 +272,7 @@ mod tests {
         // the class count.
         let c = ctx();
         let mesh = c.mesh().clone();
-        let n = NHop::new(c, 20);
+        let n = BoppanaChalasani::paper(AlgorithmKind::NHop, c);
         let (src, dest) = (mesh.node(1, 0), mesh.node(9, 9));
         let mut st = n.init_message(src, dest);
         let mut cur = src;

@@ -20,9 +20,13 @@
 //! | Boura (Adaptive) | basic | 2 × 10-VC Y-partitioned virtual networks + 4 BC |
 //! | Boura (Fault-Tolerant) | comparison | Boura (Adaptive)'s networks + node labeling, detouring on the BC overlay |
 //!
-//! Every algorithm implements [`RoutingAlgorithm`]; the simulation engine is
-//! algorithm-agnostic. Use [`build_algorithm`] to construct any roster entry
-//! bound to a [`RoutingContext`] (mesh + fault pattern + f-rings + labeling).
+//! One router serves them all: [`BoppanaChalasani`], the BC overlay over a
+//! base enum with one variant per family (the class ladder of the hop-based
+//! and bonus-card schemes, Duato's tiers, free VC choice, Boura's networks,
+//! and the turn models), is the crate's one [`RoutingAlgorithm`]; the
+//! simulation engine is algorithm-agnostic. Use [`build_algorithm`] to
+//! construct any roster entry bound to a [`RoutingContext`] (mesh + fault
+//! pattern + f-rings + labeling).
 //!
 //! ```
 //! use std::sync::Arc;
@@ -54,16 +58,10 @@ mod state;
 mod traits;
 mod turn_model;
 
-pub use adaptive::{FullyAdaptive, MinimalAdaptive};
-pub use bonus_cards::{Nbc, Pbc};
 pub use boppana_chalasani::BoppanaChalasani;
-pub use boura::{BouraAdaptive, BouraFaultTolerant};
 pub use context::RoutingContext;
-pub use duato::{Duato, EscapeKind};
-pub use hop_based::{NHop, PHop};
 pub use state::{CandidateHop, Candidates, MessageState, MessageType, RingState, VcMask};
-pub use traits::{BaseRouting, RoutingAlgorithm};
-pub use turn_model::{DimensionOrder, TurnModel, TurnModelKind};
+pub use traits::RoutingAlgorithm;
 
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -205,9 +203,10 @@ impl VcConfig {
 /// The minimum total VC count (base + BC overlay) `kind` requires on
 /// `mesh`, saturating at `u8::MAX` (no VC budget reaches it, so a mesh
 /// that large reads as infeasible instead of wrapping to a small number).
-/// Used by the runner, the `trace` binary and the VC-budget and mesh-size
-/// ablations to reject infeasible combinations before a constructor
-/// asserts on them.
+/// The only place the minimums live: [`build_algorithm`] asserts against
+/// it, and the runner, the `trace` binary and the VC-budget and mesh-size
+/// ablations call it to reject infeasible combinations as typed errors
+/// first.
 pub fn min_total_vcs(kind: AlgorithmKind, mesh: &wormsim_topology::Mesh, bc_vcs: u8) -> u8 {
     let classes = |hops: u32| u8::try_from(hops + 1).unwrap_or(u8::MAX);
     let phop_classes = classes(mesh.diameter());
@@ -235,6 +234,11 @@ pub fn min_total_vcs(kind: AlgorithmKind, mesh: &wormsim_topology::Mesh, bc_vcs:
 /// Chalasani"). `BouraFaultTolerant` adds its node labeling on top: unsafe
 /// nodes become a fallback tier, and the detour around a fault region is
 /// the overlay's f-ring traversal (DESIGN.md §3.4).
+///
+/// # Panics
+///
+/// When `cfg` is below [`min_total_vcs`] for `kind` on the context's mesh,
+/// gives the overlay fewer than 4 VCs, or exceeds 32 VCs.
 pub fn build_algorithm(
     kind: AlgorithmKind,
     ctx: Arc<RoutingContext>,
@@ -242,43 +246,14 @@ pub fn build_algorithm(
 ) -> Box<dyn RoutingAlgorithm> {
     assert!(cfg.total as u32 <= 32, "VcMask supports at most 32 VCs");
     assert!(cfg.bc_vcs <= cfg.total);
-    let base_budget = cfg.total - cfg.bc_vcs;
-    let bc = move |base: Box<dyn BaseRouting>| -> Box<dyn RoutingAlgorithm> {
-        Box::new(BoppanaChalasani::new(base, base_budget, cfg.bc_vcs))
-    };
-    match kind {
-        AlgorithmKind::PHop => bc(Box::new(PHop::new(ctx, base_budget))),
-        AlgorithmKind::NHop => bc(Box::new(NHop::new(ctx, base_budget))),
-        AlgorithmKind::Pbc => bc(Box::new(Pbc::new(ctx, base_budget))),
-        AlgorithmKind::Nbc => bc(Box::new(Nbc::new(ctx, base_budget))),
-        AlgorithmKind::Duato => bc(Box::new(Duato::new(ctx, base_budget, EscapeKind::Xy))),
-        AlgorithmKind::DuatoPbc => bc(Box::new(Duato::new(ctx, base_budget, EscapeKind::Pbc))),
-        AlgorithmKind::DuatoNbc => bc(Box::new(Duato::new(ctx, base_budget, EscapeKind::Nbc))),
-        AlgorithmKind::MinimalAdaptive => bc(Box::new(MinimalAdaptive::new(ctx, base_budget))),
-        AlgorithmKind::FullyAdaptive => bc(Box::new(FullyAdaptive::new(
-            ctx,
-            base_budget,
-            cfg.misroute_limit,
-        ))),
-        AlgorithmKind::BouraAdaptive => bc(Box::new(BouraAdaptive::new(ctx, base_budget))),
-        AlgorithmKind::BouraFaultTolerant => {
-            bc(Box::new(BouraFaultTolerant::new(ctx, base_budget)))
-        }
-        AlgorithmKind::Xy => bc(Box::new(DimensionOrder::new(ctx, base_budget))),
-        AlgorithmKind::WestFirst => bc(Box::new(TurnModel::new(
-            ctx,
-            base_budget,
-            TurnModelKind::WestFirst,
-        ))),
-        AlgorithmKind::NorthLast => bc(Box::new(TurnModel::new(
-            ctx,
-            base_budget,
-            TurnModelKind::NorthLast,
-        ))),
-        AlgorithmKind::NegativeFirst => bc(Box::new(TurnModel::new(
-            ctx,
-            base_budget,
-            TurnModelKind::NegativeFirst,
-        ))),
-    }
+    assert!(cfg.bc_vcs >= 4, "the BC scheme needs 4 additional VCs");
+    let needed = min_total_vcs(kind, ctx.mesh(), cfg.bc_vcs);
+    assert!(
+        cfg.total >= needed,
+        "{} needs {} VCs, got {}",
+        kind.paper_name(),
+        needed,
+        cfg.total
+    );
+    Box::new(BoppanaChalasani::new(kind, ctx, cfg))
 }

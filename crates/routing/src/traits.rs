@@ -1,6 +1,5 @@
-//! The routing traits the engine consumes.
+//! The routing trait the engine consumes.
 
-use crate::context::RoutingContext;
 use crate::state::{Candidates, MessageState};
 use wormsim_topology::{Direction, NodeId};
 
@@ -53,48 +52,4 @@ pub trait RoutingAlgorithm: Send + Sync {
     fn recheck_wait(&self) -> Option<u32> {
         None
     }
-
-    /// The routing context this instance is bound to.
-    fn context(&self) -> &RoutingContext;
-}
-
-/// A *base* routing discipline: produces candidates assuming the fault
-/// handling is someone else's job. The Boppana–Chalasani overlay turns a
-/// base into a full [`RoutingAlgorithm`].
-///
-/// Contract: `candidates` may assume the message is **not** blocked by
-/// faults (the wrapper has already checked); it must still only propose
-/// directions whose neighbor exists. The wrapper filters out candidates
-/// leading into faulty nodes.
-pub trait BaseRouting: Send + Sync {
-    /// Display name of the fortified algorithm.
-    fn name(&self) -> &'static str;
-
-    /// Number of VCs the base discipline uses (excludes overlay VCs).
-    fn base_vcs(&self) -> u8;
-
-    /// Initialize base-specific state fields (bonus cards etc.).
-    fn init_message(&self, src: NodeId, dest: NodeId) -> MessageState;
-
-    /// Candidates for a normal-mode hop at `node`.
-    fn candidates(&self, node: NodeId, st: &mut MessageState) -> Candidates;
-
-    /// Commit bookkeeping for a normal-mode hop.
-    fn on_normal_hop(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        dir: Direction,
-        vc: u8,
-        st: &mut MessageState,
-    );
-
-    /// Base-discipline counterpart of
-    /// [`RoutingAlgorithm::recheck_wait`]; wrappers delegate to it.
-    fn recheck_wait(&self) -> Option<u32> {
-        None
-    }
-
-    /// The bound routing context.
-    fn context(&self) -> &RoutingContext;
 }

@@ -1,205 +1,74 @@
 //! Deterministic and turn-model baselines (extensions beyond the paper's
 //! roster, used by the ablation experiments).
 //!
-//! - [`DimensionOrder`] — deterministic XY routing: the canonical
-//!   non-adaptive baseline.
-//! - [`TurnModel`] — the Glass–Ni partially adaptive algorithms
-//!   (west-first, north-last, negative-first). Each forbids just enough
-//!   turns to break all dependency cycles, so they are deadlock-free with
-//!   **any** number of VCs per channel and need no buffer classes.
+//! - Deterministic dimension-order (XY) routing: the canonical
+//!   non-adaptive baseline, and the escape discipline of Duato's routing.
+//! - The Glass–Ni partially adaptive algorithms (west-first, north-last,
+//!   negative-first). Each forbids just enough turns to break all
+//!   dependency cycles, so they are deadlock-free with **any** number of
+//!   VCs per channel and need no buffer classes.
 //!
 //! All of them expose the full base VC budget as one free pool; the BC
 //! overlay fortifies them for fault tolerance like any other base.
 
-use crate::context::RoutingContext;
 use crate::state::{Candidates, MessageState, VcMask};
-use crate::traits::BaseRouting;
-use std::sync::Arc;
-use wormsim_topology::{Direction, DirectionSet, NodeId};
+use wormsim_topology::{Direction, DirectionSet, Mesh, NodeId};
 
-/// Deterministic dimension-order (XY) routing.
-pub struct DimensionOrder {
-    ctx: Arc<RoutingContext>,
-    vcs: u8,
-}
-
-impl DimensionOrder {
-    /// Build with `budget` base VCs (all equivalent).
-    pub fn new(ctx: Arc<RoutingContext>, budget: u8) -> Self {
-        assert!(budget >= 1);
-        DimensionOrder { ctx, vcs: budget }
-    }
-}
-
-impl BaseRouting for DimensionOrder {
-    fn name(&self) -> &'static str {
-        "XY (dimension-order)"
-    }
-
-    fn base_vcs(&self) -> u8 {
-        self.vcs
-    }
-
-    fn init_message(&self, src: NodeId, dest: NodeId) -> MessageState {
-        MessageState::new(src, dest)
-    }
-
-    fn candidates(&self, node: NodeId, st: &mut MessageState) -> Candidates {
-        let mesh = self.ctx.mesh();
-        let (c, d) = (mesh.coord(node), mesh.coord(st.dest));
-        let dir = if d.x > c.x {
-            Some(Direction::East)
-        } else if d.x < c.x {
-            Some(Direction::West)
-        } else if d.y > c.y {
-            Some(Direction::North)
-        } else if d.y < c.y {
-            Some(Direction::South)
-        } else {
-            None
-        };
-        let mut out = Candidates::none();
-        if let Some(dir) = dir {
-            out.push_simple(dir, VcMask::range(0, self.vcs - 1));
-        }
-        out
-    }
-
-    fn on_normal_hop(
-        &self,
-        _from: NodeId,
-        _to: NodeId,
-        _dir: Direction,
-        _vc: u8,
-        st: &mut MessageState,
-    ) {
-        st.normal_hops += 1;
-    }
-
-    fn context(&self) -> &RoutingContext {
-        &self.ctx
-    }
-}
-
-/// Which Glass–Ni turn model to apply.
+/// XY, or which Glass–Ni turn model to apply.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TurnModelKind {
+pub(crate) enum TurnModelKind {
+    /// Dimension order: X to completion, then Y.
+    Xy,
     /// All westward hops first; fully adaptive among {E, N, S} afterward.
     WestFirst,
-    /// Northward hops only once no other productive direction remains.
+    /// Northward hops only once no other productive direction remains
+    /// (turning out of north is forbidden, so enter it last).
     NorthLast,
     /// All negative-direction hops (W, S) first, then positive (E, N).
     NegativeFirst,
 }
 
 impl TurnModelKind {
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            TurnModelKind::WestFirst => "West-First",
-            TurnModelKind::NorthLast => "North-Last",
-            TurnModelKind::NegativeFirst => "Negative-First",
+    /// The minimal directions this routing permits: those of its first
+    /// directions that make progress, or all of `minimal` once none does.
+    pub(crate) fn permitted(self, minimal: DirectionSet) -> DirectionSet {
+        let first: &[Direction] = match self {
+            TurnModelKind::Xy => &[Direction::East, Direction::West],
+            TurnModelKind::WestFirst => &[Direction::West],
+            TurnModelKind::NorthLast => &[Direction::East, Direction::West, Direction::South],
+            TurnModelKind::NegativeFirst => &[Direction::West, Direction::South],
+        };
+        let first = minimal.intersect(first.iter().copied().collect());
+        if first.is_empty() {
+            minimal
+        } else {
+            first
         }
     }
 }
 
-/// A Glass–Ni partially adaptive turn-model routing.
-pub struct TurnModel {
-    ctx: Arc<RoutingContext>,
+/// The permitted directions, each on all `vcs` VCs.
+pub(crate) fn candidates(
+    mesh: &Mesh,
     vcs: u8,
     kind: TurnModelKind,
-}
-
-impl TurnModel {
-    /// Build with `budget` base VCs (one free pool).
-    pub fn new(ctx: Arc<RoutingContext>, budget: u8, kind: TurnModelKind) -> Self {
-        assert!(budget >= 1);
-        TurnModel {
-            ctx,
-            vcs: budget,
-            kind,
-        }
+    node: NodeId,
+    st: &MessageState,
+) -> Candidates {
+    let mask = VcMask::range(0, vcs - 1);
+    let permitted = kind.permitted(mesh.minimal_directions(node, st.dest));
+    let mut out = Candidates::none();
+    for dir in permitted.iter() {
+        out.push_simple(dir, mask);
     }
-
-    /// The minimal directions the turn model permits at this step.
-    fn allowed_directions(&self, node: NodeId, dest: NodeId) -> DirectionSet {
-        let minimal = self.ctx.mesh().minimal_directions(node, dest);
-        match self.kind {
-            TurnModelKind::WestFirst => {
-                // Any westward progress must be completed before turning.
-                if minimal.contains(Direction::West) {
-                    let mut west = DirectionSet::empty();
-                    west.insert(Direction::West);
-                    west
-                } else {
-                    minimal
-                }
-            }
-            TurnModelKind::NorthLast => {
-                // North only when it is the sole productive direction
-                // (turning out of north is forbidden, so enter it last).
-                let mut non_north = minimal;
-                non_north.remove(Direction::North);
-                if non_north.is_empty() {
-                    minimal
-                } else {
-                    non_north
-                }
-            }
-            TurnModelKind::NegativeFirst => {
-                let negative =
-                    minimal.intersect([Direction::West, Direction::South].into_iter().collect());
-                if negative.is_empty() {
-                    minimal
-                } else {
-                    negative
-                }
-            }
-        }
-    }
-}
-
-impl BaseRouting for TurnModel {
-    fn name(&self) -> &'static str {
-        self.kind.name()
-    }
-
-    fn base_vcs(&self) -> u8 {
-        self.vcs
-    }
-
-    fn init_message(&self, src: NodeId, dest: NodeId) -> MessageState {
-        MessageState::new(src, dest)
-    }
-
-    fn candidates(&self, node: NodeId, st: &mut MessageState) -> Candidates {
-        let mask = VcMask::range(0, self.vcs - 1);
-        let mut out = Candidates::none();
-        for dir in self.allowed_directions(node, st.dest).iter() {
-            out.push_simple(dir, mask);
-        }
-        out
-    }
-
-    fn on_normal_hop(
-        &self,
-        _from: NodeId,
-        _to: NodeId,
-        _dir: Direction,
-        _vc: u8,
-        st: &mut MessageState,
-    ) {
-        st.normal_hops += 1;
-    }
-
-    fn context(&self) -> &RoutingContext {
-        &self.ctx
-    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AlgorithmKind, BoppanaChalasani, RoutingAlgorithm, RoutingContext};
+    use std::sync::Arc;
     use wormsim_fault::FaultPattern;
     use wormsim_topology::Mesh;
 
@@ -215,7 +84,7 @@ mod tests {
     fn xy_routes_x_then_y() {
         let c = ctx();
         let mesh = c.mesh().clone();
-        let xy = DimensionOrder::new(c, 20);
+        let xy = BoppanaChalasani::paper(AlgorithmKind::Xy, c);
         let mut st = xy.init_message(mesh.node(2, 2), mesh.node(6, 7));
         let cands = xy.candidates(mesh.node(2, 2), &mut st);
         assert_eq!(cands.len(), 1);
@@ -234,7 +103,7 @@ mod tests {
     fn west_first_forces_west_before_turning() {
         let c = ctx();
         let mesh = c.mesh().clone();
-        let wf = TurnModel::new(c, 20, TurnModelKind::WestFirst);
+        let wf = BoppanaChalasani::paper(AlgorithmKind::WestFirst, c);
         // Destination south-west: west first, exclusively.
         let mut st = wf.init_message(mesh.node(7, 7), mesh.node(2, 2));
         let cands = wf.candidates(mesh.node(7, 7), &mut st);
@@ -250,7 +119,7 @@ mod tests {
     fn north_last_defers_north() {
         let c = ctx();
         let mesh = c.mesh().clone();
-        let nl = TurnModel::new(c, 20, TurnModelKind::NorthLast);
+        let nl = BoppanaChalasani::paper(AlgorithmKind::NorthLast, c);
         // North-east destination: only East until the column matches.
         let mut st = nl.init_message(mesh.node(2, 2), mesh.node(7, 7));
         let cands = nl.candidates(mesh.node(2, 2), &mut st);
@@ -270,7 +139,7 @@ mod tests {
     fn negative_first_orders_phases() {
         let c = ctx();
         let mesh = c.mesh().clone();
-        let nf = TurnModel::new(c, 20, TurnModelKind::NegativeFirst);
+        let nf = BoppanaChalasani::paper(AlgorithmKind::NegativeFirst, c);
         // Mixed destination (west + north): negative (west) phase first.
         let mut st = nf.init_message(mesh.node(7, 2), mesh.node(2, 7));
         let cands = nf.candidates(mesh.node(7, 2), &mut st);

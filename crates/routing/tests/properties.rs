@@ -7,7 +7,10 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use wormsim_fault::FaultPattern;
-use wormsim_routing::{build_algorithm, min_total_vcs, AlgorithmKind, RoutingContext, VcConfig};
+use wormsim_routing::{
+    build_algorithm, min_total_vcs, AlgorithmKind, CandidateHop, Candidates, MessageState,
+    RoutingAlgorithm, RoutingContext, VcConfig,
+};
 use wormsim_topology::{Mesh, NodeId};
 
 fn context(seed: u64, faults: usize) -> Option<Arc<RoutingContext>> {
@@ -237,5 +240,154 @@ fn min_total_vcs_saturates_instead_of_wrapping() {
     assert_eq!(
         min_total_vcs(AlgorithmKind::DuatoNbc, &Mesh::square(64), 4),
         69
+    );
+}
+
+/// FNV-1a, fed one little-endian `u64` at a time.
+struct Fnv(u64);
+
+impl Fnv {
+    fn eat(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn candidates(&mut self, cands: &Candidates) {
+        self.eat(cands.len() as u64);
+        for h in cands.iter() {
+            self.eat(h.dir as u64);
+            self.eat(u64::from(h.preferred.0));
+            self.eat(u64::from(h.fallback.0));
+        }
+    }
+
+    fn state(&mut self, st: &MessageState) {
+        for v in [
+            u64::from(st.src.0),
+            u64::from(st.dest.0),
+            u64::from(st.hops),
+            u64::from(st.normal_hops),
+            u64::from(st.negative_hops),
+            u64::from(st.bonus),
+            u64::from(st.next_class_min),
+            u64::from(st.misroutes),
+            u64::from(st.wait_cycles),
+            st.last_dir.map_or(9, |d| d as u64),
+        ] {
+            self.eat(v);
+        }
+        match st.ring {
+            None => self.eat(u64::MAX),
+            Some(r) => {
+                for v in [
+                    r.ring as u64,
+                    u64::from(r.pos),
+                    r.orient as u64,
+                    r.mtype as u64,
+                    u64::from(r.entry_distance),
+                ] {
+                    self.eat(v);
+                }
+            }
+        }
+    }
+}
+
+/// Walk `src → dest` greedily and hash every decision on the way: each
+/// `route()` output and each state after `on_hop`. The walk takes the
+/// first non-empty tier (preferred over fallback); `highest` takes that
+/// tier's last direction and highest VC, otherwise its first direction and
+/// lowest VC. `wait` is written into the state before every `route()`.
+fn hash_walk(
+    h: &mut Fnv,
+    algo: &dyn RoutingAlgorithm,
+    mesh: &Mesh,
+    (src, dest): (NodeId, NodeId),
+    highest: bool,
+    wait: u32,
+) {
+    let mut st = algo.init_message(src, dest);
+    h.state(&st);
+    let mut cur = src;
+    for _ in 0..400 {
+        if cur == dest {
+            return;
+        }
+        st.wait_cycles = wait;
+        let cands = algo.route(cur, &mut st);
+        h.candidates(&cands);
+        let tier = |hop: &CandidateHop| {
+            if cands.iter().any(|c| !c.preferred.is_empty()) {
+                hop.preferred
+            } else {
+                hop.fallback
+            }
+        };
+        let mut usable = cands.iter().filter(|c| !tier(c).is_empty());
+        let pick = if highest {
+            usable.last()
+        } else {
+            usable.next()
+        };
+        let Some(hop) = pick else {
+            return;
+        };
+        let mask = tier(hop);
+        let vc = if highest {
+            mask.iter().last()
+        } else {
+            mask.iter().next()
+        }
+        .unwrap();
+        let next = mesh.neighbor(cur, hop.dir).unwrap();
+        algo.on_hop(cur, next, hop.dir, vc, &mut st);
+        h.state(&st);
+        cur = next;
+    }
+}
+
+/// Every routing decision of every algorithm, pinned: all 15 kinds on the
+/// fault-free mesh and on the audit's two random patterns, two greedy walks
+/// per ordered pair of healthy nodes (lowest and highest VC), plus the same
+/// two walks at `recheck_wait()` where an algorithm has one. A refactor of
+/// the routing functions must leave this hash alone; an intended change of
+/// a decision moves it.
+#[test]
+fn every_routing_decision_is_pinned() {
+    let mesh = Mesh::square(10);
+    let mut patterns = vec![FaultPattern::fault_free(&mesh)];
+    for faults in [5, 10] {
+        let mut rng = SmallRng::seed_from_u64(faults as u64);
+        patterns.push(wormsim_fault::random_pattern(&mesh, faults, &mut rng).unwrap());
+    }
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for pattern in patterns {
+        let ctx = Arc::new(RoutingContext::new(mesh.clone(), pattern));
+        let healthy: Vec<NodeId> = ctx.pattern().healthy_nodes(&mesh).collect();
+        for kind in AlgorithmKind::ALL
+            .into_iter()
+            .chain(AlgorithmKind::EXTENDED_BASELINES)
+        {
+            let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
+            let waits: Vec<u32> = std::iter::once(0).chain(algo.recheck_wait()).collect();
+            for &src in &healthy {
+                for &dest in &healthy {
+                    if src == dest {
+                        continue;
+                    }
+                    for &wait in &waits {
+                        for highest in [false, true] {
+                            hash_walk(&mut h, &*algo, &mesh, (src, dest), highest, wait);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(
+        h.0, 0x78da_bd3d_e61d_afc9,
+        "a routing decision moved: {:#018x}",
+        h.0
     );
 }
