@@ -1,26 +1,62 @@
-//! Regenerate the paper's figures.
+//! Regenerate the paper's figures, the ablation studies and the
+//! dynamic-fault study.
 //!
 //! ```text
 //! cargo run --release -p wormsim-experiments --bin figures -- all --quick
-//! cargo run --release -p wormsim-experiments --bin figures -- fig4
+//! cargo run --release -p wormsim-experiments --bin figures -- fig4 ablation_vc_budget
 //! ```
 //!
-//! Markdown, JSON and CSV land in `results/` (or `--out DIR`); the
-//! Markdown and JSON start with a provenance line, and the Markdown is
-//! also printed.
+//! Each positional name is a study's id, which is also the name of the
+//! files it writes; `all` runs every study. Markdown, JSON and CSV land
+//! in `results/` (or `--out DIR`); the Markdown and JSON start with a
+//! provenance line, and the Markdown is also printed.
 
 use std::io::Write;
 use std::time::Instant;
 use wormsim_experiments::{
-    fig1_saturation_throughput, fig2_latency_vs_rate, fig3_vc_utilization, fig4_fig5_fault_sweep,
-    fig6_fring_traffic, provenance, ExperimentConfig, Progress, Scale,
+    ablation_arbitration, ablation_buffer_depth, ablation_fault_axis, ablation_mesh_size,
+    ablation_message_length, ablation_misroute_limit, ablation_traffic_patterns,
+    ablation_turn_models, ablation_vc_budget, dynamic_faults, fig1_saturation_throughput,
+    fig2_latency_vs_rate, fig3_vc_utilization, fig4_fig5_fault_sweep, fig6_fring_traffic,
+    provenance, ExperimentConfig, FigureResult, Progress, Scale,
 };
 
-const FIGURES: [&str; 6] = ["fig1", "fig2", "fig3", "fig4", "fig5", "fig6"];
+/// Every study id, in `all` order. An id is also the name of the files
+/// the study's result is written to.
+const IDS: &str = "fig1 fig2 fig3 fig4 fig5 fig6 ablation_vc_budget ablation_message_length \
+    ablation_buffer_depth ablation_traffic ablation_misroute ablation_arbitration \
+    ablation_turn_models ablation_mesh_size ablation_fault_axis dynamic_faults";
+
+/// Run the study behind `id`: for `fig4` or `fig5`, the sweep behind both.
+fn study(id: &str, cfg: &ExperimentConfig) -> Vec<FigureResult> {
+    vec![match id {
+        "fig1" => fig1_saturation_throughput(cfg),
+        "fig2" => fig2_latency_vs_rate(cfg),
+        "fig3" => fig3_vc_utilization(cfg),
+        "fig4" | "fig5" => {
+            let (fig4, fig5) = fig4_fig5_fault_sweep(cfg);
+            return vec![fig4, fig5];
+        }
+        "fig6" => fig6_fring_traffic(cfg),
+        "ablation_vc_budget" => ablation_vc_budget(cfg),
+        "ablation_message_length" => ablation_message_length(cfg),
+        "ablation_buffer_depth" => ablation_buffer_depth(cfg),
+        "ablation_traffic" => ablation_traffic_patterns(cfg),
+        "ablation_misroute" => ablation_misroute_limit(cfg),
+        "ablation_arbitration" => ablation_arbitration(cfg),
+        "ablation_turn_models" => ablation_turn_models(cfg),
+        "ablation_mesh_size" => ablation_mesh_size(cfg),
+        "ablation_fault_axis" => ablation_fault_axis(cfg),
+        "dynamic_faults" => dynamic_faults(cfg),
+        _ => unreachable!("{id} is not in IDS"),
+    }]
+}
 
 fn usage() -> ! {
     eprintln!(
-        "usage: figures <fig1|fig2|fig3|fig4|fig5|fig6|all> [--quick] [--plot] [--seed N] [--threads N] [--out DIR] [--quiet]"
+        "usage: figures <{}|all>... [--quick] [--plot] [--seed N] [--threads N] [--out DIR] \
+         [--quiet]",
+        IDS.split_whitespace().collect::<Vec<_>>().join("|")
     );
     std::process::exit(2);
 }
@@ -34,9 +70,6 @@ fn number<T: std::str::FromStr>(value: Option<&String>) -> T {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
     let mut which: Vec<&str> = Vec::new();
     let mut scale = Scale::Paper;
     let mut seed = None;
@@ -47,14 +80,14 @@ fn main() {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            id if FIGURES.contains(&id) => which.push(id),
-            "all" => which.extend(FIGURES),
+            "all" => which.extend(IDS.split_whitespace()),
             "--quick" => scale = Scale::Quick,
             "--plot" => plot = true,
             "--quiet" => quiet = true,
             "--seed" => seed = Some(number(it.next())),
             "--threads" => threads = Some(number(it.next())),
             "--out" => out_dir = it.next().unwrap_or_else(|| usage()).clone(),
+            id if IDS.split_whitespace().any(|known| known == id) => which.push(id),
             _ => usage(),
         }
     }
@@ -78,22 +111,12 @@ fn main() {
         scale, cfg.base_seed, cfg.threads
     ));
     let mut written: Vec<&str> = Vec::new();
-    for &id in &which {
+    for id in IDS.split_whitespace().filter(|id| which.contains(id)) {
         if written.contains(&id) {
             continue;
         }
         let t = Instant::now();
-        let figs = match id {
-            "fig1" => vec![fig1_saturation_throughput(&cfg)],
-            "fig2" => vec![fig2_latency_vs_rate(&cfg)],
-            "fig3" => vec![fig3_vc_utilization(&cfg)],
-            "fig4" | "fig5" => {
-                let (fig4, fig5) = fig4_fig5_fault_sweep(&cfg);
-                vec![fig4, fig5]
-            }
-            "fig6" => vec![fig6_fring_traffic(&cfg)],
-            _ => unreachable!(),
-        };
+        let figs = study(id, &cfg);
         let elapsed = t.elapsed();
         // Figures 4 and 5 come from one sweep: write those that were asked.
         for fig in figs.into_iter().filter(|f| which.contains(&f.id)) {

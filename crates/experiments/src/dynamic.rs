@@ -5,14 +5,14 @@
 //! abort/loss counts, and per-message recovery latency.
 
 use crate::config::ExperimentConfig;
-use crate::figures::FigureResult;
-use crate::runner::{derive_seed, parallel_map_with_progress};
-use crate::table::Table;
+use crate::figures::{algorithm_columns, FigureResult};
+use crate::grid::{mean_finite, Grid};
+use crate::runner::derive_seed;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use wormsim_chaos::{run_chaos, FaultSchedule};
 use wormsim_fault::FaultPattern;
-use wormsim_metrics::SimReport;
+use wormsim_metrics::{RecoveryEvent, SimReport};
 use wormsim_routing::AlgorithmKind;
 use wormsim_topology::Mesh;
 use wormsim_traffic::Workload;
@@ -41,26 +41,14 @@ const ARRIVAL_FRACTIONS: [(u64, &str); 2] = [(25, "25%"), (50, "50%")];
 /// Seed faults injected by the single event of each scenario.
 const FAULT_COUNTS: [usize; 3] = [1, 3, 5];
 
-struct ChaosSpec {
-    schedule: FaultSchedule,
-    kind: AlgorithmKind,
-    seed: u64,
-}
-
-/// Mean of the finite values, NaN when none are.
-fn mean_finite(values: impl Iterator<Item = f64>) -> f64 {
-    let (mut sum, mut n) = (0.0, 0u32);
-    for v in values {
-        if v.is_finite() {
-            sum += v;
-            n += 1;
-        }
-    }
-    if n == 0 {
-        f64::NAN
-    } else {
-        sum / n as f64
-    }
+/// The mean of `value` over every fault event of `runs` (see
+/// [`mean_finite`]).
+fn event_mean(runs: &[SimReport], value: impl Fn(&RecoveryEvent) -> f64) -> f64 {
+    mean_finite(
+        runs.iter()
+            .flat_map(|r| r.recovery.as_ref().expect("chaos run").events())
+            .map(value),
+    )
 }
 
 /// **Dynamic faults** — for each (arrival time, fault count) scenario,
@@ -94,107 +82,70 @@ pub fn dynamic_faults(cfg: &ExperimentConfig) -> FigureResult {
         }
     }
 
-    let mut specs = Vec::new();
-    for (si, (_, schedules)) in scenarios.iter().enumerate() {
-        for (ki, &kind) in DYNAMIC_KINDS.iter().enumerate() {
-            for (pi, schedule) in schedules.iter().enumerate() {
-                specs.push(ChaosSpec {
-                    schedule: schedule.clone(),
-                    kind,
-                    seed: derive_seed(
-                        cfg.base_seed,
-                        21,
-                        (si * DYNAMIC_KINDS.len() + ki) as u64,
-                        pi as u64,
-                    ),
-                });
-            }
-        }
-    }
-    let reports: Vec<SimReport> = parallel_map_with_progress(
-        &specs,
-        cfg.threads,
-        cfg.progress,
+    let grid = Grid::new(
+        scenarios.iter().map(|(label, _)| label),
+        algorithm_columns(&DYNAMIC_KINDS),
+        n_schedules,
+    )
+    .run(
+        cfg,
         "dynamic faults",
-        |spec| {
+        |s, k, p| {
+            let cell = (s * DYNAMIC_KINDS.len() + k) as u64;
+            let seed = derive_seed(cfg.base_seed, 21, cell, p as u64);
+            Some((&scenarios[s].1[p], DYNAMIC_KINDS[k], seed))
+        },
+        |&(schedule, kind, seed)| {
             run_chaos(
                 mesh.clone(),
                 base.clone(),
-                &spec.schedule,
-                spec.kind,
+                schedule,
+                kind,
                 cfg.vc,
                 Workload::paper_uniform(DYNAMIC_RATE),
-                cfg.sim.with_seed(spec.seed),
+                cfg.sim.with_seed(seed),
             )
-            .expect("validated schedule cannot fail at run time")
         },
-    );
+    )
+    .expect("validated schedule cannot fail at run time");
 
-    let columns: Vec<String> = DYNAMIC_KINDS
-        .iter()
-        .map(|k| k.paper_name().to_string())
-        .collect();
-    let mut settle = Table::new(
-        format!(
-            "Post-fault settling time (cycles until the {}-cycle delivered-rate window \
-             recovers to 95% of the pre-fault rate)",
-            cfg.sim.settle_window
+    let axis = "arrival / faults";
+    let tables = vec![
+        grid.reduce(
+            format!(
+                "Post-fault settling time (cycles until the {}-cycle delivered-rate window \
+                 recovers to 95% of the pre-fault rate)",
+                cfg.sim.settle_window
+            ),
+            axis,
+            |runs| event_mean(runs, |e| e.settle_cycles.map_or(f64::NAN, |c| c as f64)),
         ),
-        "arrival / faults",
-        columns.clone(),
-    );
-    let mut latency = Table::new(
-        "Mean recovery latency of aborted messages (abort to delivery, cycles)",
-        "arrival / faults",
-        columns.clone(),
-    );
-    let mut aborted = Table::new(
-        "Messages aborted and re-injected per fault event (mean)",
-        "arrival / faults",
-        columns.clone(),
-    );
-    let mut lost = Table::new(
-        "Messages permanently lost per fault event (dead endpoint, mean)",
-        "arrival / faults",
-        columns.clone(),
-    );
-    let mut thr = Table::new(
-        "Normalized delivered throughput over the whole measurement window",
-        "arrival / faults",
-        columns.clone(),
-    );
-
-    let mut idx = 0;
-    for (label, schedules) in &scenarios {
-        let mut rows: Vec<Vec<f64>> = vec![Vec::new(); 5];
-        for _ki in 0..DYNAMIC_KINDS.len() {
-            let runs = &reports[idx..idx + schedules.len()];
-            idx += schedules.len();
-            let events = || {
-                runs.iter()
-                    .flat_map(|r| r.recovery.as_ref().expect("chaos run").events())
-            };
-            rows[0].push(mean_finite(
-                events().map(|e| e.settle_cycles.map_or(f64::NAN, |c| c as f64)),
-            ));
-            rows[1].push(mean_finite(
-                events().map(|e| e.mean_recovery_latency().unwrap_or(f64::NAN)),
-            ));
-            rows[2].push(mean_finite(events().map(|e| e.aborted as f64)));
-            rows[3].push(mean_finite(events().map(|e| e.lost as f64)));
-            rows[4].push(mean_finite(runs.iter().map(|r| r.normalized_throughput())));
-        }
-        thr.push_row(label.clone(), rows.pop().expect("throughput row"));
-        lost.push_row(label.clone(), rows.pop().expect("lost row"));
-        aborted.push_row(label.clone(), rows.pop().expect("aborted row"));
-        latency.push_row(label.clone(), rows.pop().expect("latency row"));
-        settle.push_row(label.clone(), rows.pop().expect("settle row"));
-    }
+        grid.reduce(
+            "Mean recovery latency of aborted messages (abort to delivery, cycles)",
+            axis,
+            |runs| event_mean(runs, |e| e.mean_recovery_latency().unwrap_or(f64::NAN)),
+        ),
+        grid.reduce(
+            "Messages aborted and re-injected per fault event (mean)",
+            axis,
+            |runs| event_mean(runs, |e| e.aborted as f64),
+        ),
+        grid.reduce(
+            "Messages permanently lost per fault event (dead endpoint, mean)",
+            axis,
+            |runs| event_mean(runs, |e| e.lost as f64),
+        ),
+        grid.table(
+            "Normalized delivered throughput over the whole measurement window",
+            axis,
+            SimReport::normalized_throughput,
+        ),
+    ];
 
     FigureResult {
         id: "dynamic_faults",
         title: "Dynamic faults: in-flight recovery and re-convergence".into(),
-        tables: vec![settle, latency, aborted, lost, thr],
+        tables,
         notes: vec![
             format!(
                 "rate {DYNAMIC_RATE} (below saturation on both sides of the event), \

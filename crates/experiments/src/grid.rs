@@ -1,0 +1,110 @@
+//! The one shape every study has: rows × columns × replicas of runs, fanned
+//! out in one batch, then reduced to tables.
+//!
+//! A study names its rows (the swept axis) and columns (usually the
+//! algorithms), and supplies one closure that builds the work item of a
+//! cell's replica (its own seed formula included) and one that runs it.
+//! `None` skips that replica; a cell with no runs reads NaN.
+//!
+//! Only crate-root names are imported, so the `sweep` binary compiles this
+//! same file as its own module.
+
+use crate::{parallel_map_with_progress, ExperimentConfig, Table};
+use wormsim_metrics::SimReport;
+
+/// A study's runs: one report list per (row, column) cell.
+pub(crate) struct Grid {
+    rows: Vec<String>,
+    columns: Vec<String>,
+    replicas: usize,
+    /// Row-major; each cell holds its replicas' reports in replica order.
+    cells: Vec<Vec<SimReport>>,
+}
+
+impl Grid {
+    /// The layout: row labels, column names and replicas per cell.
+    pub(crate) fn new<L: ToString>(
+        rows: impl IntoIterator<Item = L>,
+        columns: Vec<String>,
+        replicas: usize,
+    ) -> Grid {
+        Grid {
+            rows: rows.into_iter().map(|r| r.to_string()).collect(),
+            columns,
+            replicas,
+            cells: Vec::new(),
+        }
+    }
+
+    /// Build every cell's items with `spec(row, column, replica)` and run
+    /// them in one [`parallel_map_with_progress`] batch tagged `label`.
+    /// The first error in row, column, replica order is returned.
+    pub(crate) fn run<S: Sync, E: Send>(
+        mut self,
+        cfg: &ExperimentConfig,
+        label: &str,
+        spec: impl Fn(usize, usize, usize) -> Option<S>,
+        run: impl Fn(&S) -> Result<SimReport, E> + Sync,
+    ) -> Result<Grid, E> {
+        let (mut items, mut owners) = (Vec::new(), Vec::new());
+        for r in 0..self.rows.len() {
+            for c in 0..self.columns.len() {
+                for p in 0..self.replicas {
+                    if let Some(item) = spec(r, c, p) {
+                        items.push(item);
+                        owners.push(r * self.columns.len() + c);
+                    }
+                }
+            }
+        }
+        let reports = parallel_map_with_progress(&items, cfg.threads, cfg.progress, label, run);
+        self.cells = (0..self.rows.len() * self.columns.len())
+            .map(|_| Vec::new())
+            .collect();
+        for (cell, report) in owners.into_iter().zip(reports) {
+            self.cells[cell].push(report?);
+        }
+        Ok(self)
+    }
+
+    /// The reports of one cell, in replica order (empty if skipped).
+    pub(crate) fn cell(&self, row: usize, column: usize) -> &[SimReport] {
+        &self.cells[row * self.columns.len() + column]
+    }
+
+    /// One row per grid row, one column per grid column: each cell's mean
+    /// of `value` over its runs (see [`mean_finite`]).
+    pub(crate) fn table(
+        &self,
+        title: impl Into<String>,
+        axis: &str,
+        value: impl Fn(&SimReport) -> f64,
+    ) -> Table {
+        self.reduce(title, axis, |runs| mean_finite(runs.iter().map(&value)))
+    }
+
+    /// [`Grid::table`] with a reducer over a cell's whole report list.
+    pub(crate) fn reduce(
+        &self,
+        title: impl Into<String>,
+        axis: &str,
+        cell: impl Fn(&[SimReport]) -> f64,
+    ) -> Table {
+        let mut table = Table::new(title, axis, self.columns.clone());
+        for (r, label) in self.rows.iter().enumerate() {
+            let values = (0..self.columns.len()).map(|c| cell(self.cell(r, c)));
+            table.push_row(label.clone(), values.collect());
+        }
+        table
+    }
+}
+
+/// The mean of the finite `values`, NaN when none is: a run that
+/// delivered nothing has no latency, and a skipped cell has no runs.
+pub(crate) fn mean_finite(values: impl IntoIterator<Item = f64>) -> f64 {
+    let (sum, n) = values
+        .into_iter()
+        .filter(|v| v.is_finite())
+        .fold((0.0, 0u32), |(sum, n), v| (sum + v, n + 1));
+    sum / n as f64
+}

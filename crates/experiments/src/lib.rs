@@ -24,6 +24,7 @@ mod config;
 mod dynamic;
 mod figures;
 mod fingerprint;
+mod grid;
 mod runner;
 mod table;
 

@@ -4,21 +4,28 @@
 
 use std::process::Command;
 
-fn rejects(bin: &str, args: &[&str]) {
+/// Runs `bin` on `args`, asserts exit 2 with a message and no panic, and
+/// returns the message.
+fn rejects(bin: &str, args: &[&str]) -> String {
     let out = Command::new(bin).args(args).output().expect("binary runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
     assert!(!stderr.contains("panicked at"), "{bin} {args:?}: {stderr}");
     assert!(!stderr.trim().is_empty(), "{bin} {args:?} says nothing");
+    stderr
 }
 
 #[test]
 fn bad_flag_values_exit_2_without_panicking() {
     let sweep = env!("CARGO_BIN_EXE_sweep");
     rejects(sweep, &["--mesh", "abc"]);
-    rejects(env!("CARGO_BIN_EXE_figures"), &["fig1", "--threads", "x"]);
-    rejects(env!("CARGO_BIN_EXE_ablations"), &["all", "--seed", "x"]);
-    rejects(env!("CARGO_BIN_EXE_dynamic_faults"), &["--seed", "x"]);
+    let figures = env!("CARGO_BIN_EXE_figures");
+    rejects(figures, &["fig1", "--threads", "x"]);
+    rejects(figures, &["ablation_vc_budget", "--seed", "x"]);
+    rejects(figures, &["dynamic_faults", "--seed", "x"]);
+    // A study is named by its results file: the short names are retired.
+    let usage = rejects(figures, &["vc_budget"]);
+    assert!(usage.starts_with("usage: figures"), "{usage}");
     rejects(env!("CARGO_BIN_EXE_trace"), &["--cycles", "x"]);
     // Parses, but Duato-Nbc needs 15 VCs on a 10×10 mesh: a `ConfigError`.
     rejects(sweep, &["--algo", "duato-nbc", "--vcs", "4", "--quiet"]);

@@ -99,7 +99,10 @@ fn committed_figures_are_the_paper_scale_run() {
         .flatten()
     {
         let name = entry.file_name().to_string_lossy().into_owned();
-        if !(name.starts_with("fig") && (name.ends_with(".md") || name.ends_with(".json"))) {
+        let study = ["fig", "ablation_", "dynamic_faults."]
+            .iter()
+            .any(|prefix| name.starts_with(prefix));
+        if !(study && (name.ends_with(".md") || name.ends_with(".json"))) {
             continue;
         }
         figures += 1;
@@ -110,11 +113,15 @@ fn committed_figures_are_the_paper_scale_run() {
             "results/{name}: provenance header {header:?} does not say Paper scale"
         );
     }
-    assert_eq!(figures, 12, "fig1–fig6, one .md and one .json each");
+    assert_eq!(
+        figures, 32,
+        "fig1–fig6, nine ablations and dynamic_faults, one .md and one .json each"
+    );
 }
 
-/// Every decimal number in a `## Figure` section of EXPERIMENTS.md is, at
-/// its printed precision, a number in a `results/` file the section links
+/// Every decimal number in a `## Figure` section of EXPERIMENTS.md, and in
+/// its "Extensions" and "Dynamic-fault harness" sections, is, at its
+/// printed precision, a number in a `results/` file the section links
 /// (section signs such as §5.2 are references, not data).
 #[test]
 fn figure_sections_quote_only_linked_numbers() {
@@ -122,7 +129,11 @@ fn figure_sections_quote_only_linked_numbers() {
     let text = std::fs::read_to_string(root.join("EXPERIMENTS.md")).expect("doc is readable");
     let mut unsupported = Vec::new();
     let mut sections = 0;
-    for section in text.split("\n## ").filter(|s| s.starts_with("Figure ")) {
+    let quoting = ["Figure ", "Extensions ", "Dynamic-fault harness "];
+    for section in text
+        .split("\n## ")
+        .filter(|s| quoting.iter().any(|q| s.starts_with(q)))
+    {
         sections += 1;
         let heading = section.lines().next().unwrap_or_default();
         let linked: Vec<f64> = section
@@ -152,7 +163,10 @@ fn figure_sections_quote_only_linked_numbers() {
             }
         }
     }
-    assert_eq!(sections, 6, "EXPERIMENTS.md has one section per figure");
+    assert_eq!(
+        sections, 8,
+        "EXPERIMENTS.md has one section per figure, Extensions and Dynamic-fault harness"
+    );
     assert!(
         unsupported.is_empty(),
         "numbers in no linked results file: {unsupported:#?}"

@@ -8,7 +8,10 @@
 
 use std::sync::OnceLock;
 use wormsim_experiments::{
-    fig1_saturation_throughput, fig3_vc_utilization, fig4_fig5_fault_sweep, fig6_fring_traffic,
+    ablation_arbitration, ablation_buffer_depth, ablation_fault_axis, ablation_mesh_size,
+    ablation_message_length, ablation_misroute_limit, ablation_traffic_patterns,
+    ablation_turn_models, ablation_vc_budget, dynamic_faults, fig1_saturation_throughput,
+    fig2_latency_vs_rate, fig3_vc_utilization, fig4_fig5_fault_sweep, fig6_fring_traffic, fnv1a,
     ExperimentConfig, FigureResult, Scale,
 };
 
@@ -177,4 +180,63 @@ fn fig6_rings_become_hotspots() {
             "{base}: the busiest node should be on an f-ring"
         );
     }
+}
+
+/// Every study's output, byte for byte: each `FigureResult`'s JSON at a
+/// tiny schedule (100 + 400 cycles, one fault set, two threads), hashed
+/// with FNV-1a. The orderings above tolerate noise; this pins the seeds,
+/// the spec grids and the reductions, so a refactor of the harness that
+/// moves one cell fails here.
+#[test]
+fn every_study_is_pinned() {
+    let mut cfg = ExperimentConfig::new(Scale::Quick).with_threads(2);
+    cfg.sim.warmup_cycles = 100;
+    cfg.sim.measure_cycles = 400;
+    cfg.fault_patterns = 1;
+    let (fig4, fig5) = fig4_fig5_fault_sweep(&cfg);
+    let studies = [
+        fig1_saturation_throughput(&cfg),
+        fig2_latency_vs_rate(&cfg),
+        fig3_vc_utilization(&cfg),
+        fig4,
+        fig5,
+        fig6_fring_traffic(&cfg),
+        ablation_vc_budget(&cfg),
+        ablation_message_length(&cfg),
+        ablation_buffer_depth(&cfg),
+        ablation_traffic_patterns(&cfg),
+        ablation_misroute_limit(&cfg),
+        ablation_arbitration(&cfg),
+        ablation_turn_models(&cfg),
+        ablation_mesh_size(&cfg),
+        ablation_fault_axis(&cfg),
+        dynamic_faults(&cfg),
+    ];
+    let got: Vec<(&str, String)> = studies
+        .iter()
+        .map(|fig| {
+            let json = serde_json::to_string(fig).expect("figure serializes");
+            (fig.id, format!("{:016x}", fnv1a(json.as_bytes())))
+        })
+        .collect();
+    let want = [
+        ("fig1", "e99b616aa6c5ec0e"),
+        ("fig2", "f89a2a8d0c7b8d54"),
+        ("fig3", "8ee2a4b0ad3b69a4"),
+        ("fig4", "7cc5e98e5bc991e9"),
+        ("fig5", "5e9415a4d4700ebf"),
+        ("fig6", "eec7bd38e9b48602"),
+        ("ablation_vc_budget", "b23883cfb136aff2"),
+        ("ablation_message_length", "9a47374c97f1acf3"),
+        ("ablation_buffer_depth", "80410292f9c72cff"),
+        ("ablation_traffic", "9ab9e660f35a3ffc"),
+        ("ablation_misroute", "490a2d7be3c4042d"),
+        ("ablation_arbitration", "5965339e3b91c83c"),
+        ("ablation_turn_models", "f9b534a84bd0a700"),
+        ("ablation_mesh_size", "96f1ff24a8903a4a"),
+        ("ablation_fault_axis", "4c9f72eb0441da1c"),
+        ("dynamic_faults", "fc8258ce749fa476"),
+    ];
+    let want: Vec<(&str, String)> = want.map(|(id, hash)| (id, hash.to_string())).into();
+    assert_eq!(got, want, "a study's output moved");
 }
