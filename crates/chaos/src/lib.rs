@@ -26,8 +26,9 @@
 //! schedule itself, the traffic, the arbitration choices, and the recovery
 //! protocol all draw from seeded PRNGs or iterate in fixed order, so two
 //! runs produce byte-identical [`SimReport`]s (asserted in the engine's
-//! `chaos_runs_are_byte_identical_for_a_seed` test and by the
-//! `dynamic_faults --check-determinism` experiment flag).
+//! `chaos_runs_are_byte_identical_for_a_seed` test; the workspace's
+//! `golden_fingerprints::chaos_schedule` test pins one such report,
+//! `RecoveryStats` included, to a recorded fingerprint).
 
 #![forbid(unsafe_code)]
 
