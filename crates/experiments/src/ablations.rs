@@ -7,8 +7,8 @@
 
 use crate::config::ExperimentConfig;
 use crate::figures::{
-    algorithm_columns, fault_case_grid, fault_patterns, fault_set_note, paper_52_layout,
-    FigureResult, ANALYSIS_RATE, FULL_LOAD_RATE,
+    algorithm_columns, fault_case_grid, fault_patterns, fault_set_note, fig4_cases, fig4_fig5,
+    paper_52_layout, FaultCase, FigureResult, ANALYSIS_RATE, FULL_LOAD_RATE,
 };
 use crate::grid::Grid;
 use crate::runner::{derive_seed, run_custom, CustomSpec};
@@ -440,6 +440,34 @@ fn exactly_unavailable<R: Rng>(mesh: &Mesh, k: usize, rng: &mut R) -> (FaultPatt
 /// rows repeat Figure 4's runs) and "exactly k nodes unavailable after
 /// the closure". Same algorithms, load and traffic seeds.
 pub fn ablation_fault_axis(cfg: &ExperimentConfig) -> FigureResult {
+    let (cases, notes) = fault_axis_cases(cfg);
+    fault_axis(&fault_case_grid(cfg, &cases), notes)
+}
+
+/// Figures 4 and 5 and the fault-axis ablation from one grid. The
+/// ablation's "seeds" rows draw Figure 4's 5 % and 10 % fault sets with
+/// Figure 4's seeds, so here Figure 4's rows serve them and only the
+/// "exact" rows run on top: equal to [`fig4_fig5_fault_sweep`] and
+/// [`ablation_fault_axis`] run apart, for five rows of runs instead of
+/// seven.
+///
+/// [`fig4_fig5_fault_sweep`]: crate::fig4_fig5_fault_sweep
+pub fn fault_sweep_and_axis(cfg: &ExperimentConfig) -> [FigureResult; 3] {
+    let (axis, notes) = fault_axis_cases(cfg);
+    let labels: Vec<String> = axis.iter().map(|(label, _, _)| label.clone()).collect();
+    // Rows 0–2: 0 %, 5 %, 10 % seeds; rows 3–4: 5 % and 10 % exact.
+    let mut cases = fig4_cases(cfg);
+    cases.extend(axis.into_iter().skip(1).step_by(2));
+    let grid = fault_case_grid(cfg, &cases);
+    let fig4_rows = cases[..3].iter().enumerate().map(|(r, c)| (r, c.0.clone()));
+    let (fig4, fig5) = fig4_fig5(&grid.select(fig4_rows), &cases[..3]);
+    let axis = fault_axis(&grid.select([1, 3, 2, 4].into_iter().zip(labels)), notes);
+    [fig4, fig5, axis]
+}
+
+/// The fault-axis cases in table order (5 % seeds, 5 % exact, 10 % seeds,
+/// 10 % exact) and the study's notes.
+fn fault_axis_cases(cfg: &ExperimentConfig) -> (Vec<FaultCase>, Vec<String>) {
     let mesh = Mesh::square(cfg.mesh_size);
     let nodes = mesh.num_nodes();
     let mut notes = vec![format!(
@@ -471,10 +499,15 @@ pub fn ablation_fault_axis(cfg: &ExperimentConfig) -> FigureResult {
         cases.push((format!("{pct}% seeds"), k, seeded));
         cases.push((format!("{pct}% exact"), k, exact));
     }
+    (cases, notes)
+}
+
+/// The fault-axis result from the grid of [`fault_axis_cases`].
+fn fault_axis(grid: &Grid, notes: Vec<String>) -> FigureResult {
     FigureResult {
         id: "ablation_fault_axis",
         title: "Ablation: what \"percentage of faulty nodes\" counts".into(),
-        tables: vec![fault_case_grid(cfg, &cases).table(
+        tables: vec![grid.table(
             "Normalized throughput vs percentage of faulty nodes, two readings (100% load)",
             "faults / reading",
             SimReport::normalized_throughput,

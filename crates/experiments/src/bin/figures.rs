@@ -12,13 +12,13 @@
 //! provenance line, and the Markdown is also printed.
 
 use std::io::Write;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use wormsim_experiments::{
     ablation_arbitration, ablation_buffer_depth, ablation_fault_axis, ablation_mesh_size,
     ablation_message_length, ablation_misroute_limit, ablation_traffic_patterns,
-    ablation_turn_models, ablation_vc_budget, dynamic_faults, fig1_saturation_throughput,
-    fig2_latency_vs_rate, fig3_vc_utilization, fig4_fig5_fault_sweep, fig6_fring_traffic,
-    provenance, ExperimentConfig, FigureResult, Progress, Scale,
+    ablation_turn_models, ablation_vc_budget, dynamic_faults, fault_sweep_and_axis,
+    fig1_saturation_throughput, fig2_latency_vs_rate, fig3_vc_utilization, fig4_fig5_fault_sweep,
+    fig6_fring_traffic, provenance, ExperimentConfig, FigureResult, Progress, Scale,
 };
 
 /// Every study id, in `all` order. An id is also the name of the files
@@ -27,12 +27,17 @@ const IDS: &str = "fig1 fig2 fig3 fig4 fig5 fig6 ablation_vc_budget ablation_mes
     ablation_buffer_depth ablation_traffic ablation_misroute ablation_arbitration \
     ablation_turn_models ablation_mesh_size ablation_fault_axis dynamic_faults";
 
-/// Run the study behind `id`: for `fig4` or `fig5`, the sweep behind both.
-fn study(id: &str, cfg: &ExperimentConfig) -> Vec<FigureResult> {
+/// Run the study behind `id`: for `fig4` or `fig5`, the sweep behind both,
+/// which also yields `ablation_fault_axis` when that is `wanted` too (its
+/// "seeds" rows are Figure 4's runs).
+fn study(id: &str, cfg: &ExperimentConfig, wanted: &[&str]) -> Vec<FigureResult> {
     vec![match id {
         "fig1" => fig1_saturation_throughput(cfg),
         "fig2" => fig2_latency_vs_rate(cfg),
         "fig3" => fig3_vc_utilization(cfg),
+        "fig4" | "fig5" if wanted.contains(&"ablation_fault_axis") => {
+            return fault_sweep_and_axis(cfg).into();
+        }
         "fig4" | "fig5" => {
             let (fig4, fig5) = fig4_fig5_fault_sweep(cfg);
             return vec![fig4, fig5];
@@ -110,20 +115,20 @@ fn main() {
         "# wormsim figure reproduction ({:?} scale, seed {}, {} threads)\n",
         scale, cfg.base_seed, cfg.threads
     ));
-    let mut written: Vec<&str> = Vec::new();
+    // Studies run but not yet written, with the time their run took: one
+    // run can serve several ids, and each is written in `IDS` order.
+    let mut ready: Vec<(FigureResult, Duration)> = Vec::new();
     for id in IDS.split_whitespace().filter(|id| which.contains(id)) {
-        if written.contains(&id) {
-            continue;
+        if !ready.iter().any(|(fig, _)| fig.id == id) {
+            let t = Instant::now();
+            let figs = study(id, &cfg, &which);
+            let elapsed = t.elapsed();
+            ready.extend(figs.into_iter().map(|fig| (fig, elapsed)));
         }
-        let t = Instant::now();
-        let figs = study(id, &cfg);
-        let elapsed = t.elapsed();
-        // Figures 4 and 5 come from one sweep: write those that were asked.
-        for fig in figs.into_iter().filter(|f| which.contains(&f.id)) {
-            written.push(fig.id);
-            let md = fig.write(&out_dir, &header, elapsed, plot);
-            progress.out(format_args!("{md}"));
-            let _ = std::io::stdout().flush();
-        }
+        let at = ready.iter().position(|(fig, _)| fig.id == id);
+        let (fig, elapsed) = ready.swap_remove(at.expect("the study yields its own id"));
+        let md = fig.write(&out_dir, &header, elapsed, plot);
+        progress.out(format_args!("{md}"));
+        let _ = std::io::stdout().flush();
     }
 }

@@ -298,14 +298,16 @@ pub fn fig3_vc_utilization(cfg: &ExperimentConfig) -> FigureResult {
     }
 }
 
-/// Every algorithm at 100 % traffic load: one row per `(label, seed
-/// failures, fault sets)` case (at most `cfg.fault_patterns` sets), one
-/// column per algorithm in [`AlgorithmKind::ALL`] order, one replica per
-/// fault set, seeded from Figure 4's stream.
-pub(crate) fn fault_case_grid(
-    cfg: &ExperimentConfig,
-    cases: &[(String, usize, Vec<Arc<FaultPattern>>)],
-) -> Grid {
+/// One row of a fault-case grid: its label, the seed failures, and the
+/// fault sets.
+pub(crate) type FaultCase = (String, usize, Vec<Arc<FaultPattern>>);
+
+/// Every algorithm at 100 % traffic load: one row per case (at most
+/// `cfg.fault_patterns` sets), one column per algorithm in
+/// [`AlgorithmKind::ALL`] order, one replica per fault set, seeded from
+/// Figure 4's stream. A cell's runs depend on its case alone, not on the
+/// other rows.
+pub(crate) fn fault_case_grid(cfg: &ExperimentConfig, cases: &[FaultCase]) -> Grid {
     let kinds = AlgorithmKind::ALL;
     let rows = cases.iter().map(|(label, _, _)| label);
     Grid::new(rows, algorithm_columns(&kinds), cfg.fault_patterns)
@@ -330,14 +332,23 @@ pub(crate) fn fault_case_grid(
 /// 0 %, 5 %, 10 % faulty nodes, 100 % traffic load, averaged over the
 /// shared fault sets. One sweep feeds both figures.
 pub fn fig4_fig5_fault_sweep(cfg: &ExperimentConfig) -> (FigureResult, FigureResult) {
+    let cases = fig4_cases(cfg);
+    fig4_fig5(&fault_case_grid(cfg, &cases), &cases)
+}
+
+/// Figure 4's cases: 0 %, 5 % and 10 % seed failures.
+pub(crate) fn fig4_cases(cfg: &ExperimentConfig) -> Vec<FaultCase> {
     let nodes = cfg.mesh_size as usize * cfg.mesh_size as usize;
-    let cases: Vec<_> = [0, nodes / 20, nodes / 10]
+    [0, nodes / 20, nodes / 10]
         .map(|faults| {
             let label = format!("{}%", faults * 100 / nodes);
             (label, faults, fault_patterns(cfg, faults, 4))
         })
-        .into();
-    let grid = fault_case_grid(cfg, &cases);
+        .into()
+}
+
+/// Figures 4 and 5 from the grid of [`fig4_cases`].
+pub(crate) fn fig4_fig5(grid: &Grid, cases: &[FaultCase]) -> (FigureResult, FigureResult) {
     let set_notes: Vec<String> = cases[1..]
         .iter()
         .map(|(label, _, patterns)| fault_set_note(label, patterns))

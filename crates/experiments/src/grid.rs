@@ -67,6 +67,25 @@ impl Grid {
         Ok(self)
     }
 
+    /// A grid of the picked `(row, label)` rows, in pick order, each
+    /// relabelled: how studies that share runs take their rows of one
+    /// grid. (`sweep`, which compiles this file too, shares no runs.)
+    #[allow(dead_code)]
+    pub(crate) fn select<L: ToString>(&self, rows: impl IntoIterator<Item = (usize, L)>) -> Grid {
+        let (mut labels, mut cells) = (Vec::new(), Vec::new());
+        for (r, label) in rows {
+            labels.push(label.to_string());
+            let row = r * self.columns.len()..(r + 1) * self.columns.len();
+            cells.extend(self.cells[row].iter().cloned());
+        }
+        Grid {
+            rows: labels,
+            columns: self.columns.clone(),
+            replicas: self.replicas,
+            cells,
+        }
+    }
+
     /// The reports of one cell, in replica order (empty if skipped).
     pub(crate) fn cell(&self, row: usize, column: usize) -> &[SimReport] {
         &self.cells[row * self.columns.len() + column]

@@ -31,7 +31,7 @@ mod table;
 pub use ablations::{
     ablation_arbitration, ablation_buffer_depth, ablation_fault_axis, ablation_mesh_size,
     ablation_message_length, ablation_misroute_limit, ablation_traffic_patterns,
-    ablation_turn_models, ablation_vc_budget,
+    ablation_turn_models, ablation_vc_budget, fault_sweep_and_axis,
 };
 pub use config::{parse_algorithm, ExperimentConfig, Scale};
 pub use dynamic::{dynamic_faults, DYNAMIC_KINDS, DYNAMIC_RATE};

@@ -2,9 +2,10 @@
 //!
 //! Every thread that runs simulations — a sweep's caller, the scoped
 //! threads [`parallel_map`] spawns for one batch, the serving layer's
-//! dispatcher — parks one `Simulator` in a thread-local and rewinds it
-//! with [`Simulator::reset`] between runs. The caller's simulator stays
-//! warm across batches; a helper lives for one batch and builds its own.
+//! lanes — parks one `Simulator` in a thread-local and rewinds it with
+//! [`Simulator::reset`] between runs. The caller's simulator stays warm
+//! across batches and a serving lane's until shutdown; a `parallel_map`
+//! helper lives for one batch and builds its own.
 //! The routing context and the algorithm instance are built per run:
 //! both are O(nodes) and cost microseconds against runs of milliseconds.
 

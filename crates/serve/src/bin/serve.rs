@@ -9,8 +9,12 @@
 //! Binds the address (default `127.0.0.1:7420`; port `0` lets the OS
 //! pick), prints one `listening on <addr>` line to stdout so scripts can
 //! scrape the port, and serves until a client sends a `Shutdown` frame —
-//! then drains every admitted request, joins the dispatcher, and prints
-//! the final counters as one JSON line.
+//! then drains every admitted request, joins the lanes and the
+//! dispatcher, and prints the final counters as one JSON line.
+//!
+//! `--threads N` is the most simulations that run at once (default: one
+//! per core), each on a lane the dispatcher starts when a job is queued
+//! while every lane is busy.
 //!
 //! With `--metrics-jsonl PATH`, a background emitter appends one
 //! [`MetricsFrame`](wormsim_obs::MetricsFrame) JSON line to `PATH` every

@@ -2,9 +2,10 @@
 //!
 //! The simulator as a long-running service. A `serve` process binds a
 //! TCP port, accepts length-prefixed JSON frames (see [`protocol`]), and
-//! runs simulation requests in batches with the batch harness's own
-//! fan-out, [`wormsim_experiments::parallel_map`]; the dispatcher's parked
-//! simulator stays warm across thousands of requests.
+//! runs each simulation job on a *lane*: a thread the dispatcher starts
+//! on demand, up to one per core, that pops the oldest queued job the
+//! moment it is free and keeps its parked simulator warm across thousands
+//! of requests.
 //!
 //! What the service guarantees:
 //!
@@ -24,7 +25,7 @@
 //!   `backpressure`) instead of hanging; malformed specs and
 //!   engine-rejected configurations come back as `bad_spec` / `config`.
 //! - **Graceful drain.** Shutdown answers every admitted request, then
-//!   joins the dispatcher.
+//!   joins the lanes and the dispatcher.
 //!
 //! - **A scrapeable metric surface.** Every counter, gauge, and latency
 //!   histogram lives in a lock-free [`MetricsRegistry`](wormsim_obs::MetricsRegistry)
@@ -35,7 +36,7 @@
 //!
 //! Crate layout: [`protocol`] (framing + wire vocabulary), [`intern`]
 //! (fault-pattern interning so a repeated fault list is validated once),
-//! [`scheduler`] (dedup, cache, quotas, dispatcher), [`metrics`]
+//! [`scheduler`] (dedup, cache, quotas, dispatcher and lanes), [`metrics`]
 //! (counters, gauges, latency histograms, periodic emitter), [`server`]
 //! (TCP plumbing), [`client`] (blocking client used by the soak and
 //! process tests, `wormbench`, and scripts).

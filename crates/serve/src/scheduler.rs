@@ -15,20 +15,24 @@
 //!   for the oldest.
 //! - **dedup join** — an identical job is already queued or running;
 //!   the request attaches as a waiter and shares the one execution.
-//! - **new** — the job enters the queue for the dispatcher.
+//! - **new** — the job enters the queue for the lanes.
 //!
-//! The dispatcher thread drains the queue in batches and fans each batch
-//! out with [`parallel_map`], the sweep harness's own fan-out: it runs
-//! jobs itself, on the simulator it keeps warm across batches, plus as
-//! many scoped threads as the batch can use. A job whose simulation
-//! panics is answered with `code: "internal"`; the rest of its batch runs
-//! on. Admission control happens before any of this: a client past its
-//! in-flight request quota gets `code: "quota"`, and a full job queue
-//! gets `code: "backpressure"`; both are typed rejections, never hangs.
+//! Queued jobs run on *lanes*: scoped threads of the dispatcher, each of
+//! which pops the oldest queued job, runs it, pops again, and parks only
+//! while the queue is empty. The dispatcher starts a lane whenever a job
+//! is queued while every lane is busy, up to [`SchedulerConfig::threads`],
+//! and runs no job itself unless no lane could start at all. Each lane
+//! lives until shutdown with its thread's simulator kept warm, so a job
+//! starts the moment a lane is free, not when some earlier group of jobs
+//! has finished. A job whose simulation panics is answered with
+//! `code: "internal"`; its lane runs on. Admission control happens before
+//! any of this: a client past its in-flight request quota gets
+//! `code: "quota"`, and a full job queue gets `code: "backpressure"`;
+//! both are typed rejections, never hangs.
 //!
 //! Shutdown is a drain: pending jobs finish, their waiters are answered,
-//! then the dispatcher is joined. Submissions racing the shutdown get
-//! `code: "shutting_down"`.
+//! then the lanes and the dispatcher are joined. Submissions racing the
+//! shutdown get `code: "shutting_down"`.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -36,7 +40,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::Instant;
 use wormsim_engine::ConfigError;
-use wormsim_experiments::{parallel_map, report_json_fingerprint, run_custom, CustomSpec};
+use wormsim_experiments::{report_json_fingerprint, run_custom, CustomSpec};
 use wormsim_obs::ProgressFrame;
 
 use crate::metrics::ServeMetrics;
@@ -46,8 +50,8 @@ use crate::protocol::{Emit, Outgoing, Response, RunResult, ServerStats};
 /// deployments.
 #[derive(Clone, Copy, Debug)]
 pub struct SchedulerConfig {
-    /// Threads per batch, the dispatcher included; the rest are scoped
-    /// threads that live for one batch (0 = available parallelism).
+    /// The most jobs that run at once, each on a lane started on demand
+    /// (0 = available parallelism).
     pub threads: usize,
     /// Jobs queued-or-running before new requests are rejected with
     /// `backpressure`.
@@ -142,8 +146,12 @@ struct SchedState {
     /// Queued or running jobs by canonical spec; waiters share the
     /// execution.
     jobs: HashMap<SpecKey, JobEntry>,
-    /// Jobs admitted but not yet resolved (queue + running batch).
+    /// Jobs admitted but not yet resolved (queued + running on a lane).
     pending_jobs: usize,
+    /// Lanes started. A lane runs one job at a time and lives until
+    /// shutdown, so `pending_jobs > lanes` means a queued job has no free
+    /// lane to take it.
+    lanes: usize,
     cache: HashMap<SpecKey, CacheEntry>,
     cache_stamp: u64,
     client_load: HashMap<u64, usize>,
@@ -152,8 +160,13 @@ struct SchedState {
 
 struct Inner {
     cfg: SchedulerConfig,
+    /// `cfg.threads` resolved: the most lanes the dispatcher starts.
+    max_lanes: usize,
     state: Mutex<SchedState>,
+    /// Parked lanes wait here for a queued job.
     work_ready: Condvar,
+    /// The dispatcher waits here for a job no free lane can take.
+    lane_wanted: Condvar,
     /// The full metric surface (counters, gauges, latency histograms);
     /// `ServerStats` is derived from it, so this is the one source of
     /// truth for every count.
@@ -176,15 +189,17 @@ impl Scheduler {
     pub fn new(cfg: SchedulerConfig) -> Self {
         let inner = Arc::new(Inner {
             cfg,
+            max_lanes: cfg.resolved_threads(),
             state: Mutex::new(SchedState::default()),
             work_ready: Condvar::new(),
+            lane_wanted: Condvar::new(),
             metrics: Arc::new(ServeMetrics::new()),
         });
         let dispatcher = {
             let inner = inner.clone();
             thread::Builder::new()
                 .name("wsim-dispatch".into())
-                .spawn(move || inner.dispatcher_loop())
+                .spawn(move || inner.dispatch())
                 .expect("spawn dispatcher")
         };
         Scheduler {
@@ -321,7 +336,15 @@ impl Scheduler {
                     }
                 }
             }
-            inner.work_ready.notify_one();
+            // One wake per queued job, up to one per lane: a parked lane
+            // takes each, and the jobs no free lane can take wake the
+            // dispatcher for new lanes.
+            for _ in 0..new_jobs.min(s.lanes) {
+                inner.work_ready.notify_one();
+            }
+            if s.pending_jobs > s.lanes && s.lanes < inner.max_lanes {
+                inner.lane_wanted.notify_one();
+            }
         }
         for (slot, result) in immediate {
             inner.fill_slot(&req, slot, result, None);
@@ -346,14 +369,15 @@ impl Scheduler {
         self.inner.metrics.clone()
     }
 
-    /// Drain the queue (answering every waiter) and join the dispatcher.
-    /// Idempotent.
+    /// Drain the queue (answering every waiter) and join the lanes and the
+    /// dispatcher. Idempotent.
     pub fn shutdown(&self) {
         {
             let mut s = lock(&self.inner.state);
             s.stop = true;
         }
         self.inner.work_ready.notify_all();
+        self.inner.lane_wanted.notify_all();
         if let Some(h) = lock(&self.dispatcher).take() {
             let _ = h.join();
         }
@@ -366,6 +390,12 @@ impl Scheduler {
     fn bookkeeping_records(&self) -> usize {
         let s = lock(&self.inner.state);
         s.cache.len() + s.jobs.len() + s.queue.len() + s.client_load.len()
+    }
+
+    /// How many lanes have started; none stops before shutdown.
+    #[cfg(test)]
+    fn lanes_started(&self) -> usize {
+        lock(&self.inner.state).lanes
     }
 }
 
@@ -481,7 +511,10 @@ impl Inner {
     }
 
     /// Resolve one executed job: cache the result, detach the waiters,
-    /// and fill their slots.
+    /// and fill their slots. The job leaves `pending_jobs` before any
+    /// waiter is answered, so its lane counts as free from then on: a
+    /// client that submits again on its answer finds that lane, not the
+    /// dispatcher.
     fn resolve_job(self: &Arc<Self>, key: &SpecKey, outcome: Result<Arc<RunResult>, JobError>) {
         self.metrics.jobs_run.inc();
         // Fingerprint integrity is verified once, here at insert time
@@ -549,49 +582,81 @@ impl Inner {
         }
     }
 
-    fn dispatcher_loop(self: Arc<Self>) {
-        let threads = self.cfg.resolved_threads();
-        loop {
-            let batch: Vec<QueuedJob> = {
-                let mut s = lock(&self.state);
-                loop {
-                    if !s.queue.is_empty() {
-                        break;
+    /// Start a lane whenever a job is queued while every lane is busy, up
+    /// to `max_lanes`, and keep the lanes in one scope until shutdown.
+    fn dispatch(self: Arc<Self>) {
+        thread::scope(|scope| {
+            let mut s = lock(&self.state);
+            loop {
+                if s.lanes < self.max_lanes.min(s.pending_jobs) {
+                    // Counted before it runs, so a submit racing the
+                    // spawn does not ask for a second lane for this job.
+                    s.lanes += 1;
+                    drop(s);
+                    let started = thread::Builder::new()
+                        .name("wsim-lane".into())
+                        .spawn_scoped(scope, || self.lane());
+                    s = lock(&self.state);
+                    if started.is_ok() {
+                        continue;
                     }
-                    if s.stop {
-                        return;
-                    }
-                    s = self.work_ready.wait(s).unwrap_or_else(|e| e.into_inner());
+                    // The job stays queued for the lanes that exist; the
+                    // next wake tries again.
+                    s.lanes -= 1;
                 }
-                // Micro-batch: enough to keep every thread busy without
-                // letting one huge sweep starve late-arriving small requests.
-                let n = s.queue.len().min(threads * 4);
-                s.queue.drain(..n).collect()
-            };
-            parallel_map(&batch, threads, |job| {
-                // Pickup: the job's queue wait ends here and its execution
-                // span begins. Both histograms are stamped for failed jobs
-                // too, so their counts stay equal to the number of jobs
-                // dequeued.
-                self.metrics
-                    .queue_wait
-                    .record_duration(job.admitted.elapsed());
-                let exec_start = Instant::now();
-                // A panic is a simulator bug: it fails this job alone.
-                let run = catch_unwind(AssertUnwindSafe(|| run_custom(&job.spec)));
-                self.metrics.execution.record_duration(exec_start.elapsed());
-                let outcome = match run {
-                    Ok(Ok(report)) => {
-                        let json = serde_json::to_string(&report).expect("report serializes");
-                        let fp = report_json_fingerprint(&json);
-                        Ok(Arc::new(RunResult::new(json, fp)))
-                    }
-                    Ok(Err(e)) => Err(JobError::Config(e)),
-                    Err(_) => Err(JobError::Panicked),
-                };
-                self.resolve_job(&job.key, outcome);
-            });
+                if s.stop {
+                    break;
+                }
+                s = self.lane_wanted.wait(s).unwrap_or_else(|e| e.into_inner());
+            }
+            // Only when no lane could ever start does the dispatcher drain
+            // the queue itself, so shutdown still answers every waiter.
+            let none_started = s.lanes == 0;
+            drop(s);
+            if none_started {
+                self.lane();
+            }
+        });
+    }
+
+    /// One lane: pop the oldest queued job, run it, and pop again; park
+    /// while the queue is empty, and return once it is empty at shutdown.
+    fn lane(self: &Arc<Self>) {
+        let mut s = lock(&self.state);
+        loop {
+            if let Some(job) = s.queue.pop_front() {
+                drop(s);
+                self.run_job(job);
+                s = lock(&self.state);
+            } else if s.stop {
+                return;
+            } else {
+                s = self.work_ready.wait(s).unwrap_or_else(|e| e.into_inner());
+            }
         }
+    }
+
+    fn run_job(self: &Arc<Self>, job: QueuedJob) {
+        // Pickup: the job's queue wait ends here and its execution span
+        // begins. Both histograms are stamped for failed jobs too, so
+        // their counts stay equal to the number of jobs dequeued.
+        self.metrics
+            .queue_wait
+            .record_duration(job.admitted.elapsed());
+        let exec_start = Instant::now();
+        // A panic is a simulator bug: it fails this job alone.
+        let run = catch_unwind(AssertUnwindSafe(|| run_custom(&job.spec)));
+        self.metrics.execution.record_duration(exec_start.elapsed());
+        let outcome = match run {
+            Ok(Ok(report)) => {
+                let json = serde_json::to_string(&report).expect("report serializes");
+                let fp = report_json_fingerprint(&json);
+                Ok(Arc::new(RunResult::new(json, fp)))
+            }
+            Ok(Err(e)) => Err(JobError::Config(e)),
+            Err(_) => Err(JobError::Panicked),
+        };
+        self.resolve_job(&job.key, outcome);
     }
 }
 
@@ -987,6 +1052,106 @@ mod tests {
         assert_eq!(evictions(), stats.jobs_run - 4, "inserts past capacity");
         assert_eq!(stats.cached_results, 4);
         assert_eq!(sched.bookkeeping_records(), 4);
+        sched.shutdown();
+    }
+
+    /// `tiny_spec` run for `measure_cycles`: about a microsecond a cycle.
+    fn spec_of_length(seed: u64, measure_cycles: u64) -> CustomSpec {
+        let mut spec = tiny_spec(seed);
+        spec.sim.measure_cycles = measure_cycles;
+        spec
+    }
+
+    fn position_of_result(sink: &Mutex<Vec<Response>>, want: u64) -> Option<usize> {
+        lock(sink)
+            .iter()
+            .position(|r| matches!(r, Response::Result { id, .. } if *id == want))
+    }
+
+    #[test]
+    fn a_job_queued_behind_a_running_one_starts_on_the_free_core() {
+        let sched = Scheduler::new(SchedulerConfig {
+            threads: 2,
+            ..SchedulerConfig::default()
+        });
+        let (emit, sink) = collect_emit();
+        let m = sched.metrics();
+        sched
+            .submit(
+                1,
+                1,
+                vec![spec_of_length(500, 300_000)],
+                false,
+                emit.clone(),
+            )
+            .unwrap();
+        wait_for(|| m.queue_wait.count() == 1, "the slow job's pickup");
+        sched
+            .submit(2, 2, vec![spec_of_length(501, 300)], false, emit)
+            .unwrap();
+        wait_for(|| lock(&sink).len() == 2, "both results");
+        let (slow, fast) = (position_of_result(&sink, 1), position_of_result(&sink, 2));
+        assert!(
+            fast.unwrap() < slow.unwrap(),
+            "the fast job waited for the slow one to finish"
+        );
+        assert_eq!(sched.lanes_started(), 2);
+        sched.shutdown();
+    }
+
+    #[test]
+    fn both_jobs_of_a_sweep_start_on_parked_lanes() {
+        let sched = Scheduler::new(SchedulerConfig {
+            threads: 2,
+            ..SchedulerConfig::default()
+        });
+        let (emit, sink) = collect_emit();
+        let m = sched.metrics();
+        let sweep_done = |n: usize| {
+            lock(&sink)
+                .iter()
+                .filter(|r| matches!(r, Response::SweepResult { .. }))
+                .count()
+                == n
+        };
+        // Two jobs at once start both lanes; they then park.
+        let warm = vec![spec_of_length(600, 100_000), spec_of_length(601, 100_000)];
+        sched.submit(1, 1, warm, true, emit.clone()).unwrap();
+        wait_for(|| sweep_done(1), "the warm-up sweep");
+        assert_eq!(sched.lanes_started(), 2);
+        let slow = vec![spec_of_length(602, 200_000), spec_of_length(603, 200_000)];
+        sched.submit(1, 2, slow, true, emit).unwrap();
+        // Pickups are read before completions: four pickups while two
+        // jobs have run means both slow jobs started before either ended.
+        wait_for(
+            || {
+                let picked = m.queue_wait.count();
+                let finished = sched.stats().jobs_run;
+                assert_eq!(finished, 2, "a slow job finished before both started");
+                picked == 4
+            },
+            "both slow jobs' pickups",
+        );
+        wait_for(|| sweep_done(2), "the slow sweep");
+        assert_eq!(sched.lanes_started(), 2);
+        sched.shutdown();
+    }
+
+    #[test]
+    fn one_request_at_a_time_runs_on_one_lane() {
+        let sched = Scheduler::new(SchedulerConfig {
+            threads: 8,
+            ..SchedulerConfig::default()
+        });
+        let (emit, sink) = collect_emit();
+        for id in 1..=6u64 {
+            sched
+                .submit(1, id, vec![tiny_spec(700 + id)], false, emit.clone())
+                .unwrap();
+            wait_for(|| lock(&sink).len() as u64 == id, "the answer");
+        }
+        assert_eq!(sched.stats().jobs_run, 6);
+        assert_eq!(sched.lanes_started(), 1, "a free lane was passed over");
         sched.shutdown();
     }
 }

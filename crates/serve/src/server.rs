@@ -11,8 +11,8 @@
 //! [`Request::Shutdown`] — is cooperative: the listener stops accepting,
 //! reader threads notice the stop flag at their next read-timeout poll,
 //! the scheduler drains its queue so every admitted request is answered,
-//! and its dispatcher is joined. Nothing is abandoned mid-flight and
-//! nothing hangs on an idle client.
+//! and its lanes and dispatcher are joined. Nothing is abandoned
+//! mid-flight and nothing hangs on an idle client.
 
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -143,8 +143,8 @@ impl Server {
     }
 
     /// Graceful shutdown: stop accepting, drain every admitted request,
-    /// join the dispatcher and all connection threads, and return the
-    /// final counters.
+    /// join the lanes, the dispatcher and all connection threads, and
+    /// return the final counters.
     pub fn stop(mut self) -> ServerStats {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(h) = self.accept.take() {

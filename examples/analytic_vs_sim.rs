@@ -61,7 +61,7 @@ fn main() {
         .expect("pattern");
     compare(&mesh, &pattern, "2×4 fault block at (4,3)-(5,6)");
     println!("note: the model assumes load-balanced shortest paths and M/G/1 channel");
-    println!("waiting; expect agreement at low load and a conservative saturation");
-    println!("estimate (simulated adaptive routing spreads load better than one");
-    println!("shortest path per pair).");
+    println!("waiting. It agrees with the simulator at low load, but its saturation");
+    println!("estimate is optimistic: past the knee the simulator delivers less than");
+    println!("the model's capacity, fault-free and with the block (last thr rows).");
 }

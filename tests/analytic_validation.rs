@@ -98,3 +98,25 @@ fn fault_capacity_ordering_preserved() {
         "capacity ratios diverge: model {model_ratio:.2} vs sim {sim_ratio:.2}"
     );
 }
+
+#[test]
+fn model_capacity_is_above_simulated_saturation_throughput() {
+    // The model's saturation estimate is optimistic, not conservative:
+    // driven past the knee, the simulator delivers less than the model's
+    // capacity, fault-free and around a 2×4 fault block
+    // (`examples/analytic_vs_sim.rs` prints both tables).
+    let mesh = Mesh::square(10);
+    let blocked =
+        FaultPattern::from_rects(&mesh, &[Rect::new(Coord::new(4, 3), Coord::new(5, 6))]).unwrap();
+    for (label, pattern) in [
+        ("fault-free", FaultPattern::fault_free(&mesh)),
+        ("2×4 block", blocked),
+    ] {
+        let capacity = AnalyticModel::new(&mesh, &pattern).saturation_rate(100) * 100.0;
+        let delivered = simulate(&pattern, 0.005, 6).normalized_throughput();
+        assert!(
+            delivered < capacity,
+            "{label}: simulated {delivered:.4} flits/node/cycle, model capacity {capacity:.4}"
+        );
+    }
+}

@@ -10,9 +10,9 @@ use std::sync::OnceLock;
 use wormsim_experiments::{
     ablation_arbitration, ablation_buffer_depth, ablation_fault_axis, ablation_mesh_size,
     ablation_message_length, ablation_misroute_limit, ablation_traffic_patterns,
-    ablation_turn_models, ablation_vc_budget, dynamic_faults, fig1_saturation_throughput,
-    fig2_latency_vs_rate, fig3_vc_utilization, fig4_fig5_fault_sweep, fig6_fring_traffic, fnv1a,
-    ExperimentConfig, FigureResult, Scale,
+    ablation_turn_models, ablation_vc_budget, dynamic_faults, fault_sweep_and_axis,
+    fig1_saturation_throughput, fig2_latency_vs_rate, fig3_vc_utilization, fig4_fig5_fault_sweep,
+    fig6_fring_traffic, fnv1a, ExperimentConfig, FigureResult, Scale,
 };
 
 fn cfg() -> ExperimentConfig {
@@ -239,4 +239,20 @@ fn every_study_is_pinned() {
     ];
     let want: Vec<(&str, String)> = want.map(|(id, hash)| (id, hash.to_string())).into();
     assert_eq!(got, want, "a study's output moved");
+}
+
+/// `figures` runs Figure 4's grid once for Figures 4, 5 and the fault-axis
+/// ablation when it writes all three; the shared grid must give what the
+/// three standalone studies give, byte for byte.
+#[test]
+fn the_shared_fault_grid_equals_the_standalone_studies() {
+    let mut cfg = ExperimentConfig::new(Scale::Quick).with_threads(2);
+    cfg.sim.warmup_cycles = 100;
+    cfg.sim.measure_cycles = 400;
+    cfg.fault_patterns = 2;
+    let (fig4, fig5) = fig4_fig5_fault_sweep(&cfg);
+    let json = |fig: &FigureResult| serde_json::to_string(fig).expect("figure serializes");
+    let standalone = [fig4, fig5, ablation_fault_axis(&cfg)].map(|fig| json(&fig));
+    let shared = fault_sweep_and_axis(&cfg).map(|fig| json(&fig));
+    assert_eq!(shared, standalone);
 }
