@@ -43,102 +43,39 @@ pub(crate) struct PathEntry {
     pub entered: u32,
 }
 
-/// The VCs a message holds, oldest (source side) first: a grow-only
-/// vector plus a front offset. The per-cycle pipeline loop wants a plain
-/// contiguous slice (a `VecDeque` needs `make_contiguous` and pays
-/// ring-buffer arithmetic on every index), and a wormhole only ever
-/// appends at the head side and drains at the tail, so `pop_front` is a
-/// cursor bump. The buffer resets whenever the path empties; its length
-/// is bounded by the hops of one traversal, so slab reuse keeps both the
-/// capacity and the zero-allocation steady state.
-#[derive(Debug, Default)]
+impl PathEntry {
+    /// What fills a window entry no path has written yet.
+    pub const UNUSED: PathEntry = PathEntry {
+        key: 0,
+        ch: 0,
+        vc: 0,
+        dest: NodeId(0),
+        entered: 0,
+    };
+}
+
+/// The VCs a message holds, oldest (source side) first: the span
+/// `front..back` of its window in the simulator's path arena (see
+/// `Simulator::path`). The per-cycle pipeline loop wants a plain
+/// contiguous slice, and a wormhole only ever appends at the head side and
+/// drains at the tail, so dropping the oldest stage is a `front` bump. Both
+/// cursors return to 0 whenever the path empties, so `back` is bounded by
+/// the hops of one traversal.
+#[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct PathBuf {
-    buf: Vec<PathEntry>,
-    front: usize,
+    pub front: u32,
+    pub back: u32,
 }
 
 impl PathBuf {
     #[inline]
     pub fn len(&self) -> usize {
-        self.buf.len() - self.front
+        (self.back - self.front) as usize
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.front == self.buf.len()
-    }
-
-    #[inline]
-    pub fn push_back(&mut self, e: PathEntry) {
-        self.buf.push(e);
-    }
-
-    /// Drop the oldest entry. O(1): the drained prefix is left in place
-    /// and reclaimed wholesale when the path empties.
-    #[inline]
-    pub fn pop_front(&mut self) {
-        debug_assert!(!self.is_empty());
-        self.front += 1;
-        if self.front == self.buf.len() {
-            self.clear();
-        }
-    }
-
-    #[inline]
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.front = 0;
-    }
-
-    /// Reserve room for `additional` more entries (prewarm support: a
-    /// path buffer sized to the longest possible traversal up front
-    /// never reallocates mid-run).
-    pub fn reserve(&mut self, additional: usize) {
-        self.buf.reserve(additional);
-    }
-
-    #[inline]
-    pub fn front(&self) -> Option<&PathEntry> {
-        self.buf.get(self.front)
-    }
-
-    #[inline]
-    pub fn back(&self) -> Option<&PathEntry> {
-        self.buf.last()
-    }
-
-    #[cfg(test)]
-    pub fn back_mut(&mut self) -> Option<&mut PathEntry> {
-        self.buf.last_mut()
-    }
-
-    #[inline]
-    pub fn iter(&self) -> std::slice::Iter<'_, PathEntry> {
-        self.buf[self.front..].iter()
-    }
-
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [PathEntry] {
-        &mut self.buf[self.front..]
-    }
-}
-
-impl std::ops::Index<usize> for PathBuf {
-    type Output = PathEntry;
-
-    #[inline]
-    fn index(&self, i: usize) -> &PathEntry {
-        &self.buf[self.front + i]
-    }
-}
-
-impl<'a> IntoIterator for &'a PathBuf {
-    type Item = &'a PathEntry;
-    type IntoIter = std::slice::Iter<'a, PathEntry>;
-
-    #[inline]
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
+        self.front == self.back
     }
 }
 
@@ -208,7 +145,7 @@ pub(crate) struct Advance {
 #[derive(Debug)]
 pub(crate) struct Msg {
     // --- hot: touched every cycle for every active message ---
-    /// VCs currently held, oldest (source side) first.
+    /// Where in its arena window the VCs it holds sit.
     pub path: PathBuf,
     /// Flits still waiting at the source (not yet entered `path[0]`).
     pub at_source: u32,
@@ -252,27 +189,6 @@ impl Msg {
         }
     }
 
-    /// Reinitialize a recycled slab slot for a fresh message: every field
-    /// as [`Msg::new`] sets it, except that the `path` buffer keeps its
-    /// allocated capacity, so steady-state slab reuse performs no heap
-    /// allocation.
-    pub fn reset(
-        &mut self,
-        src: NodeId,
-        dest: NodeId,
-        length: u32,
-        created: u64,
-        state: MessageState,
-    ) {
-        debug_assert!(self.path.is_empty(), "recycled message still holds VCs");
-        let mut path = std::mem::take(&mut self.path);
-        path.clear();
-        *self = Msg {
-            path,
-            ..Msg::new(src, dest, length, created, state)
-        };
-    }
-
     /// One movement pass: every boundary of the worm — ejection, each held
     /// link, source injection — moves at most one flit, head side first so
     /// a slot freed this cycle refills this cycle. All boundaries are the
@@ -282,10 +198,11 @@ impl Msg {
     /// data-dependent branch in here. `down` carries the downstream counter
     /// *after* its own move; a stage's occupancy is `entered − down`.
     ///
-    /// `stamp` marks a spent budget in `link_used` (one flit per physical
-    /// channel; checked and marked in stage order, because a worm can hold
-    /// two VCs of one channel) and in `eject_used` (one flit per node).
-    /// The path must be non-empty.
+    /// `path` is the message's held VCs (`Simulator::path`), and must be
+    /// non-empty. `stamp` marks a spent budget in `link_used` (one flit per
+    /// physical channel; checked and marked in stage order, because a worm
+    /// can hold two VCs of one channel) and in `eject_used` (one flit per
+    /// node).
     ///
     /// A flit arriving in a stage's buffer is that stage's `entered`
     /// going up by one, and that is all the pass records of it: the
@@ -298,12 +215,12 @@ impl Msg {
     #[inline(always)]
     pub fn advance(
         &mut self,
+        path: &mut [PathEntry],
         depth: u32,
         stamp: u64,
         link_used: &mut [u64],
         eject_used: &mut [u64],
     ) -> Advance {
-        let path = self.path.as_mut_slice();
         let head = path[path.len() - 1];
 
         let mut ready = (head.dest == self.dest) & (head.entered > self.delivered);
@@ -340,12 +257,6 @@ impl Msg {
         }
     }
 
-    /// Whether the header flit is sitting in the buffer of the last held VC
-    /// (routable) — true once it has entered and before it moves on.
-    pub fn header_at_head(&self) -> bool {
-        self.path.back().is_some_and(|e| e.entered >= 1)
-    }
-
     /// Whether every flit has been consumed at the destination.
     pub fn is_complete(&self) -> bool {
         self.delivered == self.length
@@ -362,24 +273,8 @@ mod tests {
         let st = MessageState::new(NodeId(0), NodeId(5));
         let m = Msg::new(NodeId(0), NodeId(5), 100, 42, st);
         assert_eq!(m.at_source, 100);
-        assert!(!m.header_at_head());
+        assert!(m.path.is_empty());
         assert!(!m.is_complete());
-    }
-
-    #[test]
-    fn header_presence() {
-        let st = MessageState::new(NodeId(0), NodeId(5));
-        let mut m = Msg::new(NodeId(0), NodeId(5), 10, 0, st);
-        m.path.push_back(PathEntry {
-            key: 3,
-            ch: 0,
-            vc: 3,
-            dest: NodeId(1),
-            entered: 0,
-        });
-        assert!(!m.header_at_head(), "allocated but header not yet arrived");
-        m.path.back_mut().unwrap().entered = 1;
-        assert!(m.header_at_head());
     }
 
     const STAMP: u64 = 7;
@@ -545,29 +440,29 @@ mod tests {
             let mut m = Msg::new(NodeId(0), dest, worm.length, 0, state);
             m.at_source = worm.at_source;
             m.delivered = worm.delivered;
-            for j in 0..n {
-                m.path.push_back(PathEntry {
+            let mut path: Vec<PathEntry> = (0..n)
+                .map(|j| PathEntry {
                     key: j as u32,
                     ch: worm.ch[j],
                     vc: 0,
                     dest: stage_node(j),
                     entered: worm.entered[j],
-                });
-            }
+                })
+                .collect();
             // A budget spent earlier this cycle holds the stamp; any other
             // value is a free one.
             let mut link_used = worm.links_spent.map(|spent| if spent { STAMP } else { STAMP - 2 });
             let mut eject_used = [0u64; NODES];
             eject_used[dest.index()] = if worm.eject_spent { STAMP } else { 0 };
-            let before: Vec<u32> = m.path.iter().map(|e| e.entered).collect();
+            let before: Vec<u32> = path.iter().map(|e| e.entered).collect();
 
-            let pass = m.advance(depth, STAMP, &mut link_used, &mut eject_used);
+            let pass = m.advance(&mut path, depth, STAMP, &mut link_used, &mut eject_used);
             let mut naive = worm.clone();
             let want = naive_pass(&mut naive, depth);
 
             // A flit's arrival at a node is its stage's `entered` delta.
             let mut arrivals = vec![0u64; NODES];
-            for (e, b) in m.path.iter().zip(&before) {
+            for (e, b) in path.iter().zip(&before) {
                 arrivals[e.dest.index()] += u64::from(e.entered - b);
             }
             let got = NaiveOutcome {
@@ -580,7 +475,7 @@ mod tests {
                 arrivals,
             };
             prop_assert_eq!(got, want);
-            let entered: Vec<u32> = m.path.iter().map(|e| e.entered).collect();
+            let entered: Vec<u32> = path.iter().map(|e| e.entered).collect();
             prop_assert_eq!(&entered, &naive.entered);
             prop_assert_eq!((m.at_source, m.delivered), (naive.at_source, naive.delivered));
             prop_assert_eq!(link_used.map(|u| u == STAMP), naive.links_spent);

@@ -13,7 +13,7 @@ mod tests;
 
 use crate::config::{Arbitration, ConfigError, SimConfig};
 use crate::fault_hook::{FaultActivation, FaultDriver};
-use crate::message::{AllocPhase, Msg, MsgId, PathEntry, Queued};
+use crate::message::{AllocPhase, Msg, MsgId, PathBuf, PathEntry, Queued};
 use crate::profile::{Phase, PhaseTimes};
 use crate::sources::{Calendar, SourceQueues};
 use crate::waiters::WaiterTable;
@@ -27,8 +27,8 @@ use wormsim_metrics::{
     SETTLE_FRACTION,
 };
 use wormsim_obs::{EventKind, NullSink, Sink, StallDiagnosis, StallMessage, TraceEvent, WaitEdge};
-use wormsim_routing::{MessageState, RoutingAlgorithm, RoutingContext};
-use wormsim_topology::{ChannelId, Direction, NodeId};
+use wormsim_routing::{RoutingAlgorithm, RoutingContext};
+use wormsim_topology::{ChannelId, Direction, Mesh, NodeId};
 use wormsim_traffic::{DestinationSampler, Workload};
 
 /// The flit-level wormhole simulator. Construct with an algorithm bound to
@@ -68,7 +68,17 @@ pub struct Simulator<S: Sink = NullSink, const PROFILE: bool = false> {
     /// iff `waiters[ch * num_vcs + vc]` is non-empty, so release paths and
     /// the stall scanner skip empty wake lists without loading them.
     waiter_mask: Vec<u32>,
+    /// The message slab: one slot per message in flight, recycled through
+    /// `free_list`. A slot is built the first time the slab grows to it.
     msgs: Vec<Msg>,
+    /// Every slot's held VCs in one arena: slot `i` owns the window
+    /// `paths[i * stride..(i + 1) * stride]`, and its `Msg::path` cursors
+    /// say which span of it is live. `paths.len() == msgs.len() * stride`.
+    paths: Vec<PathEntry>,
+    /// Entries per window: [`path_window`] of the mesh and algorithm,
+    /// never shrunk by a reset, doubled by [`Simulator::relayout`] when a
+    /// path outgrows it.
+    stride: usize,
     // --- per-message hot flags, struct-of-arrays, indexed by slab id ---
     // Parallel to `msgs`. The service-order, watchdog, retain, and
     // allocation-dispatch passes each read exactly one of these per
@@ -275,6 +285,9 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             occ_mask: Vec::new(),
             waiter_mask: Vec::new(),
             msgs: Vec::new(),
+            paths: Vec::new(),
+            // Widened to the run's window by `try_reset`.
+            stride: 1,
             alive: Vec::new(),
             alloc: Vec::new(),
             stalled: Vec::new(),
@@ -330,10 +343,11 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
 
     /// Rewind this simulator for a fresh run with a (possibly different)
     /// algorithm, context, workload, and schedule, reusing every
-    /// population-dependent allocation: the message slab (per-message
-    /// `PathBuf` capacities included), source queues, scratch buffers,
-    /// wake lists, and statistics vectors. Once a first run has sized
-    /// those structures, a same-shape `reset` + run performs no heap
+    /// population-dependent allocation: the message slab and its path
+    /// arena, source queues, scratch buffers, wake lists, and statistics
+    /// vectors. The arena's windows keep their width, widening only when
+    /// the new mesh or algorithm needs wider ones. Once a first run has
+    /// sized those structures, a same-shape `reset` + run performs no heap
     /// allocation (asserted by `tests/steady_state_alloc.rs`).
     ///
     /// Determinism: the run after a `reset` is byte-identical to one on a
@@ -390,10 +404,10 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         refill(&mut self.link_used, num_channels, 0);
         refill(&mut self.eject_used, num_nodes, 0);
 
-        // Park the whole slab (path capacities survive) and rebuild the
+        // Park the whole slab (its arena windows stay) and rebuild the
         // free list descending so pops recycle ids in ascending order.
         for m in &mut self.msgs {
-            m.path.clear();
+            m.path = PathBuf::default();
         }
         let n = self.msgs.len();
         // Truncate, then regrow: every slot takes its free value.
@@ -419,6 +433,10 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         self.rng = SmallRng::seed_from_u64(self.cfg.seed);
         self.cycle = 0;
         self.recheck_wait = self.algo.recheck_wait();
+        let window = path_window(&mesh, self.recheck_wait.is_some());
+        if window > self.stride {
+            self.relayout(window);
+        }
 
         self.latency.reset();
         self.network_latency.reset();
@@ -553,9 +571,11 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
 
     /// Pre-size every population-dependent structure so a run creating up
     /// to `messages` messages performs no heap allocation afterwards. The
-    /// slab is filled with dead, capacity-reserved messages parked on the
-    /// free list (promotion then always recycles), and source queues,
-    /// scratch buffers, and wake lists reserve for the same population.
+    /// slab, its path arena, its free list and the seven per-message
+    /// arrays beside it reserve room and build nothing: a slot is built,
+    /// and its arena window first touched, when the slab grows to it, in
+    /// the id order a growing slab hands out. Source queues, scratch
+    /// buffers, and wake lists reserve for the same population.
     ///
     /// The slab holds only messages in flight, so it is bounded by the
     /// network, not by the backlog: `min(messages, VC slots + nodes)`,
@@ -564,16 +584,12 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     /// waiting out a chaos backoff keep their slot without either; a run
     /// with many of those can still grow the slab.)
     ///
-    /// Per-message path capacity is derived from the *actual* mesh shape:
-    /// a traversal pushes one entry per hop and the grow-only buffer
-    /// reclaims only when the path empties, so the bound is the longest
-    /// walk a routing algorithm takes. A walk that only detours around
-    /// fault regions is covered by one full perimeter, `2 × (width +
-    /// height)` hops; an algorithm that misroutes (one with a
-    /// `recheck_wait`) gets twice that. The routing audit
-    /// (`tests/routing_audit.rs`) checks every walk of every algorithm
-    /// against this rule: on a faulty 10×10 mesh the longest
-    /// Fully-Adaptive walk is 58 hops, the longest other walk 26.
+    /// Each slot's window holds `path_window` entries, derived from the
+    /// *actual* mesh shape when the simulator is built or reset: a
+    /// traversal pushes one entry per hop and the window's cursors rewind
+    /// only when the path empties, so the bound is the longest walk a
+    /// routing algorithm takes. A walk that outgrows its window still
+    /// completes, after one reallocation of the arena.
     ///
     /// Queue reservations assume roughly uniform source selection (4× the
     /// per-node mean plus slack); a pathological workload funneling most
@@ -581,30 +597,11 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     /// for benchmarks that assert an allocation-free measurement window;
     /// simulation behavior is completely unaffected.
     pub fn prewarm(&mut self, messages: usize) {
-        let mesh = self.ctx.mesh();
-        let perimeter = 2 * (mesh.width() as usize + mesh.height() as usize);
-        let max_path = perimeter * if self.recheck_wait.is_some() { 2 } else { 1 };
         let num_nodes = self.sources.num_nodes();
         // Every message that owns a slot also owns a VC slot or its
         // node's injection port.
         let max_active = self.slots.len() + num_nodes;
-        let have = self.msgs.len();
-        let slab = messages.min(max_active);
-        if slab > have {
-            self.msgs.reserve(slab - have);
-            self.free_list.reserve(slab);
-            for _ in have..slab {
-                let state = MessageState::new(NodeId(0), NodeId(0));
-                let mut m = Msg::new(NodeId(0), NodeId(0), 0, 0, state);
-                m.path.reserve(max_path);
-                self.msgs.push(m);
-            }
-            // Descending and under what is already free, so ids pop in
-            // the order a growing slab would have handed them out.
-            self.free_list
-                .splice(0..0, (have as u32..slab as u32).rev());
-            self.size_slab(slab);
-        }
+        self.reserve_slab(messages.min(max_active));
         self.sources.reserve(4 * messages / num_nodes.max(1) + 64);
         self.active.reserve(max_active);
         self.order.reserve(max_active);
@@ -621,7 +618,22 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             .reserve_nodes(max_active.min(per_route * num_nodes));
         self.eligible_scratch.reserve(per_route);
         self.busy_scratch.reserve(per_route);
-        self.freed_scratch.reserve(max_path);
+        self.freed_scratch.reserve(self.stride);
+    }
+
+    /// Reserve room for `n` slab slots: the slab, its path arena, its free
+    /// list and the seven arrays beside it. Builds no slot.
+    fn reserve_slab(&mut self, n: usize) {
+        reserve_total(&mut self.msgs, n);
+        reserve_total(&mut self.paths, n * self.stride);
+        reserve_total(&mut self.free_list, n);
+        reserve_total(&mut self.alive, n);
+        reserve_total(&mut self.alloc, n);
+        reserve_total(&mut self.stalled, n);
+        reserve_total(&mut self.last_progress, n);
+        reserve_total(&mut self.wait, n);
+        reserve_total(&mut self.reg_node, n);
+        reserve_total(&mut self.reg_bits, n);
     }
 
     /// Size the seven per-message arrays beside the slab to `n` slots.
@@ -641,13 +653,17 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     fn alloc_msg(&mut self, src: NodeId, dest: NodeId, created: u64) -> MsgId {
         let state = self.algo.init_message(src, dest);
         let length = self.workload.message_length;
+        let msg = Msg::new(src, dest, length, created, state);
         let idx = if let Some(idx) = self.free_list.pop() {
-            // Reset in place: keeps the slot's path capacity, so slab
-            // reuse allocates nothing.
-            self.msgs[idx as usize].reset(src, dest, length, created, state);
+            // A recycled slot keeps its window, so slab reuse allocates
+            // nothing.
+            debug_assert!(self.msgs[idx as usize].path.is_empty());
+            self.msgs[idx as usize] = msg;
             idx
         } else {
-            self.msgs.push(Msg::new(src, dest, length, created, state));
+            self.msgs.push(msg);
+            self.paths
+                .resize(self.msgs.len() * self.stride, PathEntry::UNUSED);
             self.size_slab(self.msgs.len());
             self.msgs.len() as u32 - 1
         };
@@ -687,12 +703,67 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         (key % self.num_vcs as u32) as u8
     }
 
-    /// The node where a message's header currently resides.
-    fn head_node(&self, m: &Msg) -> NodeId {
-        match m.path.back() {
-            None => m.src,
-            Some(e) => e.dest,
+    /// Message `i`'s held VCs, oldest (source side) first.
+    #[inline]
+    fn path(&self, i: usize) -> &[PathEntry] {
+        let PathBuf { front, back } = self.msgs[i].path;
+        let base = i * self.stride;
+        &self.paths[base + front as usize..base + back as usize]
+    }
+
+    /// Hold one more VC at message `i`'s head side.
+    fn push_path(&mut self, i: usize, e: PathEntry) {
+        if self.msgs[i].path.back as usize == self.stride {
+            self.relayout(2 * self.stride);
         }
+        let p = &mut self.msgs[i].path;
+        self.paths[i * self.stride + p.back as usize] = e;
+        p.back += 1;
+    }
+
+    /// Drop message `i`'s oldest held VC. O(1): the cursors rewind when
+    /// the path empties.
+    fn pop_path_front(&mut self, i: usize) {
+        let p = &mut self.msgs[i].path;
+        debug_assert!(!p.is_empty());
+        p.front += 1;
+        if p.is_empty() {
+            *p = PathBuf::default();
+        }
+    }
+
+    /// Widen every arena window to `stride` entries, each live path moved
+    /// to the start of its new window. Allocates, like a `Vec` growing
+    /// past its capacity; the arena keeps room for as many slots as it
+    /// had.
+    #[cold]
+    #[inline(never)]
+    fn relayout(&mut self, stride: usize) {
+        let slots = self.paths.capacity() / self.stride;
+        let mut paths = Vec::with_capacity(slots * stride);
+        for i in 0..self.msgs.len() {
+            paths.extend_from_slice(self.path(i));
+            paths.resize((i + 1) * stride, PathEntry::UNUSED);
+            let len = self.msgs[i].path.len() as u32;
+            self.msgs[i].path = PathBuf {
+                front: 0,
+                back: len,
+            };
+        }
+        self.paths = paths;
+        self.stride = stride;
+    }
+
+    /// The node where message `i`'s header currently resides.
+    fn head_node(&self, i: usize) -> NodeId {
+        self.path(i).last().map_or(self.msgs[i].src, |e| e.dest)
+    }
+
+    /// Whether message `i`'s header flit is sitting in the buffer of its
+    /// last held VC (routable) — true once it has entered and before it
+    /// moves on.
+    fn header_at_head(&self, i: usize) -> bool {
+        self.path(i).last().is_some_and(|e| e.entered >= 1)
     }
 
     /// Whether `id` is a live header asleep on wake lists.
@@ -706,6 +777,23 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     fn oldest_first(&self) -> bool {
         self.cfg.arbitration == Arbitration::OldestFirst
     }
+}
+
+/// The path window each message gets on `mesh`. A walk that only detours
+/// around fault regions is covered by one full perimeter, `2 × (width +
+/// height)` hops; an algorithm that misroutes (one with a `recheck_wait`)
+/// gets twice that. The routing audit (`tests/routing_audit.rs`) checks
+/// every walk of every algorithm against this rule: on a faulty 10×10
+/// mesh the longest Fully-Adaptive walk is 58 hops, the longest other
+/// walk 26.
+fn path_window(mesh: &Mesh, misroutes: bool) -> usize {
+    let perimeter = 2 * (mesh.width() as usize + mesh.height() as usize);
+    perimeter * if misroutes { 2 } else { 1 }
+}
+
+/// Make room for `n` elements in `v` in all, without adding any.
+fn reserve_total<T>(v: &mut Vec<T>, n: usize) {
+    v.reserve(n.saturating_sub(v.len()));
 }
 
 /// Clear `v` and refill it with `n` copies of `x`, keeping its capacity.

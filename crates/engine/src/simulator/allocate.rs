@@ -44,10 +44,10 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         // Routable: header at source (path empty, owning the injection
         // port) or header buffered at the last held VC's downstream node.
         let at_source = m.path.is_empty();
-        if !at_source && !m.header_at_head() {
+        if !at_source && !self.header_at_head(i) {
             return; // header still in transit to the head VC
         }
-        let head = self.head_node(m);
+        let head = self.head_node(i);
         if head == m.dest {
             return; // ejection handles it
         }
@@ -158,15 +158,17 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         // The path grew: the header can advance into the fresh (empty) VC
         // buffer, so any movement stall is over.
         self.stalled[i] = false;
-        let m = &mut self.msgs[i];
-        m.state = state;
-        m.path.push_back(PathEntry {
-            key,
-            ch: ch.0,
-            vc,
-            dest: next,
-            entered: 0,
-        });
+        self.msgs[i].state = state;
+        self.push_path(
+            i,
+            PathEntry {
+                key,
+                ch: ch.0,
+                vc,
+                dest: next,
+                entered: 0,
+            },
+        );
     }
 
     /// Wake every header asleep on slot `key`: the freed VC re-arbitrates

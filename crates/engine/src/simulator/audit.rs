@@ -47,7 +47,8 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             if !self.alive[id as usize] {
                 continue;
             }
-            for e in &m.path {
+            let path = self.path(id as usize);
+            for e in path {
                 assert_eq!(
                     owned.get(&e.key),
                     Some(&id),
@@ -67,7 +68,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             }
             // 2. Flit accounting along the path.
             let mut downstream = m.delivered;
-            for e in m.path.iter().rev() {
+            for e in path.iter().rev() {
                 assert!(
                     e.entered >= downstream,
                     "a stage passed on more than entered it"
@@ -79,7 +80,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             // 3. Conservation: what left the source is what entered the
             // first held stage (or was delivered, once the path is gone).
             assert_eq!(
-                m.at_source + m.path.front().map_or(m.delivered, |e| e.entered),
+                m.at_source + path.first().map_or(m.delivered, |e| e.entered),
                 m.length,
                 "flits lost between source and network"
             );
@@ -133,8 +134,8 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             if !self.alive[id as usize] {
                 continue;
             }
-            let routable = m.path.is_empty() || m.header_at_head();
-            if routable && self.head_node(m) != m.dest {
+            let routable = m.path.is_empty() || self.header_at_head(id as usize);
+            if routable && self.head_node(id as usize) != m.dest {
                 assert_ne!(
                     self.alloc[id as usize],
                     AllocPhase::Moving,
@@ -178,7 +179,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
                 continue;
             }
             let m = &self.msgs[i];
-            let head = self.head_node(m);
+            let head = self.head_node(i);
             let mut state = m.state;
             state.wait_cycles = self.wait[i];
             for hop in self.algo.route(head, &mut state).iter() {
@@ -227,11 +228,13 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         }
     }
 
-    /// Test support: audit the message slab and the flat per-message
-    /// arrays beside it. Every slot is either free (dead, holding nothing)
-    /// or owned by a message in flight — active, waiting out a backoff, or
-    /// parked in a source queue — and the flags of the active ones agree
-    /// with their `Msg`. Panics on any divergence.
+    /// Test support: audit the message slab, its path arena and the flat
+    /// per-message arrays beside it. The arena holds one window per slot,
+    /// and every slot's path span lies inside its own window. Every slot is
+    /// either free (dead, with an empty span) or owned by a message in
+    /// flight — active, waiting out a backoff, or parked in a source queue
+    /// — and the flags of the active ones agree with their `Msg`. Panics on
+    /// any divergence.
     #[doc(hidden)]
     pub fn check_soa_layout(&self) {
         let n = self.msgs.len();
@@ -246,11 +249,24 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         assert_eq!(self.wait.len(), n, "wait[] not slab-length");
         assert_eq!(self.reg_node.len(), n, "reg_node[] not slab-length");
         assert_eq!(self.reg_bits.len(), n, "reg_bits[] not slab-length");
+        assert_eq!(
+            self.paths.len(),
+            n * self.stride,
+            "path arena is not one window per slab slot"
+        );
+        for (i, m) in self.msgs.iter().enumerate() {
+            let PathBuf { front, back } = m.path;
+            assert!(
+                front <= back && back as usize <= self.stride,
+                "slot {i}'s path span {front}..{back} leaves its {}-entry window",
+                self.stride
+            );
+        }
         for &id in &self.free_list {
             let i = id as usize;
             assert!(!self.alive[i], "free slab slot {id} marked alive");
             assert!(
-                self.msgs[i].path.is_empty(),
+                self.path(i).is_empty(),
                 "free slab slot {id} still holds VCs"
             );
         }
@@ -283,7 +299,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             );
             if self.alloc[i] == AllocPhase::Blocked {
                 assert!(
-                    !m.header_at_head() || !m.is_complete(),
+                    !self.header_at_head(i) || !m.is_complete(),
                     "msg {id} blocked after completion"
                 );
             }

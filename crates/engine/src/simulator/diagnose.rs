@@ -53,7 +53,8 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
 
     /// Snapshot one message's situation for a stall report.
     fn stall_message(&self, id: u32) -> StallMessage {
-        let m = &self.msgs[id as usize];
+        let i = id as usize;
+        let m = &self.msgs[i];
         let mesh = self.ctx.mesh();
         let coord = |n: NodeId| {
             let c = mesh.coord(n);
@@ -63,12 +64,12 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             id,
             src: coord(m.src),
             dest: coord(m.dest),
-            head: coord(self.head_node(m)),
+            head: coord(self.head_node(i)),
             at_source: m.path.is_empty(),
             delivered: m.delivered,
-            wait_cycles: self.wait[id as usize],
+            wait_cycles: self.wait[i],
             recoveries: m.recoveries,
-            holds: m.path.iter().map(|e| (e.ch, e.vc)).collect(),
+            holds: self.path(i).iter().map(|e| (e.ch, e.vc)).collect(),
         }
     }
 }

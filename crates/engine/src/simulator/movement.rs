@@ -18,7 +18,11 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         if PROFILE {
             self.phase_times.count_worm(m.path.len());
         }
+        // `Simulator::path`, borrowed beside `m` rather than through `self`.
+        let base = i * self.stride;
+        let path = &mut self.paths[base + m.path.front as usize..base + m.path.back as usize];
         let pass = m.advance(
+            path,
             self.cfg.buffer_depth as u32,
             self.cycle + 1,
             &mut self.link_used,
@@ -37,7 +41,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         if pass.header_arrived {
             // Routable from the next allocation pass on, unless it
             // arrived home, where ejection takes over.
-            self.alloc[i] = if m.path.back().is_some_and(|e| e.dest == m.dest) {
+            self.alloc[i] = if path[path.len() - 1].dest == m.dest {
                 AllocPhase::Moving
             } else {
                 AllocPhase::Contend
@@ -50,7 +54,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             // The tail left the source: free the injection port.
             self.sources.free_port(m.src.index());
         }
-        let tail_drained = m.path.len() > 1 && m.path[1].entered == m.length;
+        let tail_drained = path.len() > 1 && path[1].entered == m.length;
         if tail_drained | m.is_complete() {
             self.retire_stages(id, measuring);
         }
@@ -66,14 +70,14 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         // Stage 0 is drained when everything has entered stage 1; a
         // complete message gives back whatever it still holds.
         loop {
-            let m = &mut self.msgs[i];
-            let drained = (complete && !m.path.is_empty())
-                || (m.path.len() > 1 && m.path[1].entered == m.length);
+            let path = self.path(i);
+            let drained = (complete && !path.is_empty())
+                || (path.len() > 1 && path[1].entered == self.msgs[i].length);
             if !drained {
                 break;
             }
-            let front = m.path[0];
-            m.path.pop_front();
+            let front = path[0];
+            self.pop_path_front(i);
             self.release_stage(id, front);
         }
         if complete {
@@ -109,11 +113,10 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     /// Release every stage message `id` holds, source side first.
     pub(super) fn release_path(&mut self, id: u32) {
         let i = id as usize;
-        for j in 0..self.msgs[i].path.len() {
-            let e = self.msgs[i].path[j];
+        while let Some(&e) = self.path(i).first() {
+            self.pop_path_front(i);
             self.release_stage(id, e);
         }
-        self.msgs[i].path.clear();
     }
 
     /// Wake the headers asleep on the slots released since the last call,

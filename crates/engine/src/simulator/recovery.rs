@@ -79,8 +79,8 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             }
             let src_dead = newly[m.src.index()];
             let dest_dead = newly[m.dest.index()];
-            let crosses = m
-                .path
+            let crosses = self
+                .path(id as usize)
                 .iter()
                 .any(|e| newly[e.dest.index()] || newly[mesh.channel_src(ChannelId(e.ch)).index()]);
             if dest_dead || (src_dead && (m.at_source > 0 || crosses)) {
@@ -255,7 +255,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             if !lost {
                 self.last_stall = Some(self.diagnose_stall(Some(MsgId(id))));
             }
-            let head = self.head_node(&self.msgs[id as usize]).0;
+            let head = self.head_node(id as usize).0;
             self.sink
                 .record(TraceEvent::new(self.cycle, EventKind::Recover, id).at(head));
         }

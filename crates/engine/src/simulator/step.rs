@@ -341,8 +341,8 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     pub(super) fn arrivals_so_far(&self, out: &mut Vec<u64>) {
         out.clear();
         out.extend_from_slice(&self.stage_arrivals);
-        for m in &self.msgs {
-            for e in &m.path {
+        for i in 0..self.msgs.len() {
+            for e in self.path(i) {
                 out[e.dest.index()] += u64::from(e.entered);
             }
         }

@@ -112,8 +112,7 @@ fn incremental_vc_accounting_matches_path_scan() {
         sim.step();
         let mut scanned = vec![0u64; sim.num_vcs as usize];
         for &id in &sim.active {
-            let m = &sim.msgs[id as usize];
-            for e in &m.path {
+            for e in sim.path(id as usize) {
                 scanned[sim.key_vc(e.key) as usize] += 1;
             }
         }
@@ -831,4 +830,121 @@ fn reset_reuses_slab_and_matches_fresh_run() {
             "reset-reused run diverged for {kind:?}"
         );
     }
+}
+
+#[test]
+fn header_presence() {
+    // The header is routable from the last held VC once it has entered
+    // that VC's buffer, not when the VC is granted.
+    let mesh = Mesh::square(10);
+    let mut sim = make_sim(AlgorithmKind::Duato, fault_free(), 0.0, SimConfig::quick());
+    let i = sim.inject_message(mesh.node(0, 0), mesh.node(5, 0)).0 as usize;
+    assert!(
+        !sim.header_at_head(i),
+        "a message at its source holds no VC"
+    );
+    assert_eq!(sim.head_node(i), mesh.node(0, 0));
+    sim.push_path(
+        i,
+        PathEntry {
+            key: 3,
+            ch: 0,
+            vc: 3,
+            dest: mesh.node(1, 0),
+            entered: 0,
+        },
+    );
+    assert!(
+        !sim.header_at_head(i),
+        "allocated but header not yet arrived"
+    );
+    assert_eq!(sim.head_node(i), mesh.node(1, 0));
+    sim.paths[i * sim.stride].entered = 1;
+    assert!(sim.header_at_head(i));
+    sim.pop_path_front(i);
+    assert_eq!((sim.msgs[i].path.front, sim.msgs[i].path.back), (0, 0));
+}
+
+/// The FNV-1a hex fingerprint `wormsim_experiments::report_json_fingerprint`
+/// takes of a serialized report.
+fn fingerprint(json: &str) -> String {
+    let h = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    format!("{h:016x}")
+}
+
+/// Run `sim` with every path window starting at one entry, so its paths
+/// outgrow them hop by hop and the arena is relaid out as they do.
+/// Returns the report and the widest window the run needed.
+fn run_in_one_entry_windows(mut sim: Simulator) -> (SimReport, usize) {
+    assert!(sim.msgs.is_empty(), "narrowed before the slab grows");
+    sim.stride = 1;
+    let report = sim.run();
+    sim.check_soa_layout();
+    (report, sim.stride)
+}
+
+#[test]
+fn one_entry_windows_widen_and_reproduce_the_golden_runs() {
+    // The paper run and the §5.2 Fully-Adaptive run that
+    // `tests/golden_fingerprints.rs` pins, each starting from one-entry
+    // windows: every relayout must keep every path, so the reports are
+    // the pinned ones byte for byte.
+    let mesh = Mesh::square(10);
+    let ctx = Arc::new(RoutingContext::new(mesh.clone(), fault_free()));
+    let algo = build_algorithm(AlgorithmKind::Duato, ctx.clone(), VcConfig::paper());
+    let cfg = SimConfig::paper().with_seed(0xB41C);
+    let sim = Simulator::new(algo, ctx, Workload::paper_uniform(0.01), cfg);
+    let (report, stride) = run_in_one_entry_windows(sim);
+    let json = serde_json::to_string_pretty(&report).unwrap();
+    assert_eq!(fingerprint(&json), "6fea1f0c9bd99fc2");
+    assert!(stride > 1, "the paper run never widened its windows");
+
+    let layout = FaultPattern::from_rects(
+        &mesh,
+        &[
+            Rect::new(Coord::new(3, 3), Coord::new(4, 5)),
+            Rect::point(Coord::new(7, 7)),
+            Rect::point(Coord::new(7, 1)),
+        ],
+    )
+    .unwrap();
+    let ctx = Arc::new(RoutingContext::new(mesh, layout));
+    let algo = build_algorithm(AlgorithmKind::FullyAdaptive, ctx.clone(), VcConfig::paper());
+    let cfg = SimConfig {
+        warmup_cycles: 200,
+        measure_cycles: 1_000,
+        ..SimConfig::paper().with_seed(0x52)
+    };
+    let wl = Workload {
+        message_length: 8,
+        ..Workload::paper_uniform(0.05)
+    };
+    let (report, stride) = run_in_one_entry_windows(Simulator::new(algo, ctx, wl, cfg));
+    assert_eq!(
+        fingerprint(&serde_json::to_string(&report).unwrap()),
+        "039bd5fda1d4ca61"
+    );
+    assert!(
+        stride > 1,
+        "the Fully-Adaptive run never widened its windows"
+    );
+}
+
+#[test]
+fn prewarm_reserves_and_builds_no_slot() {
+    // `prewarm` makes room for the slab and its path arena; the slots
+    // themselves, and the arena memory under them, come with the first
+    // messages.
+    let mut sim = make_sim(AlgorithmKind::Duato, fault_free(), 0.01, SimConfig::quick());
+    sim.prewarm(5_000);
+    assert!(sim.msgs.is_empty() && sim.paths.is_empty() && sim.free_list.is_empty());
+    assert!(sim.msgs.capacity() >= 5_000);
+    assert!(sim.paths.capacity() >= 5_000 * sim.stride);
+    for _ in 0..200 {
+        sim.step();
+    }
+    assert!(!sim.msgs.is_empty(), "no slot was built");
+    sim.check_soa_layout();
 }

@@ -1,10 +1,12 @@
 //! Prewarm sizing regression: `Simulator::prewarm` used to size the
 //! per-message path buffers for the 10×10 paper shape (a hardcoded hop
 //! budget), so the first cycles of a larger run reallocated mid-flight.
-//! Capacities now derive from the actual mesh dimensions; this test pins
+//! Path windows now derive from the actual mesh dimensions; this test pins
 //! that with a counting global allocator on a 64×64 mesh — after
 //! prewarm, a full schedule (warm-up included) performs zero heap
-//! allocations.
+//! allocations. It also pins that `prewarm` only reserves: its own
+//! allocations are a fixed list plus one per source queue, none per slab
+//! slot.
 //!
 //! The allocator counts process-wide, so the test binary must stay
 //! single-test (integration tests run in their own process; keep this
@@ -65,8 +67,20 @@ fn prewarmed_big_mesh_run_never_allocates() {
     // mesh (the old hardcoded 10×10 hop budget made exactly this
     // scenario reallocate path buffers mid-run).
     let expected = (cfg.total_cycles() as f64 * f64::from(SIDE) * f64::from(SIDE) * RATE) as usize;
+    let start = ALLOCATIONS.load(Ordering::Relaxed);
     sim.prewarm(expected + expected / 4 + 1024);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let in_prewarm = before - start;
+    // `prewarm` reserves and builds no slab slot: one reservation per
+    // node's source queue and one per fixed buffer (the slab, its path
+    // arena, its free list, the seven per-message arrays, five population
+    // buffers, the wake-list arena and three scratch buffers). Building
+    // every slot up front costs one more per slot: 10,258 in all here.
+    let budget = usize::from(SIDE) * usize::from(SIDE) + 20;
+    assert!(
+        in_prewarm <= budget as u64,
+        "prewarm made {in_prewarm} allocations, over its budget of {budget}"
+    );
     for _ in 0..cfg.total_cycles() {
         sim.step();
     }

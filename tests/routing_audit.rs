@@ -64,8 +64,10 @@ fn threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// The path capacity `Simulator::prewarm` reserves per message.
-fn prewarm_capacity(a: &Audit) -> u32 {
+/// The path window `Simulator` gives each message in its path arena: one
+/// perimeter, doubled for an algorithm with a `recheck_wait`. A walk
+/// longer than this would make the engine widen every window mid-run.
+fn path_window(a: &Audit) -> u32 {
     let mesh = a.ctx.mesh();
     let perimeter = 2 * (mesh.width() as u32 + mesh.height() as u32);
     perimeter
@@ -167,8 +169,8 @@ fn audit_matches_committed_table() {
                 assert_eq!(a.delivered, a.walks, "{label}, {kind:?}: {:?}", a.findings);
             }
             assert!(
-                a.longest_walk <= prewarm_capacity(a),
-                "{label}, {kind:?}: a {}-hop walk outgrows `prewarm`",
+                a.longest_walk <= path_window(a),
+                "{label}, {kind:?}: a {}-hop walk outgrows its path window",
                 a.longest_walk
             );
             if !a.findings.is_empty() {

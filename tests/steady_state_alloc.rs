@@ -71,7 +71,7 @@ fn paper_run() -> (u64, String) {
     // Pre-size for the whole schedule's message population (the paper
     // config oversubscribes the network, so source queues grow for the
     // entire run): expected creations plus generous Bernoulli slack.
-    // Path capacity is derived from the mesh inside `prewarm`.
+    // Path windows are derived from the mesh when the simulator is built.
     let expected =
         (cfg.total_cycles() as f64 * f64::from(MESH_SIZE) * f64::from(MESH_SIZE) * RATE) as usize;
     sim.prewarm(expected + expected / 4 + 1024);
