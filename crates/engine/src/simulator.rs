@@ -65,8 +65,8 @@ pub struct Simulator<S: Sink = NullSink, const PROFILE: bool = false> {
     /// probing `slots` per VC (`num_vcs ≤ 32`, enforced at construction).
     occ_mask: Vec<u32>,
     /// Per-channel wake-flag bitmask: bit `vc` of `waiter_mask[ch]` is set
-    /// iff `waiters[ch * num_vcs + vc]` is non-empty, so release paths and
-    /// the stall scanner skip empty wake lists without loading them.
+    /// iff `waiters[ch * num_vcs + vc]` is non-empty, so release paths
+    /// skip empty wake lists without loading them.
     waiter_mask: Vec<u32>,
     /// The message slab: one slot per message in flight, recycled through
     /// `free_list`. A slot is built the first time the slab grows to it.

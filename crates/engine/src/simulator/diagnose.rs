@@ -1,54 +1,93 @@
-//! Stall forensics: the blocked-message wait-for graph as a [`StallDiagnosis`].
+//! Stall forensics: the blocked headers' registration records as a
+//! wait-for graph, the knots in it, and a [`StallDiagnosis`].
 
 use super::*;
 
 impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
-    /// Snapshot the blocked-message wait-for graph into a structured
-    /// [`StallDiagnosis`]: one edge per (sleeping header, occupied
-    /// candidate slot) pair, plus the focus message's own situation.
-    /// Cheap relative to a recovery (it only scans non-empty wake lists),
-    /// and side-effect free — callable from tests at any cycle.
+    /// Snapshot the wait-for graph into a structured [`StallDiagnosis`]:
+    /// one edge per (blocked header, registered busy slot) pair, the union
+    /// of all knots ([`Simulator::knot`]) and the focus message's own
+    /// situation. Side-effect free: callable from tests at any cycle.
     pub fn diagnose_stall(&self, focus: Option<MsgId>) -> StallDiagnosis {
         let mut edges = Vec::new();
-        // The wake-flag masks locate non-empty lists: one `trailing_zeros`
-        // loop per channel instead of scanning every (channel, VC) slot.
-        for (ch, &mask) in self.waiter_mask.iter().enumerate() {
-            let mut bits = mask;
-            while bits != 0 {
-                let vc = bits.trailing_zeros() as u8;
-                bits &= bits - 1;
-                self.stall_edges_for(ch as u32, vc, &mut edges);
+        let mut blocked = 0;
+        for &id in self.active.iter().filter(|&&id| self.is_blocked(id)) {
+            blocked += 1;
+            for key in self.registered_slots(id) {
+                if let Some(holder) = self.slots[key as usize] {
+                    edges.push(WaitEdge {
+                        waiter: id,
+                        channel: self.key_channel(key).0,
+                        vc: self.key_vc(key),
+                        holder,
+                    });
+                }
             }
         }
-        let blocked = self
-            .active
-            .iter()
-            .filter(|&&id| self.is_blocked(id))
-            .count();
-        let focus = focus.map(|id| self.stall_message(id.0));
-        StallDiagnosis::build(self.cycle, focus, blocked, edges)
+        edges.sort_unstable_by_key(|e| (e.channel, e.vc, e.waiter));
+        let knot = self.knot().into_iter().map(|id| self.stall_message(id));
+        StallDiagnosis {
+            cycle: self.cycle,
+            focus: focus.map(|id| self.stall_message(id.0)),
+            blocked_messages: blocked,
+            edges,
+            knot: knot.collect(),
+        }
     }
 
-    /// Collect the wait-for edges of one (channel, VC) slot's wake list.
-    fn stall_edges_for(&self, channel: u32, vc: u8, edges: &mut Vec<WaitEdge>) {
-        let key = channel * self.num_vcs as u32 + vc as u32;
-        let Some(holder) = self.slots[key as usize] else {
-            // Freed but not yet drained: its sleepers are about to wake.
-            return;
-        };
-        let first = edges.len();
-        for waiter in self.waiters.iter(key) {
-            // Stale entries (moved on, died, recycled) are not waiting, and
-            // a list is a set: a repeated id adds no second edge.
-            if self.is_blocked(waiter) && !edges[first..].iter().any(|e| e.waiter == waiter) {
-                edges.push(WaitEdge {
-                    waiter,
-                    channel,
-                    vc,
-                    holder,
-                });
+    /// The union of all knots, in ascending id order: blocked headers
+    /// that nothing inside the network can unblock any more.
+    ///
+    /// Its candidates are the blocked headers with a registered slot whose
+    /// worm cannot free a slot by itself (`stalled`, or holding no VC) and
+    /// whose candidate set no longer widens (past `recheck_wait`). A
+    /// candidate with a registered slot that is free or held by a
+    /// non-candidate is dropped until nothing changes: each survivor then
+    /// waits only on survivors, whose flits cannot move, so only the
+    /// watchdog or a fault activation can change any of them.
+    /// Side-effect free.
+    pub fn knot(&self) -> Vec<u32> {
+        let ids = 0..self.msgs.len() as u32;
+        let mut member: Vec<bool> = ids.clone().map(|id| self.knot_candidate(id)).collect();
+        let mut changed = true;
+        while std::mem::take(&mut changed) {
+            for id in ids.clone() {
+                let inside =
+                    |key: u32| self.slots[key as usize].is_some_and(|h| member[h as usize]);
+                if member[id as usize] && !self.registered_slots(id).all(inside) {
+                    member[id as usize] = false;
+                    changed = true;
+                }
             }
         }
+        ids.filter(|&id| member[id as usize]).collect()
+    }
+
+    /// Whether `id` may belong to a knot (see [`Simulator::knot`]).
+    fn knot_candidate(&self, id: u32) -> bool {
+        let i = id as usize;
+        self.is_blocked(id)
+            && self.reg_bits[i] != 0
+            && (self.stalled[i] || self.msgs[i].path.is_empty())
+            && !matches!(self.recheck_wait, Some(w) if self.wait[i] <= w)
+    }
+
+    /// The slot keys blocked header `id` sleeps on: its registration
+    /// record, whose bit `dir * 32 + vc` names VC `vc` of the channel
+    /// leaving its head node (`reg_node`) in direction `dir`.
+    fn registered_slots(&self, id: u32) -> impl Iterator<Item = u32> + '_ {
+        let i = id as usize;
+        let (node, mesh) = (NodeId(self.reg_node[i]), self.ctx.mesh());
+        let mut bits = self.reg_bits[i];
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
+            }
+            let bit = bits.trailing_zeros();
+            bits &= bits - 1;
+            let ch = mesh.channel(node, Direction::from_index(bit as usize / 32));
+            Some(ch.0 * self.num_vcs as u32 + bit % 32)
+        })
     }
 
     /// Snapshot one message's situation for a stall report.

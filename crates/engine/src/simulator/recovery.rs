@@ -245,12 +245,10 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         // A survivor of an online fault event whose source has since died
         // cannot be re-injected: it is dropped for good.
         let lost = self.ctx.pattern().is_faulty(self.msgs[id as usize].src);
-        // Structured stall forensics: snapshot the blocked-message
-        // wait-for graph (the wake lists are exactly its edges) and name
-        // the deadlock cycle or congestion hotspot. The diagnosis is kept
-        // as a value so tests and tools can assert on the identified
-        // resource. Building it allocates, so the untraced fast path
-        // skips it to preserve the zero-allocation steady state.
+        // Stall forensics: snapshot the wait-for graph the registration
+        // records spell and name its knot or, failing one, the congestion
+        // hotspot, kept as a value for tests and tools. Building it
+        // allocates, so the untraced fast path skips it.
         if S::ENABLED {
             if !lost {
                 self.last_stall = Some(self.diagnose_stall(Some(MsgId(id))));

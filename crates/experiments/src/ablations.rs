@@ -5,10 +5,11 @@
 //! axis. Each returns a [`FigureResult`] so the `figures` binary renders
 //! them like the paper figures.
 
+use crate::census::{census, run_counting_knots};
 use crate::config::ExperimentConfig;
 use crate::figures::{
-    algorithm_columns, fault_case_grid, fault_patterns, fault_set_note, fig4_cases, fig4_fig5,
-    paper_52_layout, FaultCase, FigureResult, ANALYSIS_RATE, FULL_LOAD_RATE,
+    algorithm_columns, fault_case_grid, fault_case_runs, fault_patterns, fault_set_note,
+    fig4_cases, fig4_fig5, paper_52_layout, FaultCase, FigureResult, ANALYSIS_RATE, FULL_LOAD_RATE,
 };
 use crate::grid::Grid;
 use crate::runner::{derive_seed, run_custom, CustomSpec};
@@ -444,25 +445,29 @@ pub fn ablation_fault_axis(cfg: &ExperimentConfig) -> FigureResult {
     fault_axis(&fault_case_grid(cfg, &cases), notes)
 }
 
-/// Figures 4 and 5 and the fault-axis ablation from one grid. The
-/// ablation's "seeds" rows draw Figure 4's 5 % and 10 % fault sets with
-/// Figure 4's seeds, so here Figure 4's rows serve them and only the
-/// "exact" rows run on top: equal to [`fig4_fig5_fault_sweep`] and
-/// [`ablation_fault_axis`] run apart, for five rows of runs instead of
-/// seven.
+/// Figures 4 and 5, the fault-axis ablation and the deadlock census from
+/// one grid. The ablation's "seeds" rows draw Figure 4's 5 % and 10 %
+/// fault sets with Figure 4's seeds, and the census samples Figure 4's
+/// runs, so here Figure 4's rows serve all four and only the "exact" rows
+/// run on top: equal to [`fig4_fig5_fault_sweep`],
+/// [`ablation_fault_axis`] and [`deadlock_census`] run apart, for five
+/// rows of runs instead of ten.
 ///
 /// [`fig4_fig5_fault_sweep`]: crate::fig4_fig5_fault_sweep
-pub fn fault_sweep_and_axis(cfg: &ExperimentConfig) -> [FigureResult; 3] {
+/// [`deadlock_census`]: crate::deadlock_census
+pub fn fault_sweep_studies(cfg: &ExperimentConfig) -> [FigureResult; 4] {
     let (axis, notes) = fault_axis_cases(cfg);
     let labels: Vec<String> = axis.iter().map(|(label, _, _)| label.clone()).collect();
     // Rows 0–2: 0 %, 5 %, 10 % seeds; rows 3–4: 5 % and 10 % exact.
     let mut cases = fig4_cases(cfg);
     cases.extend(axis.into_iter().skip(1).step_by(2));
-    let grid = fault_case_grid(cfg, &cases);
+    let runs = fault_case_runs(cfg, &cases, run_counting_knots);
+    let census = census(cfg, &runs, &cases[..3]);
+    let grid = runs.map(|(report, _)| report.clone());
     let fig4_rows = cases[..3].iter().enumerate().map(|(r, c)| (r, c.0.clone()));
     let (fig4, fig5) = fig4_fig5(&grid.select(fig4_rows), &cases[..3]);
     let axis = fault_axis(&grid.select([1, 3, 2, 4].into_iter().zip(labels)), notes);
-    [fig4, fig5, axis]
+    [fig4, fig5, axis, census]
 }
 
 /// The fault-axis cases in table order (5 % seeds, 5 % exact, 10 % seeds,

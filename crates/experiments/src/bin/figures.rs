@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use wormsim_experiments::{
     ablation_arbitration, ablation_buffer_depth, ablation_fault_axis, ablation_mesh_size,
     ablation_message_length, ablation_misroute_limit, ablation_traffic_patterns,
-    ablation_turn_models, ablation_vc_budget, dynamic_faults, fault_sweep_and_axis,
+    ablation_turn_models, ablation_vc_budget, deadlock_census, dynamic_faults, fault_sweep_studies,
     fig1_saturation_throughput, fig2_latency_vs_rate, fig3_vc_utilization, fig4_fig5_fault_sweep,
     fig6_fring_traffic, provenance, ExperimentConfig, FigureResult, Progress, Scale,
 };
@@ -25,18 +25,21 @@ use wormsim_experiments::{
 /// the study's result is written to.
 const IDS: &str = "fig1 fig2 fig3 fig4 fig5 fig6 ablation_vc_budget ablation_message_length \
     ablation_buffer_depth ablation_traffic ablation_misroute ablation_arbitration \
-    ablation_turn_models ablation_mesh_size ablation_fault_axis dynamic_faults";
+    ablation_turn_models ablation_mesh_size ablation_fault_axis deadlock_census dynamic_faults";
 
 /// Run the study behind `id`: for `fig4` or `fig5`, the sweep behind both,
-/// which also yields `ablation_fault_axis` when that is `wanted` too (its
-/// "seeds" rows are Figure 4's runs).
+/// which also yields `ablation_fault_axis` and `deadlock_census` when
+/// either is `wanted` too (the axis's "seeds" rows are Figure 4's runs,
+/// and the census samples them).
 fn study(id: &str, cfg: &ExperimentConfig, wanted: &[&str]) -> Vec<FigureResult> {
     vec![match id {
         "fig1" => fig1_saturation_throughput(cfg),
         "fig2" => fig2_latency_vs_rate(cfg),
         "fig3" => fig3_vc_utilization(cfg),
-        "fig4" | "fig5" if wanted.contains(&"ablation_fault_axis") => {
-            return fault_sweep_and_axis(cfg).into();
+        "fig4" | "fig5"
+            if wanted.contains(&"ablation_fault_axis") || wanted.contains(&"deadlock_census") =>
+        {
+            return fault_sweep_studies(cfg).into();
         }
         "fig4" | "fig5" => {
             let (fig4, fig5) = fig4_fig5_fault_sweep(cfg);
@@ -52,6 +55,7 @@ fn study(id: &str, cfg: &ExperimentConfig, wanted: &[&str]) -> Vec<FigureResult>
         "ablation_turn_models" => ablation_turn_models(cfg),
         "ablation_mesh_size" => ablation_mesh_size(cfg),
         "ablation_fault_axis" => ablation_fault_axis(cfg),
+        "deadlock_census" => deadlock_census(cfg),
         "dynamic_faults" => dynamic_faults(cfg),
         _ => unreachable!("{id} is not in IDS"),
     }]

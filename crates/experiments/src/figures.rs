@@ -10,6 +10,7 @@ use serde::{Deserialize, Serialize};
 use std::process::Command;
 use std::sync::Arc;
 use std::time::Duration;
+use wormsim_engine::ConfigError;
 use wormsim_fault::{random_pattern, FaultPattern};
 use wormsim_metrics::SimReport;
 use wormsim_routing::{AlgorithmKind, RoutingContext};
@@ -308,6 +309,15 @@ pub(crate) type FaultCase = (String, usize, Vec<Arc<FaultPattern>>);
 /// Figure 4's stream. A cell's runs depend on its case alone, not on the
 /// other rows.
 pub(crate) fn fault_case_grid(cfg: &ExperimentConfig, cases: &[FaultCase]) -> Grid {
+    fault_case_runs(cfg, cases, run_single)
+}
+
+/// [`fault_case_grid`] with each spec run by `run`.
+pub(crate) fn fault_case_runs<R: Send>(
+    cfg: &ExperimentConfig,
+    cases: &[FaultCase],
+    run: impl Fn(&ExperimentConfig, &RunSpec) -> Result<R, ConfigError> + Sync,
+) -> Grid<R> {
     let kinds = AlgorithmKind::ALL;
     let rows = cases.iter().map(|(label, _, _)| label);
     Grid::new(rows, algorithm_columns(&kinds), cfg.fault_patterns)
@@ -323,7 +333,7 @@ pub(crate) fn fault_case_grid(cfg: &ExperimentConfig, cases: &[FaultCase]) -> Gr
                     seed: derive_seed(cfg.base_seed, 4, kinds[k] as u64, (faults * 100 + p) as u64),
                 })
             },
-            |s| run_single(cfg, s),
+            |s| run(cfg, s),
         )
         .expect("runnable spec")
 }

@@ -12,22 +12,23 @@
 use crate::{parallel_map_with_progress, ExperimentConfig, Table};
 use wormsim_metrics::SimReport;
 
-/// A study's runs: one report list per (row, column) cell.
-pub(crate) struct Grid {
+/// A study's runs: one result list per (row, column) cell, a
+/// [`SimReport`] per run unless the study's runs return more.
+pub(crate) struct Grid<R = SimReport> {
     rows: Vec<String>,
     columns: Vec<String>,
     replicas: usize,
-    /// Row-major; each cell holds its replicas' reports in replica order.
-    cells: Vec<Vec<SimReport>>,
+    /// Row-major; each cell holds its replicas' results in replica order.
+    cells: Vec<Vec<R>>,
 }
 
-impl Grid {
+impl<R> Grid<R> {
     /// The layout: row labels, column names and replicas per cell.
     pub(crate) fn new<L: ToString>(
         rows: impl IntoIterator<Item = L>,
         columns: Vec<String>,
         replicas: usize,
-    ) -> Grid {
+    ) -> Grid<R> {
         Grid {
             rows: rows.into_iter().map(|r| r.to_string()).collect(),
             columns,
@@ -44,8 +45,11 @@ impl Grid {
         cfg: &ExperimentConfig,
         label: &str,
         spec: impl Fn(usize, usize, usize) -> Option<S>,
-        run: impl Fn(&S) -> Result<SimReport, E> + Sync,
-    ) -> Result<Grid, E> {
+        run: impl Fn(&S) -> Result<R, E> + Sync,
+    ) -> Result<Grid<R>, E>
+    where
+        R: Send,
+    {
         let (mut items, mut owners) = (Vec::new(), Vec::new());
         for r in 0..self.rows.len() {
             for c in 0..self.columns.len() {
@@ -71,7 +75,10 @@ impl Grid {
     /// relabelled: how studies that share runs take their rows of one
     /// grid. (`sweep`, which compiles this file too, shares no runs.)
     #[allow(dead_code)]
-    pub(crate) fn select<L: ToString>(&self, rows: impl IntoIterator<Item = (usize, L)>) -> Grid {
+    pub(crate) fn select<L: ToString>(&self, rows: impl IntoIterator<Item = (usize, L)>) -> Grid<R>
+    where
+        R: Clone,
+    {
         let (mut labels, mut cells) = (Vec::new(), Vec::new());
         for (r, label) in rows {
             labels.push(label.to_string());
@@ -86,8 +93,23 @@ impl Grid {
         }
     }
 
-    /// The reports of one cell, in replica order (empty if skipped).
-    pub(crate) fn cell(&self, row: usize, column: usize) -> &[SimReport] {
+    /// The same layout with `f` of every run's result.
+    #[allow(dead_code)]
+    pub(crate) fn map<T>(&self, f: impl Fn(&R) -> T) -> Grid<T> {
+        Grid {
+            rows: self.rows.clone(),
+            columns: self.columns.clone(),
+            replicas: self.replicas,
+            cells: self
+                .cells
+                .iter()
+                .map(|runs| runs.iter().map(&f).collect())
+                .collect(),
+        }
+    }
+
+    /// The results of one cell, in replica order (empty if skipped).
+    pub(crate) fn cell(&self, row: usize, column: usize) -> &[R] {
         &self.cells[row * self.columns.len() + column]
     }
 
@@ -97,7 +119,7 @@ impl Grid {
         &self,
         title: impl Into<String>,
         axis: &str,
-        value: impl Fn(&SimReport) -> f64,
+        value: impl Fn(&R) -> f64,
     ) -> Table {
         self.reduce(title, axis, |runs| mean_finite(runs.iter().map(&value)))
     }
@@ -107,7 +129,7 @@ impl Grid {
         &self,
         title: impl Into<String>,
         axis: &str,
-        cell: impl Fn(&[SimReport]) -> f64,
+        cell: impl Fn(&[R]) -> f64,
     ) -> Table {
         let mut table = Table::new(title, axis, self.columns.clone());
         for (r, label) in self.rows.iter().enumerate() {

@@ -12,6 +12,7 @@
 //! | [`fig3_vc_utilization`] | Fig 3a/3b | per-VC utilization at 5 % faults |
 //! | [`fig4_fig5_fault_sweep`] | Figs 4, 5 | normalized throughput and latency at 0/5/10 % faults |
 //! | [`fig6_fring_traffic`] | Fig 6 | traffic load split: f-ring vs other nodes |
+//! | [`deadlock_census`] | Fig 4's runs | how often they hold a knot (a deadlock) |
 //!
 //! Runs fan out over scoped threads with [`parallel_map`] (one simulation
 //! per work item); everything is deterministic given
@@ -20,6 +21,7 @@
 #![forbid(unsafe_code)]
 
 mod ablations;
+mod census;
 mod config;
 mod dynamic;
 mod figures;
@@ -31,8 +33,9 @@ mod table;
 pub use ablations::{
     ablation_arbitration, ablation_buffer_depth, ablation_fault_axis, ablation_mesh_size,
     ablation_message_length, ablation_misroute_limit, ablation_traffic_patterns,
-    ablation_turn_models, ablation_vc_budget, fault_sweep_and_axis,
+    ablation_turn_models, ablation_vc_budget, fault_sweep_studies,
 };
+pub use census::deadlock_census;
 pub use config::{parse_algorithm, ExperimentConfig, Scale};
 pub use dynamic::{dynamic_faults, DYNAMIC_KINDS, DYNAMIC_RATE};
 pub use figures::{

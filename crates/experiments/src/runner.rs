@@ -99,7 +99,7 @@ fn run_reusing_sim(
 /// VC budget against [`min_total_vcs`] *first* — `build_algorithm`
 /// asserts on it, and a spec from outside the program must come back as a
 /// typed [`ConfigError`], not a panic.
-fn checked_context_and_algo(
+pub(crate) fn checked_context_and_algo(
     mesh_size: u16,
     pattern: &Arc<FaultPattern>,
     kind: AlgorithmKind,

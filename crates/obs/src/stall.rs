@@ -1,12 +1,12 @@
 //! Stall forensics: turn "the watchdog fired" into "who is waiting on
-//! whom, and which resource is the knot".
+//! whom, and is it a deadlock".
 //!
-//! The engine already maintains per-VC-slot wait lists for its wake
-//! machinery; when a message trips the deadlock watchdog those lists
-//! *are* the wait-for graph. [`StallDiagnosis::build`] walks that graph
-//! to name either a genuine cycle (messages waiting on each other in a
-//! ring — a true deadlock) or, failing that, the hottest contended
-//! resource (the VC slot with the most sleepers — a congestion hotspot).
+//! A blocked header's registration record names exactly the busy slots
+//! it sleeps on, so the records are the wait-for graph. A header waiting
+//! on several slots is deadlocked only inside a *knot*: headers whose
+//! every registered slot is held by a member, none of whose worms can move
+//! (Warnakulasuriya and Pinkston, IPPS 1997). [`StallDiagnosis`] names the
+//! engine's knot or, failing one, the slot with the most sleepers.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -64,9 +64,9 @@ pub struct StallMessage {
 
 /// The watchdog's structured report: what was stuck, on what, and why.
 ///
-/// Built by the engine when a message trips the deadlock timeout;
-/// returned as a value so tests (and the trace bin) can assert on the
-/// identified resource instead of scraping stderr.
+/// Built by the engine when a message trips the deadlock timeout, or on
+/// demand at any cycle; returned as a value so tests (and the trace bin)
+/// can assert on the identified resource instead of scraping stderr.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StallDiagnosis {
     /// Cycle the watchdog fired.
@@ -75,44 +75,26 @@ pub struct StallDiagnosis {
     pub focus: Option<StallMessage>,
     /// How many active messages were blocked at that moment.
     pub blocked_messages: usize,
-    /// The full wait-for edge set at that moment.
+    /// Every blocked header's registered busy slots at that moment.
     pub edges: Vec<WaitEdge>,
-    /// A wait-for cycle (each waits on the next; last waits on first),
-    /// if one exists — the signature of a true deadlock.
-    pub wait_cycle: Option<Vec<u32>>,
-    /// The most-contended VC slot, when any edge exists.
-    pub hotspot: Option<Hotspot>,
+    /// The union of all knots, in ascending id order, each member with
+    /// the slots it holds. Empty when nothing is deadlocked.
+    pub knot: Vec<StallMessage>,
 }
 
 impl StallDiagnosis {
-    /// Analyse a wait-for edge set: find a cycle (preferring one through
-    /// `focus`) and the hottest slot.
-    pub fn build(
-        cycle: u64,
-        focus: Option<StallMessage>,
-        blocked_messages: usize,
-        edges: Vec<WaitEdge>,
-    ) -> Self {
-        let wait_cycle = find_cycle(&edges, focus.as_ref().map(|f| f.id));
-        let hotspot = find_hotspot(&edges);
-        StallDiagnosis {
-            cycle,
-            focus,
-            blocked_messages,
-            edges,
-            wait_cycle,
-            hotspot,
-        }
-    }
-
     /// The one-line name of the blocking resource, for quick assertions:
-    /// the cycle if there is one, otherwise the hotspot slot.
+    /// the knot if there is one, otherwise the hotspot slot.
     pub fn names_resource(&self) -> Option<String> {
-        if let Some(cycle) = &self.wait_cycle {
-            let ids: Vec<String> = cycle.iter().map(|id| format!("m{id}")).collect();
-            return Some(format!("deadlock cycle: {}", ids.join(" -> ")));
+        if !self.knot.is_empty() {
+            let ids: Vec<String> = self.knot.iter().map(|m| format!("m{}", m.id)).collect();
+            return Some(format!(
+                "knot of {} header(s): {}",
+                ids.len(),
+                ids.join(" ")
+            ));
         }
-        self.hotspot.as_ref().map(|h| {
+        self.hotspot().map(|h| {
             format!(
                 "hotspot: channel {} vc {} held by m{} ({} waiting)",
                 h.channel,
@@ -121,6 +103,33 @@ impl StallDiagnosis {
                 h.waiters.len()
             )
         })
+    }
+
+    /// The slot with the most waiters (ties: lowest (channel, vc)), when
+    /// any edge exists.
+    pub fn hotspot(&self) -> Option<Hotspot> {
+        let mut by_slot: BTreeMap<(u32, u8), (u32, Vec<u32>)> = BTreeMap::new();
+        for e in &self.edges {
+            let entry = by_slot
+                .entry((e.channel, e.vc))
+                .or_insert_with(|| (e.holder, Vec::new()));
+            entry.1.push(e.waiter);
+        }
+        by_slot
+            .into_iter()
+            .max_by_key(|((ch, vc), (_, waiters))| {
+                (
+                    waiters.len(),
+                    std::cmp::Reverse(*ch),
+                    std::cmp::Reverse(*vc),
+                )
+            })
+            .map(|((channel, vc), (holder, waiters))| Hotspot {
+                channel,
+                vc,
+                holder,
+                waiters,
+            })
     }
 }
 
@@ -151,13 +160,16 @@ impl fmt::Display for StallDiagnosis {
                 m.recoveries,
             )?;
             if !m.holds.is_empty() {
-                let holds: Vec<String> = m
-                    .holds
-                    .iter()
-                    .map(|(ch, vc)| format!("ch{ch}/vc{vc}"))
-                    .collect();
-                writeln!(f, "[stall]   focus holds: {}", holds.join(", "))?;
+                writeln!(f, "[stall]   focus holds: {}", slot_list(&m.holds))?;
             }
+        }
+        for m in &self.knot {
+            let holds = if m.at_source {
+                "nothing (at source)".into()
+            } else {
+                slot_list(&m.holds)
+            };
+            writeln!(f, "[stall]   knot m{} holds: {holds}", m.id)?;
         }
         for e in &self.edges {
             writeln!(
@@ -176,77 +188,13 @@ impl fmt::Display for StallDiagnosis {
     }
 }
 
-/// Find a wait-for cycle, preferring one reachable from `prefer`.
-///
-/// Each waiter may sleep on several slots; a message is only *truly*
-/// stuck while every candidate is busy, so any single edge is a real
-/// wait. We search the multigraph for a directed cycle over message ids.
-fn find_cycle(edges: &[WaitEdge], prefer: Option<u32>) -> Option<Vec<u32>> {
-    let mut adj: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-    for e in edges {
-        adj.entry(e.waiter).or_default().push(e.holder);
-    }
-    let starts = prefer
-        .into_iter()
-        .chain(adj.keys().copied())
-        .collect::<Vec<_>>();
-    for start in starts {
-        if let Some(cycle) = dfs_cycle(&adj, start) {
-            return Some(cycle);
-        }
-    }
-    None
-}
-
-/// Iterative DFS from `start`, returning the first directed cycle found.
-fn dfs_cycle(adj: &BTreeMap<u32, Vec<u32>>, start: u32) -> Option<Vec<u32>> {
-    // Path stack with per-node next-neighbour cursors.
-    let mut path: Vec<(u32, usize)> = vec![(start, 0)];
-    let mut on_path: Vec<u32> = vec![start];
-    while let Some(&mut (node, ref mut cursor)) = path.last_mut() {
-        let neighbours = adj.get(&node).map(|v| v.as_slice()).unwrap_or(&[]);
-        if *cursor >= neighbours.len() {
-            path.pop();
-            on_path.pop();
-            continue;
-        }
-        let next = neighbours[*cursor];
-        *cursor += 1;
-        if let Some(pos) = on_path.iter().position(|&n| n == next) {
-            return Some(on_path[pos..].to_vec());
-        }
-        // Depth is bounded by the number of distinct waiters, so this
-        // cannot run away even on dense graphs.
-        path.push((next, 0));
-        on_path.push(next);
-    }
-    None
-}
-
-/// The slot with the most waiters (ties: lowest (channel, vc)).
-fn find_hotspot(edges: &[WaitEdge]) -> Option<Hotspot> {
-    let mut by_slot: BTreeMap<(u32, u8), (u32, Vec<u32>)> = BTreeMap::new();
-    for e in edges {
-        let entry = by_slot
-            .entry((e.channel, e.vc))
-            .or_insert_with(|| (e.holder, Vec::new()));
-        entry.1.push(e.waiter);
-    }
-    by_slot
-        .into_iter()
-        .max_by_key(|((ch, vc), (_, waiters))| {
-            (
-                waiters.len(),
-                std::cmp::Reverse(*ch),
-                std::cmp::Reverse(*vc),
-            )
-        })
-        .map(|((channel, vc), (holder, waiters))| Hotspot {
-            channel,
-            vc,
-            holder,
-            waiters,
-        })
+/// `(channel, vc)` slots as `ch12/vc1, ch13/vc1`.
+fn slot_list(slots: &[(u32, u8)]) -> String {
+    let names: Vec<String> = slots
+        .iter()
+        .map(|(ch, vc)| format!("ch{ch}/vc{vc}"))
+        .collect();
+    names.join(", ")
 }
 
 #[cfg(test)]
@@ -262,28 +210,28 @@ mod tests {
         }
     }
 
-    #[test]
-    fn detects_three_way_cycle() {
-        // a waits on b, b waits on c, c waits on a: classic ring.
-        let edges = vec![edge(0, 10, 0, 1), edge(1, 11, 0, 2), edge(2, 12, 0, 0)];
-        let d = StallDiagnosis::build(100, None, 3, edges);
-        let cycle = d.wait_cycle.clone().expect("cycle found");
-        assert_eq!(cycle.len(), 3);
-        // The cycle contains all three, in wait order starting anywhere.
-        let mut sorted = cycle.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2]);
-        let name = d.names_resource().unwrap();
-        assert!(name.starts_with("deadlock cycle:"), "{name}");
+    fn diagnosis(
+        cycle: u64,
+        focus: Option<StallMessage>,
+        edges: Vec<WaitEdge>,
+        knot: Vec<StallMessage>,
+    ) -> StallDiagnosis {
+        StallDiagnosis {
+            cycle,
+            focus,
+            blocked_messages: edges.len(),
+            edges,
+            knot,
+        }
     }
 
     #[test]
     fn no_cycle_reports_hotspot() {
         // Three messages all waiting on the same slot held by m9.
         let edges = vec![edge(1, 40, 2, 9), edge(2, 40, 2, 9), edge(3, 7, 0, 9)];
-        let d = StallDiagnosis::build(50, None, 4, edges);
-        assert!(d.wait_cycle.is_none());
-        let h = d.hotspot.clone().expect("hotspot found");
+        let d = diagnosis(50, None, edges, Vec::new());
+        assert!(d.knot.is_empty());
+        let h = d.hotspot().expect("hotspot found");
         assert_eq!((h.channel, h.vc, h.holder), (40, 2, 9));
         assert_eq!(h.waiters, vec![1, 2]);
         let name = d.names_resource().unwrap();
@@ -291,36 +239,40 @@ mod tests {
         assert!(name.contains("2 waiting"), "{name}");
     }
 
-    #[test]
-    fn prefers_cycle_through_focus() {
-        // Two disjoint cycles; the focus is in the second one.
-        let edges = vec![
-            edge(0, 1, 0, 1),
-            edge(1, 2, 0, 0),
-            edge(5, 3, 0, 6),
-            edge(6, 4, 0, 5),
-        ];
-        let focus = StallMessage {
-            id: 5,
+    fn member(id: u32, holds: Vec<(u32, u8)>) -> StallMessage {
+        StallMessage {
+            id,
             src: (0, 0),
             dest: (3, 3),
             head: (1, 1),
-            at_source: false,
+            at_source: holds.is_empty(),
             delivered: 0,
             wait_cycles: 400,
             recoveries: 0,
-            holds: vec![(3, 0)],
-        };
-        let d = StallDiagnosis::build(10, Some(focus), 4, edges);
-        let cycle = d.wait_cycle.expect("cycle found");
-        assert!(cycle.contains(&5), "focus cycle preferred: {cycle:?}");
+            holds,
+        }
+    }
+
+    #[test]
+    fn a_knot_is_named_before_the_hotspot() {
+        // m0 and m1 wait on each other's slot; m2 also waits on m0's.
+        let edges = vec![edge(0, 11, 0, 1), edge(1, 10, 0, 0), edge(2, 10, 0, 0)];
+        let knot = vec![member(0, vec![(10, 0)]), member(1, vec![(11, 0)])];
+        let d = diagnosis(10, None, edges, knot);
+        assert_eq!(d.hotspot().map(|h| h.waiters.len()), Some(2));
+        let name = d.names_resource().unwrap();
+        assert_eq!(name, "knot of 2 header(s): m0 m1");
+        let text = format!("{d}");
+        assert!(text.contains("knot m1 holds: ch11/vc0"), "{text}");
+        let d = diagnosis(10, None, Vec::new(), vec![member(4, Vec::new())]);
+        assert!(format!("{d}").contains("knot m4 holds: nothing (at source)"));
+        assert!(text.contains("verdict: knot"), "{text}");
     }
 
     #[test]
     fn empty_edges_name_nothing() {
-        let d = StallDiagnosis::build(1, None, 0, Vec::new());
-        assert!(d.wait_cycle.is_none());
-        assert!(d.hotspot.is_none());
+        let d = diagnosis(1, None, Vec::new(), Vec::new());
+        assert!(d.hotspot().is_none());
         assert!(d.names_resource().is_none());
         // Display still renders without panicking.
         let text = format!("{d}");
@@ -340,7 +292,7 @@ mod tests {
             recoveries: 1,
             holds: vec![(12, 1), (13, 1)],
         };
-        let d = StallDiagnosis::build(999, Some(focus), 2, vec![edge(7, 20, 0, 8)]);
+        let d = diagnosis(999, Some(focus), vec![edge(7, 20, 0, 8)], Vec::new());
         let text = format!("{d}");
         assert!(text.contains("cycle 999"), "{text}");
         assert!(text.contains("focus m7"), "{text}");
@@ -350,7 +302,8 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let d = StallDiagnosis::build(5, None, 1, vec![edge(1, 2, 3, 4)]);
+        let knot = vec![member(1, vec![(3, 1)])];
+        let d = diagnosis(5, None, vec![edge(1, 2, 3, 4)], knot);
         let json = serde_json::to_string(&d).unwrap();
         let back: StallDiagnosis = serde_json::from_str(&json).unwrap();
         assert_eq!(back, d);

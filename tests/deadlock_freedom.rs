@@ -1,14 +1,17 @@
 //! Deadlock-freedom checks: the algorithms the routing audit proves
-//! deadlock-free must never trip the engine watchdog; the class-ladder
-//! invariants hold end-to-end.
+//! deadlock-free must never trip the engine watchdog nor knot; the knot
+//! the engine finds for PHop is a real deadlock on the audit's cycles;
+//! the class-ladder invariants hold end-to-end.
 
 #[path = "support/routing_audit.rs"]
 mod routing_audit;
 
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use std::sync::Arc;
-use wormsim_engine::{SimConfig, Simulator};
-use wormsim_experiments::parallel_map;
-use wormsim_fault::FaultPattern;
+use wormsim_engine::{NullSink, RingSink, SimConfig, Simulator, Sink};
+use wormsim_experiments::{deadlock_census, parallel_map, ExperimentConfig, Scale};
+use wormsim_fault::{random_pattern, FaultPattern};
 use wormsim_routing::{build_algorithm, AlgorithmKind, RoutingContext, VcConfig};
 use wormsim_topology::{Coord, Mesh, Rect};
 use wormsim_traffic::Workload;
@@ -125,6 +128,139 @@ fn free_choice_algorithms_survive_with_watchdog() {
         let r = sim.run();
         assert!(r.throughput.messages_delivered() > 500, "{kind:?}");
     }
+}
+
+/// The census's fault-free row at quick scale: no sample of any
+/// algorithm the audit proves deadlock-free holds a knot. (One fault set
+/// per faulty case keeps the test short; the fault-free row has one set
+/// at any count.)
+#[test]
+fn the_census_finds_no_knot_where_the_audit_proves_freedom() {
+    let mut cfg = ExperimentConfig::new(Scale::Quick).with_threads(2);
+    cfg.fault_patterns = 1;
+    let census = deadlock_census(&cfg);
+    let table = &census.tables[0];
+    for kind in deadlock_free_roster() {
+        for row in ["0% knotted samples (%)", "0% knotted headers per sample"] {
+            assert_eq!(
+                table.get(row, kind.paper_name()),
+                Some(0.0),
+                "{kind:?}: {row}"
+            );
+        }
+    }
+}
+
+/// The routing context of a `trace` run: an 8×8 mesh with `faults` seed
+/// failures drawn by `random_pattern` from `seed`.
+fn trace_context(faults: usize, seed: u64) -> Arc<RoutingContext> {
+    let mesh = Mesh::square(8);
+    let pattern = random_pattern(&mesh, faults, &mut SmallRng::seed_from_u64(seed)).unwrap();
+    Arc::new(RoutingContext::new(mesh, pattern))
+}
+
+/// `trace --algo <kind> --faults <faults> --rate 0.01 --cycles 30000
+/// --seed <seed>`, with the watchdog at `timeout`.
+fn trace_sim<S: Sink>(
+    kind: AlgorithmKind,
+    ctx: &Arc<RoutingContext>,
+    seed: u64,
+    timeout: u64,
+    sink: S,
+) -> Simulator<S> {
+    let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
+    let cfg = SimConfig {
+        warmup_cycles: 10_000,
+        measure_cycles: 20_000,
+        deadlock_timeout: timeout,
+        ..SimConfig::paper().with_seed(seed)
+    };
+    Simulator::with_sink(algo, ctx.clone(), Workload::paper_uniform(0.01), cfg, sink)
+}
+
+/// The PHop witness, `trace --algo PHop --faults 5 --rate 0.01 --cycles
+/// 30000 --seed 0`: 35 headers are knotted by cycle 17 000. With the
+/// watchdog past the run nothing breaks the knot: 1 000 cycles later the
+/// detector still names every member (newly blocked headers may join),
+/// and each holds the same slots with its header where it was and has
+/// waited all 1 000 cycles. Every
+/// slot a member waits on lies in the cyclic core of the routing audit's
+/// graph for the pattern, the knot's static counterpart.
+#[test]
+fn the_phop_witness_knot_is_a_deadlock_on_the_audits_cycles() {
+    let ctx = trace_context(5, 0);
+    let mut sim = trace_sim(AlgorithmKind::PHop, &ctx, 0, u64::MAX, NullSink);
+    for _ in 0..17_000 {
+        sim.step();
+    }
+    let knot = sim.knot();
+    assert_eq!(knot.len(), 35, "{knot:?}");
+    let before = sim.diagnose_stall(None);
+    for _ in 0..1_000 {
+        sim.step();
+    }
+    let after = sim.diagnose_stall(None);
+    for a in &before.knot {
+        let b = after.knot.iter().find(|b| b.id == a.id);
+        let b = b.unwrap_or_else(|| panic!("m{} left the knot", a.id));
+        assert_eq!((a.head, &a.holds), (b.head, &b.holds), "m{} moved", a.id);
+        assert_eq!(
+            b.wait_cycles,
+            a.wait_cycles + 1_000,
+            "m{} stopped waiting",
+            a.id
+        );
+    }
+
+    // The knot's own cyclic core: members on a cycle of its wait-for
+    // graph, or between two. Each waits on a slot that a walk of the
+    // channel-dependency graph both reaches from a cycle (through the
+    // path of the member it came from) and leaves for one (through the
+    // holder's path), so the slot is in the audit graph's core too.
+    // Members hanging off the core, such as a header at its source
+    // waiting on a knot worm's first slot, need not be.
+    let knot = sim.knot();
+    let member = |id: u32| knot.iter().position(|&m| m == id);
+    let wait_for = routing_audit::Digraph::new(knot.len(), |a, out| {
+        let waits = after.edges.iter().filter(|e| e.waiter == knot[a]);
+        out.extend(waits.filter_map(|e| member(e.holder)));
+    });
+    let knot_core = wait_for.cyclic_core();
+    let audit = routing_audit::graph_audit(AlgorithmKind::PHop, &ctx, VcConfig::paper());
+    let core = audit.digraph().cyclic_core();
+    let vcs = u32::from(VcConfig::paper().total);
+    let waits: Vec<_> = (after.edges.iter())
+        .filter(|e| member(e.waiter).is_some_and(|a| knot_core[a]))
+        .collect();
+    assert!(waits.len() >= 3, "the knot has a cyclic core: {waits:?}");
+    for e in waits {
+        let node = (e.channel * vcs + u32::from(e.vc)) as usize;
+        assert!(
+            core[node],
+            "m{} waits on ch{}/vc{}, off every audit cycle",
+            e.waiter, e.channel, e.vc
+        );
+    }
+}
+
+/// `trace --algo NHop --faults 10 --rate 0.01 --cycles 30000 --seed 2`
+/// trips the watchdog 7 times, on congestion: the wait-for graph has
+/// cycles, but no diagnosis taken at a recovery holds a knot.
+#[test]
+fn the_nhop_seed_2_recoveries_hold_no_knot() {
+    let ctx = trace_context(10, 2);
+    let timeout = SimConfig::paper().deadlock_timeout;
+    let mut sim = trace_sim(AlgorithmKind::NHop, &ctx, 2, timeout, RingSink::new(1));
+    for _ in 0..30_000 {
+        let before = sim.recoveries();
+        sim.step();
+        if sim.recoveries() > before {
+            assert_eq!(sim.recoveries(), before + 1, "one diagnosis per recovery");
+            let diag = sim.last_stall().expect("a traced recovery is diagnosed");
+            assert!(diag.knot.is_empty(), "{diag}");
+        }
+    }
+    assert_eq!(sim.recoveries(), 7);
 }
 
 #[test]

@@ -99,7 +99,7 @@ fn committed_figures_are_the_paper_scale_run() {
         .flatten()
     {
         let name = entry.file_name().to_string_lossy().into_owned();
-        let study = ["fig", "ablation_", "dynamic_faults."]
+        let study = ["fig", "ablation_", "dynamic_faults.", "deadlock_census."]
             .iter()
             .any(|prefix| name.starts_with(prefix));
         if !(study && (name.ends_with(".md") || name.ends_with(".json"))) {
@@ -114,8 +114,8 @@ fn committed_figures_are_the_paper_scale_run() {
         );
     }
     assert_eq!(
-        figures, 32,
-        "fig1–fig6, nine ablations and dynamic_faults, one .md and one .json each"
+        figures, 34,
+        "fig1–fig6, nine ablations, dynamic_faults and deadlock_census, one .md and one .json each"
     );
 }
 

@@ -10,7 +10,7 @@ use std::sync::OnceLock;
 use wormsim_experiments::{
     ablation_arbitration, ablation_buffer_depth, ablation_fault_axis, ablation_mesh_size,
     ablation_message_length, ablation_misroute_limit, ablation_traffic_patterns,
-    ablation_turn_models, ablation_vc_budget, dynamic_faults, fault_sweep_and_axis,
+    ablation_turn_models, ablation_vc_budget, deadlock_census, dynamic_faults, fault_sweep_studies,
     fig1_saturation_throughput, fig2_latency_vs_rate, fig3_vc_utilization, fig4_fig5_fault_sweep,
     fig6_fring_traffic, fnv1a, ExperimentConfig, FigureResult, Scale,
 };
@@ -211,6 +211,7 @@ fn every_study_is_pinned() {
         ablation_mesh_size(&cfg),
         ablation_fault_axis(&cfg),
         dynamic_faults(&cfg),
+        deadlock_census(&cfg),
     ];
     let got: Vec<(&str, String)> = studies
         .iter()
@@ -236,14 +237,16 @@ fn every_study_is_pinned() {
         ("ablation_mesh_size", "96f1ff24a8903a4a"),
         ("ablation_fault_axis", "4c9f72eb0441da1c"),
         ("dynamic_faults", "fc8258ce749fa476"),
+        ("deadlock_census", "0c32c8c636b50142"),
     ];
     let want: Vec<(&str, String)> = want.map(|(id, hash)| (id, hash.to_string())).into();
     assert_eq!(got, want, "a study's output moved");
 }
 
-/// `figures` runs Figure 4's grid once for Figures 4, 5 and the fault-axis
-/// ablation when it writes all three; the shared grid must give what the
-/// three standalone studies give, byte for byte.
+/// `figures` runs Figure 4's grid once for Figures 4, 5, the fault-axis
+/// ablation and the deadlock census when it writes them together; the
+/// shared grid must give what the four standalone studies give, byte for
+/// byte.
 #[test]
 fn the_shared_fault_grid_equals_the_standalone_studies() {
     let mut cfg = ExperimentConfig::new(Scale::Quick).with_threads(2);
@@ -252,7 +255,8 @@ fn the_shared_fault_grid_equals_the_standalone_studies() {
     cfg.fault_patterns = 2;
     let (fig4, fig5) = fig4_fig5_fault_sweep(&cfg);
     let json = |fig: &FigureResult| serde_json::to_string(fig).expect("figure serializes");
-    let standalone = [fig4, fig5, ablation_fault_axis(&cfg)].map(|fig| json(&fig));
-    let shared = fault_sweep_and_axis(&cfg).map(|fig| json(&fig));
+    let standalone =
+        [fig4, fig5, ablation_fault_axis(&cfg), deadlock_census(&cfg)].map(|fig| json(&fig));
+    let shared = fault_sweep_studies(&cfg).map(|fig| json(&fig));
     assert_eq!(shared, standalone);
 }

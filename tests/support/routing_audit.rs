@@ -320,13 +320,18 @@ fn walk(kind: AlgorithmKind, ctx: &Arc<RoutingContext>, vcs: VcConfig, eager: bo
 }
 
 impl Audit {
+    /// The graph as a [`Digraph`] over `channel * num_vcs + vc`.
+    pub fn digraph(&self) -> Digraph {
+        let mesh = self.ctx.mesh();
+        Digraph::new(self.graph.succ.len(), |a, out| {
+            self.graph.successors(mesh, a, out)
+        })
+    }
+
     /// The verdict: (a), else (b), else a cycle.
     pub fn verdict(&self) -> Verdict {
-        let mesh = self.ctx.mesh();
         let nv = self.graph.num_vcs as usize;
-        let graph = Digraph::new(self.graph.succ.len(), |a, out| {
-            self.graph.successors(mesh, a, out)
-        });
+        let graph = self.digraph();
         let core = graph.cyclic_core();
         let as_pairs = |c: Vec<usize>| -> Vec<(u32, u8)> {
             c.into_iter()
