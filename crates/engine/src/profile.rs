@@ -68,8 +68,7 @@ impl Phase {
 /// cycles, how much the `move` phase walked (worms visited and the stages,
 /// i.e. held VCs, they held) and what the `allocate` phase did: live
 /// headers visited, `route()` calls, and blocked headers that only ticked
-/// their wait counter. Copyable data; `reset` clears it along with
-/// the rest of the simulator's run state.
+/// their wait counter. Copyable data, zero when the simulator is built.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     nanos: [u64; NUM_PHASES],
@@ -190,11 +189,6 @@ impl PhaseTimes {
             self.nanos(phase) as f64 / total as f64
         }
     }
-
-    /// Zero the accumulator.
-    pub fn clear(&mut self) {
-        *self = PhaseTimes::default();
-    }
 }
 
 #[cfg(test)]
@@ -227,11 +221,6 @@ mod tests {
         );
         assert_eq!(t.share(Phase::Recover), 0.0);
         assert!((t.share(Phase::Move) - 0.5).abs() < 1e-12);
-        t.clear();
-        assert_eq!(t.total_nanos(), 0);
-        assert_eq!(t.cycles(), 0);
-        assert_eq!(t.stage_visits(), 0);
-        assert_eq!(t.alloc_visits(), 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The simulator's state, its one initialiser ([`Simulator::try_reset`],
-//! which a fresh build runs too) and the message slab. Each phase of the
-//! cycle lives in a child module.
+//! The simulator's state, its constructor ([`Simulator::try_build`]) and
+//! the message slab. Each phase of the cycle lives in a child module.
+//! A simulator runs once: every run builds its own and drops it after.
 
 mod allocate;
 mod audit;
@@ -76,8 +76,7 @@ pub struct Simulator<S: Sink = NullSink, const PROFILE: bool = false> {
     /// say which span of it is live. `paths.len() == msgs.len() * stride`.
     paths: Vec<PathEntry>,
     /// Entries per window: [`path_window`] of the mesh and algorithm,
-    /// never shrunk by a reset, doubled by [`Simulator::relayout`] when a
-    /// path outgrows it.
+    /// doubled by [`Simulator::relayout`] when a path outgrows it.
     stride: usize,
     // --- per-message hot flags, struct-of-arrays, indexed by slab id ---
     // Parallel to `msgs`. The service-order, watchdog, retain, and
@@ -266,8 +265,8 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     /// defaults do not participate in expression inference, so the
     /// inferring constructors are pinned to `PROFILE = false` instead.)
     /// Reports an unhonorable configuration (too many VCs for the
-    /// occupancy bitmasks) as a [`ConfigError`]. Every buffer starts
-    /// empty and [`Simulator::try_reset`] sets the run-start state.
+    /// occupancy bitmasks) as a [`ConfigError`]. Every buffer is built
+    /// at its run-start size; the message slab starts empty.
     pub fn try_build(
         algo: impl Into<Arc<dyn RoutingAlgorithm>>,
         ctx: Arc<RoutingContext>,
@@ -276,18 +275,28 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         sink: S,
     ) -> Result<Self, ConfigError> {
         let algo = algo.into();
+        let num_vcs = algo.num_vcs();
+        if num_vcs as usize > 32 {
+            return Err(ConfigError::TooManyVcs {
+                requested: num_vcs,
+                limit: 32,
+            });
+        }
         let mesh = ctx.mesh();
+        let num_nodes = mesh.num_nodes();
+        let num_channels = mesh.num_channel_slots();
+        let num_slots = num_channels * num_vcs as usize;
         let healthy = ctx.pattern().healthy_nodes(mesh).collect();
-        let mut sim = Simulator {
-            algo: algo.clone(),
-            num_vcs: 0,
-            slots: Vec::new(),
-            occ_mask: Vec::new(),
-            waiter_mask: Vec::new(),
+        let sampler = DestinationSampler::new(workload.pattern, mesh, healthy);
+        let recheck_wait = algo.recheck_wait();
+        Ok(Simulator {
+            num_vcs,
+            slots: vec![None; num_slots],
+            occ_mask: vec![0; num_channels],
+            waiter_mask: vec![0; num_channels],
             msgs: Vec::new(),
             paths: Vec::new(),
-            // Widened to the run's window by `try_reset`.
-            stride: 1,
+            stride: path_window(mesh, recheck_wait.is_some()),
             alive: Vec::new(),
             alloc: Vec::new(),
             stalled: Vec::new(),
@@ -297,29 +306,30 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             reg_bits: Vec::new(),
             free_list: Vec::new(),
             active: Vec::new(),
-            sources: SourceQueues::default(),
-            calendar: Calendar::default(),
-            sampler: DestinationSampler::new(workload.pattern, mesh, healthy),
+            sources: SourceQueues::new(num_nodes),
+            calendar: Calendar::new(source_rates(&ctx, workload.rate)),
             rng: SmallRng::seed_from_u64(cfg.seed),
             cycle: 0,
-            link_used: Vec::new(),
-            eject_used: Vec::new(),
+            link_used: vec![0; num_channels],
+            eject_used: vec![0; num_nodes],
             order: Vec::new(),
             stuck_scratch: Vec::new(),
             eligible_scratch: Vec::new(),
             busy_scratch: Vec::new(),
             freed_scratch: Vec::new(),
-            waiters: WaiterTable::new(),
+            waiters: WaiterTable::new(num_slots),
             ordered: Vec::new(),
-            recheck_wait: None,
+            recheck_wait,
             latency: LatencyStats::new(),
             network_latency: LatencyStats::new(),
-            throughput: ThroughputStats::new(0),
-            vc_usage: VcUsageStats::new(0, 0),
-            node_load: NodeLoadStats::new(0),
-            stage_arrivals: Vec::new(),
-            window_base: Vec::new(),
-            window_scratch: Vec::new(),
+            throughput: ThroughputStats::new(sampler.healthy().len()),
+            vc_usage: VcUsageStats::new(num_vcs, mesh.channels().count()),
+            node_load: NodeLoadStats::new(num_nodes),
+            stage_arrivals: vec![0; num_nodes],
+            window_base: vec![0; num_nodes],
+            // Closing the window fills it inside the measured span.
+            window_scratch: Vec::with_capacity(num_nodes),
+            sampler,
             recoveries: 0,
             ring_hops: 0,
             total_misroutes: 0,
@@ -333,134 +343,11 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             sink,
             last_stall: None,
             phase_times: PhaseTimes::new(),
-            workload: workload.clone(),
+            algo,
+            ctx,
+            workload,
             cfg,
-            ctx: ctx.clone(),
-        };
-        sim.try_reset(algo, ctx, workload, cfg)?;
-        Ok(sim)
-    }
-
-    /// Rewind this simulator for a fresh run with a (possibly different)
-    /// algorithm, context, workload, and schedule, reusing every
-    /// population-dependent allocation: the message slab and its path
-    /// arena, source queues, scratch buffers, wake lists, and statistics
-    /// vectors. The arena's windows keep their width, widening only when
-    /// the new mesh or algorithm needs wider ones. Once a first run has
-    /// sized those structures, a same-shape `reset` + run performs no heap
-    /// allocation (asserted by `tests/steady_state_alloc.rs`).
-    ///
-    /// Determinism: the run after a `reset` is byte-identical to one on a
-    /// freshly constructed simulator with the same arguments. The one
-    /// subtle requirement is message-id order — ids are slab indices,
-    /// handed out when a message takes its injection port, and act as
-    /// tie-breakers in oldest-first arbitration — so the free list is
-    /// rebuilt in descending order, making recycled ids pop in the order
-    /// `0, 1, 2, …` a fresh slab would assign them.
-    pub fn reset(
-        &mut self,
-        algo: impl Into<Arc<dyn RoutingAlgorithm>>,
-        ctx: Arc<RoutingContext>,
-        workload: Workload,
-        cfg: SimConfig,
-    ) {
-        self.try_reset(algo, ctx, workload, cfg)
-            .unwrap_or_else(|e| panic!("invalid simulator configuration: {e}"))
-    }
-
-    /// Like [`Simulator::reset`], but reports an unhonorable configuration
-    /// as a [`ConfigError`] instead of panicking. On `Err` the simulator
-    /// is untouched and still usable with its previous configuration.
-    /// The one initialiser: [`Simulator::try_build`] ends here too.
-    pub fn try_reset(
-        &mut self,
-        algo: impl Into<Arc<dyn RoutingAlgorithm>>,
-        ctx: Arc<RoutingContext>,
-        workload: Workload,
-        cfg: SimConfig,
-    ) -> Result<(), ConfigError> {
-        let algo = algo.into();
-        let num_vcs = algo.num_vcs();
-        if num_vcs as usize > 32 {
-            return Err(ConfigError::TooManyVcs {
-                requested: num_vcs,
-                limit: 32,
-            });
-        }
-        self.algo = algo;
-        self.ctx = ctx;
-        self.workload = workload;
-        self.cfg = cfg;
-        self.num_vcs = num_vcs;
-        let mesh = self.ctx.mesh().clone();
-        let num_nodes = mesh.num_nodes();
-        let num_channels = mesh.num_channel_slots();
-        let num_slots = num_channels * num_vcs as usize;
-
-        refill(&mut self.slots, num_slots, None);
-        refill(&mut self.occ_mask, num_channels, 0);
-        refill(&mut self.waiter_mask, num_channels, 0);
-        self.waiters.reset(num_slots);
-        refill(&mut self.link_used, num_channels, 0);
-        refill(&mut self.eject_used, num_nodes, 0);
-
-        // Park the whole slab (its arena windows stay) and rebuild the
-        // free list descending so pops recycle ids in ascending order.
-        for m in &mut self.msgs {
-            m.path = PathBuf::default();
-        }
-        let n = self.msgs.len();
-        // Truncate, then regrow: every slot takes its free value.
-        self.size_slab(0);
-        self.size_slab(n);
-        self.free_list.clear();
-        self.free_list.extend((0..n as u32).rev());
-        self.active.clear();
-        self.ordered.clear();
-        self.order.clear();
-        self.stuck_scratch.clear();
-        self.eligible_scratch.clear();
-        self.busy_scratch.clear();
-        self.freed_scratch.clear();
-
-        self.sources.reset(num_nodes);
-        self.calendar
-            .reset(source_rates(&self.ctx, self.workload.rate));
-        let pattern = self.ctx.pattern();
-        self.sampler
-            .reset(self.workload.pattern, &mesh, pattern.healthy_nodes(&mesh));
-        let num_healthy = self.sampler.healthy().len();
-        self.rng = SmallRng::seed_from_u64(self.cfg.seed);
-        self.cycle = 0;
-        self.recheck_wait = self.algo.recheck_wait();
-        let window = path_window(&mesh, self.recheck_wait.is_some());
-        if window > self.stride {
-            self.relayout(window);
-        }
-
-        self.latency.reset();
-        self.network_latency.reset();
-        self.throughput.reset(num_healthy);
-        self.vc_usage.reset(num_vcs, mesh.channels().count());
-        self.node_load.reset(num_nodes);
-        refill(&mut self.stage_arrivals, num_nodes, 0);
-        refill(&mut self.window_base, num_nodes, 0);
-        // Closing the window fills it inside the measured span.
-        self.window_scratch.clear();
-        self.window_scratch.reserve(num_nodes);
-        self.recoveries = 0;
-        self.ring_hops = 0;
-        self.total_misroutes = 0;
-        self.fault_driver = None;
-        self.recovery = None;
-        self.backoff.clear();
-        self.pending_settle.clear();
-        self.delivered_window.clear();
-        self.window_sum = 0;
-        self.delivered_this_cycle = 0;
-        self.last_stall = None;
-        self.phase_times.clear();
-        Ok(())
+        })
     }
 
     /// The attached trace sink.
@@ -481,8 +368,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
 
     /// The per-phase wall-clock breakdown accumulated so far. All zeros
     /// unless the simulator was instantiated with `PROFILE = true`
-    /// (`Simulator::<NullSink, true>::try_build(..)`); cleared by
-    /// [`Simulator::reset`].
+    /// (`Simulator::<NullSink, true>::try_build(..)`).
     pub fn phase_times(&self) -> &PhaseTimes {
         &self.phase_times
     }
@@ -585,7 +471,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     /// with many of those can still grow the slab.)
     ///
     /// Each slot's window holds `path_window` entries, derived from the
-    /// *actual* mesh shape when the simulator is built or reset: a
+    /// *actual* mesh shape when the simulator is built: a
     /// traversal pushes one entry per hop and the window's cursors rewind
     /// only when the path empties, so the bound is the longest walk a
     /// routing algorithm takes. A walk that outgrows its window still
@@ -794,12 +680,6 @@ fn path_window(mesh: &Mesh, misroutes: bool) -> usize {
 /// Make room for `n` elements in `v` in all, without adding any.
 fn reserve_total<T>(v: &mut Vec<T>, n: usize) {
     v.reserve(n.saturating_sub(v.len()));
-}
-
-/// Clear `v` and refill it with `n` copies of `x`, keeping its capacity.
-fn refill<T: Clone>(v: &mut Vec<T>, n: usize, x: T) {
-    v.clear();
-    v.resize(n, x);
 }
 
 /// Each node's message rate: the workload's, or 0 at a faulty node.

@@ -316,57 +316,4 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             }
         }
     }
-
-    /// Test support: assert the slab, the queues and every flat buffer are
-    /// fully rewound — the state a fresh simulator would have. Meant to be
-    /// called right after [`Simulator::reset`] on a warm (previously run)
-    /// instance to prove reuse leaks no stale occupancy bits, liveness
-    /// flags, queue entries, or wake-list nodes into the next run.
-    #[doc(hidden)]
-    pub fn assert_rewound(&self) {
-        assert!(self.active.is_empty(), "active set survived reset");
-        assert_eq!(self.queued(), 0, "queued messages survived reset");
-        assert_eq!(
-            self.free_list.len(),
-            self.msgs.len(),
-            "some slab slots not parked on the free list"
-        );
-        assert!(self.alive.iter().all(|&a| !a), "stale liveness bits");
-        assert!(self.stalled.iter().all(|&s| !s), "stale stall bits");
-        assert!(
-            self.last_progress.iter().all(|&c| c == 0),
-            "stale watchdog stamps"
-        );
-        assert!(self.wait.iter().all(|&w| w == 0), "stale wait counters");
-        assert!(
-            self.reg_bits.iter().all(|&b| b == 0),
-            "stale registration records"
-        );
-        assert!(
-            self.msgs.iter().all(|m| m.path.is_empty()),
-            "parked message still holds VCs"
-        );
-        assert_eq!(
-            self.waiters.live_nodes(),
-            0,
-            "wake-list nodes survived reset"
-        );
-        assert!(self.slots.iter().all(|s| s.is_none()), "stale slot owners");
-        assert!(
-            self.occ_mask.iter().all(|&m| m == 0),
-            "stale occupancy bits"
-        );
-        assert!(
-            self.waiter_mask.iter().all(|&m| m == 0),
-            "stale waiter bits"
-        );
-        assert!(
-            self.stage_arrivals.iter().all(|&a| a == 0),
-            "stale stage arrivals"
-        );
-        assert!(
-            self.window_base.iter().all(|&a| a == 0),
-            "stale window baseline"
-        );
-    }
 }

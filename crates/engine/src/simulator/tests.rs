@@ -943,47 +943,6 @@ proptest::proptest! {
 }
 
 #[test]
-fn reset_reuses_slab_and_matches_fresh_run() {
-    // A simulator reset between runs — algorithm, pattern, rate, and
-    // seed all changing — must produce reports byte-identical to fresh
-    // construction, including under oldest-first arbitration where
-    // recycled message ids act as tie-breakers.
-    let mesh = Mesh::square(10);
-    let cases = [
-        (AlgorithmKind::Duato, 0.004, 11, Arbitration::Random),
-        (AlgorithmKind::Nbc, 0.008, 22, Arbitration::OldestFirst),
-        (AlgorithmKind::FullyAdaptive, 0.002, 33, Arbitration::Random),
-    ];
-    let patterns = [
-        FaultPattern::fault_free(&mesh),
-        FaultPattern::from_rects(&mesh, &[Rect::new(Coord::new(4, 4), Coord::new(5, 5))]).unwrap(),
-        FaultPattern::fault_free(&mesh),
-    ];
-    let mut reused = make_sim(AlgorithmKind::Xy, fault_free(), 0.001, SimConfig::quick());
-    let _ = reused.run();
-    for ((kind, rate, seed, arb), pattern) in cases.into_iter().zip(patterns) {
-        let cfg = SimConfig {
-            warmup_cycles: 100,
-            measure_cycles: 400,
-            ..SimConfig::quick().with_seed(seed).with_arbitration(arb)
-        };
-        let ctx = Arc::new(RoutingContext::new(mesh.clone(), pattern));
-        let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
-        let wl = Workload::paper_uniform(rate);
-        reused.reset(algo, ctx.clone(), wl.clone(), cfg);
-        let warm = reused.run();
-        reused.check_invariants();
-        let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
-        let fresh = Simulator::new(algo, ctx, wl, cfg).run();
-        assert_eq!(
-            serde_json::to_string(&warm).unwrap(),
-            serde_json::to_string(&fresh).unwrap(),
-            "reset-reused run diverged for {kind:?}"
-        );
-    }
-}
-
-#[test]
 fn header_presence() {
     // The header is routable from the last held VC once it has entered
     // that VC's buffer, not when the VC is granted.

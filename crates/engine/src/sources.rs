@@ -17,24 +17,20 @@ use wormsim_traffic::Injector;
 /// Polling a source before it is due draws nothing and generates nothing,
 /// so popping only the due entries is byte-identical to polling every
 /// source every cycle.
-#[derive(Default)]
 pub(crate) struct Calendar {
     injectors: Vec<Injector>,
     due: BinaryHeap<Reverse<(u64, u16)>>,
 }
 
 impl Calendar {
-    /// Rebuild over one injector per node at the given rates (0 disables
-    /// a node), reusing the allocations.
-    pub fn reset(&mut self, rates: impl Iterator<Item = f64>) {
-        self.injectors.clear();
-        self.injectors.extend(rates.map(Injector::new));
-        self.due.clear();
-        for (node, inj) in self.injectors.iter().enumerate() {
-            if inj.rate() > 0.0 {
-                self.due.push(Reverse((inj.next_due(), node as u16)));
-            }
-        }
+    /// One injector per node at the given rates (0 disables a node).
+    pub fn new(rates: impl Iterator<Item = f64>) -> Self {
+        let injectors: Vec<Injector> = rates.map(Injector::new).collect();
+        let due = (injectors.iter().enumerate())
+            .filter(|(_, inj)| inj.rate() > 0.0)
+            .map(|(node, inj)| Reverse((inj.next_due(), node as u16)))
+            .collect();
+        Calendar { injectors, due }
     }
 
     /// Stop `node`'s source for good: its injector and its calendar entry
@@ -86,7 +82,6 @@ impl Calendar {
 /// queues hold anything, at saturation few ports free up per cycle. Every
 /// queue and port update goes through here, so no bit can drift from what
 /// it mirrors.
-#[derive(Default)]
 pub(crate) struct SourceQueues {
     queues: Vec<VecDeque<Queued>>,
     /// Per node, the message occupying the injection port.
@@ -98,20 +93,18 @@ pub(crate) struct SourceQueues {
 }
 
 impl SourceQueues {
-    /// Rewind to `num_nodes` empty queues and free ports, keeping the
-    /// queues' capacity.
-    pub fn reset(&mut self, num_nodes: usize) {
-        self.queues.resize_with(num_nodes, VecDeque::new);
-        self.queues.iter_mut().for_each(VecDeque::clear);
-        self.port.clear();
-        self.port.resize(num_nodes, None);
+    /// `num_nodes` empty queues and free ports.
+    pub fn new(num_nodes: usize) -> Self {
         let words = num_nodes.div_ceil(64);
-        self.pending.clear();
-        self.pending.resize(words, 0);
-        self.idle.clear();
-        self.idle.resize(words, 0);
+        let mut idle = vec![0; words];
         for node in 0..num_nodes {
-            set_bit(&mut self.idle, node, true);
+            set_bit(&mut idle, node, true);
+        }
+        SourceQueues {
+            queues: (0..num_nodes).map(|_| VecDeque::new()).collect(),
+            port: vec![None; num_nodes],
+            pending: vec![0; words],
+            idle,
         }
     }
 
@@ -240,8 +233,7 @@ mod tests {
 
     #[test]
     fn promotable_nodes_have_a_queue_and_a_free_port() {
-        let mut q = SourceQueues::default();
-        q.reset(130);
+        let mut q = SourceQueues::new(130);
         q.check();
         assert_eq!(q.next_promotable(0), None, "nothing queued");
         for node in [0, 5, 63, 64, 129] {
@@ -273,8 +265,7 @@ mod tests {
     #[test]
     fn calendar_polls_due_sources_in_node_order() {
         use rand::SeedableRng;
-        let mut cal = Calendar::default();
-        cal.reset([0.5, 0.0, 0.5, 0.5].into_iter());
+        let mut cal = Calendar::new([0.5, 0.0, 0.5, 0.5].into_iter());
         cal.check();
         let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
         // Unprimed sources are all due at cycle 0.

@@ -45,21 +45,14 @@ pub(crate) struct WaiterTable {
 }
 
 impl WaiterTable {
-    pub fn new() -> Self {
+    /// Empty lists for `num_slots` VC slots.
+    pub fn new(num_slots: usize) -> Self {
         WaiterTable {
-            head: Vec::new(),
-            tail: Vec::new(),
+            head: vec![NONE; num_slots],
+            tail: vec![NONE; num_slots],
             nodes: Vec::new(),
             free: NONE,
         }
-    }
-
-    /// (Re)shape for `num_slots` VC slots and drop every list. The arena
-    /// keeps its capacity, so a same-shape reset performs no allocation.
-    pub fn reset(&mut self, num_slots: usize) {
-        self.head.resize(num_slots, NONE);
-        self.tail.resize(num_slots, NONE);
-        self.clear_all();
     }
 
     /// Drop every list without reshaping (fault activations invalidate
@@ -76,8 +69,8 @@ impl WaiterTable {
         self.head[key as usize] == NONE
     }
 
-    /// Arena nodes currently on some list (0 after `reset`/`clear_all`;
-    /// used by the rewind audit).
+    /// Arena nodes currently on some list (0 after `clear_all`).
+    #[cfg(test)]
     pub fn live_nodes(&self) -> usize {
         let mut on_free = 0usize;
         let mut cur = self.free;
@@ -171,8 +164,7 @@ mod tests {
 
     #[test]
     fn insertion_order_duplicates_kept() {
-        let mut t = WaiterTable::new();
-        t.reset(4);
+        let mut t = WaiterTable::new(4);
         t.push(2, 10);
         t.push(2, 11);
         t.push(2, 10); // duplicate: kept, in order
@@ -185,8 +177,7 @@ mod tests {
 
     #[test]
     fn release_recycles_nodes_without_growing_the_arena() {
-        let mut t = WaiterTable::new();
-        t.reset(2);
+        let mut t = WaiterTable::new(2);
         for id in 0..8 {
             t.push(0, id);
         }
@@ -203,11 +194,10 @@ mod tests {
 
     #[test]
     fn reset_rewinds_every_list() {
-        let mut t = WaiterTable::new();
-        t.reset(3);
+        let mut t = WaiterTable::new(3);
         t.push(0, 1);
         t.push(1, 2);
-        t.reset(3);
+        t.clear_all();
         for k in 0..3 {
             assert!(t.is_empty(k));
         }

@@ -71,68 +71,6 @@ proptest! {
     }
 
     #[test]
-    fn reset_chains_match_fresh_runs(
-        runs in prop::collection::vec(
-            (any::<u64>(), 0usize..6, 0usize..=6, 1u32..=8, any::<bool>()),
-            2..4,
-        ),
-    ) {
-        // One simulator reset between runs must reproduce, byte for byte,
-        // the reports of freshly constructed simulators across arbitrary
-        // (kind, pattern, rate, seed, arbitration) chains.
-        let mesh = Mesh::square(10);
-        let mut reused: Option<Simulator> = None;
-        for (seed, algo_idx, faults, rate_millis, oldest_first) in runs {
-            let pattern = if faults == 0 {
-                FaultPattern::fault_free(&mesh)
-            } else {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                match wormsim_fault::random_pattern(&mesh, faults, &mut rng) {
-                    Ok(p) => p,
-                    Err(_) => continue,
-                }
-            };
-            let ctx = Arc::new(RoutingContext::new(mesh.clone(), pattern));
-            let cfg = SimConfig {
-                warmup_cycles: 100,
-                measure_cycles: 300,
-                seed,
-                arbitration: if oldest_first {
-                    Arbitration::OldestFirst
-                } else {
-                    Arbitration::Random
-                },
-                ..SimConfig::paper()
-            };
-            let wl = Workload::paper_uniform(rate_millis as f64 / 1000.0);
-            let kind = algorithms()[algo_idx];
-            let warm = match reused.as_mut() {
-                None => {
-                    let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
-                    let mut sim = Simulator::new(algo, ctx.clone(), wl.clone(), cfg);
-                    let report = sim.run();
-                    reused = Some(sim);
-                    report
-                }
-                Some(sim) => {
-                    let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
-                    sim.reset(algo, ctx.clone(), wl.clone(), cfg);
-                    let report = sim.run();
-                    sim.check_invariants();
-                    report
-                }
-            };
-            let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
-            let fresh = Simulator::new(algo, ctx, wl, cfg).run();
-            prop_assert_eq!(
-                serde_json::to_string(&warm).unwrap(),
-                serde_json::to_string(&fresh).unwrap(),
-                "reset chain diverged from fresh construction"
-            );
-        }
-    }
-
-    #[test]
     fn directed_batches_always_drain(
         seed in any::<u64>(),
         algo_idx in 0usize..6,

@@ -4,10 +4,8 @@
 //! holds only messages in flight. These tests pin (a) that every slab slot
 //! is free or owned by exactly one in-flight message, and the flat flags
 //! agree with it, under arbitrary step sequences across the algo × fault ×
-//! arbitration matrix, and (b) that warm `reset` reuse rewinds everything
-//! completely — no stale occupancy bits, liveness flags, queue entries, or
-//! wake-list nodes leak into the next run. A fresh simulator is built by
-//! the same initialiser as a reset one, so it must pass the same audits.
+//! arbitration matrix, and (b) that a simulator straight from its
+//! constructor already passes the same audits.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -90,80 +88,8 @@ proptest! {
     }
 }
 
-/// Warm `reset` chains across meshes and algorithms must rewind every
-/// flattened buffer to the fresh-simulator state — audited after each
-/// reset (`Simulator::assert_rewound`) and proven non-vacuously by
-/// re-running: the reused instance keeps matching a fresh simulator
-/// after the audit passes.
-#[test]
-fn reset_chain_rewinds_flattened_buffers() {
-    let chain: [(usize, AlgorithmKind, u64); 4] = [
-        (10, AlgorithmKind::Duato, 7),
-        (6, AlgorithmKind::Nbc, 21),
-        (10, AlgorithmKind::BouraFaultTolerant, 35),
-        (8, AlgorithmKind::FullyAdaptive, 49),
-    ];
-    let mut reused: Option<Simulator> = None;
-    for (side, kind, seed) in chain {
-        let mesh = Mesh::square(side as u16);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let pattern = wormsim_fault::random_pattern(&mesh, 2, &mut rng)
-            .unwrap_or_else(|_| FaultPattern::fault_free(&mesh));
-        let ctx = Arc::new(RoutingContext::new(mesh, pattern));
-        let cfg = SimConfig {
-            warmup_cycles: 50,
-            measure_cycles: 250,
-            ..SimConfig::paper()
-        }
-        .with_seed(seed);
-        let wl = Workload::paper_uniform(0.006);
-        let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
-        let warm = match reused.as_mut() {
-            None => {
-                let mut sim = Simulator::new(algo, ctx.clone(), wl.clone(), cfg);
-                let report = sim.run();
-                reused = Some(sim);
-                report
-            }
-            Some(sim) => {
-                sim.reset(algo, ctx.clone(), wl.clone(), cfg);
-                // The reset must have fully rewound the flat buffers
-                // *before* any new traffic runs.
-                sim.assert_rewound();
-                let report = sim.run();
-                sim.check_soa_layout();
-                report
-            }
-        };
-        let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
-        let fresh = Simulator::new(algo, ctx, wl, cfg).run();
-        assert_eq!(
-            serde_json::to_string(&warm).unwrap(),
-            serde_json::to_string(&fresh).unwrap(),
-            "{kind:?} at {side}x{side} diverged after warm reset"
-        );
-    }
-    // Final rewind: the last run's population must also park cleanly.
-    let mut sim = reused.expect("chain ran");
-    let last = chain[chain.len() - 1];
-    let mesh = Mesh::square(last.0 as u16);
-    let ctx = Arc::new(RoutingContext::new(
-        mesh.clone(),
-        FaultPattern::fault_free(&mesh),
-    ));
-    let algo = build_algorithm(last.1, ctx.clone(), VcConfig::paper());
-    sim.reset(
-        algo,
-        ctx,
-        Workload::paper_uniform(0.001),
-        SimConfig::quick(),
-    );
-    sim.assert_rewound();
-}
-
-/// A simulator straight from `try_build`, never stepped, is in the
-/// rewound state and its slab audit holds: construction and `reset` share
-/// one initialiser. Checked across mesh sizes, algorithms and faulty
+/// A simulator straight from `try_build`, never stepped, passes the slab
+/// and invariant audits. Checked across mesh sizes, algorithms and faulty
 /// patterns, for the phase-profiled and the default instantiation.
 #[test]
 fn fresh_build_is_rewound() {
@@ -187,13 +113,12 @@ fn fresh_build_is_rewound() {
             NullSink,
         )
         .expect("paper VC budget fits");
-        sim.assert_rewound();
         sim.check_soa_layout();
         sim.check_invariants();
         let algo = build_algorithm(kind, ctx.clone(), VcConfig::paper());
         let plain = Simulator::<NullSink>::try_build(algo, ctx, wl, SimConfig::quick(), NullSink)
             .expect("paper VC budget fits");
-        plain.assert_rewound();
         plain.check_soa_layout();
+        plain.check_invariants();
     }
 }

@@ -112,7 +112,10 @@ fn main() {
     if let Some(t) = threads {
         cfg = cfg.with_threads(t);
     }
-    std::fs::create_dir_all(&out_dir).expect("create results dir");
+    if let Err(e) = std::fs::create_dir_all(&out_dir) {
+        eprintln!("figures: cannot create {out_dir}: {e}");
+        std::process::exit(1);
+    }
     let header = provenance(scale, &cfg);
 
     progress.out(format_args!(

@@ -89,6 +89,9 @@ fn main() {
     if let Some(rate) = rates.iter().find(|r| !(**r >= 0.0 && r.is_finite())) {
         reject(format_args!("--rate {rate}: must be finite and at least 0"));
     }
+    if length == 0 {
+        reject("--length 0: a message needs at least one flit");
+    }
     if algos.is_empty() {
         algos.push(AlgorithmKind::DuatoNbc);
     }

@@ -93,7 +93,10 @@ fn main() {
         reject("--telemetry-window 0: a window is at least 1 cycle");
     }
     let progress = Progress::from_quiet_flag(quiet);
-    std::fs::create_dir_all(&out_dir).expect("create output dir");
+    if let Err(e) = std::fs::create_dir_all(&out_dir) {
+        eprintln!("trace: cannot create {out_dir}: {e}");
+        std::process::exit(1);
+    }
 
     // The algorithm constructors assert their VC minimums; a mesh too
     // large for the paper's budget is a usage error, not a crash.

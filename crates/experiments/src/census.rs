@@ -1,18 +1,17 @@
 //! The deadlock census: how often Figure 4's runs hold a knot, the
-//! engine's exact deadlock ([`Simulator::knot`]), and how often the
-//! watchdog broke one.
+//! engine's exact deadlock ([`wormsim_engine::Simulator::knot`]), and
+//! how often the watchdog broke one.
 
 use crate::config::ExperimentConfig;
 use crate::figures::{
     algorithm_columns, fault_case_runs, fault_set_note, fig4_cases, FaultCase, FigureResult,
 };
 use crate::grid::Grid;
-use crate::runner::{checked_context_and_algo, RunSpec};
+use crate::runner::RunSpec;
 use crate::table::Table;
-use wormsim_engine::{ConfigError, Simulator};
+use wormsim_engine::ConfigError;
 use wormsim_metrics::SimReport;
 use wormsim_routing::AlgorithmKind;
-use wormsim_traffic::Workload;
 
 /// Cycles of the measurement window between two knot samples.
 const CENSUS_EVERY: u64 = 100;
@@ -35,10 +34,9 @@ pub(crate) fn run_counting_knots(
     cfg: &ExperimentConfig,
     spec: &RunSpec,
 ) -> Result<(SimReport, Knots), ConfigError> {
-    let (ctx, algo) = checked_context_and_algo(cfg.mesh_size, &spec.pattern, spec.kind, cfg.vc)?;
-    let sim_cfg = cfg.sim.with_seed(spec.seed);
-    let workload = Workload::paper_uniform(spec.rate);
-    let mut sim = Simulator::try_new(algo, ctx, workload, sim_cfg)?;
+    let custom = spec.custom(cfg);
+    let sim_cfg = custom.sim;
+    let mut sim = custom.build()?;
     let mut knots = Knots::default();
     for _ in 0..sim_cfg.total_cycles() {
         sim.step();

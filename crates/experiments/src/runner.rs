@@ -1,22 +1,18 @@
 //! Single-simulation runner and the thread fan-out.
 //!
-//! Every thread that runs simulations — a sweep's caller, the scoped
-//! threads [`parallel_map`] spawns for one batch, the serving layer's
-//! lanes — parks one `Simulator` in a thread-local and rewinds it with
-//! [`Simulator::reset`] between runs. The caller's simulator stays warm
-//! across batches and a serving lane's until shutdown; a `parallel_map`
-//! helper lives for one batch and builds its own.
-//! The routing context and the algorithm instance are built per run:
-//! both are O(nodes) and cost microseconds against runs of milliseconds.
+//! Every run builds its own routing context, algorithm instance and
+//! [`Simulator`], runs it and drops it: all three are O(nodes) to build
+//! and cost microseconds against runs of milliseconds. Nothing is kept
+//! between runs, so a report depends only on its spec, never on which
+//! thread ran it or what that thread ran before.
 
 use crate::config::ExperimentConfig;
-use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
-use wormsim_engine::{ConfigError, SimConfig, Simulator};
+use wormsim_engine::{ConfigError, Simulator};
 use wormsim_fault::FaultPattern;
 use wormsim_metrics::SimReport;
 use wormsim_obs::Progress;
@@ -49,6 +45,11 @@ impl RunSpec {
     /// serving layer can dedup a `RunSpec` request against an equivalent
     /// `CustomSpec` one.
     pub fn identity(&self, cfg: &ExperimentConfig) -> u64 {
+        self.custom(cfg).identity()
+    }
+
+    /// This spec under `cfg`, fully expanded: what [`run_single`] runs.
+    pub(crate) fn custom(&self, cfg: &ExperimentConfig) -> CustomSpec {
         CustomSpec {
             mesh_size: cfg.mesh_size,
             vc: cfg.vc,
@@ -57,49 +58,14 @@ impl RunSpec {
             pattern: self.pattern.clone(),
             workload: Workload::paper_uniform(self.rate),
         }
-        .identity()
     }
-}
-
-thread_local! {
-    /// The calling thread's reusable simulator. Built on the first run,
-    /// rewound with `Simulator::reset` for every run after.
-    static WORKER_SIM: RefCell<Option<Simulator>> = const { RefCell::new(None) };
-}
-
-/// Run one simulation on this thread's reusable simulator. A
-/// configuration the engine cannot honor comes back as a typed
-/// [`ConfigError`] (the `try_reset` rejection leaves the parked simulator
-/// untouched and reusable), so one bad spec does not panic a whole
-/// sweep.
-fn run_reusing_sim(
-    algo: Arc<dyn RoutingAlgorithm>,
-    ctx: Arc<RoutingContext>,
-    workload: Workload,
-    cfg: SimConfig,
-) -> Result<SimReport, ConfigError> {
-    WORKER_SIM.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        match slot.as_mut() {
-            Some(sim) => {
-                sim.try_reset(algo, ctx, workload, cfg)?;
-                Ok(sim.run())
-            }
-            None => {
-                let mut sim = Simulator::try_new(algo, ctx, workload, cfg)?;
-                let report = sim.run();
-                *slot = Some(sim);
-                Ok(report)
-            }
-        }
-    })
 }
 
 /// Build the routing context and algorithm for a spec, validating the
 /// VC budget against [`min_total_vcs`] *first* — `build_algorithm`
 /// asserts on it, and a spec from outside the program must come back as a
 /// typed [`ConfigError`], not a panic.
-pub(crate) fn checked_context_and_algo(
+fn checked_context_and_algo(
     mesh_size: u16,
     pattern: &Arc<FaultPattern>,
     kind: AlgorithmKind,
@@ -142,13 +108,7 @@ pub(crate) fn checked_context_and_algo(
 /// Run one simulation to completion and return its report, or the
 /// [`ConfigError`] explaining why the spec's configuration is unrunnable.
 pub fn run_single(cfg: &ExperimentConfig, spec: &RunSpec) -> Result<SimReport, ConfigError> {
-    let (ctx, algo) = checked_context_and_algo(cfg.mesh_size, &spec.pattern, spec.kind, cfg.vc)?;
-    run_reusing_sim(
-        algo,
-        ctx,
-        Workload::paper_uniform(spec.rate),
-        cfg.sim.with_seed(spec.seed),
-    )
+    run_custom(&spec.custom(cfg))
 }
 
 /// A fully parameterized work item: everything the ablation studies vary.
@@ -225,6 +185,15 @@ impl CustomSpec {
     pub fn identity(&self) -> u64 {
         crate::fingerprint::fnv1a(self.canonical().as_bytes())
     }
+
+    /// The simulator for this spec, or the [`ConfigError`] explaining
+    /// why its configuration is unrunnable, so one bad spec does not
+    /// panic a whole sweep.
+    pub(crate) fn build(&self) -> Result<Simulator, ConfigError> {
+        let (ctx, algo) =
+            checked_context_and_algo(self.mesh_size, &self.pattern, self.kind, self.vc)?;
+        Simulator::try_new(algo, ctx, self.workload.clone(), self.sim)
+    }
 }
 
 /// Object-safe serialization shim so `identity` can funnel heterogeneous
@@ -244,8 +213,7 @@ mod erased_ser {
 /// Run a fully parameterized simulation, or return the [`ConfigError`]
 /// explaining why the spec's configuration is unrunnable.
 pub fn run_custom(spec: &CustomSpec) -> Result<SimReport, ConfigError> {
-    let (ctx, algo) = checked_context_and_algo(spec.mesh_size, &spec.pattern, spec.kind, spec.vc)?;
-    run_reusing_sim(algo, ctx, spec.workload.clone(), spec.sim)
+    Ok(spec.build()?.run())
 }
 
 /// Map `f` over `items` on up to `threads` threads, the caller included.
@@ -509,8 +477,8 @@ mod tests {
     }
 
     /// An algorithm the engine must refuse: it claims more VCs than the
-    /// occupancy bitmasks hold. `try_reset` rejects it on `num_vcs()`
-    /// alone, so nothing else is ever called.
+    /// occupancy bitmasks hold. `Simulator::try_build` rejects it on
+    /// `num_vcs()` alone, so nothing else is ever called.
     struct TooWide;
 
     impl RoutingAlgorithm for TooWide {
@@ -534,8 +502,8 @@ mod tests {
     #[test]
     fn bad_config_is_an_error_and_spares_the_parked_simulator() {
         // A run the engine cannot honor must surface as a typed error —
-        // not a panic that poisons the worker — and the thread's parked
-        // simulator must stay reusable for the next good spec.
+        // not a panic that poisons the worker — and leave nothing behind
+        // that changes the thread's next good run.
         let mut cfg = ExperimentConfig::new(Scale::Quick);
         cfg.sim.warmup_cycles = 100;
         cfg.sim.measure_cycles = 300;
@@ -548,13 +516,11 @@ mod tests {
         };
         let good = serde_json::to_string(&run_single(&cfg, &spec).unwrap()).unwrap();
         let ctx = Arc::new(RoutingContext::new(mesh, (*spec.pattern).clone()));
-        let err = run_reusing_sim(
-            Arc::new(TooWide),
-            ctx,
-            Workload::paper_uniform(spec.rate),
-            cfg.sim,
-        )
-        .unwrap_err();
+        let algo: Arc<dyn RoutingAlgorithm> = Arc::new(TooWide);
+        let Err(err) = Simulator::try_new(algo, ctx, Workload::paper_uniform(spec.rate), cfg.sim)
+        else {
+            panic!("a 40-VC algorithm was built");
+        };
         assert_eq!(
             err,
             ConfigError::TooManyVcs {
@@ -563,7 +529,7 @@ mod tests {
             }
         );
         let again = serde_json::to_string(&run_single(&cfg, &spec).unwrap()).unwrap();
-        assert_eq!(good, again, "rejected reset corrupted the parked simulator");
+        assert_eq!(good, again, "a rejected build changed the next run");
     }
 
     #[test]
@@ -633,8 +599,8 @@ mod tests {
             run_custom(&spec(AlgorithmKind::Duato, bc_large)).unwrap_err(),
             ConfigError::BcShareExceedsTotal { .. }
         ));
-        // The rejections above left this thread's parked simulator
-        // usable: good specs still run.
+        // The rejections above left nothing behind: good specs still
+        // run.
         run_custom(&spec(AlgorithmKind::Duato, VcConfig::paper())).expect("good spec runs");
     }
 
@@ -801,8 +767,8 @@ mod tests {
 
     #[test]
     fn run_single_reused_simulator_is_deterministic() {
-        // The same spec must produce byte-identical reports whether it
-        // lands on a fresh simulator or a reused (reset) one.
+        // The same spec must produce byte-identical reports whatever the
+        // thread ran before it.
         let mut cfg = ExperimentConfig::new(Scale::Quick);
         cfg.sim.warmup_cycles = 100;
         cfg.sim.measure_cycles = 400;
@@ -821,8 +787,8 @@ mod tests {
             seed: 9,
         };
         let first = serde_json::to_string(&run_single(&cfg, &spec_a).unwrap()).unwrap();
-        // Interleave another spec so spec_a's second run goes through a
-        // reset from a different (kind, rate, seed) state.
+        // Interleave another spec so spec_a's second run follows a
+        // different (kind, rate, seed) on this thread.
         let _ = run_single(&cfg, &spec_b).unwrap();
         let again = serde_json::to_string(&run_single(&cfg, &spec_a).unwrap()).unwrap();
         assert_eq!(first, again);

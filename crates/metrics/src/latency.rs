@@ -26,17 +26,6 @@ impl LatencyStats {
         }
     }
 
-    /// Rewind to the empty state in place, keeping the histogram
-    /// allocation (used by `Simulator::reset` to stay allocation-free).
-    pub fn reset(&mut self) {
-        self.count = 0;
-        self.sum = 0.0;
-        self.sum_sq = 0.0;
-        self.min = u64::MAX;
-        self.max = 0;
-        self.histogram.iter_mut().for_each(|b| *b = 0);
-    }
-
     /// Record one delivered message's latency.
     pub fn record(&mut self, latency: u64) {
         self.count += 1;

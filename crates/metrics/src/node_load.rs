@@ -21,15 +21,6 @@ impl NodeLoadStats {
         }
     }
 
-    /// Rewind to the empty state over `num_nodes` nodes, reusing the
-    /// existing allocation when the node count is unchanged (used by
-    /// `Simulator::reset`).
-    pub fn reset(&mut self, num_nodes: usize) {
-        self.arrivals.resize(num_nodes, 0);
-        self.arrivals.iter_mut().for_each(|a| *a = 0);
-        self.cycles = 0;
-    }
-
     /// Record one flit arriving at node `n`.
     #[inline]
     pub fn record_arrival(&mut self, n: NodeId) {

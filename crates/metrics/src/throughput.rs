@@ -27,16 +27,6 @@ impl ThroughputStats {
         }
     }
 
-    /// Rewind to the empty state for a window over `nodes` nodes
-    /// (allocation-free; used by `Simulator::reset`).
-    pub fn reset(&mut self, nodes: usize) {
-        self.messages_delivered = 0;
-        self.flits_delivered = 0;
-        self.messages_injected = 0;
-        self.cycles = 0;
-        self.nodes = nodes as u64;
-    }
-
     /// Record a delivered message of `flits` flits.
     pub fn record_delivery(&mut self, flits: u32) {
         self.messages_delivered += 1;

@@ -35,18 +35,6 @@ impl VcUsageStats {
         }
     }
 
-    /// Rewind to the empty state for `num_vcs` VC indices over `channels`
-    /// physical channels, reusing the existing allocations when the shape
-    /// is unchanged (used by `Simulator::reset`).
-    pub fn reset(&mut self, num_vcs: u8, channels: usize) {
-        self.busy.resize(num_vcs as usize, 0);
-        self.held.resize(num_vcs as usize, 0);
-        self.busy.iter_mut().for_each(|b| *b = 0);
-        self.held.iter_mut().for_each(|h| *h = 0);
-        self.channels = channels as u64;
-        self.cycles = 0;
-    }
-
     /// Record that VC `vc` (on some channel) was busy this cycle.
     #[inline]
     pub fn record_busy(&mut self, vc: u8) {

@@ -4,8 +4,7 @@
 //! TCP port, accepts length-prefixed JSON frames (see [`protocol`]), and
 //! runs each simulation job on a *lane*: a thread the dispatcher starts
 //! on demand, up to one per core, that pops the oldest queued job the
-//! moment it is free and keeps its parked simulator warm across thousands
-//! of requests.
+//! moment it is free and runs it on a simulator built for that job.
 //!
 //! What the service guarantees:
 //!

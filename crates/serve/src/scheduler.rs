@@ -22,9 +22,8 @@
 //! while the queue is empty. The dispatcher starts a lane whenever a job
 //! is queued while every lane is busy, up to [`SchedulerConfig::threads`],
 //! and runs no job itself unless no lane could start at all. Each lane
-//! lives until shutdown with its thread's simulator kept warm, so a job
-//! starts the moment a lane is free, not when some earlier group of jobs
-//! has finished. A job whose simulation panics is answered with
+//! lives until shutdown, so a job starts the moment a lane is free, not
+//! when some earlier group of jobs has finished. A job whose simulation panics is answered with
 //! `code: "internal"`; its lane runs on. Admission control happens before
 //! any of this: a client past its in-flight request quota gets
 //! `code: "quota"`, and a full job queue gets `code: "backpressure"`;

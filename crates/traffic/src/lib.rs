@@ -166,8 +166,8 @@ impl DestinationSampler {
     }
 
     /// Rebuild the sampler in place over a new healthy node set, reusing
-    /// the existing `healthy`/`usable` allocations (no allocations when the
-    /// mesh shape is unchanged — used by `Simulator::reset`).
+    /// the existing `healthy`/`usable` allocations (used when a fault
+    /// activation shrinks the healthy set).
     pub fn reset(
         &mut self,
         pattern: TrafficPattern,

@@ -1,6 +1,7 @@
 //! Bad command-line input is a usage error, not a crash: an unparsable
 //! flag value, or a flag combination the simulator cannot run, exits 2
-//! with a message and never reaches a `panic!`.
+//! with a message and never reaches a `panic!`; an output directory that
+//! cannot be created exits 1 with one line.
 
 use std::process::Command;
 
@@ -39,4 +40,27 @@ fn bad_flag_values_exit_2_without_panicking() {
         rejects(bin, &["--rate", "nan"]);
     }
     rejects(trace, &["--telemetry-window", "0"]);
+    rejects(sweep, &["--length", "0"]);
+}
+
+#[test]
+fn unwritable_out_dir_exits_1_without_panicking() {
+    // A regular file cannot hold a directory.
+    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/x");
+    let figures = env!("CARGO_BIN_EXE_figures");
+    let trace = env!("CARGO_BIN_EXE_trace");
+    for (bin, args) in [
+        (figures, &["fig1", "--quick", "--quiet", "--out", out][..]),
+        (trace, &["--quiet", "--out", out][..]),
+    ] {
+        let run = Command::new(bin).args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "{bin} {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked at"), "{bin} {args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{bin} {args:?}: {stderr}");
+        assert!(
+            stderr.contains(out),
+            "{bin} {args:?} names no directory: {stderr}"
+        );
+    }
 }
