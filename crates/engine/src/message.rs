@@ -9,7 +9,7 @@ use wormsim_topology::NodeId;
 pub struct MsgId(pub(crate) u32);
 
 /// One entry of a node's source queue.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Queued {
     /// Generated and waiting for the injection port. It owns nothing yet:
     /// its slab slot is taken when it is promoted.

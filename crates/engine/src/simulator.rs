@@ -113,8 +113,8 @@ pub struct Simulator<S: Sink = NullSink, const PROFILE: bool = false> {
     /// Per-node source queues of generated-but-not-started messages and
     /// the injection ports they wait for. A queued message owns a slab
     /// slot only if something gave it one earlier ([`Queued::Parked`]);
-    /// traffic generation queues 16-byte [`Queued::Fresh`] entries and the
-    /// slot is taken at promotion.
+    /// traffic generation queues [`Queued::Fresh`] entries, packed into 8
+    /// bytes in one pool of blocks, and the slot is taken at promotion.
     sources: SourceQueues,
     /// Per-node Poisson sources, polled only when due.
     calendar: Calendar,
@@ -477,18 +477,18 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     /// routing algorithm takes. A walk that outgrows its window still
     /// completes, after one reallocation of the arena.
     ///
-    /// Queue reservations assume roughly uniform source selection (4× the
-    /// per-node mean plus slack); a pathological workload funneling most
-    /// creations through one source could still grow its queue. Intended
-    /// for benchmarks that assert an allocation-free measurement window;
-    /// simulation behavior is completely unaffected.
+    /// The source queues' pool reserves once for `messages` entries however
+    /// they spread over the nodes: blocks for all of them plus two
+    /// part-filled blocks per node. Intended for benchmarks that assert an
+    /// allocation-free measurement window; simulation behavior is
+    /// completely unaffected.
     pub fn prewarm(&mut self, messages: usize) {
         let num_nodes = self.sources.num_nodes();
         // Every message that owns a slot also owns a VC slot or its
         // node's injection port.
         let max_active = self.slots.len() + num_nodes;
         self.reserve_slab(messages.min(max_active));
-        self.sources.reserve(4 * messages / num_nodes.max(1) + 64);
+        self.sources.reserve(messages);
         self.active.reserve(max_active);
         self.order.reserve(max_active);
         self.ordered.reserve(max_active);

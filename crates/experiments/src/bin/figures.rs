@@ -134,7 +134,12 @@ fn main() {
         }
         let at = ready.iter().position(|(fig, _)| fig.id == id);
         let (fig, elapsed) = ready.swap_remove(at.expect("the study yields its own id"));
-        let md = fig.write(&out_dir, &header, elapsed, plot);
+        let md = fig
+            .write(&out_dir, &header, elapsed, plot)
+            .unwrap_or_else(|e| {
+                eprintln!("figures: {e}");
+                std::process::exit(1);
+            });
         progress.out(format_args!("{md}"));
         let _ = std::io::stdout().flush();
     }

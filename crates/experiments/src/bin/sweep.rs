@@ -92,6 +92,12 @@ fn main() {
     if length == 0 {
         reject("--length 0: a message needs at least one flit");
     }
+    if cycles == 0 {
+        reject("--cycles 0: a run needs at least one cycle");
+    }
+    if seeds == 0 {
+        reject("--seeds 0: a sweep needs at least one seed");
+    }
     if algos.is_empty() {
         algos.push(AlgorithmKind::DuatoNbc);
     }

@@ -48,6 +48,12 @@ fn reject(why: impl std::fmt::Display) -> ! {
     std::process::exit(2);
 }
 
+/// An output file that cannot be written: one line, exit 1.
+fn cannot_write(path: &str, e: std::io::Error) -> ! {
+    eprintln!("trace: cannot write {path}: {e}");
+    std::process::exit(1);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut kind = AlgorithmKind::DuatoNbc;
@@ -146,7 +152,7 @@ fn main() {
     let chrome_path = format!("{out_dir}/trace_chrome.json");
     let telemetry_path = format!("{out_dir}/trace_telemetry.json");
     let report_path = format!("{out_dir}/trace_report.json");
-    let jsonl_file = File::create(&jsonl_path).expect("create jsonl file");
+    let jsonl_file = File::create(&jsonl_path).unwrap_or_else(|e| cannot_write(&jsonl_path, e));
     let sink = TeeSink(
         JsonlSink::new(jsonl_file),
         TeeSink(
@@ -160,20 +166,20 @@ fn main() {
     let cycles_run = sim.cycle();
     let TeeSink(jsonl, TeeSink(chrome, telemetry)) = sim.into_sink();
     let recorded = jsonl.written();
-    jsonl.finish().expect("flush jsonl").flush().expect("sync");
-    chrome
-        .write_to(File::create(&chrome_path).expect("create chrome file"))
-        .expect("write chrome trace");
+    (jsonl.finish().and_then(|mut file| file.flush()))
+        .unwrap_or_else(|e| cannot_write(&jsonl_path, e));
+    (File::create(&chrome_path).and_then(|file| chrome.write_to(file)))
+        .unwrap_or_else(|e| cannot_write(&chrome_path, e));
     std::fs::write(
         &telemetry_path,
         serde_json::to_string_pretty(&telemetry.finish(cycles_run)).expect("telemetry serializes"),
     )
-    .expect("write telemetry");
+    .unwrap_or_else(|e| cannot_write(&telemetry_path, e));
     std::fs::write(
         &report_path,
         serde_json::to_string_pretty(&report).expect("report serializes"),
     )
-    .expect("write report");
+    .unwrap_or_else(|e| cannot_write(&report_path, e));
 
     // Self-validation: the artifacts must re-parse and agree with the run.
     let text = std::fs::read_to_string(&jsonl_path).expect("read back jsonl");

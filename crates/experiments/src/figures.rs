@@ -57,9 +57,19 @@ struct FigureFile {
 impl FigureResult {
     /// Write `<id>.md` and `<id>.json` (both led by `provenance`) and one
     /// CSV per table (`<id>.csv`, or `<id>_a.csv`, `<id>_b.csv`, …) into
-    /// `out_dir`; returns the Markdown. `plot` adds a terminal chart under
-    /// each table.
-    pub fn write(&self, out_dir: &str, provenance: &str, elapsed: Duration, plot: bool) -> String {
+    /// `out_dir`; returns the Markdown, or the first file that could not
+    /// be written as `cannot write <path>: <error>`. `plot` adds a
+    /// terminal chart under each table.
+    pub fn write(
+        &self,
+        out_dir: &str,
+        provenance: &str,
+        elapsed: Duration,
+        plot: bool,
+    ) -> Result<String, String> {
+        let write = |path: String, contents: &str| {
+            std::fs::write(&path, contents).map_err(|e| format!("cannot write {path}: {e}"))
+        };
         let mut md = format!("## {}\n\n_provenance: {provenance}_\n\n", self.title);
         for note in &self.notes {
             md.push_str(&format!("- {note}\n"));
@@ -85,21 +95,22 @@ impl FigureResult {
             } else {
                 String::new()
             };
-            std::fs::write(format!("{out_dir}/{}{suffix}.csv", self.id), table.to_csv())
-                .expect("write csv");
+            write(
+                format!("{out_dir}/{}{suffix}.csv", self.id),
+                &table.to_csv(),
+            )?;
         }
         md.push_str(&format!("_generated in {elapsed:.2?}_\n"));
         let file = FigureFile {
             provenance: provenance.to_string(),
             figure: self.clone(),
         };
-        std::fs::write(
+        write(
             format!("{out_dir}/{}.json", self.id),
-            serde_json::to_string_pretty(&file).expect("figure serializes"),
-        )
-        .expect("write json");
-        std::fs::write(format!("{out_dir}/{}.md", self.id), &md).expect("write md");
-        md
+            &serde_json::to_string_pretty(&file).expect("figure serializes"),
+        )?;
+        write(format!("{out_dir}/{}.md", self.id), &md)?;
+        Ok(md)
     }
 }
 

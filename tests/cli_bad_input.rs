@@ -1,7 +1,8 @@
 //! Bad command-line input is a usage error, not a crash: an unparsable
 //! flag value, or a flag combination the simulator cannot run, exits 2
 //! with a message and never reaches a `panic!`; an output directory that
-//! cannot be created exits 1 with one line.
+//! cannot be created, or an output file that cannot be written, exits 1
+//! with one line.
 
 use std::process::Command;
 
@@ -41,6 +42,9 @@ fn bad_flag_values_exit_2_without_panicking() {
     }
     rejects(trace, &["--telemetry-window", "0"]);
     rejects(sweep, &["--length", "0"]);
+    // Would run nothing and exit 0.
+    rejects(sweep, &["--cycles", "0"]);
+    rejects(sweep, &["--seeds", "0"]);
 }
 
 #[test]
@@ -63,4 +67,42 @@ fn unwritable_out_dir_exits_1_without_panicking() {
             "{bin} {args:?} names no directory: {stderr}"
         );
     }
+}
+
+#[test]
+fn unwritable_output_file_exits_1_without_panicking() {
+    // The directory exists, but a directory sits where each binary's
+    // first output file goes.
+    let out = concat!(env!("CARGO_TARGET_TMPDIR"), "/unwritable_output_file");
+    let _ = std::fs::remove_dir_all(out);
+    let figures = env!("CARGO_BIN_EXE_figures");
+    let trace = env!("CARGO_BIN_EXE_trace");
+    for (bin, args, file) in [
+        (
+            figures,
+            &["fig1", "--quick", "--quiet", "--out", out][..],
+            "fig1.csv",
+        ),
+        (
+            trace,
+            &["--quiet", "--cycles", "300", "--out", out][..],
+            "trace_events.jsonl",
+        ),
+    ] {
+        let path = format!("{out}/{file}");
+        std::fs::create_dir_all(&path).expect("scratch directory");
+        let run = Command::new(bin).args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(1), "{bin} {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked at"), "{bin} {args:?}: {stderr}");
+        let name = bin.rsplit('/').next().expect("a file name");
+        assert_eq!(
+            stderr.lines().collect::<Vec<_>>(),
+            [format!(
+                "{name}: cannot write {path}: Is a directory (os error 21)"
+            )],
+            "{bin} {args:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(out);
 }
