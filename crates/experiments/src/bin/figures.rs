@@ -16,16 +16,17 @@ use std::time::{Duration, Instant};
 use wormsim_experiments::{
     ablation_arbitration, ablation_buffer_depth, ablation_fault_axis, ablation_mesh_size,
     ablation_message_length, ablation_misroute_limit, ablation_traffic_patterns,
-    ablation_turn_models, ablation_vc_budget, deadlock_census, dynamic_faults, fault_sweep_studies,
-    fig1_saturation_throughput, fig2_latency_vs_rate, fig3_vc_utilization, fig4_fig5_fault_sweep,
-    fig6_fring_traffic, provenance, ExperimentConfig, FigureResult, Progress, Scale,
+    ablation_turn_models, ablation_vc_budget, check_writable, deadlock_census, dynamic_faults,
+    fault_sweep_studies, fig1_saturation_throughput, fig2_latency_vs_rate, fig3_vc_utilization,
+    fig4_fig5_fault_sweep, fig6_fring_traffic, output_files, provenance, ExperimentConfig,
+    FigureResult, Progress, Scale, STUDIES,
 };
 
 /// Every study id, in `all` order. An id is also the name of the files
 /// the study's result is written to.
-const IDS: &str = "fig1 fig2 fig3 fig4 fig5 fig6 ablation_vc_budget ablation_message_length \
-    ablation_buffer_depth ablation_traffic ablation_misroute ablation_arbitration \
-    ablation_turn_models ablation_mesh_size ablation_fault_axis deadlock_census dynamic_faults";
+fn ids<'a>() -> impl Iterator<Item = &'a str> {
+    STUDIES.iter().map(|&(id, _)| id)
+}
 
 /// Run the study behind `id`: for `fig4` or `fig5`, the sweep behind both,
 /// which also yields `ablation_fault_axis` and `deadlock_census` when
@@ -57,7 +58,7 @@ fn study(id: &str, cfg: &ExperimentConfig, wanted: &[&str]) -> Vec<FigureResult>
         "ablation_fault_axis" => ablation_fault_axis(cfg),
         "deadlock_census" => deadlock_census(cfg),
         "dynamic_faults" => dynamic_faults(cfg),
-        _ => unreachable!("{id} is not in IDS"),
+        _ => unreachable!("{id} is not in STUDIES"),
     }]
 }
 
@@ -65,7 +66,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: figures <{}|all>... [--quick] [--plot] [--seed N] [--threads N] [--out DIR] \
          [--quiet]",
-        IDS.split_whitespace().collect::<Vec<_>>().join("|")
+        ids().collect::<Vec<_>>().join("|")
     );
     std::process::exit(2);
 }
@@ -89,14 +90,14 @@ fn main() {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "all" => which.extend(IDS.split_whitespace()),
+            "all" => which.extend(ids()),
             "--quick" => scale = Scale::Quick,
             "--plot" => plot = true,
             "--quiet" => quiet = true,
             "--seed" => seed = Some(number(it.next())),
             "--threads" => threads = Some(number(it.next())),
             "--out" => out_dir = it.next().unwrap_or_else(|| usage()).clone(),
-            id if IDS.split_whitespace().any(|known| known == id) => which.push(id),
+            id if ids().any(|known| known == id) => which.push(id),
             _ => usage(),
         }
     }
@@ -116,6 +117,13 @@ fn main() {
         eprintln!("figures: cannot create {out_dir}: {e}");
         std::process::exit(1);
     }
+    // Every file the studies will write, checked before any runs.
+    for &(id, tables) in STUDIES.iter().filter(|(id, _)| which.contains(id)) {
+        if let Err(e) = check_writable(&output_files(&out_dir, id, tables)) {
+            eprintln!("figures: {e}");
+            std::process::exit(1);
+        }
+    }
     let header = provenance(scale, &cfg);
 
     progress.out(format_args!(
@@ -123,9 +131,9 @@ fn main() {
         scale, cfg.base_seed, cfg.threads
     ));
     // Studies run but not yet written, with the time their run took: one
-    // run can serve several ids, and each is written in `IDS` order.
+    // run can serve several ids, and each is written in `STUDIES` order.
     let mut ready: Vec<(FigureResult, Duration)> = Vec::new();
-    for id in IDS.split_whitespace().filter(|id| which.contains(id)) {
+    for id in ids().filter(|id| which.contains(id)) {
         if !ready.iter().any(|(fig, _)| fig.id == id) {
             let t = Instant::now();
             let figs = study(id, &cfg, &which);

@@ -95,6 +95,9 @@ fn main() {
     if !(rate >= 0.0 && rate.is_finite()) {
         reject(format_args!("--rate {rate}: must be finite and at least 0"));
     }
+    if cycles == 0 {
+        reject("--cycles 0: the run needs at least 1 cycle");
+    }
     if window == 0 {
         reject("--telemetry-window 0: a window is at least 1 cycle");
     }

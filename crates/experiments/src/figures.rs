@@ -47,6 +47,65 @@ pub fn provenance(scale: Scale, cfg: &ExperimentConfig) -> String {
     )
 }
 
+/// Every study `figures` runs, in `all` order, with the number of tables
+/// its result holds. The id is also the stem of the files the study
+/// writes ([`output_files`]), so the two together name every file before
+/// any study runs.
+pub const STUDIES: [(&str, usize); 17] = [
+    ("fig1", 1),
+    ("fig2", 1),
+    ("fig3", 2),
+    ("fig4", 1),
+    ("fig5", 1),
+    ("fig6", 1),
+    ("ablation_vc_budget", 2),
+    ("ablation_message_length", 2),
+    ("ablation_buffer_depth", 1),
+    ("ablation_traffic", 2),
+    ("ablation_misroute", 1),
+    ("ablation_arbitration", 1),
+    ("ablation_turn_models", 2),
+    ("ablation_mesh_size", 2),
+    ("ablation_fault_axis", 1),
+    ("deadlock_census", 1),
+    ("dynamic_faults", 5),
+];
+
+/// The files [`FigureResult::write`] writes into `out_dir` for study `id`
+/// with `tables` tables, in its order: one CSV per table (`<id>.csv`, or
+/// `<id>_a.csv`, `<id>_b.csv`, … for several), then `<id>.json` and
+/// `<id>.md`.
+pub fn output_files(out_dir: &str, id: &str, tables: usize) -> Vec<String> {
+    let csv = |i: usize| match tables {
+        1 => format!("{out_dir}/{id}.csv"),
+        _ => format!("{out_dir}/{id}_{}.csv", (b'a' + i as u8) as char),
+    };
+    let mut files: Vec<String> = (0..tables).map(csv).collect();
+    files.push(format!("{out_dir}/{id}.json"));
+    files.push(format!("{out_dir}/{id}.md"));
+    files
+}
+
+/// Whether every file in `paths` can be written, found without changing
+/// any: an existing file is opened for appending, a missing one is
+/// created and removed again. The first that cannot be is reported as
+/// [`FigureResult::write`] reports it, `cannot write <path>: <error>`.
+pub fn check_writable(paths: &[String]) -> Result<(), String> {
+    for path in paths {
+        let cannot = |e: std::io::Error| format!("cannot write {path}: {e}");
+        let existed = std::fs::symlink_metadata(path).is_ok();
+        std::fs::OpenOptions::new()
+            .append(true)
+            .create(true)
+            .open(path)
+            .map_err(cannot)?;
+        if !existed {
+            std::fs::remove_file(path).map_err(cannot)?;
+        }
+    }
+    Ok(())
+}
+
 /// The JSON form of a results file: the header, then the figure.
 #[derive(Serialize)]
 struct FigureFile {
@@ -67,9 +126,10 @@ impl FigureResult {
         elapsed: Duration,
         plot: bool,
     ) -> Result<String, String> {
-        let write = |path: String, contents: &str| {
-            std::fs::write(&path, contents).map_err(|e| format!("cannot write {path}: {e}"))
+        let write = |path: &String, contents: &str| {
+            std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))
         };
+        let files = output_files(out_dir, self.id, self.tables.len());
         let mut md = format!("## {}\n\n_provenance: {provenance}_\n\n", self.title);
         for note in &self.notes {
             md.push_str(&format!("- {note}\n"));
@@ -90,26 +150,19 @@ impl FigureResult {
                 md.push_str(&chart);
                 md.push_str("```\n\n");
             }
-            let suffix = if self.tables.len() > 1 {
-                format!("_{}", (b'a' + i as u8) as char)
-            } else {
-                String::new()
-            };
-            write(
-                format!("{out_dir}/{}{suffix}.csv", self.id),
-                &table.to_csv(),
-            )?;
+            write(&files[i], &table.to_csv())?;
         }
         md.push_str(&format!("_generated in {elapsed:.2?}_\n"));
         let file = FigureFile {
             provenance: provenance.to_string(),
             figure: self.clone(),
         };
+        let tables = self.tables.len();
         write(
-            format!("{out_dir}/{}.json", self.id),
+            &files[tables],
             &serde_json::to_string_pretty(&file).expect("figure serializes"),
         )?;
-        write(format!("{out_dir}/{}.md", self.id), &md)?;
+        write(&files[tables + 1], &md)?;
         Ok(md)
     }
 }

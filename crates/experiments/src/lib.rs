@@ -39,9 +39,9 @@ pub use census::deadlock_census;
 pub use config::{parse_algorithm, ExperimentConfig, Scale};
 pub use dynamic::{dynamic_faults, DYNAMIC_KINDS, DYNAMIC_RATE};
 pub use figures::{
-    fig1_saturation_throughput, fig2_latency_vs_rate, fig3_vc_utilization, fig4_fig5_fault_sweep,
-    fig6_fring_traffic, paper_52_layout, provenance, FigureResult, ANALYSIS_RATE, FULL_LOAD_RATE,
-    RATE_SWEEP,
+    check_writable, fig1_saturation_throughput, fig2_latency_vs_rate, fig3_vc_utilization,
+    fig4_fig5_fault_sweep, fig6_fring_traffic, output_files, paper_52_layout, provenance,
+    FigureResult, ANALYSIS_RATE, FULL_LOAD_RATE, RATE_SWEEP, STUDIES,
 };
 pub use fingerprint::{fnv1a, report_fingerprint, report_json_fingerprint};
 pub use runner::{

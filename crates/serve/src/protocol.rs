@@ -413,50 +413,30 @@ pub fn send_message<W: Write, T: Serialize>(w: &mut W, msg: &T) -> io::Result<()
 }
 
 /// One finished simulation, immutable behind the `Arc` the result cache
-/// and every waiter share. Beside the report and its fingerprint it
-/// holds the part of a [`Response::Result`] frame that is the same for
-/// every request the result answers, escaped once when the job resolved
-/// rather than once per frame.
+/// and every waiter share. It holds the report in one form only: the
+/// JSON string literal a frame carries, escaped once when the job
+/// resolved and stored at its exact size. Every [`Response::Result`] and
+/// [`Response::SweepResult`] frame that answers with this result copies
+/// that literal; nothing re-escapes or clones the report text.
 #[derive(Debug)]
 pub struct RunResult {
-    /// `SimReport` as compact JSON.
-    pub report_json: String,
-    /// FNV-1a fingerprint of `report_json`.
-    pub fingerprint: String,
-    /// `"report_json":"…","fingerprint":"…"`, as the derive writes them.
-    frame_middle: String,
+    /// The `SimReport`'s compact JSON as an escaped JSON string literal,
+    /// quotes included.
+    report_literal: Box<str>,
+    /// FNV-1a fingerprint of the report's compact JSON.
+    fingerprint: u64,
 }
 
 impl RunResult {
-    /// Pair a report with its fingerprint and pre-render their frame
-    /// fields. Both values go through `serde_json`'s own string writer,
-    /// so their escaping cannot differ from the `Response` derive's.
-    pub fn new(report_json: String, fingerprint: String) -> Self {
-        let quoted = |v: &str| serde_json::to_string(v).expect("a string serializes");
-        let frame_middle = format!(
-            "\"report_json\":{},\"fingerprint\":{}",
-            quoted(&report_json),
-            quoted(&fingerprint)
-        );
+    /// Escape `report_json` into its stored literal beside `fingerprint`.
+    /// The literal goes through `serde_json`'s own string writer, so its
+    /// escaping cannot differ from the `Response` derive's.
+    pub fn new(report_json: &str, fingerprint: u64) -> Self {
+        let literal = serde_json::to_string(report_json).expect("a string serializes");
         RunResult {
-            report_json,
+            report_literal: literal.into_boxed_str(),
             fingerprint,
-            frame_middle,
         }
-    }
-
-    /// The frame payload that answers request `id` with this result:
-    /// byte for byte `serde_json::to_string` of the [`Response::Result`]
-    /// with these fields.
-    pub fn frame(&self, id: u64, cached: bool, deduped: bool) -> String {
-        let mut out = String::with_capacity(self.frame_middle.len() + 80);
-        write!(
-            out,
-            "{{\"Result\":{{\"id\":{id},{},\"cached\":{cached},\"deduped\":{deduped}}}}}",
-            self.frame_middle
-        )
-        .expect("writing to a String cannot fail");
-        out
     }
 }
 
@@ -465,8 +445,8 @@ impl RunResult {
 pub enum Outgoing {
     /// Any response, serialized by its derive when written.
     Message(Response),
-    /// A [`Response::Result`], assembled around the pre-escaped fields
-    /// of its shared [`RunResult`].
+    /// A [`Response::Result`], assembled around the stored literal of its
+    /// shared [`RunResult`].
     Result {
         /// Echo of the request id.
         id: u64,
@@ -477,20 +457,61 @@ pub enum Outgoing {
         /// Joined an identical in-flight job (no extra simulation ran).
         deduped: bool,
     },
+    /// A [`Response::SweepResult`], assembled around the stored literals
+    /// of its shared [`RunResult`]s.
+    Sweep {
+        /// Echo of the request id.
+        id: u64,
+        /// One finished simulation per spec, in request order.
+        results: Vec<Arc<RunResult>>,
+    },
 }
 
 impl Outgoing {
-    /// The frame payload (compact JSON of the response).
+    /// The frame payload: byte for byte `serde_json::to_string` of the
+    /// response this stands for.
     pub fn payload(&self) -> io::Result<String> {
-        match self {
-            Outgoing::Message(response) => message_json(response),
+        const INFALLIBLE: &str = "writing to a String cannot fail";
+        Ok(match self {
+            Outgoing::Message(response) => return message_json(response),
             Outgoing::Result {
                 id,
                 result,
                 cached,
                 deduped,
-            } => Ok(result.frame(*id, *cached, *deduped)),
-        }
+            } => {
+                // 128 bytes cover every field but the report literal.
+                let mut out = String::with_capacity(result.report_literal.len() + 128);
+                write!(
+                    out,
+                    "{{\"Result\":{{\"id\":{id},\"report_json\":{},\"fingerprint\":\"{:016x}\",\
+                     \"cached\":{cached},\"deduped\":{deduped}}}}}",
+                    result.report_literal, result.fingerprint
+                )
+                .expect(INFALLIBLE);
+                out
+            }
+            Outgoing::Sweep { id, results } => {
+                // Per entry: its literal and a quoted fingerprint, each
+                // with a comma; 64 bytes cover the rest.
+                let entries: usize = results.iter().map(|r| r.report_literal.len() + 20).sum();
+                let mut out = String::with_capacity(entries + 64);
+                write!(out, "{{\"SweepResult\":{{\"id\":{id},\"report_jsons\":[")
+                    .expect(INFALLIBLE);
+                for (i, r) in results.iter().enumerate() {
+                    let comma = if i == 0 { "" } else { "," };
+                    out.push_str(comma);
+                    out.push_str(&r.report_literal);
+                }
+                out.push_str("],\"fingerprints\":[");
+                for (i, r) in results.iter().enumerate() {
+                    let comma = if i == 0 { "" } else { "," };
+                    write!(out, "{comma}\"{:016x}\"", r.fingerprint).expect(INFALLIBLE);
+                }
+                out.push_str("]}}");
+                out
+            }
+        })
     }
 }
 
@@ -501,6 +522,7 @@ pub type Emit = Arc<dyn Fn(Outgoing) + Send + Sync>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wormsim_experiments::fnv1a;
 
     #[test]
     fn frames_round_trip() {
@@ -616,21 +638,31 @@ mod tests {
         assert_eq!(engine_bad.to_custom(&interner).unwrap().vc.total, 40);
     }
 
+    /// Reports with every kind of character the escaper treats specially.
+    const ESCAPE_HEAVY_REPORTS: [&str; 5] = [
+        r#"{"algorithm":"Duato's routing","n":1}"#,
+        "back\\slash \\\" and a\nnewline\r\ttab",
+        "control \u{1} \u{1f} \u{7f} bytes",
+        "non-ASCII: λ → 網 🕸 \u{2028}",
+        "",
+    ];
+
+    /// A result for `report` and the fingerprint the wire shows for it.
+    fn result_for(report: &str) -> (Arc<RunResult>, String) {
+        let fingerprint = fnv1a(report.as_bytes());
+        (
+            Arc::new(RunResult::new(report, fingerprint)),
+            format!("{fingerprint:016x}"),
+        )
+    }
+
     #[test]
     fn assembled_result_frame_equals_the_derive_byte_for_byte() {
-        // The pre-escaped frame must be what the derive would have
-        // written, for every kind of character the escaper treats
-        // specially, and must parse back to the same fields.
-        let reports = [
-            r#"{"algorithm":"Duato's routing","n":1}"#,
-            "back\\slash \\\" and a\nnewline\r\ttab",
-            "control \u{1} \u{1f} \u{7f} bytes",
-            "non-ASCII: λ → 網 🕸 \u{2028}",
-            "",
-        ];
-        for report in reports {
-            let fingerprint = format!("{:016x}", report.len());
-            let result = Arc::new(RunResult::new(report.to_string(), fingerprint.clone()));
+        // The assembled frame must be what the derive would have written,
+        // for every kind of character the escaper treats specially, and
+        // must parse back to the same fields.
+        for report in ESCAPE_HEAVY_REPORTS {
+            let (result, fingerprint) = result_for(report);
             for (cached, deduped) in [(false, false), (false, true), (true, false), (true, true)] {
                 let id = u64::MAX - report.len() as u64;
                 let derived = serde_json::to_string(&Response::Result {
@@ -647,8 +679,9 @@ mod tests {
                     cached,
                     deduped,
                 };
-                assert_eq!(out.payload().unwrap(), derived);
-                match serde_json::from_str(&derived).unwrap() {
+                let payload = out.payload().unwrap();
+                assert_eq!(payload, derived);
+                match serde_json::from_str(&payload).unwrap() {
                     Response::Result {
                         id: got,
                         report_json,
@@ -662,6 +695,46 @@ mod tests {
                     }
                     other => panic!("round-trip changed the variant: {other:?}"),
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn assembled_sweep_frame_equals_the_derive_byte_for_byte() {
+        let results: Vec<_> = ESCAPE_HEAVY_REPORTS.iter().map(|r| result_for(r)).collect();
+        // One entry; three, the third a duplicate of the first slot (one
+        // shared result, as a deduplicated sweep answers); and all five.
+        let sweeps: [&[usize]; 7] = [&[0], &[1], &[2], &[3], &[4], &[0, 3, 0], &[0, 1, 2, 3, 4]];
+        for (k, slots) in sweeps.into_iter().enumerate() {
+            let id = k as u64 * 0x0123_4567_89ab_cdef;
+            let derived = serde_json::to_string(&Response::SweepResult {
+                id,
+                report_jsons: slots
+                    .iter()
+                    .map(|&i| ESCAPE_HEAVY_REPORTS[i].to_string())
+                    .collect(),
+                fingerprints: slots.iter().map(|&i| results[i].1.clone()).collect(),
+            })
+            .unwrap();
+            let out = Outgoing::Sweep {
+                id,
+                results: slots.iter().map(|&i| results[i].0.clone()).collect(),
+            };
+            let payload = out.payload().unwrap();
+            assert_eq!(payload, derived, "slots {slots:?}");
+            match serde_json::from_str(&payload).unwrap() {
+                Response::SweepResult {
+                    id: got,
+                    report_jsons,
+                    fingerprints,
+                } => {
+                    assert_eq!(got, id);
+                    let want: Vec<_> = slots.iter().map(|&i| ESCAPE_HEAVY_REPORTS[i]).collect();
+                    assert_eq!(report_jsons, want);
+                    let want: Vec<_> = slots.iter().map(|&i| results[i].1.as_str()).collect();
+                    assert_eq!(fingerprints, want);
+                }
+                other => panic!("round-trip changed the variant: {other:?}"),
             }
         }
     }

@@ -17,6 +17,15 @@
 //!   the request attaches as a waiter and shares the one execution.
 //! - **new** — the job enters the queue for the lanes.
 //!
+//! A finished job is kept in one form: a [`RunResult`] holding the
+//! report as the escaped JSON string literal a frame carries, at its
+//! exact size, beside its fingerprint. The lane that ran the job checks
+//! the fingerprint against the report text and escapes it once; the raw
+//! text is dropped there. Every answer that uses the result, a `Result`
+//! frame or a `SweepResult` frame, is assembled around that literal by
+//! the connection's writer ([`Outgoing::payload`]), so a waiter or a
+//! hit clones an `Arc`, never the report.
+//!
 //! Queued jobs run on *lanes*: scoped threads of the dispatcher, each of
 //! which pops the oldest queued job, runs it, pops again, and parks only
 //! while the queue is empty. The dispatcher starts a lane whenever a job
@@ -39,7 +48,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::Instant;
 use wormsim_engine::ConfigError;
-use wormsim_experiments::{report_json_fingerprint, run_custom, CustomSpec};
+use wormsim_experiments::{fnv1a, run_custom, CustomSpec};
 use wormsim_obs::ProgressFrame;
 
 use crate::metrics::ServeMetrics;
@@ -120,9 +129,9 @@ struct JobEntry {
 }
 
 /// Dedup/cache key: the spec's full canonical form (see the module
-/// docs — the shared `Arc` keeps the dedup map, queue, and cache from
-/// cloning the string).
-type SpecKey = Arc<String>;
+/// docs), stored at its exact length; the shared `Arc` keeps the dedup
+/// map, queue, and cache from cloning the string.
+type SpecKey = Arc<str>;
 
 struct QueuedJob {
     key: SpecKey,
@@ -225,7 +234,7 @@ impl Scheduler {
         }
         // Canonical keys involve serializing the specs — do it outside
         // the lock.
-        let keys: Vec<SpecKey> = specs.iter().map(|s| Arc::new(s.canonical())).collect();
+        let keys: Vec<SpecKey> = specs.iter().map(|s| Arc::from(s.canonical())).collect();
         let req = Arc::new(RequestState {
             id,
             client,
@@ -458,22 +467,22 @@ impl Inner {
                     message: message.clone(),
                 })
             } else if req.is_sweep {
-                let mut report_jsons = Vec::with_capacity(p.slots.len());
-                let mut fingerprints = Vec::with_capacity(p.slots.len());
-                for slot in &p.slots {
-                    match slot.as_ref().expect("finalized request has all slots") {
-                        SlotResult::Ok { result, .. } => {
-                            report_jsons.push(result.report_json.clone());
-                            fingerprints.push(result.fingerprint.clone());
-                        }
-                        SlotResult::Failed => unreachable!("failed slot without failure record"),
-                    }
-                }
-                Outgoing::Message(Response::SweepResult {
+                let results = p
+                    .slots
+                    .iter()
+                    .map(
+                        |slot| match slot.as_ref().expect("finalized request has all slots") {
+                            SlotResult::Ok { result, .. } => result.clone(),
+                            SlotResult::Failed => {
+                                unreachable!("failed slot without failure record")
+                            }
+                        },
+                    )
+                    .collect();
+                Outgoing::Sweep {
                     id: req.id,
-                    report_jsons,
-                    fingerprints,
-                })
+                    results,
+                }
             } else {
                 match p.slots[0].as_ref().expect("finalized request has slot 0") {
                     SlotResult::Ok {
@@ -514,21 +523,22 @@ impl Inner {
     /// waiter is answered, so its lane counts as free from then on: a
     /// client that submits again on its answer finds that lane, not the
     /// dispatcher.
-    fn resolve_job(self: &Arc<Self>, key: &SpecKey, outcome: Result<Arc<RunResult>, JobError>) {
+    fn resolve_job(self: &Arc<Self>, key: &SpecKey, outcome: Result<Finished, JobError>) {
         self.metrics.jobs_run.inc();
-        // Fingerprint integrity is verified once, here at insert time
-        // and outside the state lock — the entry is immutable behind its
-        // `Arc` afterwards, so cache hits never rehash the report while
-        // holding the lock.
-        let cacheable = match &outcome {
-            Ok(result) => {
-                let ok = result.fingerprint == report_json_fingerprint(&result.report_json);
-                if !ok {
+        // Fingerprint integrity is verified once, here at insert time,
+        // over the report text before it is escaped, and outside the
+        // state lock. The escaped entry is immutable behind its `Arc`
+        // afterwards, so cache hits never rehash it while holding the
+        // lock, and the raw text is dropped here.
+        let (outcome, cacheable) = match outcome {
+            Ok(Finished { json, fingerprint }) => {
+                let verified = fingerprint == fnv1a(json.as_bytes());
+                if !verified {
                     self.metrics.integrity_drops.inc();
                 }
-                ok
+                (Ok(Arc::new(RunResult::new(&json, fingerprint))), verified)
             }
-            Err(_) => false,
+            Err(err) => (Err(err), false),
         };
         let waiters = {
             let mut s = lock(&self.state);
@@ -649,14 +659,21 @@ impl Inner {
         let outcome = match run {
             Ok(Ok(report)) => {
                 let json = serde_json::to_string(&report).expect("report serializes");
-                let fp = report_json_fingerprint(&json);
-                Ok(Arc::new(RunResult::new(json, fp)))
+                let fingerprint = fnv1a(json.as_bytes());
+                Ok(Finished { json, fingerprint })
             }
             Ok(Err(e)) => Err(JobError::Config(e)),
             Err(_) => Err(JobError::Panicked),
         };
         self.resolve_job(&job.key, outcome);
     }
+}
+
+/// An executed job's report, as compact JSON, and the fingerprint the
+/// lane took of it.
+struct Finished {
+    json: String,
+    fingerprint: u64,
 }
 
 /// Why an admitted job failed.
@@ -974,8 +991,8 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let key = |name: &str| -> SpecKey { Arc::new(name.to_string()) };
-        let result = |i: u32| Arc::new(RunResult::new(format!("r{i}"), format!("f{i}")));
+        let key = |name: &str| -> SpecKey { Arc::from(name) };
+        let result = |i: u32| Arc::new(RunResult::new(&format!("r{i}"), i.into()));
         let mut s = SchedState::default();
         for i in 0..3 {
             let evicted = cache_insert(&mut s, 3, &key(&format!("k{i}")), result(i));

@@ -45,6 +45,11 @@ fn bad_flag_values_exit_2_without_panicking() {
     // Would run nothing and exit 0.
     rejects(sweep, &["--cycles", "0"]);
     rejects(sweep, &["--seeds", "0"]);
+    // Rejected before any run, and before `--out` is created: a regular
+    // file cannot hold a directory, so a later check would exit 1.
+    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/x");
+    let zero_cycles = rejects(trace, &["--cycles", "0", "--out", out]);
+    assert_eq!(zero_cycles.lines().count(), 1, "{zero_cycles}");
 }
 
 #[test]

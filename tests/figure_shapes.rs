@@ -12,7 +12,7 @@ use wormsim_experiments::{
     ablation_message_length, ablation_misroute_limit, ablation_traffic_patterns,
     ablation_turn_models, ablation_vc_budget, deadlock_census, dynamic_faults, fault_sweep_studies,
     fig1_saturation_throughput, fig2_latency_vs_rate, fig3_vc_utilization, fig4_fig5_fault_sweep,
-    fig6_fring_traffic, fnv1a, ExperimentConfig, FigureResult, Scale,
+    fig6_fring_traffic, fnv1a, ExperimentConfig, FigureResult, Scale, STUDIES,
 };
 
 fn cfg() -> ExperimentConfig {
@@ -241,6 +241,13 @@ fn every_study_is_pinned() {
     ];
     let want: Vec<(&str, String)> = want.map(|(id, hash)| (id, hash.to_string())).into();
     assert_eq!(got, want, "a study's output moved");
+    // `figures` checks the files a study will write before it runs, from
+    // the table counts `STUDIES` declares.
+    let mut tables: Vec<(&str, usize)> = studies.iter().map(|f| (f.id, f.tables.len())).collect();
+    let mut declared = STUDIES.to_vec();
+    tables.sort();
+    declared.sort();
+    assert_eq!(tables, declared, "STUDIES declares other table counts");
 }
 
 /// `figures` runs Figure 4's grid once for Figures 4, 5, the fault-axis
