@@ -11,8 +11,8 @@ use crate::figures::{
     algorithm_columns, fault_case_grid, fault_case_runs, fault_patterns, fault_set_note,
     fig4_cases, fig4_fig5, paper_52_layout, FaultCase, FigureResult, ANALYSIS_RATE, FULL_LOAD_RATE,
 };
-use crate::grid::Grid;
-use crate::runner::{derive_seed, run_custom, CustomSpec};
+use crate::grid::{derive_seed, Grid};
+use crate::runner::{run_custom, CustomSpec};
 use crate::table::Table;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -38,7 +38,7 @@ fn base_spec(cfg: &ExperimentConfig, kind: AlgorithmKind, rate: f64, seed: u64) 
 }
 
 /// One run per (row, algorithm) cell: `spec(row, kind, seed)` with the
-/// seed `derive_seed(base, salt, row, column)`, `None` to skip the cell.
+/// grid's seed for `salt`, `None` to skip the cell.
 fn ablation_grid<L: ToString>(
     cfg: &ExperimentConfig,
     label: &str,
@@ -51,13 +51,8 @@ fn ablation_grid<L: ToString>(
         .run(
             cfg,
             label,
-            |r, k, _| {
-                spec(
-                    r,
-                    kinds[k],
-                    derive_seed(cfg.base_seed, salt, r as u64, k as u64),
-                )
-            },
+            salt,
+            |r, k, _, seed| spec(r, kinds[k], seed),
             run_custom,
         )
         .expect("runnable spec")
@@ -244,8 +239,8 @@ pub fn ablation_misroute_limit(cfg: &ExperimentConfig) -> FigureResult {
         .run(
             cfg,
             "misroute limit",
-            |l, c, _| {
-                let seed = derive_seed(cfg.base_seed, 14, l as u64, c as u64 + 1);
+            14,
+            |l, c, _, seed| {
                 Some(CustomSpec {
                     vc: VcConfig {
                         misroute_limit: limits[l],
@@ -343,8 +338,8 @@ pub fn ablation_turn_models(cfg: &ExperimentConfig) -> FigureResult {
     .run(
         cfg,
         "turn models",
-        |c, k, _| {
-            let seed = derive_seed(cfg.base_seed, 16, c as u64, k as u64 + 1);
+        16,
+        |c, k, _, seed| {
             Some(CustomSpec {
                 pattern: cases[c].1.clone(),
                 ..base_spec(cfg, kinds[k], ANALYSIS_RATE, seed)
@@ -457,7 +452,7 @@ pub fn ablation_fault_axis(cfg: &ExperimentConfig) -> FigureResult {
 /// [`deadlock_census`]: crate::deadlock_census
 pub fn fault_sweep_studies(cfg: &ExperimentConfig) -> [FigureResult; 4] {
     let (axis, notes) = fault_axis_cases(cfg);
-    let labels: Vec<String> = axis.iter().map(|(label, _, _)| label.clone()).collect();
+    let labels: Vec<String> = axis.iter().map(|(label, _)| label.clone()).collect();
     // Rows 0–2: 0 %, 5 %, 10 % seeds; rows 3–4: 5 % and 10 % exact.
     let mut cases = fig4_cases(cfg);
     cases.extend(axis.into_iter().skip(1).step_by(2));
@@ -501,8 +496,8 @@ fn fault_axis_cases(cfg: &ExperimentConfig) -> (Vec<FaultCase>, Vec<String>) {
             draws,
             seeds / exact.len() as f64,
         ));
-        cases.push((format!("{pct}% seeds"), k, seeded));
-        cases.push((format!("{pct}% exact"), k, exact));
+        cases.push((format!("{pct}% seeds"), seeded));
+        cases.push((format!("{pct}% exact"), exact));
     }
     (cases, notes)
 }

@@ -17,9 +17,9 @@ use wormsim_experiments::{
     ablation_arbitration, ablation_buffer_depth, ablation_fault_axis, ablation_mesh_size,
     ablation_message_length, ablation_misroute_limit, ablation_traffic_patterns,
     ablation_turn_models, ablation_vc_budget, check_writable, deadlock_census, dynamic_faults,
-    fault_sweep_studies, fig1_saturation_throughput, fig2_latency_vs_rate, fig3_vc_utilization,
-    fig4_fig5_fault_sweep, fig6_fring_traffic, output_files, provenance, ExperimentConfig,
-    FigureResult, Progress, Scale, STUDIES,
+    fault_sweep_studies, fig1_fig2_rate_sweep, fig3_vc_utilization, fig4_fig5_fault_sweep,
+    fig6_fring_traffic, output_files, provenance, ExperimentConfig, FigureResult, Progress, Scale,
+    STUDIES,
 };
 
 /// Every study id, in `all` order. An id is also the name of the files
@@ -28,14 +28,17 @@ fn ids<'a>() -> impl Iterator<Item = &'a str> {
     STUDIES.iter().map(|&(id, _)| id)
 }
 
-/// Run the study behind `id`: for `fig4` or `fig5`, the sweep behind both,
-/// which also yields `ablation_fault_axis` and `deadlock_census` when
-/// either is `wanted` too (the axis's "seeds" rows are Figure 4's runs,
-/// and the census samples them).
+/// Run the study behind `id`: for `fig1` or `fig2`, the rate sweep behind
+/// both; for `fig4` or `fig5`, the fault sweep behind both, which also
+/// yields `ablation_fault_axis` and `deadlock_census` when either is
+/// `wanted` too (the axis's "seeds" rows are Figure 4's runs, and the
+/// census samples them).
 fn study(id: &str, cfg: &ExperimentConfig, wanted: &[&str]) -> Vec<FigureResult> {
     vec![match id {
-        "fig1" => fig1_saturation_throughput(cfg),
-        "fig2" => fig2_latency_vs_rate(cfg),
+        "fig1" | "fig2" => {
+            let (fig1, fig2) = fig1_fig2_rate_sweep(cfg);
+            return vec![fig1, fig2];
+        }
         "fig3" => fig3_vc_utilization(cfg),
         "fig4" | "fig5"
             if wanted.contains(&"ablation_fault_axis") || wanted.contains(&"deadlock_census") =>

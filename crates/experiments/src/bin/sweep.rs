@@ -127,13 +127,16 @@ fn main() {
     ));
 
     let columns = algos.iter().map(|k| k.paper_name().to_string()).collect();
-    // The grid reads only the pool settings: one thread per core, `progress`.
+    // The grid reads only the pool settings (one thread per core,
+    // `progress`) and the default base seed, from which it seeds the runs:
+    // every rate and algorithm of a seed index runs on the same seed.
     let cfg = ExperimentConfig::new(Scale::Paper).with_progress(progress);
     let grid = Grid::new(&rates, columns, seeds as usize)
         .run(
             &cfg,
             "sweep",
-            |r, a, seed| {
+            0,
+            |r, a, _, seed| {
                 let mut workload = Workload::paper_uniform(rates[r]);
                 workload.message_length = length;
                 Some(CustomSpec {
@@ -144,7 +147,7 @@ fn main() {
                         measure_cycles: cycles - cycles / 3,
                         ..SimConfig::paper()
                     }
-                    .with_seed(0xABCD + seed as u64)
+                    .with_seed(seed)
                     .with_arbitration(arbitration),
                     kind: algos[a],
                     pattern: pattern.clone(),

@@ -93,7 +93,7 @@ pub(crate) fn census(
         "faults / measure",
         algorithm_columns(&kinds),
     );
-    for (r, (label, _, _)) in cases.iter().enumerate() {
+    for (r, (label, _)) in cases.iter().enumerate() {
         let cells: Vec<[f64; 3]> = (0..kinds.len())
             .map(|c| measures(grid.cell(r, c)))
             .collect();
@@ -120,11 +120,7 @@ pub(crate) fn census(
         tables: vec![table],
         notes: notes
             .into_iter()
-            .chain(
-                cases[1..]
-                    .iter()
-                    .map(|(label, _, p)| fault_set_note(label, p)),
-            )
+            .chain(cases[1..].iter().map(|(label, p)| fault_set_note(label, p)))
             .collect(),
     }
 }

@@ -6,8 +6,7 @@
 
 use crate::config::ExperimentConfig;
 use crate::figures::{algorithm_columns, FigureResult};
-use crate::grid::{mean_finite, Grid};
-use crate::runner::derive_seed;
+use crate::grid::{derive_seed, mean_finite, Grid};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use wormsim_chaos::{run_chaos, FaultSchedule};
@@ -90,11 +89,8 @@ pub fn dynamic_faults(cfg: &ExperimentConfig) -> FigureResult {
     .run(
         cfg,
         "dynamic faults",
-        |s, k, p| {
-            let cell = (s * DYNAMIC_KINDS.len() + k) as u64;
-            let seed = derive_seed(cfg.base_seed, 21, cell, p as u64);
-            Some((&scenarios[s].1[p], DYNAMIC_KINDS[k], seed))
-        },
+        21,
+        |s, k, p, seed| Some((&scenarios[s].1[p], DYNAMIC_KINDS[k], seed)),
         |&(schedule, kind, seed)| {
             run_chaos(
                 mesh.clone(),

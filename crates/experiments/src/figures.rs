@@ -1,8 +1,8 @@
 //! One function per paper figure.
 
 use crate::config::{ExperimentConfig, Scale};
-use crate::grid::Grid;
-use crate::runner::{derive_seed, run_single, RunSpec};
+use crate::grid::{derive_seed, Grid};
+use crate::runner::{run_single, RunSpec};
 use crate::table::Table;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -224,70 +224,58 @@ pub(crate) fn fault_set_note(label: &str, patterns: &[Arc<FaultPattern>]) -> Str
     )
 }
 
-/// The ten fault-free algorithms across [`RATE_SWEEP`], one row per
-/// rate; `figure` is the figure's number and its seed stream.
-fn rate_sweep_table(
-    cfg: &ExperimentConfig,
-    figure: u64,
-    title: &str,
-    value: impl Fn(&SimReport) -> f64,
-) -> Table {
+/// **Figures 1 and 2** — saturation throughput and average message
+/// latency (flit cycles, network latency) of the ten algorithms against
+/// the traffic generation rate on a fault-free 10×10 mesh (100-flit
+/// messages, 24 VCs per physical channel). One sweep feeds both figures.
+pub fn fig1_fig2_rate_sweep(cfg: &ExperimentConfig) -> (FigureResult, FigureResult) {
     let kinds = AlgorithmKind::FAULT_FREE_TEN;
     let pattern = Arc::new(FaultPattern::fault_free(&Mesh::square(cfg.mesh_size)));
     let rows = RATE_SWEEP.map(|rate| format!("{rate:.4}"));
     let grid = Grid::new(rows, algorithm_columns(&kinds), 1)
         .run(
             cfg,
-            &format!("fig{figure}"),
-            |r, k, _| {
-                let (rate, kind) = (RATE_SWEEP[r], kinds[k]);
+            "rate sweep",
+            1,
+            |r, k, _, seed| {
                 Some(RunSpec {
-                    kind,
+                    kind: kinds[k],
                     pattern: pattern.clone(),
-                    rate,
-                    seed: derive_seed(cfg.base_seed, figure, kind as u64, (rate * 1e6) as u64),
+                    rate: RATE_SWEEP[r],
+                    seed,
                 })
             },
             |s| run_single(cfg, s),
         )
         .expect("runnable spec");
-    grid.table(title, "rate (msgs/node/cycle)", value)
-}
-
-/// **Figure 1** — saturation throughput of the ten algorithms against the
-/// traffic generation rate on a fault-free 10×10 mesh (100-flit messages,
-/// 24 VCs per physical channel).
-pub fn fig1_saturation_throughput(cfg: &ExperimentConfig) -> FigureResult {
-    FigureResult {
+    let axis = "rate (msgs/node/cycle)";
+    let fig1 = FigureResult {
         id: "fig1",
         title: "Figure 1: throughput vs traffic load".into(),
-        tables: vec![rate_sweep_table(
-            cfg,
-            1,
+        tables: vec![grid.table(
             "Saturation throughput vs traffic generation rate (fault-free 10×10 mesh)",
+            axis,
             SimReport::normalized_throughput,
         )],
         notes: vec![
             format!("mesh {0}×{0}, 100-flit messages, 24 VCs/PC", cfg.mesh_size),
             "normalized throughput = delivered flits / node / cycle".into(),
         ],
-    }
-}
-
-/// **Figure 2** — average message latency (flit cycles, network latency)
-/// of the ten algorithms against the traffic generation rate, fault-free.
-pub fn fig2_latency_vs_rate(cfg: &ExperimentConfig) -> FigureResult {
-    FigureResult {
+    };
+    let fig2 = FigureResult {
         id: "fig2",
         title: "Figure 2: average message latency vs traffic load".into(),
-        tables: vec![rate_sweep_table(
-            cfg,
-            2,
+        tables: vec![grid.table(
             "Average message latency vs traffic generation rate (fault-free 10×10 mesh)",
+            axis,
             SimReport::mean_network_latency,
         )],
-        notes: vec!["latency = first flit injected → tail delivered (flit cycles)".into()],
-    }
+        notes: vec![
+            "same runs as Figure 1".into(),
+            "latency = first flit injected → tail delivered (flit cycles)".into(),
+        ],
+    };
+    (fig1, fig2)
 }
 
 /// **Figure 3** — per-VC average utilization at 5 % node faults, split into
@@ -317,12 +305,13 @@ pub fn fig3_vc_utilization(cfg: &ExperimentConfig) -> FigureResult {
         .run(
             cfg,
             "fig3",
-            |k, _, p| {
+            3,
+            |k, _, p, seed| {
                 Some(RunSpec {
                     kind: kinds[k],
                     pattern: patterns[p].clone(),
                     rate: ANALYSIS_RATE,
-                    seed: derive_seed(cfg.base_seed, 3, kinds[k] as u64, p as u64),
+                    seed,
                 })
             },
             |s| run_single(cfg, s),
@@ -363,14 +352,13 @@ pub fn fig3_vc_utilization(cfg: &ExperimentConfig) -> FigureResult {
     }
 }
 
-/// One row of a fault-case grid: its label, the seed failures, and the
-/// fault sets.
-pub(crate) type FaultCase = (String, usize, Vec<Arc<FaultPattern>>);
+/// One row of a fault-case grid: its label and its fault sets.
+pub(crate) type FaultCase = (String, Vec<Arc<FaultPattern>>);
 
 /// Every algorithm at 100 % traffic load: one row per case (at most
 /// `cfg.fault_patterns` sets), one column per algorithm in
-/// [`AlgorithmKind::ALL`] order, one replica per fault set, seeded from
-/// Figure 4's stream. A cell's runs depend on its case alone, not on the
+/// [`AlgorithmKind::ALL`] order, one replica per fault set, seeded with
+/// Figure 4's salt. A cell's runs depend on its case alone, not on the
 /// other rows.
 pub(crate) fn fault_case_grid(cfg: &ExperimentConfig, cases: &[FaultCase]) -> Grid {
     fault_case_runs(cfg, cases, run_single)
@@ -383,18 +371,18 @@ pub(crate) fn fault_case_runs<R: Send>(
     run: impl Fn(&ExperimentConfig, &RunSpec) -> Result<R, ConfigError> + Sync,
 ) -> Grid<R> {
     let kinds = AlgorithmKind::ALL;
-    let rows = cases.iter().map(|(label, _, _)| label);
+    let rows = cases.iter().map(|(label, _)| label);
     Grid::new(rows, algorithm_columns(&kinds), cfg.fault_patterns)
         .run(
             cfg,
             "fault sweep",
-            |r, k, p| {
-                let (_, faults, patterns) = &cases[r];
+            4,
+            |r, k, p, seed| {
                 Some(RunSpec {
                     kind: kinds[k],
-                    pattern: patterns.get(p)?.clone(),
+                    pattern: cases[r].1.get(p)?.clone(),
                     rate: FULL_LOAD_RATE,
-                    seed: derive_seed(cfg.base_seed, 4, kinds[k] as u64, (faults * 100 + p) as u64),
+                    seed,
                 })
             },
             |s| run(cfg, s),
@@ -416,7 +404,7 @@ pub(crate) fn fig4_cases(cfg: &ExperimentConfig) -> Vec<FaultCase> {
     [0, nodes / 20, nodes / 10]
         .map(|faults| {
             let label = format!("{}%", faults * 100 / nodes);
-            (label, faults, fault_patterns(cfg, faults, 4))
+            (label, fault_patterns(cfg, faults, 4))
         })
         .into()
 }
@@ -425,7 +413,7 @@ pub(crate) fn fig4_cases(cfg: &ExperimentConfig) -> Vec<FaultCase> {
 pub(crate) fn fig4_fig5(grid: &Grid, cases: &[FaultCase]) -> (FigureResult, FigureResult) {
     let set_notes: Vec<String> = cases[1..]
         .iter()
-        .map(|(label, _, patterns)| fault_set_note(label, patterns))
+        .map(|(label, patterns)| fault_set_note(label, patterns))
         .collect();
     let fig4 = FigureResult {
         id: "fig4",
@@ -494,12 +482,13 @@ pub fn fig6_fring_traffic(cfg: &ExperimentConfig) -> FigureResult {
         .run(
             cfg,
             "fig6",
-            |k, c, _| {
+            6,
+            |k, c, _, seed| {
                 Some(RunSpec {
                     kind: kinds[k],
                     pattern: cases[c].1.clone(),
                     rate: ANALYSIS_RATE,
-                    seed: derive_seed(cfg.base_seed, 6, kinds[k] as u64, c as u64),
+                    seed,
                 })
             },
             |s| run_single(cfg, s),
@@ -599,7 +588,7 @@ mod tests {
     fn fig1_structure_at_tiny_scale() {
         let mut cfg = tiny_cfg();
         cfg.sim.measure_cycles = 300;
-        let fig = fig1_saturation_throughput(&cfg);
+        let (fig, _) = fig1_fig2_rate_sweep(&cfg);
         let t = &fig.tables[0];
         assert_eq!(t.columns.len(), 10);
         assert_eq!(t.rows.len(), RATE_SWEEP.len());

@@ -1,20 +1,14 @@
-//! Result and spec fingerprints.
+//! Result fingerprints.
 //!
-//! Two identities underpin the serving layer and the result pins:
-//!
-//! - a **report fingerprint** — FNV-1a over a run's serialized
-//!   [`SimReport`]. Simulation results are deterministic per seed and
-//!   machine-independent, so the fingerprint is the result's identity:
-//!   `tests/golden_fingerprints.rs` and `tests/steady_state_alloc.rs`
-//!   pin recorded values, and the result cache in `wormsim-serve` stores
-//!   it alongside each cached report as an integrity check.
-//! - a **spec identity** — FNV-1a over the *canonical form* of a
-//!   [`RunSpec`](crate::RunSpec)/[`CustomSpec`](crate::CustomSpec)
-//!   (pattern faults by value, not `Arc` pointer). Two requests that
-//!   describe the same simulation hash equal even when their `Arc`s
-//!   differ. The hash is a compact label; exact dedup/cache keying uses
-//!   the canonical string itself (`CustomSpec::canonical`), where
-//!   equality is spec equality and collisions cannot alias.
+//! A **report fingerprint** is FNV-1a over a run's serialized
+//! [`SimReport`]. Simulation results are deterministic per seed and
+//! machine-independent, so the fingerprint is the result's identity:
+//! `tests/golden_fingerprints.rs` and `tests/steady_state_alloc.rs` pin
+//! recorded values, and the result cache in `wormsim-serve` stores it
+//! alongside each cached report as an integrity check. A spec's identity
+//! is not hashed: the serving layer keys on its canonical form
+//! ([`CustomSpec::canonical`](crate::CustomSpec::canonical)), where
+//! equality is spec equality and no collision can alias two simulations.
 
 use wormsim_metrics::SimReport;
 

@@ -7,8 +7,7 @@
 //!
 //! | Function | Paper figure | Content |
 //! |---|---|---|
-//! | [`fig1_saturation_throughput`] | Fig 1 | throughput vs generation rate, fault-free |
-//! | [`fig2_latency_vs_rate`] | Fig 2 | message latency vs generation rate, fault-free |
+//! | [`fig1_fig2_rate_sweep`] | Figs 1, 2 | throughput and message latency vs generation rate, fault-free |
 //! | [`fig3_vc_utilization`] | Fig 3a/3b | per-VC utilization at 5 % faults |
 //! | [`fig4_fig5_fault_sweep`] | Figs 4, 5 | normalized throughput and latency at 0/5/10 % faults |
 //! | [`fig6_fring_traffic`] | Fig 6 | traffic load split: f-ring vs other nodes |
@@ -16,7 +15,8 @@
 //!
 //! Runs fan out over scoped threads with [`parallel_map`] (one simulation
 //! per work item); everything is deterministic given
-//! [`ExperimentConfig::base_seed`].
+//! [`ExperimentConfig::base_seed`]. Within a study, every algorithm of a
+//! replica runs on the same engine seed and the same fault set.
 
 #![forbid(unsafe_code)]
 
@@ -39,9 +39,9 @@ pub use census::deadlock_census;
 pub use config::{parse_algorithm, ExperimentConfig, Scale};
 pub use dynamic::{dynamic_faults, DYNAMIC_KINDS, DYNAMIC_RATE};
 pub use figures::{
-    check_writable, fig1_saturation_throughput, fig2_latency_vs_rate, fig3_vc_utilization,
-    fig4_fig5_fault_sweep, fig6_fring_traffic, output_files, paper_52_layout, provenance,
-    FigureResult, ANALYSIS_RATE, FULL_LOAD_RATE, RATE_SWEEP, STUDIES,
+    check_writable, fig1_fig2_rate_sweep, fig3_vc_utilization, fig4_fig5_fault_sweep,
+    fig6_fring_traffic, output_files, paper_52_layout, provenance, FigureResult, ANALYSIS_RATE,
+    FULL_LOAD_RATE, RATE_SWEEP, STUDIES,
 };
 pub use fingerprint::{fnv1a, report_fingerprint, report_json_fingerprint};
 pub use runner::{

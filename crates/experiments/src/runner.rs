@@ -38,16 +38,6 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// The stable identity of the simulation this spec describes when run
-    /// under `cfg` via [`run_single`]: equal *content* (pattern faults by
-    /// value, not `Arc` pointer) hashes equal across processes. It is
-    /// exactly [`CustomSpec::identity`] of the fully expanded spec, so the
-    /// serving layer can dedup a `RunSpec` request against an equivalent
-    /// `CustomSpec` one.
-    pub fn identity(&self, cfg: &ExperimentConfig) -> u64 {
-        self.custom(cfg).identity()
-    }
-
     /// This spec under `cfg`, fully expanded: what [`run_single`] runs.
     pub(crate) fn custom(&self, cfg: &ExperimentConfig) -> CustomSpec {
         CustomSpec {
@@ -178,14 +168,6 @@ impl CustomSpec {
         out
     }
 
-    /// FNV-1a of [`CustomSpec::canonical`] — a compact 64-bit label for
-    /// logs and artifacts. Equal canonical forms hash equal; anything
-    /// that must *distinguish* specs (the serving layer's dedup/cache)
-    /// keys on the canonical form itself, not this hash.
-    pub fn identity(&self) -> u64 {
-        crate::fingerprint::fnv1a(self.canonical().as_bytes())
-    }
-
     /// The simulator for this spec, or the [`ConfigError`] explaining
     /// why its configuration is unrunnable, so one bad spec does not
     /// panic a whole sweep.
@@ -196,7 +178,7 @@ impl CustomSpec {
     }
 }
 
-/// Object-safe serialization shim so `identity` can funnel heterogeneous
+/// Object-safe serialization shim so `canonical` can funnel heterogeneous
 /// components through one closure without monomorphizing per call site.
 mod erased_ser {
     pub trait ErasedSerialize {
@@ -295,18 +277,6 @@ where
     }
     indexed.sort_unstable_by_key(|&(i, _)| i);
     indexed.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Derive a per-run seed from the experiment base seed and work indices
-/// (splitmix64 over the packed indices).
-pub fn derive_seed(base: u64, a: u64, b: u64, c: u64) -> u64 {
-    let mut z = base
-        .wrapping_add(a.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(b.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-        .wrapping_add(c.wrapping_mul(0x94D0_49BB_1331_11EB));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -417,16 +387,16 @@ mod tests {
             pattern: pattern.clone(),
             workload: Workload::paper_uniform(0.002),
         };
-        // Distinct Arcs, same content: identical identity (the dedup key
-        // must not depend on which client built the pattern).
-        assert_eq!(spec(&a, 1).identity(), spec(&b, 1).identity());
+        // Distinct Arcs, same content: the same canonical form (the dedup
+        // key must not depend on which client built the pattern).
+        assert_eq!(spec(&a, 1).canonical(), spec(&b, 1).canonical());
         // Any semantic difference changes it.
-        assert_ne!(spec(&a, 1).identity(), spec(&a, 2).identity());
+        assert_ne!(spec(&a, 1).canonical(), spec(&a, 2).canonical());
         let fault_free = Arc::new(FaultPattern::fault_free(&mesh));
-        assert_ne!(spec(&a, 1).identity(), spec(&fault_free, 1).identity());
+        assert_ne!(spec(&a, 1).canonical(), spec(&fault_free, 1).canonical());
         let mut other_kind = spec(&a, 1);
         other_kind.kind = AlgorithmKind::Xy;
-        assert_ne!(spec(&a, 1).identity(), other_kind.identity());
+        assert_ne!(spec(&a, 1).canonical(), other_kind.canonical());
     }
 
     #[test]
@@ -448,11 +418,12 @@ mod tests {
             pattern,
             workload: Workload::paper_uniform(0.004),
         };
-        assert_eq!(spec.identity(&cfg), custom.identity());
+        assert_eq!(spec.custom(&cfg).canonical(), custom.canonical());
     }
 
     #[test]
     fn derived_seeds_differ() {
+        use crate::grid::derive_seed;
         let s = derive_seed(1, 2, 3, 4);
         assert_ne!(s, derive_seed(1, 2, 3, 5));
         assert_ne!(s, derive_seed(1, 2, 4, 4));
@@ -618,10 +589,6 @@ mod tests {
         };
         assert_eq!(spec(1).canonical(), spec(1).canonical());
         assert_ne!(spec(1).canonical(), spec(2).canonical());
-        assert_eq!(
-            spec(1).identity(),
-            crate::fingerprint::fnv1a(spec(1).canonical().as_bytes())
-        );
     }
 
     fn keyed_spec(mesh_size: u16, pattern: FaultPattern) -> CustomSpec {
@@ -700,7 +667,6 @@ mod tests {
             let same_spec =
                 size_a == size_b && seeds_a == seeds_b && scalar_edit >= SCALAR_EDITS.len();
             proptest::prop_assert_eq!(a.canonical() == b.canonical(), same_spec);
-            proptest::prop_assert_eq!(a.identity() == b.identity(), same_spec);
         }
 
         #[test]

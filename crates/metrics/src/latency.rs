@@ -9,7 +9,9 @@ pub struct LatencyStats {
     count: u64,
     sum: f64,
     sum_sq: f64,
-    min: u64,
+    /// `None` until a latency is recorded, so an empty statistic
+    /// serialises its minimum as `null`.
+    min: Option<u64>,
     max: u64,
     /// Log2-bucketed histogram (bucket i counts latencies in
     /// `[2^i, 2^(i+1))`).
@@ -20,7 +22,6 @@ impl LatencyStats {
     /// An empty accumulator.
     pub fn new() -> Self {
         LatencyStats {
-            min: u64::MAX,
             histogram: vec![0; 32],
             ..Default::default()
         }
@@ -31,7 +32,7 @@ impl LatencyStats {
         self.count += 1;
         self.sum += latency as f64;
         self.sum_sq += (latency as f64) * (latency as f64);
-        self.min = self.min.min(latency);
+        self.min = Some(self.min.map_or(latency, |min| min.min(latency)));
         self.max = self.max.max(latency);
         let bucket = (64 - latency.max(1).leading_zeros() as usize - 1).min(31);
         self.histogram[bucket] += 1;
@@ -42,7 +43,7 @@ impl LatencyStats {
         self.count += other.count;
         self.sum += other.sum;
         self.sum_sq += other.sum_sq;
-        self.min = self.min.min(other.min);
+        self.min = self.min.into_iter().chain(other.min).min();
         self.max = self.max.max(other.max);
         for (a, b) in self.histogram.iter_mut().zip(&other.histogram) {
             *a += b;
@@ -69,7 +70,7 @@ impl LatencyStats {
 
     /// Minimum recorded latency; `None` when empty.
     pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
+        self.min
     }
 
     /// Maximum recorded latency; `None` when empty.
@@ -112,6 +113,13 @@ mod tests {
         assert_eq!(s.std_dev(), None);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
+        // An empty minimum is written as `null`, not as a sentinel
+        // latency, and reads back as empty.
+        let json = serde_json::to_string(&s).unwrap();
+        assert!(json.contains("\"min\":null"), "{json}");
+        let back: LatencyStats = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.min(), None);
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 
     #[test]
@@ -124,6 +132,11 @@ mod tests {
         assert_eq!(s.mean(), Some(200.0));
         assert_eq!(s.min(), Some(100));
         assert_eq!(s.max(), Some(300));
+        // A recorded minimum is written as the bare number.
+        let json = serde_json::to_string(&s).unwrap();
+        assert!(json.contains("\"min\":100,"), "{json}");
+        let back: LatencyStats = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.min(), Some(100));
     }
 
     #[test]

@@ -787,6 +787,6 @@ mod tests {
         let ca = a.to_custom(&interner).unwrap();
         let cb = b.to_custom(&interner).unwrap();
         assert!(Arc::ptr_eq(&ca.pattern, &cb.pattern));
-        assert_eq!(ca.identity(), cb.identity());
+        assert_eq!(ca.canonical(), cb.canonical());
     }
 }

@@ -11,8 +11,8 @@ use wormsim_experiments::{
     ablation_arbitration, ablation_buffer_depth, ablation_fault_axis, ablation_mesh_size,
     ablation_message_length, ablation_misroute_limit, ablation_traffic_patterns,
     ablation_turn_models, ablation_vc_budget, deadlock_census, dynamic_faults, fault_sweep_studies,
-    fig1_saturation_throughput, fig2_latency_vs_rate, fig3_vc_utilization, fig4_fig5_fault_sweep,
-    fig6_fring_traffic, fnv1a, ExperimentConfig, FigureResult, Scale, STUDIES,
+    fig1_fig2_rate_sweep, fig3_vc_utilization, fig4_fig5_fault_sweep, fig6_fring_traffic, fnv1a,
+    ExperimentConfig, FigureResult, Scale, STUDIES,
 };
 
 fn cfg() -> ExperimentConfig {
@@ -40,10 +40,23 @@ fn fault_figures() -> &'static (FigureResult, FigureResult) {
     FIGURES.get_or_init(|| fig4_fig5_fault_sweep(&mid_cfg()))
 }
 
+/// Assert that columns `a` and `b` of `table` agree exactly in row `row`.
+/// Every algorithm of a cell replica runs on the same engine seed and
+/// fault set, so two algorithms that route alike give the same bits.
+fn twins(table: &wormsim_experiments::Table, row: &str, a: &str, b: &str) {
+    let (x, y) = (table.get(row, a).unwrap(), table.get(row, b).unwrap());
+    assert_eq!(x.to_bits(), y.to_bits(), "{row}: {a} {x} vs {b} {y}");
+}
+
 #[test]
 fn fig1_throughput_tracks_offered_below_saturation() {
-    let fig = fig1_saturation_throughput(&cfg());
+    let (fig, _) = fig1_fig2_rate_sweep(&cfg());
     let t = &fig.tables[0];
+    // Fault-free, Fully-Adaptive never misroutes, so it routes as
+    // Minimal-Adaptive does at every rate.
+    for (rate, _) in &t.rows {
+        twins(t, rate, "Fully-Adaptive", "Minimal-Adaptive");
+    }
     // At λ=0.001 every algorithm delivers ≈ 0.1 flits/node/cycle.
     for col in &t.columns {
         let v = t.get("0.0010", col).unwrap();
@@ -94,6 +107,13 @@ fn fig3_vc_usage_signatures() {
 fn fig4_fault_degradation_and_winners() {
     let fig = &fault_figures().0;
     let t = &fig.tables[0];
+    // Fault-free, Fully-Adaptive routes as Minimal-Adaptive and Boura's
+    // fault-tolerant variant as its adaptive one: the same runs, in both
+    // figures.
+    for table in [t, &fault_figures().1.tables[0]] {
+        twins(table, "0%", "Fully-Adaptive", "Minimal-Adaptive");
+        twins(table, "0%", "Boura (Adaptive)", "Boura (Fault-Tolerant)");
+    }
     for col in &t.columns {
         let t0 = t.get("0%", col).unwrap();
         let t10 = t.get("10%", col).unwrap();
@@ -193,10 +213,11 @@ fn every_study_is_pinned() {
     cfg.sim.warmup_cycles = 100;
     cfg.sim.measure_cycles = 400;
     cfg.fault_patterns = 1;
+    let (fig1, fig2) = fig1_fig2_rate_sweep(&cfg);
     let (fig4, fig5) = fig4_fig5_fault_sweep(&cfg);
     let studies = [
-        fig1_saturation_throughput(&cfg),
-        fig2_latency_vs_rate(&cfg),
+        fig1,
+        fig2,
         fig3_vc_utilization(&cfg),
         fig4,
         fig5,
@@ -221,22 +242,22 @@ fn every_study_is_pinned() {
         })
         .collect();
     let want = [
-        ("fig1", "e99b616aa6c5ec0e"),
-        ("fig2", "f89a2a8d0c7b8d54"),
-        ("fig3", "8ee2a4b0ad3b69a4"),
-        ("fig4", "7cc5e98e5bc991e9"),
-        ("fig5", "5e9415a4d4700ebf"),
-        ("fig6", "eec7bd38e9b48602"),
-        ("ablation_vc_budget", "b23883cfb136aff2"),
-        ("ablation_message_length", "9a47374c97f1acf3"),
-        ("ablation_buffer_depth", "80410292f9c72cff"),
-        ("ablation_traffic", "9ab9e660f35a3ffc"),
-        ("ablation_misroute", "490a2d7be3c4042d"),
-        ("ablation_arbitration", "5965339e3b91c83c"),
-        ("ablation_turn_models", "f9b534a84bd0a700"),
-        ("ablation_mesh_size", "96f1ff24a8903a4a"),
-        ("ablation_fault_axis", "4c9f72eb0441da1c"),
-        ("dynamic_faults", "fc8258ce749fa476"),
+        ("fig1", "1e8ed0d18b42ec1f"),
+        ("fig2", "fc5177ffb0e47ce7"),
+        ("fig3", "7c879fb7cee340d5"),
+        ("fig4", "cfa94920f5af972b"),
+        ("fig5", "6c0b665dd616569b"),
+        ("fig6", "b68b83967e26543f"),
+        ("ablation_vc_budget", "86bd73b817a87088"),
+        ("ablation_message_length", "fb0208e1e6c7c2b7"),
+        ("ablation_buffer_depth", "6563023aef364bc4"),
+        ("ablation_traffic", "08ce573b1a8212e2"),
+        ("ablation_misroute", "a9c3f0b287838082"),
+        ("ablation_arbitration", "29e4039c0c640f6c"),
+        ("ablation_turn_models", "111f3d11678e0873"),
+        ("ablation_mesh_size", "177cbfbf66f47730"),
+        ("ablation_fault_axis", "58294259b0987841"),
+        ("dynamic_faults", "5962961933a6ff46"),
         ("deadlock_census", "0c32c8c636b50142"),
     ];
     let want: Vec<(&str, String)> = want.map(|(id, hash)| (id, hash.to_string())).into();
