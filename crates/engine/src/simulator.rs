@@ -57,12 +57,13 @@ pub struct Simulator<S: Sink = NullSink, const PROFILE: bool = false> {
     workload: Workload,
     num_vcs: u8,
 
-    /// VC ownership: `slots[ch.index() * num_vcs + vc]` = owning message.
-    slots: Vec<Option<u32>>,
     /// Per-channel VC occupancy bitmask: bit `vc` of `occ_mask[ch]` is set
-    /// iff `slots[ch * num_vcs + vc]` is `Some`. The allocator's candidate
-    /// gather works on these masks with `trailing_zeros` loops instead of
-    /// probing `slots` per VC (`num_vcs ≤ 32`, enforced at construction).
+    /// iff the VC slot `ch * num_vcs + vc` (its *key*) sits on some
+    /// message's path. The allocator's candidate gather works on these
+    /// masks with `trailing_zeros` loops (`num_vcs ≤ 32`, enforced at
+    /// construction). Which message holds a slot is kept nowhere but in
+    /// the paths: the diagnostics and audits that need it build the
+    /// lookup while they run ([`Simulator::holders`]).
     occ_mask: Vec<u32>,
     /// Per-channel wake-flag bitmask: bit `vc` of `waiter_mask[ch]` is set
     /// iff `waiters[ch * num_vcs + vc]` is non-empty, so release paths
@@ -76,7 +77,8 @@ pub struct Simulator<S: Sink = NullSink, const PROFILE: bool = false> {
     /// say which span of it is live. `paths.len() == msgs.len() * stride`.
     paths: Vec<PathEntry>,
     /// Entries per window: [`path_window`] of the mesh and algorithm,
-    /// doubled by [`Simulator::relayout`] when a path outgrows it.
+    /// doubled by [`Simulator::relayout`] when a path outgrows it (a
+    /// detour around a fault region can).
     stride: usize,
     // --- per-message hot flags, struct-of-arrays, indexed by slab id ---
     // Parallel to `msgs`. The service-order, watchdog, retain, and
@@ -145,8 +147,9 @@ pub struct Simulator<S: Sink = NullSink, const PROFILE: bool = false> {
     /// slot frees. A header is pushed only when its registration record
     /// (`reg_bits`) says it is not listed there yet; stale entries
     /// (headers that moved on, died, or were recycled) are dropped when
-    /// the list drains. Arena-backed flat storage (see [`WaiterTable`]) —
-    /// one shared node pool instead of a `Vec` per slot.
+    /// the list drains. Arena-backed flat storage (see [`WaiterTable`]):
+    /// one shared node pool, and one `u32` per slot naming the tail of
+    /// its ring.
     waiters: WaiterTable,
     /// `active` mirrored in `(created, id)` order. Maintained incrementally
     /// (binary insert on promotion, mirrored removals) and only under
@@ -291,7 +294,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         let recheck_wait = algo.recheck_wait();
         Ok(Simulator {
             num_vcs,
-            slots: vec![None; num_slots],
             occ_mask: vec![0; num_channels],
             waiter_mask: vec![0; num_channels],
             msgs: Vec::new(),
@@ -471,11 +473,13 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     /// with many of those can still grow the slab.)
     ///
     /// Each slot's window holds `path_window` entries, derived from the
-    /// *actual* mesh shape when the simulator is built: a
-    /// traversal pushes one entry per hop and the window's cursors rewind
-    /// only when the path empties, so the bound is the longest walk a
-    /// routing algorithm takes. A walk that outgrows its window still
-    /// completes, after one reallocation of the arena.
+    /// *actual* mesh shape when the simulator is built: a traversal
+    /// pushes one entry per hop and the window's cursors rewind only when
+    /// the path empties, so a window must hold the longest walk in
+    /// flight. It starts at the longest minimal walk; a detour that
+    /// outgrows it still completes, after one reallocation of the arena
+    /// that doubles every window (the reservation is then spent, and the
+    /// widening allocates).
     ///
     /// The source queues' pool reserves once for `messages` entries however
     /// they spread over the nodes: blocks for all of them plus two
@@ -486,7 +490,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         let num_nodes = self.sources.num_nodes();
         // Every message that owns a slot also owns a VC slot or its
         // node's injection port.
-        let max_active = self.slots.len() + num_nodes;
+        let max_active = self.num_slots() + num_nodes;
         self.reserve_slab(messages.min(max_active));
         self.sources.reserve(messages);
         self.active.reserve(max_active);
@@ -579,6 +583,11 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         self.free_list.push(id);
     }
 
+    /// VC slots in all: `num_vcs` per channel slot.
+    fn num_slots(&self) -> usize {
+        self.occ_mask.len() * self.num_vcs as usize
+    }
+
     #[inline]
     fn key_channel(&self, key: u32) -> ChannelId {
         ChannelId(key / self.num_vcs as u32)
@@ -665,16 +674,18 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     }
 }
 
-/// The path window each message gets on `mesh`. A walk that only detours
-/// around fault regions is covered by one full perimeter, `2 × (width +
-/// height)` hops; an algorithm that misroutes (one with a `recheck_wait`)
-/// gets twice that. The routing audit (`tests/routing_audit.rs`) checks
-/// every walk of every algorithm against this rule: on a faulty 10×10
-/// mesh the longest Fully-Adaptive walk is 58 hops, the longest other
-/// walk 26.
+/// The path window each message starts with on `mesh`: the longest
+/// minimal walk, rounded up to `width + height` hops, and twice that for
+/// an algorithm that misroutes (one with a `recheck_wait`). Every
+/// fault-free walk fits. A detour around a fault region can outgrow it,
+/// and [`Simulator::relayout`] then doubles every window; the routing
+/// audit (`tests/routing_audit.rs`) checks that one doubling holds every
+/// walk of every algorithm: on a faulty 10×10 mesh the longest
+/// Fully-Adaptive walk is 58 hops (window 40, then 80), the longest other
+/// walk 26 (window 20, then 40).
 fn path_window(mesh: &Mesh, misroutes: bool) -> usize {
-    let perimeter = 2 * (mesh.width() as usize + mesh.height() as usize);
-    perimeter * if misroutes { 2 } else { 1 }
+    let longest_minimal = mesh.width() as usize + mesh.height() as usize;
+    longest_minimal * if misroutes { 2 } else { 1 }
 }
 
 /// Make room for `n` elements in `v` in all, without adding any.

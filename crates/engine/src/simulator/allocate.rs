@@ -144,7 +144,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         if self.algo.is_overlay_vc(vc) {
             self.ring_hops += 1;
         }
-        self.slots[key as usize] = Some(id);
         self.occ_mask[ch.0 as usize] |= 1 << vc;
         self.vc_usage.acquire(vc);
         if S::ENABLED {

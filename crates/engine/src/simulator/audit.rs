@@ -8,7 +8,8 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     /// Exercised by the engine's invariant tests after every cycle.
     ///
     /// Checked invariants:
-    /// 1. VC-slot ownership and message path entries form a bijection.
+    /// 1. VC-slot ownership: no slot sits on two live paths, and only
+    ///    active messages hold slots.
     /// 2. Per-entry flit accounting: the `entered` counters never increase
     ///    from the source side to the head (the head entry drains into
     ///    `delivered`), neighbours differ by at most the buffer depth, and
@@ -21,8 +22,8 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     ///    and has every flit back at its (healthy) source; no owned VC
     ///    slot touches a faulty node — aborts must not leak freed VCs.
     /// 6. A routable header is never parked in the `Moving` phase.
-    /// 7. The occupancy and wake-flag bitmasks mirror `slots` and the
-    ///    wake lists bit for bit.
+    /// 7. The occupancy and wake-flag bitmasks mirror the held slots and
+    ///    the wake lists bit for bit.
     /// 8. A blocked header is listed on every busy candidate slot, so no
     ///    wake is lost.
     /// 9. Every set registration-record bit has its wake-list entry.
@@ -34,14 +35,25 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     ///     live stages' `entered` are at least the window's baseline.
     pub fn check_invariants(&self) {
         let depth = self.cfg.buffer_depth as u32;
-        // 1. Ownership bijection.
-        let mut owned = std::collections::HashMap::new();
-        for (k, owner) in self.slots.iter().enumerate() {
-            if let Some(id) = owner {
-                owned.insert(k as u32, *id);
-            }
+        // 1. Ownership, read off the live paths.
+        let holders = self.holders();
+        for pair in holders.windows(2) {
+            assert_ne!(
+                pair[0].0, pair[1].0,
+                "slot {} sits on the paths of msgs {} and {}",
+                pair[0].0, pair[0].1, pair[1].1
+            );
         }
-        let mut seen = 0usize;
+        let mut active = vec![false; self.msgs.len()];
+        for &id in &self.active {
+            active[id as usize] = self.alive[id as usize];
+        }
+        for &(key, id) in &holders {
+            assert!(
+                active[id as usize],
+                "slot {key} held by msg {id}, which is not in flight"
+            );
+        }
         for &id in &self.active {
             let m = &self.msgs[id as usize];
             if !self.alive[id as usize] {
@@ -49,11 +61,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             }
             let path = self.path(id as usize);
             for e in path {
-                assert_eq!(
-                    owned.get(&e.key),
-                    Some(&id),
-                    "path entry not owned by its message"
-                );
                 assert_eq!(
                     (e.ch, e.vc),
                     (self.key_channel(e.key).0, self.key_vc(e.key)),
@@ -64,7 +71,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
                     self.ctx.mesh().channel_dest(ChannelId(e.ch)),
                     "path entry's cached downstream node out of sync"
                 );
-                seen += 1;
             }
             // 2. Flit accounting along the path.
             let mut downstream = m.delivered;
@@ -93,7 +99,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
                 );
             }
         }
-        assert_eq!(seen, owned.len(), "orphaned VC slot ownership");
         // 5. Chaos bookkeeping.
         let pattern = self.ctx.pattern();
         let mesh = self.ctx.mesh();
@@ -111,19 +116,17 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             );
             assert!(!self.active.contains(&id), "backoff message still active");
         }
-        for (k, owner) in self.slots.iter().enumerate() {
-            if owner.is_some() {
-                let ch = self.key_channel(k as u32);
-                assert!(
-                    !pattern.is_faulty(mesh.channel_src(ch)),
-                    "owned VC slot on a channel leaving a faulty node"
-                );
-                let dest = mesh.channel_dest(ch).expect("owned channel exists");
-                assert!(
-                    !pattern.is_faulty(dest),
-                    "owned VC slot on a channel entering a faulty node"
-                );
-            }
+        for &(key, _) in &holders {
+            let ch = self.key_channel(key);
+            assert!(
+                !pattern.is_faulty(mesh.channel_src(ch)),
+                "owned VC slot on a channel leaving a faulty node"
+            );
+            let dest = mesh.channel_dest(ch).expect("owned channel exists");
+            assert!(
+                !pattern.is_faulty(dest),
+                "owned VC slot on a channel entering a faulty node"
+            );
         }
         // 6. Allocation-phase soundness: a routable header that is not at
         // its destination must be contending or blocked — a `Moving` mark
@@ -143,23 +146,22 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
                 );
             }
         }
-        // 7. Bitmask mirrors: occupancy bits track `slots`, wake flags
-        // track wake-list non-emptiness, bit for bit.
-        for ch in 0..self.occ_mask.len() {
-            let mut expect_occ = 0u32;
+        // 7. Bitmask mirrors: occupancy bits track the held slots, wake
+        // flags track wake-list non-emptiness, bit for bit.
+        let mut expect_occ = vec![0u32; self.occ_mask.len()];
+        for &(key, _) in &holders {
+            expect_occ[self.key_channel(key).index()] |= 1 << self.key_vc(key);
+        }
+        for (ch, (&occ, &expect)) in self.occ_mask.iter().zip(&expect_occ).enumerate() {
             let mut expect_wait = 0u32;
             for vc in 0..self.num_vcs as u32 {
-                let key = (ch as u32 * self.num_vcs as u32 + vc) as usize;
-                if self.slots[key].is_some() {
-                    expect_occ |= 1 << vc;
-                }
-                if !self.waiters.is_empty(key as u32) {
+                if !self.waiters.is_empty(ch as u32 * self.num_vcs as u32 + vc) {
                     expect_wait |= 1 << vc;
                 }
             }
             assert_eq!(
-                self.occ_mask[ch], expect_occ,
-                "occupancy bitmask out of sync with slots on channel {ch}"
+                occ, expect,
+                "occupancy bitmask out of sync with the held slots on channel {ch}"
             );
             assert_eq!(
                 self.waiter_mask[ch], expect_wait,
@@ -310,7 +312,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             }
         }
         // Every live wake-list registration indexes a real slab slot.
-        for key in 0..self.slots.len() {
+        for key in 0..self.num_slots() {
             for wid in self.waiters.iter(key as u32) {
                 assert!((wid as usize) < n, "wake list {key} names ghost msg {wid}");
             }

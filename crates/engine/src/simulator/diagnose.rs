@@ -9,12 +9,13 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     /// of all knots ([`Simulator::knot`]) and the focus message's own
     /// situation. Side-effect free: callable from tests at any cycle.
     pub fn diagnose_stall(&self, focus: Option<MsgId>) -> StallDiagnosis {
+        let holders = self.holders();
         let mut edges = Vec::new();
         let mut blocked = 0;
         for &id in self.active.iter().filter(|&&id| self.is_blocked(id)) {
             blocked += 1;
             for key in self.registered_slots(id) {
-                if let Some(holder) = self.slots[key as usize] {
+                if let Some(holder) = holder_of(&holders, key) {
                     edges.push(WaitEdge {
                         waiter: id,
                         channel: self.key_channel(key).0,
@@ -45,15 +46,20 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     /// non-candidate is dropped until nothing changes: each survivor then
     /// waits only on survivors, whose flits cannot move, so only the
     /// watchdog or a fault activation can change any of them.
-    /// Side-effect free.
+    /// Side-effect free; the slot holders are looked up only once a
+    /// candidate exists.
     pub fn knot(&self) -> Vec<u32> {
         let ids = 0..self.msgs.len() as u32;
         let mut member: Vec<bool> = ids.clone().map(|id| self.knot_candidate(id)).collect();
+        if !member.contains(&true) {
+            return Vec::new();
+        }
+        let holders = self.holders();
         let mut changed = true;
         while std::mem::take(&mut changed) {
             for id in ids.clone() {
                 let inside =
-                    |key: u32| self.slots[key as usize].is_some_and(|h| member[h as usize]);
+                    |key: u32| holder_of(&holders, key).is_some_and(|h| member[h as usize]);
                 if member[id as usize] && !self.registered_slots(id).all(inside) {
                     member[id as usize] = false;
                     changed = true;
@@ -61,6 +67,19 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             }
         }
         ids.filter(|&id| member[id as usize]).collect()
+    }
+
+    /// Every held VC slot with its holder, read off the live paths:
+    /// `(slot key, message)` per path entry, sorted by key. The simulator
+    /// keeps no owner table (`occ_mask` says only *whether* a slot is
+    /// held), so the diagnostics and audits build this while they run.
+    /// A consistent simulator lists each key at most once.
+    pub(super) fn holders(&self) -> Vec<(u32, u32)> {
+        let mut holders: Vec<(u32, u32)> = (0..self.msgs.len())
+            .flat_map(|i| self.path(i).iter().map(move |e| (e.key, i as u32)))
+            .collect();
+        holders.sort_unstable();
+        holders
     }
 
     /// Whether `id` may belong to a knot (see [`Simulator::knot`]).
@@ -111,4 +130,10 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
             holds: self.path(i).iter().map(|e| (e.ch, e.vc)).collect(),
         }
     }
+}
+
+/// The holder of slot `key` in a [`Simulator::holders`] list.
+fn holder_of(holders: &[(u32, u32)], key: u32) -> Option<u32> {
+    let i = holders.binary_search_by_key(&key, |&(k, _)| k).ok()?;
+    Some(holders[i].1)
 }

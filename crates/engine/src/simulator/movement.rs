@@ -96,7 +96,6 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     /// key for [`Simulator::wake_freed`]. Every stage a message gives up
     /// passes through here.
     fn release_stage(&mut self, id: u32, e: PathEntry) {
-        self.slots[e.key as usize] = None;
         self.occ_mask[e.ch as usize] &= !(1 << e.vc);
         self.vc_usage.release(e.vc);
         if S::ENABLED {

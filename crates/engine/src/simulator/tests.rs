@@ -354,7 +354,8 @@ fn chaos_abort_releases_vcs_and_redelivers() {
     assert!(mean >= 16.0 + 29.0, "implausibly fast recovery: {mean}");
     // Every VC freed by the abort must be free or legitimately reowned.
     assert_eq!(sim.in_flight(), 0);
-    assert!(sim.slots.iter().all(|s| s.is_none()));
+    assert!(sim.holders().is_empty());
+    assert!(sim.occ_mask.iter().all(|&m| m == 0));
 }
 
 #[test]
@@ -612,7 +613,6 @@ fn forge_worm(sim: &mut Simulator, id: u32, hops: &[Direction]) -> NodeId {
             .channel_dest(ch)
             .expect("forged hop on the mesh");
         let key = ch.0 * sim.num_vcs as u32;
-        sim.slots[key as usize] = Some(id);
         sim.occ_mask[ch.0 as usize] |= 1;
         let entry = PathEntry {
             key,
@@ -766,19 +766,45 @@ fn a_holder_that_is_not_stalled_breaks_the_knot() {
 }
 
 /// Occupy every VC of every channel leaving `node` with a forged
-/// owner, so any header there blocks on all of them.
+/// owner, so any header there blocks on all of them: each slot goes on
+/// `owner`'s path and sets its occupancy bit.
 fn occupy_all_outputs(sim: &mut Simulator, node: NodeId, owner: u32) {
     let vcs = sim.num_vcs as u32;
     for dir in wormsim_topology::ALL_DIRECTIONS {
-        let ch = sim.ctx.mesh().channel(node, dir).0;
-        if !sim.ctx.mesh().channel_exists(ChannelId(ch)) {
+        let ch = sim.ctx.mesh().channel(node, dir);
+        let Some(dest) = sim.ctx.mesh().channel_dest(ch) else {
             continue;
-        }
-        sim.occ_mask[ch as usize] = vc_width_mask(sim.num_vcs);
+        };
+        sim.occ_mask[ch.index()] = vc_width_mask(sim.num_vcs);
         for vc in 0..vcs {
-            sim.slots[(ch * vcs + vc) as usize] = Some(owner);
+            let entry = PathEntry {
+                key: ch.0 * vcs + vc,
+                ch: ch.0,
+                vc: vc as u8,
+                dest,
+                entered: 0,
+            };
+            sim.push_path(owner as usize, entry);
         }
     }
+}
+
+/// Free the forged holder's slot `key`: drop it from `owner`'s path and
+/// clear its occupancy bit.
+fn free_forged_slot(sim: &mut Simulator, owner: u32, key: u32) {
+    let i = owner as usize;
+    let kept: Vec<PathEntry> = sim
+        .path(i)
+        .iter()
+        .filter(|e| e.key != key)
+        .copied()
+        .collect();
+    sim.msgs[i].path = PathBuf::default();
+    for e in kept {
+        sim.push_path(i, e);
+    }
+    let (ch, vc) = (sim.key_channel(key), sim.key_vc(key));
+    sim.occ_mask[ch.index()] &= !(1 << vc);
 }
 
 #[test]
@@ -831,8 +857,7 @@ fn a_header_that_moved_on_has_no_edge_to_its_old_node() {
     let bit = sim.reg_bits[i].trailing_zeros();
     let ch = mesh.channel(a, Direction::from_index(bit as usize / 32));
     let key = ch.0 * sim.num_vcs as u32 + bit % 32;
-    sim.slots[key as usize] = None;
-    sim.occ_mask[ch.0 as usize] &= !(1 << (bit % 32));
+    free_forged_slot(&mut sim, owner, key);
     sim.wake_waiters(key);
     sim.try_allocate(id);
     assert_eq!(
@@ -890,12 +915,13 @@ fn organic_stall_produces_a_diagnosis() {
     assert!(text.contains("verdict:"), "{text}");
 }
 
-/// Reference candidate gather: the per-VC probe loop over `slots` that
-/// [`expand_candidates`] replaced, kept as the oracle.
+/// Reference candidate gather: the per-VC probe loop over a per-slot
+/// occupancy table that [`expand_candidates`] replaced, kept as the
+/// oracle.
 fn expand_by_array_scan(
     mask: wormsim_routing::VcMask,
     num_vcs: u8,
-    slots: &[Option<u32>],
+    held: &[bool],
     base: u32,
     eligible: &mut Vec<(u32, u8)>,
     busy: &mut Vec<u32>,
@@ -905,7 +931,7 @@ fn expand_by_array_scan(
             break;
         }
         let key = base + vc as u32;
-        if slots[key as usize].is_none() {
+        if !held[key as usize] {
             eligible.push((key, vc));
         } else {
             busy.push(key);
@@ -923,20 +949,18 @@ proptest::proptest! {
     ) {
         let allowed = vc_width_mask(num_vcs);
         let occ = occ_bits & allowed;
-        // Materialize the occupancy mask as a slots array for the
-        // oracle (owner id is irrelevant to the scan).
-        let mut slots = vec![None; 16 * num_vcs as usize];
+        // Materialize the occupancy mask as a per-slot table for the
+        // oracle.
+        let mut held = vec![false; 16 * num_vcs as usize];
         let base = ch * num_vcs as u32;
         for vc in 0..num_vcs as u32 {
-            if occ & (1 << vc) != 0 {
-                slots[(base + vc) as usize] = Some(0u32);
-            }
+            held[(base + vc) as usize] = occ & (1 << vc) != 0;
         }
         let mask = wormsim_routing::VcMask(mask_bits);
         let (mut e1, mut b1) = (Vec::new(), Vec::new());
         expand_candidates(mask.0 & allowed, occ, base, &mut e1, &mut b1);
         let (mut e2, mut b2) = (Vec::new(), Vec::new());
-        expand_by_array_scan(mask, num_vcs, &slots, base, &mut e2, &mut b2);
+        expand_by_array_scan(mask, num_vcs, &held, base, &mut e2, &mut b2);
         proptest::prop_assert_eq!(e1, e2);
         proptest::prop_assert_eq!(b1, b2);
     }
@@ -1057,4 +1081,42 @@ fn prewarm_reserves_and_builds_no_slot() {
     }
     assert!(!sim.msgs.is_empty(), "no slot was built");
     sim.check_soa_layout();
+}
+
+/// A lone Duato worm a few hops into the fault-free mesh, its source
+/// still injecting, that passes the audit.
+fn a_worm_in_flight() -> (Simulator, u32) {
+    let mesh = Mesh::square(10);
+    let mut sim = make_sim(AlgorithmKind::Duato, fault_free(), 0.0, SimConfig::quick());
+    let id = sim.inject_message(mesh.node(0, 0), mesh.node(9, 9)).0;
+    for _ in 0..5 {
+        sim.step();
+    }
+    assert!(sim.path(id as usize).len() >= 2, "the worm is not out yet");
+    sim.check_invariants();
+    (sim, id)
+}
+
+#[test]
+#[should_panic(expected = "occupancy bitmask out of sync with the held slots")]
+fn the_audit_catches_an_occupancy_bit_no_path_holds() {
+    let (mut sim, _) = a_worm_in_flight();
+    let ch = sim
+        .ctx
+        .mesh()
+        .channel(sim.ctx.mesh().node(5, 5), Direction::East);
+    sim.occ_mask[ch.index()] |= 1 << 3;
+    sim.check_invariants();
+}
+
+#[test]
+#[should_panic(expected = "sits on the paths of msgs")]
+fn the_audit_catches_a_slot_on_two_paths() {
+    let (mut sim, id) = a_worm_in_flight();
+    let mesh = Mesh::square(10);
+    let other = sim.inject_message(mesh.node(0, 9), mesh.node(9, 0)).0;
+    let held = sim.path(id as usize)[0];
+    sim.push_path(other as usize, held);
+    sim.active.push(other);
+    sim.check_invariants();
 }

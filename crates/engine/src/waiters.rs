@@ -5,9 +5,11 @@
 //! waiter and scattered the list headers (24 bytes each) across the
 //! address space; with `num_channel_slots × num_vcs` slots on a 64×64
 //! mesh that is ~400k `Vec` headers of mostly-empty lists. Here a slot is
-//! two `u32`s (`head`/`tail` indices into the arena, `NONE` when empty),
-//! so the release path's emptiness probe is a dense-array load, and
-//! draining a whole list is an O(1) splice onto the free chain.
+//! one `u32`, the arena index of its list's last node (`NONE` when
+//! empty), and each list is a ring: the last node's `next` is the first.
+//! So the tail reaches both ends, the release path's emptiness probe is a
+//! dense-array load, appending is O(1), and draining a whole list is an
+//! O(1) splice onto the free chain.
 //!
 //! Ordering contract: iteration yields waiters in insertion order — the
 //! wake pass re-arms blocked headers in exactly the sequence the old
@@ -21,8 +23,7 @@
 //! after the header revisits a node or the id is recycled; readers treat
 //! each list as a set, and only the first entry of an id has any effect.
 
-/// Sentinel index for "no node" (list ends, empty slots, empty free
-/// chain).
+/// Sentinel index for "no node" (empty slots, the free chain's end).
 const NONE: u32 = u32::MAX;
 
 #[derive(Clone, Copy, Debug)]
@@ -33,9 +34,8 @@ struct WaiterNode {
 
 /// All wake lists of one simulator, arena-backed. See the module docs.
 pub(crate) struct WaiterTable {
-    /// First arena node of each slot's list (`NONE` = empty).
-    head: Vec<u32>,
-    /// Last arena node of each slot's list (`NONE` = empty).
+    /// Last arena node of each slot's ring (`NONE` = empty); its `next`
+    /// is the first.
     tail: Vec<u32>,
     /// Shared node arena; freed nodes chain through `next`.
     nodes: Vec<WaiterNode>,
@@ -48,7 +48,6 @@ impl WaiterTable {
     /// Empty lists for `num_slots` VC slots.
     pub fn new(num_slots: usize) -> Self {
         WaiterTable {
-            head: vec![NONE; num_slots],
             tail: vec![NONE; num_slots],
             nodes: Vec::new(),
             free: NONE,
@@ -58,7 +57,6 @@ impl WaiterTable {
     /// Drop every list without reshaping (fault activations invalidate
     /// all registrations at once).
     pub fn clear_all(&mut self) {
-        self.head.iter_mut().for_each(|h| *h = NONE);
         self.tail.iter_mut().for_each(|t| *t = NONE);
         self.nodes.clear();
         self.free = NONE;
@@ -66,7 +64,7 @@ impl WaiterTable {
 
     #[inline]
     pub fn is_empty(&self, key: u32) -> bool {
-        self.head[key as usize] == NONE
+        self.tail[key as usize] == NONE
     }
 
     /// Arena nodes currently on some list (0 after `clear_all`).
@@ -91,25 +89,23 @@ impl WaiterTable {
     /// Append `id` to `key`'s list. O(1): no check for an entry already
     /// there (see the module docs).
     pub fn push(&mut self, key: u32, id: u32) {
+        let t = self.tail[key as usize];
+        let node = WaiterNode { msg: id, next: 0 };
         let slot = if self.free != NONE {
             let s = self.free;
             self.free = self.nodes[s as usize].next;
-            self.nodes[s as usize] = WaiterNode {
-                msg: id,
-                next: NONE,
-            };
+            self.nodes[s as usize] = node;
             s
         } else {
-            self.nodes.push(WaiterNode {
-                msg: id,
-                next: NONE,
-            });
+            self.nodes.push(node);
             (self.nodes.len() - 1) as u32
         };
-        let t = self.tail[key as usize];
+        // The new node closes the ring: it follows the old tail and leads
+        // back to the first node (itself, in a list of one).
         if t == NONE {
-            self.head[key as usize] = slot;
+            self.nodes[slot as usize].next = slot;
         } else {
+            self.nodes[slot as usize].next = self.nodes[t as usize].next;
             self.nodes[t as usize].next = slot;
         }
         self.tail[key as usize] = slot;
@@ -118,30 +114,37 @@ impl WaiterTable {
     /// Iterate `key`'s waiters in insertion order.
     #[inline]
     pub fn iter(&self, key: u32) -> WaiterIter<'_> {
+        let last = self.tail[key as usize];
         WaiterIter {
             nodes: &self.nodes,
-            cur: self.head[key as usize],
+            cur: if last == NONE {
+                NONE
+            } else {
+                self.nodes[last as usize].next
+            },
+            last,
         }
     }
 
     /// Detach `key`'s whole list, returning its nodes to the free chain
-    /// in O(1) (one splice, no per-node walk).
+    /// in O(1) (one splice, no per-node walk): the ring is cut after its
+    /// tail, which then leads into the old free chain.
     pub fn release(&mut self, key: u32) {
-        let h = self.head[key as usize];
-        if h == NONE {
+        let t = self.tail[key as usize];
+        if t == NONE {
             return;
         }
-        let t = self.tail[key as usize];
-        self.nodes[t as usize].next = self.free;
-        self.free = h;
-        self.head[key as usize] = NONE;
+        std::mem::swap(&mut self.nodes[t as usize].next, &mut self.free);
         self.tail[key as usize] = NONE;
     }
 }
 
 pub(crate) struct WaiterIter<'a> {
     nodes: &'a [WaiterNode],
+    /// The next node to yield (`NONE` once the tail is yielded).
     cur: u32,
+    /// The list's tail, where the walk stops.
+    last: u32,
 }
 
 impl Iterator for WaiterIter<'_> {
@@ -153,7 +156,7 @@ impl Iterator for WaiterIter<'_> {
             return None;
         }
         let n = self.nodes[self.cur as usize];
-        self.cur = n.next;
+        self.cur = if self.cur == self.last { NONE } else { n.next };
         Some(n.msg)
     }
 }
@@ -202,5 +205,49 @@ mod tests {
             assert!(t.is_empty(k));
         }
         assert_eq!(t.live_nodes(), 0);
+    }
+
+    const MODEL_SLOTS: usize = 6;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random pushes, releases and rare clears against one `Vec` per
+        /// slot: every list reads back in insertion order with its
+        /// duplicates, and the arena never holds more nodes than the
+        /// deepest moment since the last clear needed, so released nodes
+        /// are reused before the arena grows.
+        #[test]
+        fn the_rings_agree_with_per_slot_vecs(
+            ops in proptest::collection::vec(
+                (0u8..32, 0..MODEL_SLOTS, 0u32..8),
+                1..400,
+            ),
+        ) {
+            let mut table = WaiterTable::new(MODEL_SLOTS);
+            let mut model: Vec<Vec<u32>> = vec![Vec::new(); MODEL_SLOTS];
+            let mut peak = 0;
+            for (op, key, id) in ops {
+                if op < 22 {
+                    table.push(key as u32, id);
+                    model[key].push(id);
+                } else if op < 31 {
+                    table.release(key as u32);
+                    model[key].clear();
+                } else {
+                    table.clear_all();
+                    model.iter_mut().for_each(Vec::clear);
+                    peak = 0;
+                }
+                let live: usize = model.iter().map(Vec::len).sum();
+                peak = peak.max(live);
+                proptest::prop_assert_eq!(table.live_nodes(), live);
+                proptest::prop_assert!(table.nodes.len() <= peak);
+                for (k, want) in model.iter().enumerate() {
+                    proptest::prop_assert_eq!(table.is_empty(k as u32), want.is_empty());
+                    proptest::prop_assert_eq!(&table.iter(k as u32).collect::<Vec<_>>(), want);
+                }
+            }
+        }
     }
 }

@@ -87,9 +87,9 @@ fn main() {
             _ => usage(),
         }
     }
-    if !(1..=256).contains(&mesh_size) {
+    if !(2..=256).contains(&mesh_size) {
         reject(format_args!(
-            "--mesh {mesh_size}: the side must be 1 to 256"
+            "--mesh {mesh_size}: the side must be 2 to 256"
         ));
     }
     if !(rate >= 0.0 && rate.is_finite()) {

@@ -10,9 +10,9 @@ pub struct LatencyStats {
     sum: f64,
     sum_sq: f64,
     /// `None` until a latency is recorded, so an empty statistic
-    /// serialises its minimum as `null`.
+    /// serialises its extremes as `null`.
     min: Option<u64>,
-    max: u64,
+    max: Option<u64>,
     /// Log2-bucketed histogram (bucket i counts latencies in
     /// `[2^i, 2^(i+1))`).
     histogram: Vec<u64>,
@@ -33,7 +33,7 @@ impl LatencyStats {
         self.sum += latency as f64;
         self.sum_sq += (latency as f64) * (latency as f64);
         self.min = Some(self.min.map_or(latency, |min| min.min(latency)));
-        self.max = self.max.max(latency);
+        self.max = Some(self.max.map_or(latency, |max| max.max(latency)));
         let bucket = (64 - latency.max(1).leading_zeros() as usize - 1).min(31);
         self.histogram[bucket] += 1;
     }
@@ -75,7 +75,7 @@ impl LatencyStats {
 
     /// Maximum recorded latency; `None` when empty.
     pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
+        self.max
     }
 
     /// The log2 histogram (bucket i = `[2^i, 2^(i+1))`).
@@ -97,7 +97,7 @@ impl LatencyStats {
                 return Some(1u64 << (i + 1));
             }
         }
-        Some(self.max)
+        self.max
     }
 }
 
@@ -113,12 +113,14 @@ mod tests {
         assert_eq!(s.std_dev(), None);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
-        // An empty minimum is written as `null`, not as a sentinel
-        // latency, and reads back as empty.
+        // Empty extremes are written as `null`, not as a sentinel
+        // latency, and read back as empty.
         let json = serde_json::to_string(&s).unwrap();
         assert!(json.contains("\"min\":null"), "{json}");
+        assert!(json.contains("\"max\":null"), "{json}");
         let back: LatencyStats = serde_json::from_str(&json).unwrap();
         assert_eq!(back.min(), None);
+        assert_eq!(back.max(), None);
         assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 
@@ -132,9 +134,10 @@ mod tests {
         assert_eq!(s.mean(), Some(200.0));
         assert_eq!(s.min(), Some(100));
         assert_eq!(s.max(), Some(300));
-        // A recorded minimum is written as the bare number.
+        // Recorded extremes are written as bare numbers.
         let json = serde_json::to_string(&s).unwrap();
         assert!(json.contains("\"min\":100,"), "{json}");
+        assert!(json.contains("\"max\":300,"), "{json}");
         let back: LatencyStats = serde_json::from_str(&json).unwrap();
         assert_eq!(back.min(), Some(100));
     }

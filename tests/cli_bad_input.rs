@@ -45,6 +45,9 @@ fn bad_flag_values_exit_2_without_panicking() {
     // Would run nothing and exit 0.
     rejects(sweep, &["--cycles", "0"]);
     rejects(sweep, &["--seeds", "0"]);
+    // A one-node mesh has no destination, so it never creates a message.
+    rejects(sweep, &["--mesh", "1"]);
+    rejects(trace, &["--mesh", "1", "--faults", "0"]);
     // Rejected before any run, and before `--out` is created: a regular
     // file cannot hold a directory, so a later check would exit 1.
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/x");

@@ -64,9 +64,12 @@ fn threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// The path window `Simulator` gives each message in its path arena: one
-/// perimeter, doubled for an algorithm with a `recheck_wait`. A walk
-/// longer than this would make the engine widen every window mid-run.
+/// The widest path window a run reaches after one widening: `Simulator`
+/// starts each message's window in its path arena at `width + height`
+/// entries (doubled for an algorithm with a `recheck_wait`) and doubles
+/// every window when a walk outgrows it, so this is one perimeter,
+/// doubled likewise. No audited walk is longer, so none needs a second
+/// widening.
 fn path_window(a: &Audit) -> u32 {
     let mesh = a.ctx.mesh();
     let perimeter = 2 * (mesh.width() as u32 + mesh.height() as u32);
@@ -170,7 +173,7 @@ fn audit_matches_committed_table() {
             }
             assert!(
                 a.longest_walk <= path_window(a),
-                "{label}, {kind:?}: a {}-hop walk outgrows its path window",
+                "{label}, {kind:?}: a {}-hop walk needs a second widening of its path window",
                 a.longest_walk
             );
             if !a.findings.is_empty() {
