@@ -115,7 +115,7 @@ pub struct Simulator<S: Sink = NullSink, const PROFILE: bool = false> {
     /// Per-node source queues of generated-but-not-started messages and
     /// the injection ports they wait for. A queued message owns a slab
     /// slot only if something gave it one earlier ([`Queued::Parked`]);
-    /// traffic generation queues [`Queued::Fresh`] entries, packed into 8
+    /// traffic generation queues [`Queued::Fresh`] entries, packed into 4
     /// bytes in one pool of blocks, and the slot is taken at promotion.
     sources: SourceQueues,
     /// Per-node Poisson sources, polled only when due.
@@ -483,7 +483,10 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
     ///
     /// The source queues' pool reserves once for `messages` entries however
     /// they spread over the nodes: blocks for all of them plus two
-    /// part-filled blocks per node. Intended for benchmarks that assert an
+    /// part-filled blocks per node, each block with its link, end and
+    /// base. A block ends early only when it has been filling for as many
+    /// cycles as an entry's creation offset can count (2²⁴ on a 10×10
+    /// mesh), which no run shorter than that meets. Intended for benchmarks that assert an
     /// allocation-free measurement window; simulation behavior is
     /// completely unaffected.
     pub fn prewarm(&mut self, messages: usize) {

@@ -277,7 +277,7 @@ impl<S: Sink, const PROFILE: bool> Simulator<S, PROFILE> {
         match self.sources.port(src.index()) {
             Some(holder) if holder == id => {}
             Some(_) => {
-                self.sources.push_front(src.index(), Queued::Parked(id));
+                self.sources.push_front(src.index(), id);
                 // Remove from active; re-promoted later.
                 self.active.retain(|&x| x != id);
                 self.ordered.retain(|&x| x != id);

@@ -5,8 +5,9 @@
 //! message arrives somewhere every few cycles, and at saturation a port
 //! frees up about once a cycle, so polling or scanning all nodes would be
 //! most of the cost. The queues share one pool of fixed-size blocks of
-//! 8-byte entries, since past saturation their backlog is most of a run's
-//! memory.
+//! 4-byte entries, a fresh message's creation cycle stored as an offset
+//! from its block's base, since past saturation their backlog is most of
+//! a run's memory.
 
 use crate::message::Queued;
 use rand::Rng;
@@ -90,19 +91,25 @@ impl Calendar {
 /// Past saturation the queues are most of the engine's memory, so they
 /// share one pool: each queue is a chain of [`BLOCK`]-entry blocks, freed
 /// blocks go on a free list for any queue to reuse, and each entry is one
-/// packed `u64` (see [`pack`]).
+/// `u32`. A [`Queued::Parked`] id sits under the [`PARKED`] tag bit. A
+/// [`Queued::Fresh`] entry keeps `dest` in the low `dest_bits` bits and,
+/// above it, `created` as an offset from its block's base: the `created`
+/// of the block's first fresh entry. Fresh entries arrive in
+/// non-decreasing `created` order, so an offset outgrows its
+/// `31 − dest_bits` bits only once a block has been filling for that many
+/// cycles (2²⁴ on a 10×10 mesh, 2¹⁵ on 256×256); the entry then ends its
+/// queue's tail block early and starts a new block based at its own cycle.
 pub(crate) struct SourceQueues {
     /// Per node, its queue's chain of pool blocks.
     chains: Vec<Chain>,
-    /// The pool's entries, [`CHUNK`] blocks to a chunk: block `b` is
-    /// entries `(b % CHUNK) * BLOCK..` of chunk `b / CHUNK`. A chunk is
-    /// allocated at its full capacity and only its length grows, a block
-    /// at a time, so growing the pool copies nothing and touches only the
-    /// blocks it builds.
-    chunks: Vec<Vec<u64>>,
-    /// Per block, the next block of its chain or of the free list, or
-    /// [`NIL`] at the end of either.
-    next: Vec<u32>,
+    /// The pool, [`CHUNK`] blocks to a chunk: block `b` is block
+    /// `b % CHUNK` of chunk `b / CHUNK`.
+    chunks: Vec<Chunk>,
+    /// Blocks built over all chunks.
+    blocks: usize,
+    /// The width of a fresh entry's `dest` field: that of the largest
+    /// node index.
+    dest_bits: u32,
     /// The first free block, or [`NIL`].
     free: u32,
     /// Entries over all queues.
@@ -118,24 +125,57 @@ pub(crate) struct SourceQueues {
 /// Entries per pool block.
 const BLOCK: usize = 16;
 /// Blocks per pool chunk: 64 KiB of entries.
-const CHUNK: usize = 512;
+const CHUNK: usize = 1024;
 /// No block: the end of a chain or of the free list.
 const NIL: u32 = u32::MAX;
-/// The tag bit of a packed [`Queued::Parked`] entry.
-const PARKED: u64 = 1 << 63;
-/// A packed [`Queued::Fresh`] entry's `created` stays below this.
-const CREATED_LIMIT: u64 = 1 << 47;
+/// The tag bit of a packed [`Queued::Parked`] entry; ids stay below it.
+const PARKED: u32 = 1 << 31;
+/// The base of a block that holds no fresh entry. A block's first fresh
+/// entry at cycle `u64::MAX` is based one cycle earlier, at offset 1.
+const NO_BASE: u64 = u64::MAX;
+
+/// [`CHUNK`] blocks of the pool: their entries, block `i`'s at
+/// `entries[i * BLOCK..][..BLOCK]`, and their [`Meta`]s. Both are
+/// allocated at full capacity and only their lengths grow, a block at a
+/// time, so growing the pool copies nothing, leaves no freed buffer
+/// behind, and touches only the blocks it builds.
+struct Chunk {
+    entries: Vec<u32>,
+    meta: Vec<Meta>,
+}
+
+impl Chunk {
+    fn new() -> Self {
+        Chunk {
+            entries: Vec::with_capacity(CHUNK * BLOCK),
+            meta: Vec::with_capacity(CHUNK),
+        }
+    }
+}
+
+/// What the pool keeps per block beside its entries.
+#[derive(Clone, Copy)]
+struct Meta {
+    /// The cycle its fresh entries' offsets count from, or [`NO_BASE`]
+    /// while it holds none.
+    base: u64,
+    /// The next block of its chain or of the free list, or [`NIL`] at the
+    /// end of either.
+    next: u32,
+    /// One past the slot of its last entry: [`BLOCK`] once it fills, less
+    /// in a tail still filling or a block ended early.
+    end: u8,
+}
 
 /// One queue: its entries run from slot `start` of block `head` through
-/// full middle blocks to just before slot `end` of block `tail`. A
-/// non-empty chain has `start < BLOCK` and `end >= 1` (and `start < end`
-/// when `head == tail`), and `next[tail]` is [`NIL`].
+/// the blocks linked after it to block `tail`, each up to its end. A
+/// non-empty chain has `start` below its head's end, and its tail's link
+/// is [`NIL`].
 #[derive(Clone, Copy)]
 struct Chain {
     head: u32,
     tail: u32,
     start: u32,
-    end: u32,
 }
 
 impl Chain {
@@ -143,59 +183,18 @@ impl Chain {
         head: NIL,
         tail: NIL,
         start: 0,
-        end: 0,
     };
 
     fn is_empty(&self) -> bool {
         self.head == NIL
-    }
-
-    /// The slots of block `b`, one of this chain's, that hold entries.
-    fn span(&self, b: u32) -> Range<usize> {
-        let lo = if b == self.head {
-            self.start as usize
-        } else {
-            0
-        };
-        let hi = if b == self.tail {
-            self.end as usize
-        } else {
-            BLOCK
-        };
-        lo..hi
-    }
-}
-
-/// `Fresh { dest, created }` as `created << 16 | dest`, `Parked(id)` as
-/// `id` under the [`PARKED`] tag bit.
-fn pack(entry: Queued) -> u64 {
-    match entry {
-        Queued::Fresh { dest, created } => {
-            assert!(
-                created < CREATED_LIMIT,
-                "cycle {created} overflows a queue entry"
-            );
-            created << 16 | u64::from(dest.0)
-        }
-        Queued::Parked(id) => PARKED | u64::from(id),
-    }
-}
-
-/// The inverse of [`pack`].
-fn unpack(bits: u64) -> Queued {
-    if bits & PARKED != 0 {
-        Queued::Parked(bits as u32)
-    } else {
-        Queued::Fresh {
-            dest: NodeId(bits as u16),
-            created: bits >> 16,
-        }
     }
 }
 
 impl SourceQueues {
     /// `num_nodes` empty queues and free ports.
     pub fn new(num_nodes: usize) -> Self {
+        let dest_bits = usize::BITS - num_nodes.saturating_sub(1).leading_zeros();
+        assert!(dest_bits <= 16, "{num_nodes} nodes overflow a node id");
         let words = num_nodes.div_ceil(64);
         let mut idle = vec![0; words];
         for node in 0..num_nodes {
@@ -204,7 +203,8 @@ impl SourceQueues {
         SourceQueues {
             chains: vec![Chain::EMPTY; num_nodes],
             chunks: Vec::new(),
-            next: Vec::new(),
+            blocks: 0,
+            dest_bits,
             free: NIL,
             len: 0,
             port: vec![None; num_nodes],
@@ -216,35 +216,43 @@ impl SourceQueues {
     /// Queue `entry` behind `node`'s backlog.
     pub fn push_back(&mut self, node: usize, entry: Queued) {
         let mut c = self.chains[node];
-        if c.is_empty() || c.end as usize == BLOCK {
-            let b = self.take_block();
-            if c.is_empty() {
-                (c.head, c.start) = (b, 0);
-            } else {
-                self.next[c.tail as usize] = b;
+        let room = !c.is_empty() && usize::from(self.meta(c.tail).end) < BLOCK;
+        let packed = if room { self.pack(c.tail, entry) } else { None };
+        let bits = match packed {
+            Some(bits) => bits,
+            None => {
+                let b = self.take_block(0);
+                if c.is_empty() {
+                    (c.head, c.start) = (b, 0);
+                } else {
+                    self.meta_mut(c.tail).next = b;
+                }
+                c.tail = b;
+                self.chains[node] = c;
+                self.pack(b, entry).expect("an empty block takes any entry")
             }
-            (c.tail, c.end) = (b, 0);
-        }
-        *self.slot(c.tail, c.end) = pack(entry);
-        c.end += 1;
-        self.chains[node] = c;
+        };
+        let end = &mut self.meta_mut(c.tail).end;
+        let slot = u32::from(*end);
+        *end += 1;
+        *self.slot(c.tail, slot) = bits;
         self.len += 1;
         set_bit(&mut self.pending, node, true);
     }
 
-    /// Queue `entry` ahead of `node`'s backlog.
-    pub fn push_front(&mut self, node: usize, entry: Queued) {
+    /// Queue parked message `id` ahead of `node`'s backlog.
+    pub fn push_front(&mut self, node: usize, id: u32) {
         let mut c = self.chains[node];
         if c.is_empty() {
-            return self.push_back(node, entry);
+            return self.push_back(node, Queued::Parked(id));
         }
         if c.start == 0 {
-            let b = self.take_block();
-            self.next[b as usize] = c.head;
+            let b = self.take_block(BLOCK as u8);
+            self.meta_mut(b).next = c.head;
             (c.head, c.start) = (b, BLOCK as u32);
         }
         c.start -= 1;
-        *self.slot(c.head, c.start) = pack(entry);
+        *self.slot(c.head, c.start) = pack_parked(id);
         self.chains[node] = c;
         self.len += 1;
     }
@@ -255,17 +263,19 @@ impl SourceQueues {
         if c.is_empty() {
             return None;
         }
-        let entry = unpack(*self.slot(c.head, c.start));
+        let head = c.head;
+        let bits = *self.slot(head, c.start);
+        let entry = self.unpack(head, bits);
         c.start += 1;
-        if c.head == c.tail && c.start == c.end {
-            self.free_chain(c.head);
-            c = Chain::EMPTY;
-            set_bit(&mut self.pending, node, false);
-        } else if c.start as usize == BLOCK {
-            let head = c.head as usize;
-            (c.head, c.start) = (self.next[head], 0);
-            self.next[head] = NIL;
-            self.free_chain(head as u32);
+        if c.start == u32::from(self.meta(head).end) {
+            if head == c.tail {
+                c = Chain::EMPTY;
+                set_bit(&mut self.pending, node, false);
+            } else {
+                (c.head, c.start) = (self.meta(head).next, 0);
+                self.meta_mut(head).next = NIL;
+            }
+            self.free_chain(head);
         }
         self.chains[node] = c;
         self.len -= 1;
@@ -273,55 +283,125 @@ impl SourceQueues {
     }
 
     /// Keep the entries of `node`'s queue that `keep` accepts, in order:
-    /// the chain is taken apart a block at a time, each block copied out
-    /// and freed before its kept entries are queued again, so the queue
-    /// never holds more blocks than it did.
+    /// the chain is taken apart a block at a time, each block's kept
+    /// entries copied out and the block freed before they are queued
+    /// again, so the queue never holds more blocks than it did.
     pub fn retain(&mut self, node: usize, mut keep: impl FnMut(&Queued) -> bool) {
         let c = std::mem::replace(&mut self.chains[node], Chain::EMPTY);
         set_bit(&mut self.pending, node, false);
         let mut b = c.head;
+        let mut start = c.start as usize;
         while b != NIL {
-            let span = c.span(b);
-            let mut block = [0; BLOCK];
-            block[span.clone()].copy_from_slice(&self.block(b)[span.clone()]);
-            let after = std::mem::replace(&mut self.next[b as usize], NIL);
-            self.free_chain(b);
-            b = after;
-            self.len -= span.len();
-            for entry in block[span].iter().map(|&bits| unpack(bits)) {
+            let span = start..usize::from(self.meta(b).end);
+            let mut kept = [Queued::Parked(0); BLOCK];
+            let mut n = 0;
+            for &bits in &self.block(b)[span.clone()] {
+                let entry = self.unpack(b, bits);
                 if keep(&entry) {
-                    self.push_back(node, entry);
+                    kept[n] = entry;
+                    n += 1;
                 }
+            }
+            let after = std::mem::replace(&mut self.meta_mut(b).next, NIL);
+            self.free_chain(b);
+            (b, start) = (after, 0);
+            self.len -= span.len();
+            for &entry in &kept[..n] {
+                self.push_back(node, entry);
+            }
+        }
+    }
+
+    /// `entry` packed into block `b`, whose base it sets if it is the
+    /// block's first fresh entry, or `None` if its `created` falls outside
+    /// the offsets from `b`'s base.
+    #[inline]
+    fn pack(&mut self, b: u32, entry: Queued) -> Option<u32> {
+        match entry {
+            Queued::Fresh { dest, created } => {
+                debug_assert!(u32::from(dest.0) >> self.dest_bits == 0);
+                let meta = self.meta_mut(b);
+                if meta.base == NO_BASE {
+                    meta.base = created.min(NO_BASE - 1);
+                }
+                let base = meta.base;
+                let offset = self.offset(base, created)?;
+                Some(offset << self.dest_bits | u32::from(dest.0))
+            }
+            Queued::Parked(id) => Some(pack_parked(id)),
+        }
+    }
+
+    /// `created` as an offset from `base`, if it fits the bits above a
+    /// fresh entry's `dest`.
+    #[inline]
+    fn offset(&self, base: u64, created: u64) -> Option<u32> {
+        let offset = created.checked_sub(base)?;
+        (offset >> (31 - self.dest_bits) == 0).then_some(offset as u32)
+    }
+
+    /// The inverse of [`SourceQueues::pack`] for an entry of block `b`.
+    #[inline]
+    fn unpack(&self, b: u32, bits: u32) -> Queued {
+        if bits & PARKED != 0 {
+            Queued::Parked(bits & !PARKED)
+        } else {
+            Queued::Fresh {
+                dest: NodeId((bits & ((1 << self.dest_bits) - 1)) as u16),
+                created: self.meta(b).base + u64::from(bits >> self.dest_bits),
             }
         }
     }
 
     /// Entry `offset` of pool block `b`.
     #[inline]
-    fn slot(&mut self, b: u32, offset: u32) -> &mut u64 {
+    fn slot(&mut self, b: u32, offset: u32) -> &mut u32 {
         let b = b as usize;
-        &mut self.chunks[b / CHUNK][b % CHUNK * BLOCK + offset as usize]
+        &mut self.chunks[b / CHUNK].entries[b % CHUNK * BLOCK + offset as usize]
     }
 
     /// The entries of pool block `b`.
-    fn block(&self, b: u32) -> &[u64] {
+    fn block(&self, b: u32) -> &[u32] {
         let b = b as usize;
-        &self.chunks[b / CHUNK][b % CHUNK * BLOCK..][..BLOCK]
+        &self.chunks[b / CHUNK].entries[b % CHUNK * BLOCK..][..BLOCK]
     }
 
-    /// A block off the free list, or a new one at the end of the pool.
-    fn take_block(&mut self) -> u32 {
+    /// The [`Meta`] of pool block `b`.
+    #[inline]
+    fn meta(&self, b: u32) -> &Meta {
+        let b = b as usize;
+        &self.chunks[b / CHUNK].meta[b % CHUNK]
+    }
+
+    /// The [`Meta`] of pool block `b`, to change.
+    #[inline]
+    fn meta_mut(&mut self, b: u32) -> &mut Meta {
+        let b = b as usize;
+        &mut self.chunks[b / CHUNK].meta[b % CHUNK]
+    }
+
+    /// A block off the free list, or a new one at the end of the pool,
+    /// with no base and its end at `end`.
+    fn take_block(&mut self, end: u8) -> u32 {
+        let meta = Meta {
+            base: NO_BASE,
+            next: NIL,
+            end,
+        };
         if self.free == NIL {
-            let b = self.next.len();
+            let b = self.blocks;
             if b / CHUNK == self.chunks.len() {
-                self.chunks.push(Vec::with_capacity(CHUNK * BLOCK));
+                self.chunks.push(Chunk::new());
             }
-            self.chunks[b / CHUNK].resize((b % CHUNK + 1) * BLOCK, 0);
-            self.next.push(NIL);
+            let chunk = &mut self.chunks[b / CHUNK];
+            chunk.entries.resize((b % CHUNK + 1) * BLOCK, 0);
+            chunk.meta.push(meta);
+            self.blocks += 1;
             return b as u32;
         }
         let b = self.free;
-        self.free = std::mem::replace(&mut self.next[b as usize], NIL);
+        self.free = self.meta(b).next;
+        *self.meta_mut(b) = meta;
         b
     }
 
@@ -329,7 +409,8 @@ impl SourceQueues {
     /// free list.
     fn free_chain(&mut self, mut b: u32) {
         while b != NIL {
-            let after = std::mem::replace(&mut self.next[b as usize], self.free);
+            let free = self.free;
+            let after = std::mem::replace(&mut self.meta_mut(b).next, free);
             self.free = b;
             b = after;
         }
@@ -382,77 +463,121 @@ impl SourceQueues {
 
     /// The entries of one chain, in queue order.
     fn entries(&self, c: Chain) -> impl Iterator<Item = Queued> + '_ {
-        (self.blocks(c))
-            .flat_map(move |b| self.block(b)[c.span(b)].iter().map(|&bits| unpack(bits)))
+        (self.blocks(c)).flat_map(move |b| {
+            self.block(b)[self.span(c, b)]
+                .iter()
+                .map(move |&bits| self.unpack(b, bits))
+        })
+    }
+
+    /// The slots of block `b`, one of `c`'s, that hold entries.
+    fn span(&self, c: Chain, b: u32) -> Range<usize> {
+        let lo = if b == c.head { c.start as usize } else { 0 };
+        lo..usize::from(self.meta(b).end)
     }
 
     /// The blocks of one chain, head to tail.
     fn blocks(&self, c: Chain) -> impl Iterator<Item = u32> + '_ {
         let first = (!c.is_empty()).then_some(c.head);
-        std::iter::successors(first, move |&b| {
-            (b != c.tail).then(|| self.next[b as usize])
-        })
+        std::iter::successors(first, move |&b| (b != c.tail).then(|| self.meta(b).next))
     }
 
     /// Reserve the pool for `messages` entries queued at once, however
     /// they are spread over the nodes: a queue of `n` entries spans at
-    /// most `n / BLOCK + 2` blocks. Allocates the chunks and builds no
-    /// block.
+    /// most `n / BLOCK + 2` blocks while none of them ends early, which
+    /// takes as many cycles as a fresh entry's offset can count. Allocates
+    /// the chunks, each with its blocks' [`Meta`]s, and builds no block.
     pub fn reserve(&mut self, messages: usize) {
         let blocks = messages.div_ceil(BLOCK) + 2 * self.chains.len();
         let chunks = blocks.div_ceil(CHUNK);
         self.chunks
             .reserve(chunks.saturating_sub(self.chunks.len()));
         while self.chunks.len() < chunks {
-            self.chunks.push(Vec::with_capacity(CHUNK * BLOCK));
+            self.chunks.push(Chunk::new());
         }
-        self.next.reserve(blocks.saturating_sub(self.next.len()));
     }
 
     /// Test support: every chain keeps its shape, chains and the free
-    /// list partition the pool's blocks, the running count is the number
-    /// of entries, and the pending and idle bits mirror queue
-    /// non-emptiness and port freedom, bit for bit, with no bit set beyond
-    /// the last node. Panics otherwise.
+    /// list partition the pool's blocks, every fresh entry decodes against
+    /// its block's base to a node and a cycle, a block ends before its
+    /// last slot only as a tail or where the next entry's cycle fell
+    /// outside its offsets, the running count is the number of entries,
+    /// and the pending and idle bits mirror queue non-emptiness and port
+    /// freedom, bit for bit, with no bit set beyond the last node. Panics
+    /// otherwise.
     pub fn check(&self) {
-        let blocks = self.next.len();
+        let blocks = self.blocks;
         for (i, chunk) in self.chunks.iter().enumerate() {
             let built = blocks.saturating_sub(i * CHUNK).min(CHUNK);
             assert_eq!(
-                chunk.len(),
-                built * BLOCK,
+                (chunk.entries.len(), chunk.meta.len()),
+                (built * BLOCK, built),
                 "chunk {i} is not its built blocks"
             );
             assert!(
-                chunk.capacity() >= CHUNK * BLOCK,
+                chunk.entries.capacity() >= CHUNK * BLOCK && chunk.meta.capacity() >= CHUNK,
                 "chunk {i} would move as it grows"
             );
         }
         let mut owned = vec![false; blocks];
-        let mut claim = |b: u32| {
-            assert!(
-                !std::mem::replace(&mut owned[b as usize], true),
-                "block {b} is in two places"
-            );
-        };
         for (node, c) in self.chains.iter().enumerate() {
             if c.is_empty() {
                 continue;
             }
-            assert!(
-                (c.start as usize) < BLOCK && c.end >= 1 && (c.head != c.tail || c.start < c.end),
-                "node {node}'s chain is malformed"
-            );
-            self.blocks(*c).for_each(&mut claim);
+            for b in self.blocks(*c) {
+                assert!(
+                    !std::mem::replace(&mut owned[b as usize], true),
+                    "block {b} is in two places"
+                );
+                let span = self.span(*c, b);
+                assert!(
+                    span.start < span.end && span.end <= BLOCK,
+                    "node {node}'s block {b} holds slots {span:?}"
+                );
+                let base = self.meta(b).base;
+                for &bits in &self.block(b)[span.clone()] {
+                    if bits & PARKED != 0 {
+                        continue;
+                    }
+                    let dest = bits & ((1 << self.dest_bits) - 1);
+                    assert!(
+                        (dest as usize) < self.chains.len(),
+                        "node {node}'s block {b} sends to node {dest}"
+                    );
+                    let offset = u64::from(bits >> self.dest_bits);
+                    assert!(
+                        offset >> (31 - self.dest_bits) == 0
+                            && base != NO_BASE
+                            && base.checked_add(offset).is_some(),
+                        "node {node}'s block {b} holds offset {offset}, which its base {base} cannot decode"
+                    );
+                }
+                if b != c.tail && span.end < BLOCK {
+                    let after = self.meta(b).next;
+                    let first = self.block(after)[0];
+                    let refused = match self.unpack(after, first) {
+                        Queued::Fresh { created, .. } => self.offset(base, created).is_none(),
+                        Queued::Parked(_) => false,
+                    };
+                    assert!(
+                        base != NO_BASE && refused,
+                        "node {node}'s block {b} ends early with room for the next entry"
+                    );
+                }
+            }
             assert_eq!(
-                self.next[c.tail as usize], NIL,
+                self.meta(c.tail).next,
+                NIL,
                 "node {node}'s tail has a successor"
             );
         }
         let mut b = self.free;
         while b != NIL {
-            claim(b);
-            b = self.next[b as usize];
+            assert!(
+                !std::mem::replace(&mut owned[b as usize], true),
+                "block {b} is in two places"
+            );
+            b = self.meta(b).next;
         }
         assert!(
             owned.iter().all(|&o| o),
@@ -476,6 +601,13 @@ impl SourceQueues {
             );
         }
     }
+}
+
+/// `Parked(id)` as `id` under the [`PARKED`] tag bit.
+#[inline]
+fn pack_parked(id: u32) -> u32 {
+    assert!(id < PARKED, "message id {id} overflows a queue entry");
+    PARKED | id
 }
 
 /// Set bit `n` of a word-packed bitset to `value`.
@@ -508,7 +640,7 @@ mod tests {
         for node in [0, 5, 63, 64, 129] {
             q.push_back(node, fresh(1));
         }
-        q.push_front(64, fresh(0));
+        q.push_front(64, 9);
         q.seize_port(5, 7);
         q.check();
         let promotable = |q: &SourceQueues| {
@@ -516,10 +648,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(promotable(&q), [0, 63, 64, 129]);
-        assert!(matches!(
-            q.pop_front(64),
-            Some(Queued::Fresh { created: 0, .. })
-        ));
+        assert_eq!(q.pop_front(64), Some(Queued::Parked(9)));
         assert_eq!(q.next_promotable(64), Some(64), "one entry left at 64");
         q.pop_front(64);
         q.retain(129, |_| false);
@@ -533,22 +662,66 @@ mod tests {
 
     #[test]
     fn packing_round_trips_the_edge_values() {
-        let max_created = CREATED_LIMIT - 1;
-        for created in [0, 1, max_created] {
-            for dest in [NodeId(0), NodeId(u16::MAX)] {
-                let entry = Queued::Fresh { dest, created };
-                assert_eq!(unpack(pack(entry)), entry);
+        // A 256×256 mesh: 16 bits of destination leave 15 of offset.
+        let mut q = SourceQueues::new(1 << 16);
+        let top = (1 << (31 - q.dest_bits)) - 1;
+        assert_eq!((q.dest_bits, top), (16, (1 << 15) - 1));
+        let last = NodeId(u16::MAX);
+        for base in [0, 7, u64::MAX - top] {
+            let entries = [
+                Queued::Fresh {
+                    dest: last,
+                    created: base,
+                },
+                Queued::Parked(0),
+                Queued::Fresh {
+                    dest: NodeId(0),
+                    created: base + top,
+                },
+                Queued::Parked(PARKED - 1),
+            ];
+            for entry in entries {
+                q.push_back(1, entry);
+            }
+            q.check();
+            assert_eq!(q.blocks, 1, "offsets 0 and {top} share a block");
+            for entry in entries {
+                assert_eq!(q.pop_front(1), Some(entry));
             }
         }
-        for id in [0, 1, u32::MAX] {
-            assert_eq!(unpack(pack(Queued::Parked(id))), Queued::Parked(id));
-        }
+        // The last cycle is a block's first entry too.
+        let last_cycle = Queued::Fresh {
+            dest: last,
+            created: u64::MAX,
+        };
+        q.push_back(0, last_cycle);
+        q.check();
+        assert_eq!(q.pop_front(0), Some(last_cycle));
     }
 
     #[test]
     #[should_panic(expected = "overflows a queue entry")]
-    fn a_cycle_past_the_entry_width_is_refused() {
-        pack(fresh(CREATED_LIMIT));
+    fn a_parked_id_past_the_entry_width_is_refused() {
+        SourceQueues::new(1).push_back(0, Queued::Parked(PARKED));
+    }
+
+    #[test]
+    fn an_offset_past_its_width_ends_the_block_early() {
+        let mut q = SourceQueues::new(1 << 16);
+        let span = 1 << 15;
+        q.push_back(0, fresh(10));
+        q.push_back(0, fresh(10 + span));
+        q.check();
+        assert_eq!(q.blocks, 2, "the second cycle starts a block");
+        assert_eq!(q.meta(0).end, 1, "the first block ends after one entry");
+        q.push_back(0, fresh(10 + 2 * span - 1));
+        assert_eq!(q.blocks, 2, "offsets count from the new block's base");
+        assert_eq!(q.pop_front(0), Some(fresh(10)));
+        q.push_back(1, fresh(3));
+        q.check();
+        assert_eq!(q.blocks, 2, "the drained block is taken again");
+        let rest: Vec<Queued> = q.iter().collect();
+        assert_eq!(rest, [fresh(10 + span), fresh(10 + 2 * span - 1), fresh(3)]);
     }
 
     #[test]
@@ -575,59 +748,131 @@ mod tests {
         let mut r = SourceQueues::new(2);
         r.reserve(CHUNK * BLOCK);
         assert_eq!(r.chunks.len(), 2);
-        assert!(r.chunks.iter().all(Vec::is_empty));
+        assert!(r.chunks.iter().all(|c| c.meta.is_empty()));
         r.check();
     }
 
-    const MODEL_NODES: usize = 3;
+    /// The bytes the pool holds at capacity: its chunks' entries and
+    /// per-block links, ends and bases, and the chunk table.
+    fn pool_bytes(q: &SourceQueues) -> usize {
+        let chunks: usize = (q.chunks.iter())
+            .map(|c| c.entries.capacity() * 4 + c.meta.capacity() * std::mem::size_of::<Meta>())
+            .sum();
+        chunks + q.chunks.capacity() * std::mem::size_of::<Chunk>()
+    }
+
+    #[test]
+    fn a_saturated_backlog_costs_at_most_six_bytes_a_message() {
+        // A saturated 10×10 run's backlog: 100 000 messages generated over
+        // 1 000 cycles, round the nodes, never drained.
+        const NODES: usize = 100;
+        const MESSAGES: usize = 100_000;
+        let mut q = SourceQueues::new(NODES);
+        for i in 0..MESSAGES {
+            let entry = Queued::Fresh {
+                dest: NodeId((i * 7 % NODES) as u16),
+                created: (i / NODES) as u64,
+            };
+            q.push_back(i % NODES, entry);
+        }
+        q.check();
+        let per_message = pool_bytes(&q) as f64 / MESSAGES as f64;
+        assert!(
+            per_message <= 6.0,
+            "{per_message:.2} B of pool per queued message"
+        );
+    }
+
+    /// What a fresh entry's `created` may jump by: within the offset
+    /// width, to its last offset, or past it.
+    fn jump(x: u32, width: u32) -> u64 {
+        match x % 64 {
+            0 => (1 << width) + u64::from(x >> 6),
+            1 => (1 << width) - 1,
+            _ => u64::from(x % 4),
+        }
+    }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// The store against one `Vec` per node, under a mix whose pops
-        /// (`drain` in 16) lag the pushes (8 in 16) by a per-case margin,
-        /// so queues run many blocks deep in some cases and keep emptying
-        /// in others; either way blocks go back to the free list and come
-        /// out again.
+        /// The store against one `Vec` per node, under a mix of 8 pushes,
+        /// `drain` pops and one retain (dropping about one entry in 8) in
+        /// every `9 + drain` steps, so queues run several blocks deep in
+        /// some cases and keep emptying in others; either way blocks go
+        /// back to the free list and come out again. Fresh entries come
+        /// from one clock that sometimes jumps past the offset width, on a
+        /// pool for three nodes (29 offset bits) or for 65 536 (15), so
+        /// blocks also end early.
         #[test]
         fn the_pool_agrees_with_per_node_fifos(
             drain in 4u8..=8,
+            wide in proptest::prelude::any::<bool>(),
             ops in proptest::collection::vec(
-                (0u8..16, 0..MODEL_NODES, proptest::prelude::any::<u32>()),
+                (proptest::prelude::any::<u8>(), 0usize..3, proptest::prelude::any::<u32>()),
                 1..600,
             ),
         ) {
-            let mut store = SourceQueues::new(MODEL_NODES);
-            let mut model: Vec<Vec<Queued>> = vec![Vec::new(); MODEL_NODES];
-            let mut peak = 0;
-            for (op, node, x) in ops {
-                let queue = &mut model[node];
+            let nodes = if wide { 1 << 16 } else { 3 };
+            let queues = [0, 1, nodes - 1];
+            let mut store = SourceQueues::new(nodes);
+            let width = 31 - store.dest_bits;
+            let mut model: Vec<Vec<Queued>> = vec![Vec::new(); 3];
+            let (mut clock, mut jumps, mut peak_blocks) = (0u64, 0, 0);
+            let last = ops.len() - 1;
+            for (i, (op, q, x)) in ops.into_iter().enumerate() {
+                let (node, queue) = (queues[q], &mut model[q]);
+                let op = op % (9 + drain);
                 if op < 6 {
+                    let step = jump(x, width);
+                    jumps += usize::from(step >= (1 << width) - 1);
+                    clock += step;
                     let entry = Queued::Fresh {
-                        dest: NodeId(x as u16),
-                        created: u64::from(x) << 15,
+                        dest: NodeId((x as usize % nodes) as u16),
+                        created: clock,
                     };
                     store.push_back(node, entry);
                     queue.push(entry);
                 } else if op < 8 {
-                    store.push_front(node, Queued::Parked(x));
-                    queue.insert(0, Queued::Parked(x));
+                    let id = x & !PARKED;
+                    store.push_front(node, id);
+                    queue.insert(0, Queued::Parked(id));
                 } else if op < 8 + drain {
                     let want = (!queue.is_empty()).then(|| queue.remove(0));
                     proptest::prop_assert_eq!(store.pop_front(node), want);
                 } else {
-                    let keep = |e: &Queued| !(pack(*e) ^ u64::from(x)).is_multiple_of(3);
+                    let keep = |e: &Queued| {
+                        let key = match *e {
+                            Queued::Fresh { dest, created } => created ^ u64::from(dest.0),
+                            Queued::Parked(id) => u64::from(id),
+                        };
+                        !(key ^ u64::from(x)).is_multiple_of(8)
+                    };
                     store.retain(node, keep);
                     queue.retain(keep);
                 }
-                store.check();
-                let flat: Vec<Queued> = model.iter().flatten().copied().collect();
-                proptest::prop_assert_eq!(store.len(), flat.len());
-                proptest::prop_assert_eq!(store.iter().collect::<Vec<_>>(), flat);
-                // Without reuse, churn would grow the pool past what the
-                // deepest moment needed.
-                peak = peak.max(store.len());
-                proptest::prop_assert!(store.next.len() <= peak.div_ceil(BLOCK) + 2 * MODEL_NODES);
+                // A full audit walks every node: on the wide pool, audit
+                // every 32nd step and the last.
+                if !wide || i % 32 == 0 || i == last {
+                    store.check();
+                }
+                for (&node, queue) in queues.iter().zip(&model) {
+                    let entries = store.entries(store.chains[node]);
+                    proptest::prop_assert!(entries.eq(queue.iter().copied()));
+                }
+                let flat = model.iter().map(Vec::len).sum::<usize>();
+                proptest::prop_assert_eq!(store.len(), flat);
+                // A block is built only when none is free, early-ended
+                // ones included once they drain, so the pool never holds
+                // more blocks than the queues did at their deepest.
+                let chains = queues.map(|node| store.chains[node]);
+                let blocks: usize = chains.iter().map(|&c| store.blocks(c).count()).sum();
+                peak_blocks = peak_blocks.max(blocks);
+                proptest::prop_assert_eq!(store.blocks, peak_blocks);
+                // A queue of `n` spans `n / BLOCK + 2` blocks plus one per
+                // early end, and each early end needs a jump of the clock.
+                let entries = store.len();
+                proptest::prop_assert!(blocks <= entries.div_ceil(BLOCK) + 3 * (2 + jumps));
             }
         }
     }

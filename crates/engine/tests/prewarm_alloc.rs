@@ -74,11 +74,11 @@ fn prewarmed_big_mesh_run_never_allocates() {
     // `prewarm` reserves and builds no slab slot: one reservation per
     // fixed buffer (the slab, its path arena, its free list, the seven
     // per-message arrays, five population buffers, the wake-list arena and
-    // three scratch buffers), the source pool's chunk list and block links,
-    // and one per 64 KiB chunk of the pool (17 here: 6 144 entries plus two
-    // part-filled blocks per node), 38 in all. A reservation per node's
-    // queue made it 4 115; building every slot up front costs one more per
-    // slot.
+    // three scratch buffers), the source pool's chunk list, and two per
+    // chunk of the pool, its 64 KiB of entries and its blocks' links, ends
+    // and bases (9 chunks here: 6 144 entries plus two part-filled blocks
+    // per node), 38 in all. A reservation per node's queue made it 4 115;
+    // building every slot up front costs one more per slot.
     let budget: u64 = 40;
     assert!(
         in_prewarm <= budget,

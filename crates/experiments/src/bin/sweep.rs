@@ -25,7 +25,7 @@ use wormsim_fault::{random_pattern, FaultPattern};
 use wormsim_metrics::SimReport;
 use wormsim_routing::{AlgorithmKind, VcConfig};
 use wormsim_topology::Mesh;
-use wormsim_traffic::Workload;
+use wormsim_traffic::{Workload, MAX_RATE};
 
 fn usage() -> ! {
     eprintln!(
@@ -86,8 +86,8 @@ fn main() {
             "--mesh {mesh_size}: the side must be 2 to 256"
         ));
     }
-    if let Some(rate) = rates.iter().find(|r| !(**r >= 0.0 && r.is_finite())) {
-        reject(format_args!("--rate {rate}: must be finite and at least 0"));
+    if let Some(rate) = rates.iter().find(|r| !(0.0..=MAX_RATE).contains(*r)) {
+        reject(format_args!("--rate {rate}: must be in 0..={MAX_RATE}"));
     }
     if length == 0 {
         reject("--length 0: a message needs at least one flit");

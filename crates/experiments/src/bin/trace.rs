@@ -32,7 +32,7 @@ use wormsim_fault::{random_pattern, FaultPattern};
 use wormsim_obs::{parse_jsonl, CycleTelemetry, TelemetrySink};
 use wormsim_routing::{build_algorithm, min_total_vcs, AlgorithmKind, RoutingContext, VcConfig};
 use wormsim_topology::Mesh;
-use wormsim_traffic::Workload;
+use wormsim_traffic::{Workload, MAX_RATE};
 
 fn usage() -> ! {
     eprintln!(
@@ -92,8 +92,8 @@ fn main() {
             "--mesh {mesh_size}: the side must be 2 to 256"
         ));
     }
-    if !(rate >= 0.0 && rate.is_finite()) {
-        reject(format_args!("--rate {rate}: must be finite and at least 0"));
+    if !(0.0..=MAX_RATE).contains(&rate) {
+        reject(format_args!("--rate {rate}: must be in 0..={MAX_RATE}"));
     }
     if cycles == 0 {
         reject("--cycles 0: the run needs at least 1 cycle");

@@ -24,7 +24,7 @@ use wormsim_experiments::CustomSpec;
 use wormsim_obs::{MetricsSnapshot, ProgressFrame};
 use wormsim_routing::{AlgorithmKind, VcConfig};
 use wormsim_topology::Coord;
-use wormsim_traffic::{TrafficPattern, Workload};
+use wormsim_traffic::{TrafficPattern, Workload, MAX_RATE};
 
 use crate::intern::PatternInterner;
 
@@ -137,13 +137,14 @@ pub struct WireSpec {
     /// Faulty node coordinates (order and duplicates are irrelevant: the
     /// list is canonicalized before interning).
     pub faults: Vec<Coord>,
-    /// Messages per node per cycle.
+    /// Messages per node per cycle, in `0..=`[`MAX_RATE`].
     pub rate: f64,
     /// Flits per message.
     pub message_length: u32,
     /// Warm-up cycles (discarded from statistics).
     pub warmup_cycles: u64,
-    /// Measured cycles.
+    /// Measured cycles. With `warmup_cycles` it must sum to at most
+    /// `u64::MAX`.
     pub measure_cycles: u64,
     /// PRNG seed.
     pub seed: u64,
@@ -182,8 +183,15 @@ pub enum SpecError {
     BadMeshSize(u16),
     /// A fault coordinate or the pattern as a whole is unusable.
     BadPattern(String),
-    /// `rate` is negative, NaN, or infinite.
+    /// `rate` is outside `0..=`[`MAX_RATE`] (NaN included).
     BadRate(f64),
+    /// `warmup_cycles + measure_cycles` overflows a `u64`.
+    ScheduleOverflow {
+        /// The requested warm-up cycles.
+        warmup_cycles: u64,
+        /// The requested measured cycles.
+        measure_cycles: u64,
+    },
     /// `vc_total` below the minimum the algorithm roster needs (6).
     TooFewVcs(u8),
     /// `message_length` is zero.
@@ -196,7 +204,14 @@ impl fmt::Display for SpecError {
             SpecError::UnknownAlgorithm(name) => write!(f, "unknown algorithm {name:?}"),
             SpecError::BadMeshSize(n) => write!(f, "mesh_size {n} outside 2..=64"),
             SpecError::BadPattern(msg) => write!(f, "unusable fault pattern: {msg}"),
-            SpecError::BadRate(r) => write!(f, "rate {r} is not a finite non-negative number"),
+            SpecError::BadRate(r) => write!(f, "rate {r} outside 0..={MAX_RATE}"),
+            SpecError::ScheduleOverflow {
+                warmup_cycles,
+                measure_cycles,
+            } => write!(
+                f,
+                "warmup_cycles {warmup_cycles} + measure_cycles {measure_cycles} overflows a cycle count"
+            ),
             SpecError::TooFewVcs(n) => write!(f, "vc_total {n} below the roster minimum of 6"),
             SpecError::ZeroLengthMessages => write!(f, "message_length must be >= 1"),
         }
@@ -244,8 +259,18 @@ impl WireSpec {
         if !(2..=64).contains(&self.mesh_size) {
             return Err(SpecError::BadMeshSize(self.mesh_size));
         }
-        if !self.rate.is_finite() || self.rate < 0.0 {
+        if !(0.0..=MAX_RATE).contains(&self.rate) {
             return Err(SpecError::BadRate(self.rate));
+        }
+        if self
+            .warmup_cycles
+            .checked_add(self.measure_cycles)
+            .is_none()
+        {
+            return Err(SpecError::ScheduleOverflow {
+                warmup_cycles: self.warmup_cycles,
+                measure_cycles: self.measure_cycles,
+            });
         }
         if self.vc_total < 6 {
             return Err(SpecError::TooFewVcs(self.vc_total));
@@ -601,6 +626,38 @@ mod tests {
             assert_eq!(algorithm_from_name(name), Some(*kind), "{name}");
         }
         assert_eq!(algorithm_from_name("Bogus"), None);
+    }
+
+    #[test]
+    fn rates_past_one_message_per_cycle_are_refused() {
+        let interner = PatternInterner::default();
+        for rate in [1.5, 1e300, f64::INFINITY, -0.5] {
+            let err = WireSpec::basic(8, "Duato", rate, 1)
+                .to_custom(&interner)
+                .unwrap_err();
+            assert_eq!(err, SpecError::BadRate(rate));
+            assert!(err.to_string().ends_with("outside 0..=1"), "{err}");
+        }
+        let busiest = WireSpec::basic(8, "Duato", MAX_RATE, 1);
+        assert_eq!(busiest.to_custom(&interner).unwrap().workload.rate, 1.0);
+    }
+
+    #[test]
+    fn a_schedule_whose_cycle_count_overflows_is_refused() {
+        let interner = PatternInterner::default();
+        let mut spec = WireSpec::basic(8, "Duato", 0.004, 1);
+        // The wrapped total would run one cycle and report two measured.
+        (spec.warmup_cycles, spec.measure_cycles) = (u64::MAX, 2);
+        assert_eq!(
+            spec.to_custom(&interner).unwrap_err(),
+            SpecError::ScheduleOverflow {
+                warmup_cycles: u64::MAX,
+                measure_cycles: 2,
+            }
+        );
+        spec.warmup_cycles = u64::MAX - 2;
+        let custom = spec.to_custom(&interner).unwrap();
+        assert_eq!(custom.sim.total_cycles(), u64::MAX);
     }
 
     #[test]

@@ -4,14 +4,44 @@
 //! cannot be created, or an output file that cannot be written, exits 1
 //! with one line.
 
-use std::process::Command;
+use std::io::Read;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
-/// Runs `bin` on `args`, asserts exit 2 with a message and no panic, and
-/// returns the message.
+/// How long a rejected invocation may take. A usage error exits at once;
+/// a check that misses a bad value can start a run that never ends, and
+/// without a limit that hangs the suite.
+const DEADLINE: Duration = Duration::from_secs(20);
+
+/// Runs `bin` on `args`, asserts exit 2 with a message and no panic
+/// within [`DEADLINE`], and returns the message.
 fn rejects(bin: &str, args: &[&str]) -> String {
-    let out = Command::new(bin).args(args).output().expect("binary runs");
-    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+    let mut child = Command::new(bin)
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut pipe = child.stderr.take().expect("stderr is piped");
+    let reader = std::thread::spawn(move || {
+        let mut bytes = Vec::new();
+        pipe.read_to_end(&mut bytes).expect("stderr reads");
+        String::from_utf8_lossy(&bytes).into_owned()
+    });
+    let started = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("child waits") {
+            break status;
+        }
+        if started.elapsed() > DEADLINE {
+            child.kill().expect("child is killed");
+            child.wait().expect("child is reaped");
+            panic!("{bin} {args:?} did not exit within {DEADLINE:?}");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let stderr = reader.join().expect("stderr reader");
+    assert_eq!(status.code(), Some(2), "{bin} {args:?}: {stderr}");
     assert!(!stderr.contains("panicked at"), "{bin} {args:?}: {stderr}");
     assert!(!stderr.trim().is_empty(), "{bin} {args:?} says nothing");
     stderr
@@ -40,6 +70,14 @@ fn bad_flag_values_exit_2_without_panicking() {
         rejects(bin, &["--rate", "-1"]);
         rejects(bin, &["--rate", "nan"]);
     }
+    // Past one message per node per cycle: at 1e300 each arrival gap is
+    // below the float spacing of the arrival clock, so a run never ends.
+    rejects(sweep, &["--rate", "1e300", "--cycles", "10", "--quiet"]);
+    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/x");
+    rejects(
+        trace,
+        &["--rate", "2", "--cycles", "10", "--quiet", "--out", out],
+    );
     rejects(trace, &["--telemetry-window", "0"]);
     rejects(sweep, &["--length", "0"]);
     // Would run nothing and exit 0.
@@ -50,7 +88,6 @@ fn bad_flag_values_exit_2_without_panicking() {
     rejects(trace, &["--mesh", "1", "--faults", "0"]);
     // Rejected before any run, and before `--out` is created: a regular
     // file cannot hold a directory, so a later check would exit 1.
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/x");
     let zero_cycles = rejects(trace, &["--cycles", "0", "--out", out]);
     assert_eq!(zero_cycles.lines().count(), 1, "{zero_cycles}");
 }

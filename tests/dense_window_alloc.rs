@@ -3,8 +3,9 @@
 //! run (Duato on the §5.2 layout, 8-flit messages at 0.05 msgs/node/cycle,
 //! the paper schedule, no `prewarm`) queues about a thousand messages per
 //! node by its end. The source queues draw blocks from one pool that grows
-//! a 64 KiB chunk at a time, so the backlog's growth costs one allocation
-//! per chunk, not a doubling per node.
+//! a chunk at a time, so the backlog's growth costs two allocations per
+//! chunk (its 64 KiB of entries and its blocks' metadata), not a doubling
+//! per node.
 //!
 //! The allocator counts process-wide, so this binary holds exactly one
 //! `#[test]`.
@@ -19,7 +20,8 @@ use wormsim_topology::Mesh;
 use wormsim_traffic::Workload;
 
 /// Most allocations the measurement window may make. The run below makes
-/// 13; with one growable queue per node it made 172.
+/// 12; with 8-byte queue entries it made 13, with one growable queue per
+/// node 172.
 const WINDOW_ALLOC_CEILING: u64 = 32;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
